@@ -7,10 +7,9 @@
 #include <type_traits>
 #include <utility>
 
-#include "common/check.h"
-#include "common/counters.h"
 #include "dist/exchange.h"
 #include "dist/frame.h"
+#include "graph/propagate.h"
 #include "tensor/matrix.h"
 
 namespace sgnn::dist {
@@ -49,7 +48,7 @@ struct Cursor {
       ok = false;
       return false;
     }
-    std::memcpy(out, p, n);
+    if (n != 0) std::memcpy(out, p, n);  // Empty vectors may have null data().
     p += n;
     left -= n;
     return true;
@@ -65,7 +64,7 @@ struct Cursor {
   template <typename T>
   void Vec(std::vector<T>* out) {
     const uint64_t n = Pod<uint64_t>();
-    if (!ok || n * sizeof(T) > left) {
+    if (!ok || n > left / sizeof(T)) {
       ok = false;
       return;
     }
@@ -114,13 +113,45 @@ StatusOr<WorkerSpec> WorkerSpec::Parse(const std::string& payload) {
   if (spec.worker_id < 0 || spec.num_workers <= 0 ||
       spec.worker_id >= spec.num_workers || spec.cols < 0 ||
       spec.rows_per_frame <= 0 ||
-      spec.offsets.size() != spec.owned.size() + 1 ||
+      spec.offsets.size() != spec.owned.size() + 1 || spec.offsets[0] != 0 ||
+      !std::is_sorted(spec.offsets.begin(), spec.offsets.end()) ||
       spec.self_loop.size() != spec.owned.size() ||
       spec.coefficients.size() != spec.neighbors.size() ||
-      (!spec.offsets.empty() && spec.offsets.back() != spec.neighbors.size())) {
+      static_cast<uint64_t>(spec.offsets.back()) != spec.neighbors.size()) {
     return Status::DataLoss("inconsistent worker spec");
   }
   return spec;
+}
+
+int64_t SlotTable::SlotOf(NodeId id) const {
+  auto it = std::lower_bound(
+      by_id.begin(), by_id.end(), id,
+      [](const std::pair<NodeId, NodeId>& s, NodeId v) { return s.first < v; });
+  if (it == by_id.end() || it->first != id) return -1;
+  return it->second;
+}
+
+StatusOr<SlotTable> SlotTable::Build(const WorkerSpec& spec) {
+  SlotTable table;
+  table.by_id.reserve(spec.owned.size() + spec.halo.size());
+  for (size_t i = 0; i < spec.owned.size(); ++i) {
+    table.by_id.emplace_back(spec.owned[i], static_cast<NodeId>(i));
+  }
+  for (size_t i = 0; i < spec.halo.size(); ++i) {
+    table.by_id.emplace_back(spec.halo[i],
+                             static_cast<NodeId>(spec.owned.size() + i));
+  }
+  std::sort(table.by_id.begin(), table.by_id.end());
+  table.neighbor_slots.reserve(spec.neighbors.size());
+  for (const NodeId id : spec.neighbors) {
+    const int64_t slot = table.SlotOf(id);
+    if (slot < 0) {
+      return Status::DataLoss("neighbour " + std::to_string(id) +
+                              " is neither owned nor haloed");
+    }
+    table.neighbor_slots.push_back(static_cast<NodeId>(slot));
+  }
+  return table;
 }
 
 namespace {
@@ -128,21 +159,9 @@ namespace {
 /// Mutable per-process worker state between frames.
 struct WorkerState {
   WorkerSpec spec;
+  SlotTable table;
   tensor::Matrix local;  ///< Owned rows first, then halo rows.
   tensor::Matrix out;    ///< One row per owned node, epoch scratch.
-  /// Global node id -> row slot in `local`; linear scan is avoided with a
-  /// sorted-merge-friendly map (ids arrive sorted, lookups are random).
-  std::vector<std::pair<NodeId, int64_t>> slots;  ///< Sorted by id.
-
-  int64_t SlotOf(NodeId id) const {
-    auto it = std::lower_bound(
-        slots.begin(), slots.end(), id,
-        [](const std::pair<NodeId, int64_t>& s, NodeId v) {
-          return s.first < v;
-        });
-    if (it == slots.end() || it->first != id) return -1;
-    return it->second;
-  }
 };
 
 /// Encodes rows [begin, begin+count) of `state.out` as a row-batch
@@ -169,40 +188,17 @@ std::string EncodeOutChunk(const WorkerState& state, size_t begin,
   return payload;
 }
 
-/// One epoch of local aggregation: the exact per-row loop of
-/// `Propagator::Apply` (same accumulation order, same float coefficients,
-/// self-loop term last), just indirected through the local slot table.
+/// One epoch of local aggregation: `Propagator::Apply`'s row kernel over
+/// every owned row, reading the local value store through the slot table.
+/// Called directly rather than through `par`: the pool this process
+/// inherited across `fork` has no threads.
 void ComputeEpoch(WorkerState* state) {
   const WorkerSpec& spec = state->spec;
-  const int64_t cols = spec.cols;
+  const graph::CoefficientRows rows{spec.offsets, state->table.neighbor_slots,
+                                    spec.coefficients, spec.self_loop};
   state->out.Zero();
-  for (size_t i = 0; i < spec.owned.size(); ++i) {
-    float* orow = state->out.Row(static_cast<int64_t>(i)).data();
-    const uint64_t begin = spec.offsets[i];
-    const uint64_t end = spec.offsets[i + 1];
-    for (uint64_t e = begin; e < end; ++e) {
-      const float c = spec.coefficients[e];
-      if (c == 0.0f) continue;
-      const int64_t slot = state->SlotOf(spec.neighbors[e]);
-      SGNN_CHECK_GE(slot, 0);
-      const float* xrow = state->local.Row(slot).data();
-      for (int64_t j = 0; j < cols; ++j) orow[j] += c * xrow[j];
-    }
-    if (spec.self_loop[i] != 0.0f) {
-      const float c = spec.self_loop[i];
-      const float* xrow = state->local.Row(static_cast<int64_t>(i)).data();
-      for (int64_t j = 0; j < cols; ++j) orow[j] += c * xrow[j];
-    }
-  }
-  // Same billing as Propagator::Apply: every local edge is walked, and one
-  // feature row moves per edge (this worker's own counters; the
-  // coordinator aggregates per-process totals out of band).
-  const uint64_t edges =
-      spec.offsets.empty() ? 0 : spec.offsets[spec.owned.size()] -
-                                     spec.offsets[0];
-  auto& counters = common::GlobalCounters();
-  counters.edges_touched += edges;
-  counters.floats_moved += edges * static_cast<uint64_t>(cols);
+  graph::SpmmRows(rows, {0, static_cast<int64_t>(spec.owned.size())},
+                  state->local, &state->out);
 }
 
 /// Stores a received row batch (scatter, restore, or halo) into the local
@@ -210,7 +206,7 @@ void ComputeEpoch(WorkerState* state) {
 Status StoreRows(WorkerState* state, const std::string& payload) {
   return DecodeRows(
       payload, state->spec.cols, [state](NodeId id, const float* row) {
-        const int64_t slot = state->SlotOf(id);
+        const int64_t slot = state->table.SlotOf(id);
         if (slot < 0) {
           return Status::DataLoss("row for node " + std::to_string(id) +
                                   " not owned or haloed here");
@@ -240,24 +236,15 @@ void WorkerMain(int fd, common::FaultInjector* faults) {
       case FrameType::kConfig: {
         auto spec_or = WorkerSpec::Parse(frame.payload);
         if (!spec_or.ok()) _exit(2);
+        auto table_or = SlotTable::Build(spec_or.value());
+        if (!table_or.ok()) _exit(2);
         state.spec = std::move(spec_or).value();
+        state.table = std::move(table_or).value();
         const int64_t rows = static_cast<int64_t>(state.spec.owned.size()) +
                              static_cast<int64_t>(state.spec.halo.size());
         state.local = tensor::Matrix(rows, state.spec.cols);
         state.out = tensor::Matrix(
             static_cast<int64_t>(state.spec.owned.size()), state.spec.cols);
-        state.slots.clear();
-        state.slots.reserve(static_cast<size_t>(rows));
-        for (size_t i = 0; i < state.spec.owned.size(); ++i) {
-          state.slots.emplace_back(state.spec.owned[i],
-                                   static_cast<int64_t>(i));
-        }
-        for (size_t i = 0; i < state.spec.halo.size(); ++i) {
-          state.slots.emplace_back(
-              state.spec.halo[i],
-              static_cast<int64_t>(state.spec.owned.size() + i));
-        }
-        std::sort(state.slots.begin(), state.slots.end());
         configured = true;
         break;
       }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -15,9 +16,9 @@ namespace sgnn::dist {
 /// shipped in one `kConfig` frame at spawn (and again at respawn, with a
 /// bumped `incarnation`). The adjacency arrives pre-normalised — neighbour
 /// ids plus the *float* propagation coefficients and self-loop terms the
-/// coordinator's `Propagator` computed — so the worker replays the exact
-/// per-row accumulation of `Propagator::Apply` on identical bits, which is
-/// what makes the distributed result bit-identical to the single-process
+/// coordinator's `Propagator` computed — so the worker runs the same
+/// `graph::SpmmRows` kernel as `Propagator::Apply` on identical bits, which
+/// is what makes the distributed result bit-identical to the single-process
 /// one at any worker count and under any kill schedule.
 struct WorkerSpec {
   int32_t worker_id = 0;
@@ -34,13 +35,30 @@ struct WorkerSpec {
   std::vector<graph::NodeId> halo;   ///< Sorted remote ids it receives.
   /// CSR over `owned`: neighbours/coefficients of owned[i] live at
   /// [offsets[i], offsets[i+1]).
-  std::vector<uint64_t> offsets;
+  std::vector<graph::EdgeIndex> offsets;
   std::vector<graph::NodeId> neighbors;
   std::vector<float> coefficients;
   std::vector<float> self_loop;  ///< Per owned row.
 
   std::string Serialize() const;
+  /// `kDataLoss` on a truncated, oversized or inconsistent payload, such as
+  /// offsets an epoch would read past the coefficient array on.
   static common::StatusOr<WorkerSpec> Parse(const std::string& payload);
+};
+
+/// A worker's local slot table, built once per config: each node's row in
+/// the worker's value store (owned rows first, then halo rows), and the
+/// spec's neighbour ids translated to those rows for `graph::SpmmRows`.
+struct SlotTable {
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> by_id;  ///< Sorted.
+  std::vector<graph::NodeId> neighbor_slots;  ///< Aligned with `neighbors`.
+
+  /// Slot of `id`, or -1 when it is neither owned nor haloed.
+  int64_t SlotOf(graph::NodeId id) const;
+
+  /// `kDataLoss` when a neighbour is neither owned nor haloed, which would
+  /// otherwise abort the worker mid-epoch.
+  static common::StatusOr<SlotTable> Build(const WorkerSpec& spec);
 };
 
 /// Worker process main loop: speaks the frame protocol on `fd` until a

@@ -13,173 +13,84 @@ namespace {
 /// Edge traversals per shard below which a section stays single-shard.
 constexpr int64_t kEdgeGrain = 32 * 1024;
 
-/// Cache-blocked CSR schedule for wide-feature SpMM. Skewed degree
-/// distributions make the x-row gather the bottleneck: a hub neighbour's
-/// row is re-fetched from memory once per referencing output row when the
-/// full row (cols * 4 bytes) no longer fits alongside the working set. The
-/// blocked schedule walks output rows in panels of ~kSpmmPanelEdges edges
-/// and feature columns in blocks of kSpmmColBlock floats, so each gathered
-/// x-row *slice* is a few cache lines and the panel's hub slices stay
-/// resident across the rows that share them. This is loop blocking only —
-/// per output element the edge accumulation order is unchanged (ascending
-/// edge index, self-loop last), so the result is bit-identical to the
-/// unblocked walk. Engaged only above kSpmmColBlockEngage columns; narrow
-/// rows already fit and the re-scanned coefficient stream would be pure
-/// overhead.
-constexpr int64_t kSpmmColBlock = 64;        ///< Floats per column block.
-constexpr int64_t kSpmmColBlockEngage = 128; ///< Engage when cols exceed.
-constexpr int64_t kSpmmPanelEdges = 4096;    ///< Edge budget per row panel.
-
-/// Edge-balanced row shards over the graph's CSR offsets. Geometry depends
-/// only on the graph, so shard-local work is identical for any worker
-/// count (the par determinism contract).
-std::vector<par::Range> NodeShards(const CsrGraph& graph) {
-  return par::RowRanges(graph.offsets(),
-                        par::ShardsFor(graph.num_edges(), kEdgeGrain));
-}
+double Inv(double d) { return d > 0.0 ? 1.0 / d : 0.0; }
 
 }  // namespace
+
+double DegreeFactor(Normalization norm, double degree) {
+  switch (norm) {
+    case Normalization::kRow:
+    case Normalization::kColumn:
+      return Inv(degree);
+    case Normalization::kSymmetric:
+      return degree > 0.0 ? 1.0 / std::sqrt(degree) : 0.0;
+    case Normalization::kNone:
+      break;
+  }
+  return 1.0;
+}
+
+float LoopCoefficient(Normalization norm, double degree) {
+  return static_cast<float>(norm == Normalization::kNone ? 1.0 : Inv(degree));
+}
+
+std::vector<par::Range> EdgeShards(std::span<const EdgeIndex> offsets) {
+  return par::RowRanges(offsets, par::ShardsFor(offsets.back(), kEdgeGrain));
+}
+
+void BillSpmm(uint64_t edges, uint64_t applied, int64_t cols) {
+  const uint64_t row_bytes = static_cast<uint64_t>(cols) * sizeof(float);
+  auto& counters = common::GlobalCounters();
+  counters.edges_touched += edges;
+  counters.floats_moved += edges * static_cast<uint64_t>(cols);
+  counters.BillBytes(
+      edges * (sizeof(float) + sizeof(NodeId)) + applied * 2u * row_bytes,
+      applied * row_bytes);
+}
 
 Propagator::Propagator(const CsrGraph& graph, Normalization norm,
                        bool add_self_loops)
     : graph_(graph), norm_(norm) {
   const NodeId n = graph.num_nodes();
-  const auto shards = NodeShards(graph);
-  std::vector<double> degree(n, 0.0);
+  const auto shards = EdgeShards(graph.offsets());
+  std::vector<double> factor(n);
+  if (add_self_loops) self_loop_coeff_.resize(n);
   par::ParallelFor("prop.degrees", shards, [&](int, par::Range range) {
     for (int64_t u = range.begin; u < range.end; ++u) {
-      degree[u] = graph.WeightedDegree(static_cast<NodeId>(u)) +
-                  (add_self_loops ? 1.0 : 0.0);
+      const double degree = graph.WeightedDegree(static_cast<NodeId>(u)) +
+                            (add_self_loops ? 1.0 : 0.0);
+      factor[u] = DegreeFactor(norm, degree);
+      if (add_self_loops) self_loop_coeff_[u] = LoopCoefficient(norm, degree);
     }
   });
-  auto inv = [](double d) { return d > 0.0 ? 1.0 / d : 0.0; };
-  auto inv_sqrt = [](double d) { return d > 0.0 ? 1.0 / std::sqrt(d) : 0.0; };
-
   coeff_.resize(static_cast<size_t>(graph.num_edges()));
   par::ParallelFor("prop.coeffs", shards, [&](int, par::Range range) {
     for (int64_t uu = range.begin; uu < range.end; ++uu) {
       const NodeId u = static_cast<NodeId>(uu);
       auto nbrs = graph.Neighbors(u);
       auto ws = graph.Weights(u);
-      const EdgeIndex base = graph.OffsetOf(u);
+      float* cs = coeff_.data() + graph.OffsetOf(u);
       for (size_t i = 0; i < nbrs.size(); ++i) {
-        const NodeId v = nbrs[i];
-        double c = ws[i];
-        switch (norm_) {
-          case Normalization::kNone:
-            break;
-          case Normalization::kRow:
-            c *= inv(degree[u]);
-            break;
-          case Normalization::kColumn:
-            c *= inv(degree[v]);
-            break;
-          case Normalization::kSymmetric:
-            c *= inv_sqrt(degree[u]) * inv_sqrt(degree[v]);
-            break;
-        }
-        coeff_[static_cast<size_t>(base) + i] = static_cast<float>(c);
+        cs[i] = EdgeCoefficient(norm, ws[i], factor[u], factor[nbrs[i]]);
       }
     }
   });
-  if (add_self_loops) {
-    self_loop_coeff_.resize(n);
-    for (NodeId u = 0; u < n; ++u) {
-      double c = 1.0;
-      switch (norm_) {
-        case Normalization::kNone:
-          break;
-        case Normalization::kRow:
-        case Normalization::kColumn:
-          c = inv(degree[u]);
-          break;
-        case Normalization::kSymmetric:
-          c = inv(degree[u]);  // 1/sqrt(d) * 1/sqrt(d)
-          break;
-      }
-      self_loop_coeff_[u] = static_cast<float>(c);
-    }
-  }
 }
 
 void Propagator::Apply(const tensor::Matrix& x, tensor::Matrix* out) const {
   SGNN_CHECK(out != nullptr);
   SGNN_CHECK_EQ(x.rows(), static_cast<int64_t>(graph_.num_nodes()));
   SGNN_DCHECK_EQ(coeff_.size(), static_cast<size_t>(graph_.num_edges()));
-  const int64_t cols = x.cols();
-  *out = tensor::Matrix(x.rows(), cols);
+  *out = tensor::Matrix(x.rows(), x.cols());
   // Row-partitioned SpMM: each shard owns a contiguous block of output
   // rows and gathers from x, so no write is shared and no atomics are
   // needed; per-row accumulation order is the serial order, so the result
-  // is bit-identical for any worker count. The accumulation row is the
-  // axpy microkernel (unfused mul/add lanes, simd contract #1), and wide
-  // feature matrices additionally take the cache-blocked panel schedule
-  // above — neither changes a bit.
-  const simd::KernelTable& kt = simd::Active();
-  par::ParallelFor("prop.apply", NodeShards(graph_), [&](int, par::Range range) {
-    // Applied axpy rows (nonzero edge coefficients + engaged self-loops):
-    // the data-movement term of the byte bill.
-    uint64_t applied = 0;
-    auto row_block = [&](NodeId u, int64_t j0, int64_t bw) {
-      auto nbrs = graph_.Neighbors(u);
-      const float* cs = coeff_.data() + graph_.OffsetOf(u);
-      float* orow = out->data() + static_cast<int64_t>(u) * cols + j0;
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        const float c = cs[i];
-        if (c == 0.0f) continue;
-        ++applied;
-        kt.axpy(c, x.data() + static_cast<int64_t>(nbrs[i]) * cols + j0,
-                orow, bw);
-      }
-      if (!self_loop_coeff_.empty() && self_loop_coeff_[u] != 0.0f) {
-        ++applied;
-        kt.axpy(self_loop_coeff_[u],
-                x.data() + static_cast<int64_t>(u) * cols + j0, orow, bw);
-      }
-    };
-    if (cols > kSpmmColBlockEngage) {
-      for (int64_t p0 = range.begin; p0 < range.end;) {
-        // Grow the panel until its edge mass reaches the budget (always at
-        // least one row, so a hub row becomes its own panel).
-        int64_t p1 = p0;
-        const EdgeIndex panel_base = graph_.OffsetOf(static_cast<NodeId>(p0));
-        while (p1 < range.end &&
-               (p1 == p0 ||
-                graph_.OffsetOf(static_cast<NodeId>(p1)) - panel_base <
-                    kSpmmPanelEdges)) {
-          ++p1;
-        }
-        for (int64_t j0 = 0; j0 < cols; j0 += kSpmmColBlock) {
-          const int64_t bw = std::min(kSpmmColBlock, cols - j0);
-          for (int64_t uu = p0; uu < p1; ++uu) {
-            row_block(static_cast<NodeId>(uu), j0, bw);
-          }
-        }
-        p0 = p1;
-      }
-      // The column loop visits each (row, edge) pair once per block; the
-      // `applied` bill below wants whole rows, so rescale.
-      applied /= static_cast<uint64_t>((cols + kSpmmColBlock - 1) /
-                                       kSpmmColBlock);
-    } else {
-      for (int64_t uu = range.begin; uu < range.end; ++uu) {
-        row_block(static_cast<NodeId>(uu), 0, cols);
-      }
-    }
-    const uint64_t edges = static_cast<uint64_t>(
-        graph_.OffsetOf(static_cast<NodeId>(range.end)) -
-        graph_.OffsetOf(static_cast<NodeId>(range.begin)));
-    auto& counters = common::GlobalCounters();
-    counters.edges_touched += edges;
-    counters.floats_moved += edges * static_cast<uint64_t>(cols);
-    // Bytes: the coefficient (float) and neighbour-index (NodeId) streams
-    // are scanned for every edge; each applied axpy row reads the gathered
-    // x slice plus the output row (RMW) and writes the output row.
-    counters.BillBytes(
-        edges * (sizeof(float) + sizeof(NodeId)) +
-            applied * 2u * static_cast<uint64_t>(cols) * sizeof(float),
-        applied * static_cast<uint64_t>(cols) * sizeof(float));
-  });
+  // is bit-identical for any worker count.
+  const CoefficientRows rows{graph_.offsets(), graph_.neighbors(), coeff_,
+                             self_loop_coeff_};
+  par::ParallelFor(
+      "prop.apply", EdgeShards(graph_.offsets()),
+      [&](int, par::Range range) { SpmmRows(rows, range, x, out); });
 }
 
 void Propagator::ApplyVector(const std::vector<double>& x,
@@ -189,7 +100,8 @@ void Propagator::ApplyVector(const std::vector<double>& x,
   SGNN_DCHECK_EQ(coeff_.size(), static_cast<size_t>(graph_.num_edges()));
   out->assign(x.size(), 0.0);
   par::ParallelFor(
-      "prop.apply_vec", NodeShards(graph_), [&](int, par::Range range) {
+      "prop.apply_vec", EdgeShards(graph_.offsets()),
+      [&](int, par::Range range) {
         for (int64_t uu = range.begin; uu < range.end; ++uu) {
           const NodeId u = static_cast<NodeId>(uu);
           auto nbrs = graph_.Neighbors(u);
@@ -235,15 +147,7 @@ void Propagator::ApplyTranspose(const tensor::Matrix& x,
               out->data() + static_cast<int64_t>(u) * cols, cols);
     }
   }
-  auto& counters = common::GlobalCounters();
-  counters.edges_touched += static_cast<uint64_t>(graph_.num_edges());
-  counters.floats_moved +=
-      static_cast<uint64_t>(graph_.num_edges()) * static_cast<uint64_t>(cols);
-  counters.BillBytes(
-      static_cast<uint64_t>(graph_.num_edges()) *
-              (sizeof(float) + sizeof(NodeId)) +
-          applied * 2u * static_cast<uint64_t>(cols) * sizeof(float),
-      applied * static_cast<uint64_t>(cols) * sizeof(float));
+  BillSpmm(static_cast<uint64_t>(graph_.num_edges()), applied, cols);
 }
 
 tensor::Matrix PropagateKHops(const Propagator& prop, const tensor::Matrix& x,

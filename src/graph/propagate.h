@@ -1,10 +1,15 @@
 #ifndef SGNN_GRAPH_PROPAGATE_H_
 #define SGNN_GRAPH_PROPAGATE_H_
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
 #include "graph/csr_graph.h"
+#include "par/par.h"
+#include "simd/simd.h"
 #include "tensor/matrix.h"
 
 namespace sgnn::graph {
@@ -16,6 +21,157 @@ enum class Normalization {
   kColumn,     ///< A D^-1            (PPR transition transpose)
   kSymmetric,  ///< D^-1/2 A D^-1/2   (GCN convolution)
 };
+
+/// The normalisation arithmetic, written once for every placement of
+/// \hat{A}. `degree` is a node's weighted degree (+1 with self loops); a
+/// zero-degree node contributes nothing. Per-node factor each edge of the
+/// node multiplies in: 1/d (kRow, kColumn), 1/sqrt(d) (kSymmetric), 1.
+double DegreeFactor(Normalization norm, double degree);
+
+/// Self-loop coefficient of a node: 1 for kNone, else 1/d (for
+/// kSymmetric that is 1/sqrt(d) * 1/sqrt(d), taken exactly).
+float LoopCoefficient(Normalization norm, double degree);
+
+/// Coefficient of edge (u, v) with weight `weight`, from the degree
+/// factors of its endpoints: evaluated in double, rounded to float once.
+inline float EdgeCoefficient(Normalization norm, float weight, double factor_u,
+                             double factor_v) {
+  double c = weight;
+  switch (norm) {
+    case Normalization::kNone:
+      break;
+    case Normalization::kRow:
+      c *= factor_u;
+      break;
+    case Normalization::kColumn:
+      c *= factor_v;
+      break;
+    case Normalization::kSymmetric:
+      c *= factor_u * factor_v;
+      break;
+  }
+  return static_cast<float>(c);
+}
+
+/// Edge-balanced `par` shards over CSR `offsets` (starting at 0) for
+/// `SpmmRows` sections; a pure function of the offsets.
+std::vector<par::Range> EdgeShards(std::span<const EdgeIndex> offsets);
+
+/// The SpMM bill, written once: `edges` edges (and `edges * cols` floats),
+/// each scanning a float coefficient and a NodeId index, and `applied` axpy
+/// rows of `cols` floats, each reading the gathered x slice plus the output
+/// row (RMW) and writing the output row.
+void BillSpmm(uint64_t edges, uint64_t applied, int64_t cols);
+
+/// Rows with stored coefficients, the `SpmmRows` view of an in-memory
+/// operator: CSR `offsets` over `neighbors` (rows of x) and per-edge
+/// `coefficients`, plus one self-loop coefficient per row (`self_loop`
+/// empty = none). Kernel row r writes output row r.
+struct CoefficientRows {
+  std::span<const EdgeIndex> offsets;
+  std::span<const NodeId> neighbors;
+  std::span<const float> coefficients;
+  std::span<const float> self_loop;
+
+  EdgeIndex EdgeBegin(int64_t r) const { return offsets[r]; }
+  int64_t OutRow(int64_t r) const { return r; }
+  std::span<const NodeId> Neighbors(int64_t r) const {
+    return neighbors.subspan(offsets[r], offsets[r + 1] - offsets[r]);
+  }
+  std::span<const float> Coefficients(int64_t r) const {
+    return coefficients.subspan(offsets[r], offsets[r + 1] - offsets[r]);
+  }
+  float SelfLoop(int64_t r) const {
+    return self_loop.empty() ? 0.0f : self_loop[r];
+  }
+};
+
+/// Cache-blocked CSR schedule for wide-feature SpMM. Skewed degree
+/// distributions make the x-row gather the bottleneck: a hub neighbour's
+/// row is re-fetched from memory once per referencing output row when the
+/// full row (cols * 4 bytes) no longer fits alongside the working set. The
+/// blocked schedule walks output rows in panels of ~kSpmmPanelEdges edges
+/// and feature columns in blocks of kSpmmColBlock floats, so each gathered
+/// x-row *slice* is a few cache lines and the panel's hub slices stay
+/// resident across the rows that share them. This is loop blocking only —
+/// per output element the edge accumulation order is unchanged (ascending
+/// edge index, self-loop last), so the result is bit-identical to the
+/// unblocked walk. Engaged only above kSpmmColBlockEngage columns; narrow
+/// rows already fit and the re-scanned coefficient stream would be pure
+/// overhead.
+inline constexpr int64_t kSpmmColBlock = 64;  ///< Floats per column block.
+inline constexpr int64_t kSpmmColBlockEngage = 128;  ///< Engage above this.
+inline constexpr int64_t kSpmmPanelEdges = 4096;  ///< Edges per row panel.
+
+/// The SpMM row-range kernel every placement of \hat{A} x runs:
+/// out[OutRow(r)] += sum_i c_i x[n_i] + s x[OutRow(r)] for kernel rows r in
+/// `range`, where `rows` is a view offering, per row r:
+///
+///   EdgeIndex EdgeBegin(r)  — r's edges are [EdgeBegin(r), EdgeBegin(r+1))
+///   Neighbors(r)            — indexable rows n_i of `x`
+///   Coefficients(r)         — indexable float c_i, aligned with Neighbors
+///   float SelfLoop(r)       — s, 0 for none
+///   int64_t OutRow(r)       — the row of `out` (and of `x`, for s) r owns
+///
+/// Rows accumulate through the axpy microkernel (simd contract #1), skip
+/// zero coefficients, and add edges in view order with the self loop last,
+/// so equal coefficient bits give equal output bits on any view, backend,
+/// schedule or range split. Accumulates into `out` (callers size and zero
+/// it) and bills `BillSpmm`. Touches no `par` state, so a forked process may
+/// call it.
+template <typename Rows>
+void SpmmRows(const Rows& rows, par::Range range, const tensor::Matrix& x,
+              tensor::Matrix* out) {
+  const int64_t cols = x.cols();
+  const simd::KernelTable& kt = simd::Active();
+  // Applied axpy rows (nonzero edge coefficients + engaged self-loops):
+  // the data-movement term of the byte bill.
+  uint64_t applied = 0;
+  auto row_block = [&](int64_t r, int64_t j0, int64_t bw) {
+    const auto nbrs = rows.Neighbors(r);
+    const auto cs = rows.Coefficients(r);
+    const int64_t o = rows.OutRow(r);
+    float* orow = out->data() + o * cols + j0;
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      const float c = cs[i];
+      if (c == 0.0f) continue;
+      ++applied;
+      kt.axpy(c, x.data() + static_cast<int64_t>(nbrs[i]) * cols + j0, orow,
+              bw);
+    }
+    const float s = rows.SelfLoop(r);
+    if (s != 0.0f) {
+      ++applied;
+      kt.axpy(s, x.data() + o * cols + j0, orow, bw);
+    }
+  };
+  if (cols > kSpmmColBlockEngage) {
+    for (int64_t p0 = range.begin; p0 < range.end;) {
+      // Grow the panel until its edge mass reaches the budget (always at
+      // least one row, so a hub row becomes its own panel).
+      int64_t p1 = p0;
+      const EdgeIndex panel_base = rows.EdgeBegin(p0);
+      while (p1 < range.end &&
+             (p1 == p0 || rows.EdgeBegin(p1) - panel_base < kSpmmPanelEdges)) {
+        ++p1;
+      }
+      for (int64_t j0 = 0; j0 < cols; j0 += kSpmmColBlock) {
+        const int64_t bw = std::min(kSpmmColBlock, cols - j0);
+        for (int64_t r = p0; r < p1; ++r) row_block(r, j0, bw);
+      }
+      p0 = p1;
+    }
+    // The column loop visits each (row, edge) pair once per block; the
+    // bill wants whole rows, so rescale.
+    applied /= static_cast<uint64_t>((cols + kSpmmColBlock - 1) /
+                                     kSpmmColBlock);
+  } else {
+    for (int64_t r = range.begin; r < range.end; ++r) row_block(r, 0, cols);
+  }
+  BillSpmm(static_cast<uint64_t>(rows.EdgeBegin(range.end) -
+                                 rows.EdgeBegin(range.begin)),
+           applied, cols);
+}
 
 /// Precomputed normalised sparse operator \hat{A}; the message-passing /
 /// propagation kernel shared by all GNN models and decoupled methods.

@@ -4,7 +4,11 @@
 #include <charconv>
 #include <cstdio>
 
+#include "obs/json.h"
+
 namespace sgnn::net {
+
+using obs::JsonEscape;
 
 namespace {
 
@@ -165,30 +169,6 @@ int HttpStatusForCode(common::StatusCode code) {
     case common::StatusCode::kDeadlineExceeded: return 504;
     default: return 500;
   }
-}
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 std::string RenderInferResponse(const serve::InferenceResponse& response) {

@@ -52,10 +52,6 @@ const char* StatusCodeJsonName(common::StatusCode code);
 /// anything else.
 int HttpStatusForCode(common::StatusCode code);
 
-/// Escapes `s` for inclusion in a JSON string literal (quotes, backslash,
-/// control characters).
-std::string JsonEscape(std::string_view s);
-
 }  // namespace sgnn::net
 
 #endif  // SGNN_NET_JSON_H_

@@ -3,28 +3,9 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "obs/json.h"
 
 namespace sgnn::obs {
-
-namespace {
-
-/// JSON string escaping for span names/categories (control characters do
-/// not appear in practice; quotes and backslashes must not break the doc).
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
 
 TraceSpan::TraceSpan(Tracer* tracer, std::string name, std::string category)
     : tracer_(tracer), name_(std::move(name)), category_(std::move(category)) {
@@ -120,8 +101,8 @@ std::string Tracer::ChromeTraceJson() const {
   for (const TraceEvent& event : events) {
     if (!first) out.push_back(',');
     first = false;
-    out += "\n{\"name\":\"" + Escape(event.name) + "\",\"cat\":\"" +
-           Escape(event.category.empty() ? "default" : event.category) +
+    out += "\n{\"name\":\"" + JsonEscape(event.name) + "\",\"cat\":\"" +
+           JsonEscape(event.category.empty() ? "default" : event.category) +
            "\",\"ph\":\"X\",\"pid\":0,\"tid\":" +
            std::to_string(event.track) +
            ",\"ts\":" + std::to_string(event.begin_tick) +

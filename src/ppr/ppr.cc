@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "common/check.h"
 #include "common/counters.h"
@@ -14,59 +13,29 @@ namespace sgnn::ppr {
 using graph::CsrGraph;
 using graph::NodeId;
 
+namespace {
+
+/// An in-memory graph as a push adjacency source: every row is resident,
+/// so the graph is its own pin scope and pinning cannot fail.
+struct ResidentGraph {
+  const CsrGraph* csr = nullptr;
+
+  NodeId num_nodes() const { return csr->num_nodes(); }
+  graph::EdgeIndex OutDegree(NodeId u) const { return csr->OutDegree(u); }
+  common::StatusOr<ResidentGraph> Pin(NodeId) const { return *this; }
+  std::span<const NodeId> Neighbors(NodeId u) const {
+    return csr->Neighbors(u);
+  }
+  std::span<const float> Weights(NodeId u) const { return csr->Weights(u); }
+  double WeightedDegree(NodeId u) const { return csr->WeightedDegree(u); }
+};
+
+}  // namespace
+
 PushResult ForwardPush(const CsrGraph& graph, NodeId source, double alpha,
                        double r_max) {
-  SGNN_CHECK(alpha > 0.0 && alpha < 1.0);
-  SGNN_CHECK_GT(r_max, 0.0);
-  SGNN_CHECK_LT(source, graph.num_nodes());
-
-  std::vector<double> p(graph.num_nodes(), 0.0);
-  std::vector<double> r(graph.num_nodes(), 0.0);
-  std::vector<bool> queued(graph.num_nodes(), false);
-  std::queue<NodeId> active;
-
-  r[source] = 1.0;
-  active.push(source);
-  queued[source] = true;
-
-  PushResult result;
-  while (!active.empty()) {
-    const NodeId u = active.front();
-    active.pop();
-    queued[u] = false;
-    const auto deg = graph.OutDegree(u);
-    if (deg == 0) {
-      // Dangling node: all residual mass settles here.
-      p[u] += r[u];
-      r[u] = 0.0;
-      continue;
-    }
-    if (r[u] <= r_max * static_cast<double>(deg)) continue;
-    const double ru = r[u];
-    p[u] += alpha * ru;
-    r[u] = 0.0;
-    ++result.pushes;
-    result.edges_touched += deg;
-    const double w_deg = graph.WeightedDegree(u);
-    const double spread = (1.0 - alpha) * ru / w_deg;
-    auto nbrs = graph.Neighbors(u);
-    auto ws = graph.Weights(u);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId v = nbrs[i];
-      r[v] += spread * ws[i];
-      if (!queued[v] && r[v] > r_max * static_cast<double>(graph.OutDegree(v))) {
-        active.push(v);
-        queued[v] = true;
-      }
-    }
-  }
-
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    if (p[v] > 0.0) result.estimate.emplace_back(v, p[v]);
-  }
-  common::GlobalCounters().edges_touched +=
-      static_cast<uint64_t>(result.edges_touched);
-  return result;
+  ResidentGraph g{&graph};
+  return std::move(ForwardPushOn(g, source, alpha, r_max)).value();
 }
 
 std::vector<PushResult> PushBatch(const CsrGraph& graph,

@@ -2,10 +2,14 @@
 #define SGNN_PPR_PPR_H_
 
 #include <cstdint>
+#include <queue>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
+#include "common/counters.h"
+#include "common/status.h"
 #include "graph/csr_graph.h"
 
 namespace sgnn::ppr {
@@ -33,6 +37,73 @@ struct PushResult {
 /// mass on the source.
 PushResult ForwardPush(const graph::CsrGraph& graph, graph::NodeId source,
                        double alpha, double r_max);
+
+/// `ForwardPush` over any adjacency source `g`: `g.num_nodes()` and
+/// `g.OutDegree(u)` read a resident index, and `g.Pin(u)` returns a
+/// `common::StatusOr` pin scope whose `Neighbors(u)`, `Weights(u)` and
+/// `WeightedDegree(u)` read u's row while it lives. Only actual pushes pin
+/// (threshold checks read the resident degrees), so storage faults track
+/// pushes, not queue churn. An in-memory graph's pin scope pins nothing;
+/// the out-of-core `storage::ShardedGraph` pins u's shard. The arithmetic
+/// and queue order are the same for every source, so equal adjacency
+/// gives a bit-identical result. Fails with the first failed pin's status.
+template <typename Graph>
+common::StatusOr<PushResult> ForwardPushOn(Graph& g, graph::NodeId source,
+                                           double alpha, double r_max) {
+  SGNN_CHECK(alpha > 0.0 && alpha < 1.0);
+  SGNN_CHECK_GT(r_max, 0.0);
+  SGNN_CHECK_LT(source, g.num_nodes());
+
+  std::vector<double> p(g.num_nodes(), 0.0);
+  std::vector<double> r(g.num_nodes(), 0.0);
+  std::vector<bool> queued(g.num_nodes(), false);
+  std::queue<graph::NodeId> active;
+
+  r[source] = 1.0;
+  active.push(source);
+  queued[source] = true;
+
+  PushResult result;
+  while (!active.empty()) {
+    const graph::NodeId u = active.front();
+    active.pop();
+    queued[u] = false;
+    const auto deg = g.OutDegree(u);
+    if (deg == 0) {
+      // Dangling node: all residual mass settles here.
+      p[u] += r[u];
+      r[u] = 0.0;
+      continue;
+    }
+    if (r[u] <= r_max * static_cast<double>(deg)) continue;
+    const double ru = r[u];
+    p[u] += alpha * ru;
+    r[u] = 0.0;
+    ++result.pushes;
+    result.edges_touched += deg;
+    auto pin = g.Pin(u);
+    if (!pin.ok()) return pin.status();
+    const auto& rows = pin.value();
+    const double spread = (1.0 - alpha) * ru / rows.WeightedDegree(u);
+    auto nbrs = rows.Neighbors(u);
+    auto ws = rows.Weights(u);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      const graph::NodeId v = nbrs[i];
+      r[v] += spread * ws[i];
+      if (!queued[v] && r[v] > r_max * static_cast<double>(g.OutDegree(v))) {
+        active.push(v);
+        queued[v] = true;
+      }
+    }
+  }
+
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (p[v] > 0.0) result.estimate.emplace_back(v, p[v]);
+  }
+  common::GlobalCounters().edges_touched +=
+      static_cast<uint64_t>(result.edges_touched);
+  return result;
+}
 
 /// Forward push from every seed in `seeds` (PPRGo/SCARA-style batch
 /// precompute). Runs seeds as a parallel section over the process-wide

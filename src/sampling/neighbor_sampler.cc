@@ -38,37 +38,28 @@ LayerSample AssembleLayer(
   return layer;
 }
 
-namespace {
-
-/// Destinations per shard below which a layer's fan-out stays one shard.
-constexpr int64_t kDstGrain = 256;
+void DrawNodeWise(std::span<const NodeId> nbrs, NodeId dst, int fanout,
+                  uint64_t layer_base,
+                  std::vector<std::pair<NodeId, float>>* out) {
+  if (nbrs.empty()) return;
+  if (static_cast<int>(nbrs.size()) <= fanout) {
+    const float w = 1.0f / static_cast<float>(nbrs.size());
+    for (NodeId v : nbrs) out->emplace_back(v, w);
+    return;
+  }
+  common::Rng local(common::MixSeed(layer_base, dst));
+  auto picks = local.SampleWithoutReplacement(nbrs.size(),
+                                              static_cast<uint64_t>(fanout));
+  const float w = 1.0f / static_cast<float>(fanout);
+  for (uint64_t p : picks) out->emplace_back(nbrs[p], w);
+}
 
 std::vector<par::Range> DstShards(size_t num_dst) {
+  // Destinations per shard below which a layer's fan-out stays one shard.
+  constexpr int64_t kDstGrain = 256;
   const int64_t n = static_cast<int64_t>(num_dst);
   return par::SplitUniform(n, par::ShardsFor(n, kDstGrain));
 }
-
-/// Runs `sample_one_layer` from the seeds inward and packages the blocks
-/// innermost-first.
-template <typename SampleLayerFn>
-MiniBatch BuildBatch(std::span<const NodeId> seeds, int num_layers,
-                     SampleLayerFn&& sample_one_layer) {
-  SGNN_CHECK_GE(num_layers, 1);
-  SGNN_CHECK(!seeds.empty());
-  std::vector<LayerSample> outer_first;
-  std::vector<NodeId> frontier(seeds.begin(), seeds.end());
-  for (int l = 0; l < num_layers; ++l) {
-    LayerSample layer = sample_one_layer(l, frontier);
-    frontier = layer.src;
-    outer_first.push_back(std::move(layer));
-  }
-  MiniBatch batch;
-  batch.layers.assign(std::make_move_iterator(outer_first.rbegin()),
-                      std::make_move_iterator(outer_first.rend()));
-  return batch;
-}
-
-}  // namespace
 
 MiniBatch SampleNodeWise(const CsrGraph& graph,
                          std::span<const NodeId> seeds,
@@ -89,24 +80,13 @@ MiniBatch SampleNodeWise(const CsrGraph& graph,
             "sample.node_wise", DstShards(dst.size()),
             [&](int, par::Range range) {
               for (int64_t i = range.begin; i < range.end; ++i) {
-                auto nbrs = graph.Neighbors(dst[static_cast<size_t>(i)]);
-                auto& out = edges[static_cast<size_t>(i)];
-                if (nbrs.empty()) continue;
-                if (static_cast<int>(nbrs.size()) <= fanout) {
-                  const float w = 1.0f / static_cast<float>(nbrs.size());
-                  for (NodeId v : nbrs) out.emplace_back(v, w);
-                } else {
-                  common::Rng local(common::MixSeed(
-                      layer_base, dst[static_cast<size_t>(i)]));
-                  auto picks = local.SampleWithoutReplacement(
-                      nbrs.size(), static_cast<uint64_t>(fanout));
-                  const float w = 1.0f / static_cast<float>(fanout);
-                  for (uint64_t p : picks) out.emplace_back(nbrs[p], w);
-                }
+                const NodeId u = dst[static_cast<size_t>(i)];
+                DrawNodeWise(graph.Neighbors(u), u, fanout, layer_base,
+                             &edges[static_cast<size_t>(i)]);
               }
             });
         return AssembleLayer(dst, edges);
-      });
+      }).value();
 }
 
 MiniBatch SampleLabor(const CsrGraph& graph, std::span<const NodeId> seeds,
@@ -141,7 +121,7 @@ MiniBatch SampleLabor(const CsrGraph& graph, std::span<const NodeId> seeds,
               }
             });
         return AssembleLayer(dst, edges);
-      });
+      }).value();
 }
 
 MiniBatch SampleLayerWise(const CsrGraph& graph,
@@ -195,7 +175,7 @@ MiniBatch SampleLayerWise(const CsrGraph& graph,
               }
             });
         return AssembleLayer(dst, edges);
-      });
+      }).value();
 }
 
 MiniBatch FullNeighborhood(const CsrGraph& graph,
@@ -214,7 +194,7 @@ MiniBatch FullNeighborhood(const CsrGraph& graph,
               }
             });
         return AssembleLayer(dst, edges);
-      });
+      }).value();
 }
 
 }  // namespace sgnn::sampling

@@ -168,13 +168,6 @@ class BatchingServer {
   common::StatusOr<std::future<InferenceResponse>> Submit(
       const InferenceRequest& request);
 
-  /// DEPRECATED single-node overload; use `Submit(const InferenceRequest&)`.
-  [[deprecated("use Submit(const InferenceRequest&)")]]
-  common::StatusOr<std::future<InferenceResponse>> Submit(
-      graph::NodeId node) {
-    return Submit(InferenceRequest(node));
-  }
-
   /// Pre-populates the embedding cache with row `u` of `embeddings` for
   /// every node (e.g. the training-time S^K X), so serving starts warm.
   void WarmCache(const tensor::Matrix& embeddings);

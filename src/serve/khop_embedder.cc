@@ -1,14 +1,17 @@
 #include "serve/khop_embedder.h"
 
 #include <algorithm>
-#include <cmath>
+#include <unordered_map>
+#include <utility>
 
 #include "common/check.h"
 #include "common/counters.h"
+#include "graph/propagate.h"
 #include "subgraph/khop.h"
 
 namespace sgnn::serve {
 
+using graph::Normalization;
 using graph::NodeId;
 using tensor::Matrix;
 
@@ -22,61 +25,65 @@ KHopEmbedder::KHopEmbedder(const graph::CsrGraph& graph,
   SGNN_CHECK_GE(hops, 0);
   SGNN_CHECK_GE(node_budget, 0);
   SGNN_CHECK_EQ(features.rows(), static_cast<int64_t>(graph.num_nodes()));
-  inv_sqrt_degree_.resize(graph.num_nodes());
+  factor_.resize(graph.num_nodes());
+  self_loop_.resize(graph.num_nodes());
   for (NodeId u = 0; u < graph.num_nodes(); ++u) {
     // Renormalisation-trick degree: weighted degree of A plus the self loop.
     const double d = graph.WeightedDegree(u) + 1.0;
-    inv_sqrt_degree_[u] = static_cast<float>(1.0 / std::sqrt(d));
+    factor_[u] = graph::DegreeFactor(Normalization::kSymmetric, d);
+    self_loop_[u] = graph::LoopCoefficient(Normalization::kSymmetric, d);
   }
 }
 
 void KHopEmbedder::Embed(NodeId center, std::span<float> out) const {
   SGNN_CHECK_EQ(static_cast<int64_t>(out.size()), dim());
-  const subgraph::EgoNet ego =
-      subgraph::ExtractKHop(graph_, center, hops_, node_budget_);
-  const int64_t k = static_cast<int64_t>(ego.nodes.size());
+  std::vector<NodeId> ball;
+  std::unordered_map<NodeId, NodeId> slot;
+  subgraph::KHopBall(graph_, center, hops_, node_budget_, &ball, &slot);
+  const int64_t k = static_cast<int64_t>(ball.size());
   const int64_t cols = dim();
 
-  // Gather the ball's raw features (the request's feature-movement cost).
+  // The ball's rows in slot space, with their raw features: each row's
+  // global adjacency in stored order with its global coefficient, minus
+  // out-of-ball neighbours (only boundary rows have those, and their
+  // inexactness never reaches the center — see header comment).
   Matrix cur(k, cols);
-  for (int64_t i = 0; i < k; ++i) {
-    auto src = features_.Row(static_cast<int64_t>(ego.nodes[i]));
-    std::copy(src.begin(), src.end(), cur.Row(i).begin());
+  std::vector<graph::EdgeIndex> offsets = {0};
+  std::vector<NodeId> nbr_slots;
+  std::vector<float> coeffs;
+  std::vector<float> self_loop(static_cast<size_t>(k));
+  for (int64_t s = 0; s < k; ++s) {
+    const NodeId u = ball[static_cast<size_t>(s)];
+    auto src = features_.Row(u);
+    std::copy(src.begin(), src.end(), cur.Row(s).begin());
+    auto nbrs = graph_.Neighbors(u);
+    auto ws = graph_.Weights(u);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      const auto it = slot.find(nbrs[i]);
+      if (it == slot.end()) continue;
+      nbr_slots.push_back(it->second);
+      coeffs.push_back(graph::EdgeCoefficient(Normalization::kSymmetric, ws[i],
+                                              factor_[u], factor_[nbrs[i]]));
+    }
+    offsets.push_back(static_cast<graph::EdgeIndex>(nbr_slots.size()));
+    self_loop[static_cast<size_t>(s)] = self_loop_[u];
   }
+  const graph::CoefficientRows rows{offsets, nbr_slots, coeffs, self_loop};
+
+  // The feature gather is the request's feature-movement cost.
   auto& counters = common::GlobalCounters();
   counters.floats_moved += static_cast<uint64_t>(k * cols);
   counters.Acquire(static_cast<uint64_t>(2 * k * cols));
 
-  // Local S^K over the ball with global-degree coefficients. Only the
-  // center row is read out, so boundary inexactness never surfaces (see
-  // header comment).
+  // Local S^K over the ball; only the center row is read out.
   Matrix next(k, cols);
   for (int step = 0; step < hops_; ++step) {
     next.Zero();
-    for (int64_t u = 0; u < k; ++u) {
-      const float inv_u = inv_sqrt_degree_[ego.nodes[u]];
-      auto nbrs = ego.subgraph.Neighbors(static_cast<NodeId>(u));
-      auto ws = ego.subgraph.Weights(static_cast<NodeId>(u));
-      auto orow = next.Row(u);
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        const float c =
-            ws[i] * inv_u * inv_sqrt_degree_[ego.nodes[nbrs[i]]];
-        if (c == 0.0f) continue;
-        auto xrow = cur.Row(static_cast<int64_t>(nbrs[i]));
-        for (int64_t j = 0; j < cols; ++j) orow[j] += c * xrow[j];
-      }
-      const float self_c = inv_u * inv_u;
-      auto xrow = cur.Row(u);
-      for (int64_t j = 0; j < cols; ++j) orow[j] += self_c * xrow[j];
-    }
+    graph::SpmmRows(rows, {0, k}, cur, &next);
     std::swap(cur, next);
-    counters.edges_touched += static_cast<uint64_t>(ego.subgraph.num_edges());
-    counters.floats_moved +=
-        static_cast<uint64_t>(ego.subgraph.num_edges()) *
-        static_cast<uint64_t>(cols);
   }
 
-  auto center_row = cur.Row(0);  // ego.nodes[0] == center by construction.
+  auto center_row = cur.Row(0);  // ball[0] == center by construction.
   std::copy(center_row.begin(), center_row.end(), out.begin());
   counters.Release(static_cast<uint64_t>(2 * k * cols));
 }

@@ -10,16 +10,18 @@
 namespace sgnn::serve {
 
 /// Online feature gathering for decoupled inference: computes the row of
-/// S^K X belonging to one node by extracting its K-hop ego-net
-/// (`subgraph::ExtractKHop`) and propagating inside it with *global*
+/// S^K X belonging to one node by collecting its K-hop ball
+/// (`subgraph::KHopBall`) and propagating inside it with *global*
 /// symmetric-normalised coefficients (A + I renormalisation, matching
 /// `graph::Propagator(graph, kSymmetric, /*add_self_loops=*/true)`).
 ///
 /// Exactness: after t local steps only rows within distance K - t of the
 /// center have absorbed every global path, and the inexact boundary ring
-/// never reaches level 0 in K steps — so with an unlimited node budget the
-/// center row equals the full-graph `PropagateKHops` row (up to float
-/// summation order). A positive `node_budget` truncates the ego-net and
+/// never reaches level 0 in K steps. Each in-ball row walks its global
+/// adjacency in stored order with the shared `graph::EdgeCoefficient`
+/// formula through `Propagator::Apply`'s row kernel, so with an unlimited
+/// node budget the center row is byte-identical to the full-graph
+/// `PropagateKHops` row. A positive `node_budget` truncates the ball and
 /// makes the result approximate; that is the latency/recall dial.
 ///
 /// Const and allocation-local, so one instance serves all threads.
@@ -41,9 +43,10 @@ class KHopEmbedder {
   const tensor::Matrix& features_;
   const int hops_;
   const int64_t node_budget_;
-  /// Global 1/sqrt(weighted_degree + 1) per node (0 for isolated nodes),
-  /// precomputed once so per-request work is local to the ego-net.
-  std::vector<float> inv_sqrt_degree_;
+  /// Global `graph::DegreeFactor` and self-loop coefficient per node,
+  /// precomputed once so per-request work is local to the ball.
+  std::vector<double> factor_;
+  std::vector<float> self_loop_;
 };
 
 }  // namespace sgnn::serve

@@ -1,14 +1,10 @@
 #include "storage/ooc.h"
 
-#include <cmath>
-#include <queue>
 #include <utility>
 
 #include "common/check.h"
-#include "common/counters.h"
 #include "par/par.h"
 #include "sampling/assembly.h"
-#include "simd/simd.h"
 
 namespace sgnn::storage {
 
@@ -19,13 +15,40 @@ using graph::Normalization;
 
 namespace {
 
-/// Same shard grains as the in-memory kernels, so intra-shard parallel
-/// geometry matches them row for row.
-constexpr int64_t kEdgeGrain = 32 * 1024;
-constexpr int64_t kDstGrain = 256;
+/// One pinned shard as `graph::SpmmRows` rows: shard row r writes output
+/// row rows()[r], and its coefficients are evaluated per edge from the
+/// resident per-node factors, so no O(E) coefficient array exists.
+struct ShardRows {
+  const PinnedShard& pin;
+  Normalization norm;
+  std::span<const double> factor;
+  std::span<const float> self_loop;
 
-double Inv(double d) { return d > 0.0 ? 1.0 / d : 0.0; }
-double InvSqrt(double d) { return d > 0.0 ? 1.0 / std::sqrt(d) : 0.0; }
+  /// Row r's coefficients, indexable like the stored array they replace.
+  struct RowCoefficients {
+    std::span<const NodeId> nbrs;
+    std::span<const float> ws;
+    const ShardRows* rows;
+    double factor_u;
+
+    float operator[](size_t i) const {
+      return graph::EdgeCoefficient(rows->norm, ws[i], factor_u,
+                                    rows->factor[nbrs[i]]);
+    }
+  };
+
+  int64_t EdgeBegin(int64_t r) const { return pin.local_offsets()[r]; }
+  int64_t OutRow(int64_t r) const { return pin.rows()[r]; }
+  std::span<const NodeId> Neighbors(int64_t r) const {
+    return pin.NeighborsLocal(r);
+  }
+  RowCoefficients Coefficients(int64_t r) const {
+    return {pin.NeighborsLocal(r), pin.WeightsLocal(r), this, factor[OutRow(r)]};
+  }
+  float SelfLoop(int64_t r) const {
+    return self_loop.empty() ? 0.0f : self_loop[OutRow(r)];
+  }
+};
 
 }  // namespace
 
@@ -37,46 +60,28 @@ StatusOr<OocPropagator> OocPropagator::Create(ShardedGraph* graph,
   prop.graph_ = graph;
   prop.norm_ = norm;
   const NodeId n = graph->num_nodes();
-  prop.degree_.assign(n, 0.0);
-  // One streaming pass builds the degree table the per-edge coefficients
-  // need (kColumn/kSymmetric read degree[v] for neighbours in *other*
-  // shards, so the table must cover all nodes — O(n) doubles resident).
+  // One streaming pass builds the per-node factor table the per-edge
+  // coefficients need (kColumn/kSymmetric read the factor of neighbours in
+  // *other* shards, so the table must cover all nodes — O(n) doubles).
+  prop.factor_.assign(n, 0.0);
+  if (add_self_loops) prop.self_loop_coeff_.resize(n);
   for (int s = 0; s < graph->num_shards(); ++s) {
     auto pin_or = graph->PinShard(s);
     if (!pin_or.ok()) return pin_or.status();
     const PinnedShard& pin = pin_or.value();
-    const auto ranges = par::RowRanges(
-        pin.local_offsets(),
-        par::ShardsFor(pin.local_offsets().back(), kEdgeGrain));
     par::ParallelFor(
-        "storage.prop.degrees", ranges, [&](int, par::Range range) {
+        "storage.prop.degrees", graph::EdgeShards(pin.local_offsets()),
+        [&](int, par::Range range) {
           for (int64_t r = range.begin; r < range.end; ++r) {
-            // Float weights accumulate into a double in adjacency order —
-            // the exact `CsrGraph::WeightedDegree` arithmetic.
-            double acc = 0.0;
-            for (float w : pin.WeightsLocal(r)) acc += w;
-            prop.degree_[pin.rows()[static_cast<size_t>(r)]] =
-                acc + (add_self_loops ? 1.0 : 0.0);
+            const NodeId u = pin.rows()[r];
+            const double degree =
+                pin.WeightedDegree(u) + (add_self_loops ? 1.0 : 0.0);
+            prop.factor_[u] = graph::DegreeFactor(norm, degree);
+            if (add_self_loops) {
+              prop.self_loop_coeff_[u] = graph::LoopCoefficient(norm, degree);
+            }
           }
         });
-  }
-  if (add_self_loops) {
-    prop.self_loop_coeff_.resize(n);
-    for (NodeId u = 0; u < n; ++u) {
-      double c = 1.0;
-      switch (norm) {
-        case Normalization::kNone:
-          break;
-        case Normalization::kRow:
-        case Normalization::kColumn:
-          c = Inv(prop.degree_[u]);
-          break;
-        case Normalization::kSymmetric:
-          c = Inv(prop.degree_[u]);  // 1/sqrt(d) * 1/sqrt(d)
-          break;
-      }
-      prop.self_loop_coeff_[u] = static_cast<float>(c);
-    }
   }
   return prop;
 }
@@ -86,152 +91,30 @@ Status OocPropagator::Apply(const tensor::Matrix& x,
   SGNN_CHECK(out != nullptr);
   SGNN_CHECK(graph_ != nullptr);
   SGNN_CHECK_EQ(x.rows(), static_cast<int64_t>(graph_->num_nodes()));
-  const int64_t cols = x.cols();
-  *out = tensor::Matrix(x.rows(), cols);
+  *out = tensor::Matrix(x.rows(), x.cols());
   for (int s = 0; s < graph_->num_shards(); ++s) {
     auto pin_or = graph_->PinShard(s);
     if (!pin_or.ok()) return pin_or.status();
     const PinnedShard& pin = pin_or.value();
-    const int64_t shard_edges = pin.local_offsets().back();
-    const auto ranges = par::RowRanges(
-        pin.local_offsets(), par::ShardsFor(shard_edges, kEdgeGrain));
-    // Row-partitioned SpMM exactly like `Propagator::Apply`, with the
-    // per-edge float coefficient recomputed on the fly: double expression,
-    // then one float cast — the same rounding the in-memory constructor
-    // stored, so every axpy adds the identical float. The accumulation row
-    // is the same unfused-mul/add microkernel, so the out-of-core result
-    // stays byte-identical to the in-memory one at any resident budget.
-    const simd::KernelTable& kt = simd::Active();
-    // Applied axpy rows per par shard (nonzero coefficients + engaged
-    // self-loops), summed after the section for the byte bill.
-    std::vector<uint64_t> applied(ranges.size(), 0);
+    const ShardRows rows{pin, norm_, factor_, self_loop_coeff_};
     par::ParallelFor(
-        "storage.prop.apply", ranges, [&](int shard, par::Range range) {
-          uint64_t rows_applied = 0;
-          for (int64_t r = range.begin; r < range.end; ++r) {
-            const NodeId u = pin.rows()[static_cast<size_t>(r)];
-            auto nbrs = pin.NeighborsLocal(r);
-            auto ws = pin.WeightsLocal(r);
-            float* orow = out->data() + static_cast<int64_t>(u) * cols;
-            for (size_t i = 0; i < nbrs.size(); ++i) {
-              const NodeId v = nbrs[i];
-              double c = ws[i];
-              switch (norm_) {
-                case Normalization::kNone:
-                  break;
-                case Normalization::kRow:
-                  c *= Inv(degree_[u]);
-                  break;
-                case Normalization::kColumn:
-                  c *= Inv(degree_[v]);
-                  break;
-                case Normalization::kSymmetric:
-                  c *= InvSqrt(degree_[u]) * InvSqrt(degree_[v]);
-                  break;
-              }
-              const float cf = static_cast<float>(c);
-              if (cf == 0.0f) continue;
-              ++rows_applied;
-              kt.axpy(cf, x.data() + static_cast<int64_t>(v) * cols, orow,
-                      cols);
-            }
-            if (!self_loop_coeff_.empty() && self_loop_coeff_[u] != 0.0f) {
-              ++rows_applied;
-              kt.axpy(self_loop_coeff_[u],
-                      x.data() + static_cast<int64_t>(u) * cols, orow, cols);
-            }
-          }
-          applied[static_cast<size_t>(shard)] = rows_applied;
-        });
-    uint64_t shard_applied = 0;
-    for (uint64_t a : applied) shard_applied += a;
-    auto& counters = common::GlobalCounters();
-    counters.edges_touched += static_cast<uint64_t>(shard_edges);
-    counters.floats_moved +=
-        static_cast<uint64_t>(shard_edges) * static_cast<uint64_t>(cols);
-    // Bytes: weight + local-index streams per edge, then the gathered x
-    // slice plus the output row (RMW) per applied axpy — the same formula
-    // `Propagator::Apply` bills, so in-memory and out-of-core runs agree.
-    counters.BillBytes(
-        static_cast<uint64_t>(shard_edges) * (sizeof(float) + sizeof(NodeId)) +
-            shard_applied * 2u * static_cast<uint64_t>(cols) * sizeof(float),
-        shard_applied * static_cast<uint64_t>(cols) * sizeof(float));
+        "storage.prop.apply", graph::EdgeShards(pin.local_offsets()),
+        [&](int, par::Range range) { graph::SpmmRows(rows, range, x, out); });
   }
   return Status::OK();
-}
-
-StatusOr<ppr::PushResult> ForwardPush(ShardedGraph* graph, NodeId source,
-                                      double alpha, double r_max) {
-  SGNN_CHECK(graph != nullptr);
-  SGNN_CHECK(alpha > 0.0 && alpha < 1.0);
-  SGNN_CHECK_GT(r_max, 0.0);
-  SGNN_CHECK_LT(source, graph->num_nodes());
-
-  std::vector<double> p(graph->num_nodes(), 0.0);
-  std::vector<double> r(graph->num_nodes(), 0.0);
-  std::vector<bool> queued(graph->num_nodes(), false);
-  std::queue<NodeId> active;
-
-  r[source] = 1.0;
-  active.push(source);
-  queued[source] = true;
-
-  ppr::PushResult result;
-  while (!active.empty()) {
-    const NodeId u = active.front();
-    active.pop();
-    queued[u] = false;
-    const auto deg = graph->OutDegree(u);
-    if (deg == 0) {
-      // Dangling node: all residual mass settles here.
-      p[u] += r[u];
-      r[u] = 0.0;
-      continue;
-    }
-    if (r[u] <= r_max * static_cast<double>(deg)) continue;
-    const double ru = r[u];
-    p[u] += alpha * ru;
-    r[u] = 0.0;
-    ++result.pushes;
-    result.edges_touched += deg;
-    // The shard is pinned only for actual pushes — threshold checks read
-    // the resident degree index — so faults track pushes, not queue churn.
-    auto pin_or = graph->Pin(u);
-    if (!pin_or.ok()) return pin_or.status();
-    const PinnedShard& pin = pin_or.value();
-    const double w_deg = pin.WeightedDegree(u);
-    const double spread = (1.0 - alpha) * ru / w_deg;
-    auto nbrs = pin.Neighbors(u);
-    auto ws = pin.Weights(u);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId v = nbrs[i];
-      r[v] += spread * ws[i];
-      if (!queued[v] &&
-          r[v] > r_max * static_cast<double>(graph->OutDegree(v))) {
-        active.push(v);
-        queued[v] = true;
-      }
-    }
-  }
-
-  for (NodeId v = 0; v < graph->num_nodes(); ++v) {
-    if (p[v] > 0.0) result.estimate.emplace_back(v, p[v]);
-  }
-  common::GlobalCounters().edges_touched +=
-      static_cast<uint64_t>(result.edges_touched);
-  return result;
 }
 
 StatusOr<std::vector<ppr::PushResult>> PushBatch(
     ShardedGraph* graph, std::span<const NodeId> seeds, double alpha,
     double r_max) {
+  SGNN_CHECK(graph != nullptr);
   std::vector<ppr::PushResult> results(seeds.size());
   // Sequential seeds: each push is a pure function of its seed (so the
   // values match the in-memory parallel batch exactly), and serialising
   // the cache access makes the load/eviction sequence — the thing the
   // budget meters — deterministic too.
   for (size_t i = 0; i < seeds.size(); ++i) {
-    auto result_or = ForwardPush(graph, seeds[i], alpha, r_max);
+    auto result_or = ppr::ForwardPushOn(*graph, seeds[i], alpha, r_max);
     if (!result_or.ok()) return result_or.status();
     results[i] = std::move(result_or).value();
   }
@@ -244,62 +127,40 @@ StatusOr<sampling::MiniBatch> SampleNodeWise(ShardedGraph* graph,
                                              common::Rng* rng) {
   SGNN_CHECK(graph != nullptr);
   SGNN_CHECK(rng != nullptr);
-  SGNN_CHECK_GE(fanouts.size(), 1u);
-  SGNN_CHECK(!seeds.empty());
-
-  std::vector<sampling::LayerSample> outer_first;
-  std::vector<NodeId> frontier(seeds.begin(), seeds.end());
-  for (size_t l = 0; l < fanouts.size(); ++l) {
-    const int fanout = fanouts[l];
-    SGNN_CHECK_GE(fanout, 1);
-    const std::vector<NodeId>& dst = frontier;
-    // One caller-side engine draw per layer, then keyed per-destination
-    // streams — the in-memory sampler's scheme, so the draws (and the
-    // assembled block) do not depend on the shard grouping below.
-    const uint64_t layer_base = rng->engine()();
-    std::vector<std::vector<std::pair<NodeId, float>>> edges(dst.size());
-    std::vector<std::vector<int64_t>> by_shard(
-        static_cast<size_t>(graph->num_shards()));
-    for (size_t i = 0; i < dst.size(); ++i) {
-      by_shard[static_cast<size_t>(graph->shard_of(dst[i]))].push_back(
-          static_cast<int64_t>(i));
-    }
-    for (int s = 0; s < graph->num_shards(); ++s) {
-      const std::vector<int64_t>& bucket = by_shard[static_cast<size_t>(s)];
-      if (bucket.empty()) continue;
-      auto pin_or = graph->PinShard(s);
-      if (!pin_or.ok()) return pin_or.status();
-      const PinnedShard& pin = pin_or.value();
-      const int64_t m = static_cast<int64_t>(bucket.size());
-      const auto ranges = par::SplitUniform(m, par::ShardsFor(m, kDstGrain));
-      par::ParallelFor(
-          "storage.sample.node_wise", ranges, [&](int, par::Range range) {
-            for (int64_t b = range.begin; b < range.end; ++b) {
-              const size_t i = static_cast<size_t>(bucket[b]);
-              auto nbrs = pin.Neighbors(dst[i]);
-              auto& out = edges[i];
-              if (nbrs.empty()) continue;
-              if (static_cast<int>(nbrs.size()) <= fanout) {
-                const float w = 1.0f / static_cast<float>(nbrs.size());
-                for (NodeId v : nbrs) out.emplace_back(v, w);
-              } else {
-                common::Rng local(common::MixSeed(layer_base, dst[i]));
-                auto picks = local.SampleWithoutReplacement(
-                    nbrs.size(), static_cast<uint64_t>(fanout));
-                const float w = 1.0f / static_cast<float>(fanout);
-                for (uint64_t pick : picks) out.emplace_back(nbrs[pick], w);
-              }
-            }
-          });
-    }
-    sampling::LayerSample layer = sampling::AssembleLayer(dst, edges);
-    frontier = layer.src;
-    outer_first.push_back(std::move(layer));
-  }
-  sampling::MiniBatch batch;
-  batch.layers.assign(std::make_move_iterator(outer_first.rbegin()),
-                      std::make_move_iterator(outer_first.rend()));
-  return batch;
+  return sampling::BuildBatch(
+      seeds, static_cast<int>(fanouts.size()),
+      [&](int l, const std::vector<NodeId>& dst)
+          -> StatusOr<sampling::LayerSample> {
+        const int fanout = fanouts[static_cast<size_t>(l)];
+        SGNN_CHECK_GE(fanout, 1);
+        // One caller-side engine draw per layer, then keyed per-destination
+        // streams — the in-memory sampler's scheme, so the draws (and the
+        // assembled block) do not depend on the shard grouping below.
+        const uint64_t layer_base = rng->engine()();
+        std::vector<std::vector<std::pair<NodeId, float>>> edges(dst.size());
+        std::vector<std::vector<size_t>> by_shard(
+            static_cast<size_t>(graph->num_shards()));
+        for (size_t i = 0; i < dst.size(); ++i) {
+          by_shard[static_cast<size_t>(graph->shard_of(dst[i]))].push_back(i);
+        }
+        for (int s = 0; s < graph->num_shards(); ++s) {
+          const auto& bucket = by_shard[static_cast<size_t>(s)];
+          if (bucket.empty()) continue;
+          auto pin_or = graph->PinShard(s);
+          if (!pin_or.ok()) return pin_or.status();
+          const PinnedShard& pin = pin_or.value();
+          par::ParallelFor(
+              "storage.sample.node_wise", sampling::DstShards(bucket.size()),
+              [&](int, par::Range range) {
+                for (int64_t b = range.begin; b < range.end; ++b) {
+                  const size_t i = bucket[static_cast<size_t>(b)];
+                  sampling::DrawNodeWise(pin.Neighbors(dst[i]), dst[i],
+                                         fanout, layer_base, &edges[i]);
+                }
+              });
+        }
+        return sampling::AssembleLayer(dst, edges);
+      });
 }
 
 }  // namespace sgnn::storage

@@ -1,6 +1,7 @@
 #ifndef SGNN_SUBGRAPH_KHOP_H_
 #define SGNN_SUBGRAPH_KHOP_H_
 
+#include <unordered_map>
 #include <vector>
 
 #include "graph/csr_graph.h"
@@ -20,6 +21,14 @@ struct EgoNet {
 /// center; a budget of 0 means unlimited).
 EgoNet ExtractKHop(const graph::CsrGraph& graph, graph::NodeId center,
                    int hops, int64_t node_budget);
+
+/// The BFS behind `ExtractKHop`, without materialising the subgraph:
+/// appends the ball's nodes to `nodes` in BFS order (center first) and maps
+/// each to its index there in `slot`, which doubles as the BFS seen-set.
+/// Both start empty. Returns the depth actually explored.
+int KHopBall(const graph::CsrGraph& graph, graph::NodeId center, int hops,
+             int64_t node_budget, std::vector<graph::NodeId>* nodes,
+             std::unordered_map<graph::NodeId, graph::NodeId>* slot);
 
 }  // namespace sgnn::subgraph
 

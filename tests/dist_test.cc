@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,58 @@ TEST(WorkerSpecTest, EveryTruncationIsDataLossNeverUB) {
   }
 }
 
+// A vector count whose byte size wraps 64 bits fails the length check
+// instead of sizing an allocation.
+TEST(WorkerSpecTest, OverflowingVectorCountIsDataLoss) {
+  WorkerSpec spec;
+  spec.num_workers = 1;
+  spec.offsets = {0};
+  std::string bytes = spec.Serialize();
+  const uint64_t huge = uint64_t{1} << 62;  // * sizeof(NodeId) wraps to 0.
+  std::memcpy(bytes.data() + 32, &huge, sizeof(huge));  // The `owned` count.
+  auto parsed_or = WorkerSpec::Parse(bytes);
+  ASSERT_FALSE(parsed_or.ok());
+  EXPECT_EQ(parsed_or.status().code(), StatusCode::kDataLoss);
+}
+
+// Config-time rejection of specs an epoch would otherwise trip over: CSR
+// offsets that do not start at 0 or decrease (reads past the coefficient
+// array) fail the parse, and a neighbour the worker holds no row for fails
+// the slot table build — both before any epoch runs.
+TEST(WorkerSpecTest, BadOffsetsAndUnknownNeighborsAreDataLossAtConfig) {
+  WorkerSpec spec;
+  spec.num_workers = 1;
+  spec.cols = 2;
+  spec.owned = {0, 1};
+  spec.halo = {7};
+  spec.offsets = {0, 1, 2};
+  spec.neighbors = {7, 0};
+  spec.coefficients = {0.5f, 0.5f};
+  spec.self_loop = {1.0f, 1.0f};
+  auto table_or = SlotTable::Build(spec);
+  ASSERT_TRUE(table_or.ok()) << table_or.status().ToString();
+  EXPECT_EQ(table_or.value().neighbor_slots,
+            (std::vector<graph::NodeId>{2, 0}));
+
+  for (const std::vector<graph::EdgeIndex>& offsets :
+       {std::vector<graph::EdgeIndex>{0, 5, 2},
+        std::vector<graph::EdgeIndex>{1, 1, 2}}) {
+    WorkerSpec bad = spec;
+    bad.offsets = offsets;
+    auto parsed_or = WorkerSpec::Parse(bad.Serialize());
+    ASSERT_FALSE(parsed_or.ok()) << "offsets[1]=" << offsets[1];
+    EXPECT_EQ(parsed_or.status().code(), StatusCode::kDataLoss);
+  }
+
+  WorkerSpec stranger = spec;
+  stranger.neighbors = {7, 3};
+  auto parsed_or = WorkerSpec::Parse(stranger.Serialize());
+  ASSERT_TRUE(parsed_or.ok()) << parsed_or.status().ToString();
+  auto stranger_or = SlotTable::Build(parsed_or.value());
+  ASSERT_FALSE(stranger_or.ok());
+  EXPECT_EQ(stranger_or.status().code(), StatusCode::kDataLoss);
+}
+
 TEST(HaloPlanTest, MatchesSimulatedCommunicationVolume) {
   const CsrGraph g = TestGraph();
   const Partition parts = partition::LdgPartition(g, 4, 1.05, 31);
@@ -123,19 +176,23 @@ TEST(HaloPlanTest, MatchesSimulatedCommunicationVolume) {
 // schedule, the same assertions prove recovery restores bit-identity.
 TEST(DistRunTest, BitIdenticalToSingleProcessAcrossWorkerCounts) {
   const CsrGraph g = TestGraph();
-  const Matrix x = TestFeatures(g);
   DistOptions opts;
   opts.hops = 3;
-  const Matrix want = Reference(g, x, opts);
-  for (const int k : {1, 2, 4}) {
-    const Partition parts = partition::LdgPartition(g, k, 1.05, 31);
-    core::RunContext ctx;
-    DistReport report;
-    auto got_or = RunDistributedPropagation(g, parts, x, opts, ctx, &report);
-    ASSERT_TRUE(got_or.ok()) << "k=" << k << ": " << got_or.status().ToString();
-    EXPECT_TRUE(got_or.value().Equals(want)) << "k=" << k;
-    EXPECT_EQ(report.num_workers, k);
-    EXPECT_EQ(report.epochs_run, opts.hops);
+  // 160 columns engage the column-blocked SpMM schedule.
+  for (const int64_t cols : {8, 160}) {
+    const Matrix x = TestFeatures(g, cols);
+    const Matrix want = Reference(g, x, opts);
+    for (const int k : {1, 2, 4}) {
+      const Partition parts = partition::LdgPartition(g, k, 1.05, 31);
+      core::RunContext ctx;
+      DistReport report;
+      auto got_or = RunDistributedPropagation(g, parts, x, opts, ctx, &report);
+      ASSERT_TRUE(got_or.ok())
+          << "k=" << k << ": " << got_or.status().ToString();
+      EXPECT_TRUE(got_or.value().Equals(want)) << "k=" << k << " cols=" << cols;
+      EXPECT_EQ(report.num_workers, k);
+      EXPECT_EQ(report.epochs_run, opts.hops);
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <future>
 #include <thread>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "common/rng.h"
 #include "core/dataset.h"
 #include "core/pipeline.h"
+#include "graph/generators.h"
 #include "graph/propagate.h"
 #include "models/decoupled.h"
 #include "serve/batching_server.h"
@@ -16,6 +18,7 @@
 #include "serve/handoff.h"
 #include "serve/khop_embedder.h"
 #include "serve/metrics.h"
+#include "simd/simd.h"
 #include "tensor/ops.h"
 
 namespace sgnn::serve {
@@ -103,6 +106,40 @@ TEST(KHopEmbedderTest, MatchesGlobalPropagation) {
           << "node " << u << " col " << j;
     }
   }
+}
+
+// With an unlimited node budget the embedder walks every in-ball row's
+// global adjacency with the global coefficients through the same row
+// kernel as `Propagator::Apply`, so its row is byte-identical to the
+// full-graph propagation: weighted edges, an isolated node (last id), every
+// node, hops 1-3, both SIMD backends.
+TEST(KHopEmbedderTest, UnlimitedBudgetIsByteIdenticalToGlobalPropagation) {
+  std::vector<graph::Edge> edges =
+      graph::Rmat(256, 2048, graph::RmatConfig{}, 41).ToEdges();
+  common::Rng rng(43);
+  for (graph::Edge& e : edges) {
+    e.weight = static_cast<float>(rng.Uniform(0.25, 2.0));
+  }
+  const graph::CsrGraph g = graph::CsrGraph::FromEdges(257, std::move(edges));
+  const Matrix x = Matrix::Gaussian(g.num_nodes(), 24, 0.0f, 1.0f, &rng);
+  const graph::Propagator prop(g, graph::Normalization::kSymmetric,
+                               /*add_self_loops=*/true);
+  const bool saved_simd = simd::Enabled();
+  for (const bool simd_on : {false, true}) {
+    simd::SetEnabled(simd_on);
+    for (int hops = 1; hops <= 3; ++hops) {
+      const Matrix want = graph::PropagateKHops(prop, x, hops);
+      const KHopEmbedder embedder(g, x, hops);
+      std::vector<float> row(static_cast<size_t>(embedder.dim()));
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        embedder.Embed(u, row);
+        ASSERT_EQ(0, std::memcmp(row.data(), want.Row(u).data(),
+                                 row.size() * sizeof(float)))
+            << "simd=" << simd_on << " hops=" << hops << " node " << u;
+      }
+    }
+  }
+  simd::SetEnabled(saved_simd);
 }
 
 /// The serving-latency ladder now lives in `obs::Histogram`

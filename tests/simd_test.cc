@@ -304,37 +304,48 @@ TEST_F(SimdTest, PropagatorHandlesIsolatedNodes) {
 }
 
 // The out-of-core SpMM must match the in-memory propagator byte for byte
-// on both backends, including under a budget that forces eviction.
+// on both backends, including under a budget that forces eviction: every
+// normalisation, self loops on and off, and a narrow and a wide (> 128
+// columns, column-blocked) matrix.
 TEST_F(SimdTest, OocPropagatorBitIdenticalToInMemory) {
   const CsrGraph g = graph::ErdosRenyi(300, 2400, 77);
-  const Matrix x = RandomMatrix(g.num_nodes(), 24, 78);
-  Matrix want;
-  {
-    simd::SetEnabled(false);
-    graph::Propagator prop(g, Normalization::kSymmetric,
-                           /*add_self_loops=*/true);
-    prop.Apply(x, &want);
-  }
   const std::string dir = ::testing::TempDir() + "/sgnn_simd_ooc";
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(storage::WriteShardedGraph(
                   g, storage::ShardPlan::Contiguous(g, 5), dir)
                   .ok());
-  for (const bool simd_on : {false, true}) {
-    for (const int threads : {1, 8}) {
-      SCOPED_TRACE(std::string("simd=") + (simd_on ? "on" : "off") +
-                   " threads=" + std::to_string(threads));
-      simd::SetEnabled(simd_on);
-      par::SetThreads(threads);
-      auto open_or = storage::ShardedGraph::Open(dir);
-      ASSERT_TRUE(open_or.ok()) << open_or.status().message();
-      auto prop_or = storage::OocPropagator::Create(
-          open_or.value().get(), Normalization::kSymmetric,
-          /*add_self_loops=*/true);
-      ASSERT_TRUE(prop_or.ok()) << prop_or.status().message();
-      Matrix out;
-      ASSERT_TRUE(prop_or.value().Apply(x, &out).ok());
-      EXPECT_TRUE(BytesEqual(want, out));
+  for (const int64_t cols : {24L, 160L}) {
+    const Matrix x = RandomMatrix(g.num_nodes(), cols, 78);
+    for (const Normalization norm :
+         {Normalization::kNone, Normalization::kRow, Normalization::kColumn,
+          Normalization::kSymmetric}) {
+      for (const bool self_loops : {true, false}) {
+        Matrix want;
+        {
+          simd::SetEnabled(false);
+          graph::Propagator prop(g, norm, self_loops);
+          prop.Apply(x, &want);
+        }
+        for (const bool simd_on : {false, true}) {
+          for (const int threads : {1, 8}) {
+            SCOPED_TRACE(std::string("simd=") + (simd_on ? "on" : "off") +
+                         " threads=" + std::to_string(threads) +
+                         " cols=" + std::to_string(cols) +
+                         " norm=" + std::to_string(static_cast<int>(norm)) +
+                         " self_loops=" + std::to_string(self_loops));
+            simd::SetEnabled(simd_on);
+            par::SetThreads(threads);
+            auto open_or = storage::ShardedGraph::Open(dir);
+            ASSERT_TRUE(open_or.ok()) << open_or.status().message();
+            auto prop_or = storage::OocPropagator::Create(
+                open_or.value().get(), norm, self_loops);
+            ASSERT_TRUE(prop_or.ok()) << prop_or.status().message();
+            Matrix out;
+            ASSERT_TRUE(prop_or.value().Apply(x, &out).ok());
+            EXPECT_TRUE(BytesEqual(want, out));
+          }
+        }
+      }
     }
   }
 }

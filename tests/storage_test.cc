@@ -422,15 +422,32 @@ TEST(BitIdentityTest, PipelineMatchesInMemoryAtAnyBudgetAndThreads) {
   const std::string dir = NewDir("bit_identity");
   ASSERT_TRUE(WriteShardedGraph(g, ShardPlan::Contiguous(g, 5), dir).ok());
 
-  // In-memory reference results.
-  const graph::Propagator prop(g, Normalization::kSymmetric, true);
-  tensor::Matrix x(static_cast<int64_t>(g.num_nodes()), 6);
+  // In-memory reference results: every normalisation, self loops on and
+  // off, and a narrow and a wide (> 128 columns, column-blocked) matrix.
+  struct PropCase {
+    Normalization norm;
+    bool self_loops;
+    tensor::Matrix x;
+    tensor::Matrix expected_out;
+  };
+  std::vector<PropCase> prop_cases;
   common::Rng fill(99);
-  for (int64_t i = 0; i < x.size(); ++i) {
-    x.data()[i] = static_cast<float>(fill.Uniform(-1.0, 1.0));
+  for (const int64_t cols : {6, 160}) {
+    tensor::Matrix x(static_cast<int64_t>(g.num_nodes()), cols);
+    for (int64_t i = 0; i < x.size(); ++i) {
+      x.data()[i] = static_cast<float>(fill.Uniform(-1.0, 1.0));
+    }
+    for (const Normalization norm :
+         {Normalization::kNone, Normalization::kRow, Normalization::kColumn,
+          Normalization::kSymmetric}) {
+      for (const bool self_loops : {true, false}) {
+        const graph::Propagator prop(g, norm, self_loops);
+        PropCase c{norm, self_loops, x, {}};
+        prop.Apply(x, &c.expected_out);
+        prop_cases.push_back(std::move(c));
+      }
+    }
   }
-  tensor::Matrix expected_out;
-  prop.Apply(x, &expected_out);
   const std::vector<NodeId> seeds = {0, 7, 42, 131, 256, 299};
   const std::vector<ppr::PushResult> expected_ppr =
       ppr::PushBatch(g, seeds, 0.2, 1e-4);
@@ -459,15 +476,19 @@ TEST(BitIdentityTest, PipelineMatchesInMemoryAtAnyBudgetAndThreads) {
       ASSERT_TRUE(open_or.ok()) << open_or.status().message();
       ShardedGraph& sg = *open_or.value();
 
-      auto ooc_prop_or =
-          OocPropagator::Create(&sg, Normalization::kSymmetric, true);
-      ASSERT_TRUE(ooc_prop_or.ok());
-      tensor::Matrix out;
-      ASSERT_TRUE(ooc_prop_or.value().Apply(x, &out).ok());
-      ASSERT_EQ(out.size(), expected_out.size());
-      EXPECT_EQ(0, std::memcmp(out.data(), expected_out.data(),
-                               static_cast<size_t>(out.size()) *
-                                   sizeof(float)));
+      for (const PropCase& c : prop_cases) {
+        SCOPED_TRACE("norm=" + std::to_string(static_cast<int>(c.norm)) +
+                     " self_loops=" + std::to_string(c.self_loops) +
+                     " cols=" + std::to_string(c.x.cols()));
+        auto ooc_prop_or = OocPropagator::Create(&sg, c.norm, c.self_loops);
+        ASSERT_TRUE(ooc_prop_or.ok());
+        tensor::Matrix out;
+        ASSERT_TRUE(ooc_prop_or.value().Apply(c.x, &out).ok());
+        ASSERT_EQ(out.size(), c.expected_out.size());
+        EXPECT_EQ(0, std::memcmp(out.data(), c.expected_out.data(),
+                                 static_cast<size_t>(out.size()) *
+                                     sizeof(float)));
+      }
 
       auto ppr_or = PushBatch(&sg, seeds, 0.2, 1e-4);
       ASSERT_TRUE(ppr_or.ok());
