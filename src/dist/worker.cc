@@ -3,7 +3,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <functional>
 #include <type_traits>
 #include <utility>
 
@@ -73,6 +75,37 @@ struct Cursor {
   }
 };
 
+// Strictly ascending and free of `kInvalidNode`, the slot table's free-bucket
+// marker (the largest id, so only the last element can be it).
+bool StrictlyAscendingIds(const std::vector<NodeId>& ids) {
+  return std::adjacent_find(ids.begin(), ids.end(),
+                            std::greater_equal<>()) == ids.end() &&
+         (ids.empty() || ids.back() != graph::kInvalidNode);
+}
+
+// No id in both ascending lists: one merge walk.
+bool Disjoint(const std::vector<NodeId>& a, const std::vector<NodeId>& b) {
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) return false;
+    if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return true;
+}
+
+// Home bucket of `id` in a table of `mask + 1` (a power of two, at least
+// 2) buckets: Fibonacci hashing keeps the top log2(mask + 1) bits of
+// id * 2^64/phi, which spreads runs of consecutive ids evenly.
+size_t Bucket(uint64_t mask, NodeId id) {
+  return static_cast<size_t>((id * uint64_t{0x9E3779B97F4A7C15}) >>
+                             std::countl_zero(mask));
+}
+
 }  // namespace
 
 std::string WorkerSpec::Serialize() const {
@@ -120,28 +153,38 @@ StatusOr<WorkerSpec> WorkerSpec::Parse(const std::string& payload) {
       static_cast<uint64_t>(spec.offsets.back()) != spec.neighbors.size()) {
     return Status::DataLoss("inconsistent worker spec");
   }
+  if (!StrictlyAscendingIds(spec.owned) || !StrictlyAscendingIds(spec.halo) ||
+      !Disjoint(spec.owned, spec.halo)) {
+    return Status::DataLoss(
+        "worker spec owned/halo ids must be strictly ascending, disjoint "
+        "and not kInvalidNode");
+  }
   return spec;
 }
 
 int64_t SlotTable::SlotOf(NodeId id) const {
-  auto it = std::lower_bound(
-      by_id.begin(), by_id.end(), id,
-      [](const std::pair<NodeId, NodeId>& s, NodeId v) { return s.first < v; });
-  if (it == by_id.end() || it->first != id) return -1;
-  return it->second;
+  const size_t mask = buckets.size() - 1;
+  for (size_t b = Bucket(mask, id);; b = (b + 1) & mask) {
+    const auto [key, slot] = buckets[b];
+    if (key == graph::kInvalidNode) return -1;
+    if (key == id) return slot;
+  }
 }
 
 StatusOr<SlotTable> SlotTable::Build(const WorkerSpec& spec) {
   SlotTable table;
-  table.by_id.reserve(spec.owned.size() + spec.halo.size());
-  for (size_t i = 0; i < spec.owned.size(); ++i) {
-    table.by_id.emplace_back(spec.owned[i], static_cast<NodeId>(i));
-  }
+  const size_t capacity = std::bit_ceil(
+      std::max<size_t>(2, 2 * (spec.owned.size() + spec.halo.size())));
+  table.buckets.assign(capacity, {graph::kInvalidNode, 0});
+  auto insert = [&table, mask = capacity - 1](NodeId id, size_t slot) {
+    size_t b = Bucket(mask, id);
+    while (table.buckets[b].first != graph::kInvalidNode) b = (b + 1) & mask;
+    table.buckets[b] = {id, static_cast<NodeId>(slot)};
+  };
+  for (size_t i = 0; i < spec.owned.size(); ++i) insert(spec.owned[i], i);
   for (size_t i = 0; i < spec.halo.size(); ++i) {
-    table.by_id.emplace_back(spec.halo[i],
-                             static_cast<NodeId>(spec.owned.size() + i));
+    insert(spec.halo[i], spec.owned.size() + i);
   }
-  std::sort(table.by_id.begin(), table.by_id.end());
   table.neighbor_slots.reserve(spec.neighbors.size());
   for (const NodeId id : spec.neighbors) {
     const int64_t slot = table.SlotOf(id);

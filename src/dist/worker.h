@@ -31,8 +31,10 @@ struct WorkerSpec {
   /// exits rather than lingering as an orphan.
   int64_t read_deadline_micros = 600'000'000;
 
-  std::vector<graph::NodeId> owned;  ///< Sorted global ids this worker owns.
-  std::vector<graph::NodeId> halo;   ///< Sorted remote ids it receives.
+  /// Strictly ascending global ids this worker owns.
+  std::vector<graph::NodeId> owned;
+  /// Strictly ascending remote ids it receives; disjoint from `owned`.
+  std::vector<graph::NodeId> halo;
   /// CSR over `owned`: neighbours/coefficients of owned[i] live at
   /// [offsets[i], offsets[i+1]).
   std::vector<graph::EdgeIndex> offsets;
@@ -42,15 +44,23 @@ struct WorkerSpec {
 
   std::string Serialize() const;
   /// `kDataLoss` on a truncated, oversized or inconsistent payload, such as
-  /// offsets an epoch would read past the coefficient array on.
+  /// offsets an epoch would read past the coefficient array on, or owned
+  /// and halo lists that are unsorted, repeat or share an id (which would
+  /// alias two value rows) or name `graph::kInvalidNode`.
   static common::StatusOr<WorkerSpec> Parse(const std::string& payload);
 };
 
 /// A worker's local slot table, built once per config: each node's row in
 /// the worker's value store (owned rows first, then halo rows), and the
 /// spec's neighbour ids translated to those rows for `graph::SpmmRows`.
+/// The id -> slot map is open addressing with linear probing over owned +
+/// halo at load factor at most 1/2, so it costs O(owned + halo) memory,
+/// never O(num_nodes), and O(1) expected per lookup.
 struct SlotTable {
-  std::vector<std::pair<graph::NodeId, graph::NodeId>> by_id;  ///< Sorted.
+  /// {id, slot} pairs, a power-of-two count of at least 2;
+  /// `graph::kInvalidNode` marks a free bucket, which is why
+  /// `WorkerSpec::Parse` refuses that id.
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> buckets;
   std::vector<graph::NodeId> neighbor_slots;  ///< Aligned with `neighbors`.
 
   /// Slot of `id`, or -1 when it is neither owned nor haloed.

@@ -127,7 +127,6 @@ StatusOr<std::unique_ptr<ShardedGraph>> ShardedGraph::Open(
   g->manifest_ = std::move(manifest_or).value();
   g->budget_bytes_ = ResidentBudgetBytes(options.budget_bytes);
   if (g->budget_bytes_ == kUnlimitedBudget) g->budget_bytes_ = 0;
-  g->verify_crc_on_load_ = options.verify_crc_on_load;
   g->tracer_ = options.tracer;
 
   const ShardManifest& manifest = g->manifest_;
@@ -330,10 +329,8 @@ Status ShardedGraph::MapLocked(int shard) {
       header.num_edges != slot.entry.num_edges) {
     return fail(Corrupt(path, "shard header disagrees with manifest"));
   }
-  if (verify_crc_on_load_) {
-    Status section_status = VerifyShardSections(base, header, path);
-    if (!section_status.ok()) return fail(section_status);
-  }
+  Status section_status = VerifyShardSections(base, header, path);
+  if (!section_status.ok()) return fail(section_status);
 
   const ShardLayout layout =
       LayoutFor(slot.entry.num_rows, slot.entry.num_edges);

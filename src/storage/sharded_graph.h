@@ -41,17 +41,15 @@ struct StorageStats {
 };
 
 /// How to open a sharded graph. The default options reproduce the plain
-/// case: budget from `SGNN_RESIDENT_BUDGET` (unlimited when unset), CRC
-/// verification on, no observability sinks.
+/// case: budget from `SGNN_RESIDENT_BUDGET` (unlimited when unset), no
+/// observability sinks. Every section CRC is verified each time a shard is
+/// mapped (loads and reloads), so a file corrupted mid-run surfaces as a
+/// status instead of wrong numbers; that is not optional.
 struct OpenOptions {
   /// Resident cap for mapped shard bytes. 0 = consult
   /// `SGNN_RESIDENT_BUDGET`, unlimited when that is unset too. Pass
   /// `kUnlimitedBudget` to force unlimited regardless of the environment.
   uint64_t budget_bytes = 0;
-  /// Verify every section CRC each time a shard is mapped (loads and
-  /// reloads), so a file corrupted mid-run surfaces as a status instead of
-  /// wrong numbers. Off only for benchmarks that measure raw fault cost.
-  bool verify_crc_on_load = true;
   /// Metric sink for the `sgnn_storage_*` family. Null = metrics off.
   obs::MetricsRegistry* metrics = nullptr;
   /// Span sink for `storage:load`/`storage:evict`. Null = tracing off.
@@ -248,8 +246,6 @@ class ShardedGraph {
   uint64_t budget_bytes_ = 0;
   // sgnn-lint: allow(lock/unannotated-field): set once in Open() pre-share
   uint64_t total_shard_bytes_ = 0;
-  // sgnn-lint: allow(lock/unannotated-field): set once in Open() pre-share
-  bool verify_crc_on_load_ = true;
   // sgnn-lint: allow(lock/unannotated-field): set once in Open() pre-share
   std::vector<graph::EdgeIndex> degrees_;  // size num_nodes
   // sgnn-lint: allow(lock/unannotated-field): set once in Open() pre-share

@@ -13,6 +13,7 @@
 
 #include "common/check.h"
 #include "common/counters.h"
+#include "common/crc32.h"
 #include "common/mpmc_queue.h"
 #include "common/posix.h"
 #include "common/rng.h"
@@ -382,6 +383,57 @@ TEST(TimerTest, MeasuresForwardTime) {
   }
   EXPECT_GE(t.Seconds(), 0.0);
   EXPECT_GE(t.Millis(), t.Seconds());  // ms >= s numerically for t>0
+}
+
+// -------------------------------------------------------------------- crc32
+
+// The bit-serial definition of the same CRC-32, one byte at a time: the
+// value every shard file, manifest, frame and checkpoint already written
+// carries, so the table kernel must reproduce it exactly.
+uint32_t BytewiseCrc32(const unsigned char* bytes, size_t n, uint32_t crc) {
+  uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= bytes[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> CrcTestBytes(size_t n) {
+  std::vector<unsigned char> bytes(n);
+  for (size_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<unsigned char>(SplitMix64(i));
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, CheckValueAndEmptyInput) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(Crc32(nullptr, 0, 0xCBF43926u), 0xCBF43926u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  constexpr size_t kMaxLength = 1100;
+  const std::vector<unsigned char> bytes = CrcTestBytes(kMaxLength + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* p = bytes.data() + offset;
+    for (size_t n = 0; n <= kMaxLength; ++n) {
+      ASSERT_EQ(Crc32(p, n), BytewiseCrc32(p, n, 0))
+          << "offset " << offset << ", length " << n;
+    }
+  }
+}
+
+TEST(Crc32Test, IncrementalEqualsWholeAtEverySplit) {
+  const std::vector<unsigned char> bytes = CrcTestBytes(1100);
+  const uint32_t whole = Crc32(bytes.data(), bytes.size());
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    ASSERT_EQ(Crc32(bytes.data() + split, bytes.size() - split,
+                    Crc32(bytes.data(), split)),
+              whole)
+        << "split " << split;
+  }
 }
 
 // ------------------------------------------------------------ posix helpers

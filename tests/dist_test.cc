@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -24,6 +25,7 @@ namespace {
 using common::FaultInjector;
 using common::StatusCode;
 using graph::CsrGraph;
+using graph::NodeId;
 using partition::Partition;
 using tensor::Matrix;
 
@@ -112,8 +114,10 @@ TEST(WorkerSpecTest, OverflowingVectorCountIsDataLoss) {
 
 // Config-time rejection of specs an epoch would otherwise trip over: CSR
 // offsets that do not start at 0 or decrease (reads past the coefficient
-// array) fail the parse, and a neighbour the worker holds no row for fails
-// the slot table build — both before any epoch runs.
+// array) and owned/halo lists that are unsorted, repeat or share an id
+// (two ids aliasing one value row) or name kInvalidNode (the slot table's
+// free-bucket marker) fail the parse, and a neighbour the worker holds no
+// row for fails the slot table build — all before any epoch runs.
 TEST(WorkerSpecTest, BadOffsetsAndUnknownNeighborsAreDataLossAtConfig) {
   WorkerSpec spec;
   spec.num_workers = 1;
@@ -126,8 +130,12 @@ TEST(WorkerSpecTest, BadOffsetsAndUnknownNeighborsAreDataLossAtConfig) {
   spec.self_loop = {1.0f, 1.0f};
   auto table_or = SlotTable::Build(spec);
   ASSERT_TRUE(table_or.ok()) << table_or.status().ToString();
-  EXPECT_EQ(table_or.value().neighbor_slots,
-            (std::vector<graph::NodeId>{2, 0}));
+  const SlotTable& table = table_or.value();
+  EXPECT_EQ(table.neighbor_slots, (std::vector<graph::NodeId>{2, 0}));
+  EXPECT_EQ(table.SlotOf(0), 0);
+  EXPECT_EQ(table.SlotOf(1), 1);
+  EXPECT_EQ(table.SlotOf(7), 2);
+  EXPECT_EQ(table.SlotOf(3), -1);
 
   for (const std::vector<graph::EdgeIndex>& offsets :
        {std::vector<graph::EdgeIndex>{0, 5, 2},
@@ -139,6 +147,21 @@ TEST(WorkerSpecTest, BadOffsetsAndUnknownNeighborsAreDataLossAtConfig) {
     EXPECT_EQ(parsed_or.status().code(), StatusCode::kDataLoss);
   }
 
+  using Ids = std::vector<NodeId>;
+  const NodeId kInvalid = graph::kInvalidNode;
+  const std::vector<std::pair<Ids, Ids>> bad_lists = {
+      {{1, 0}, {7}},        {{0, 0}, {7}},       {{0, 1}, {9, 7}},
+      {{0, 1}, {7, 7}},     {{0, 1}, {1}},       {{0, 7}, {7}},
+      {{0, 1}, {kInvalid}}, {{0, kInvalid}, {7}}};
+  for (size_t i = 0; i < bad_lists.size(); ++i) {
+    WorkerSpec bad = spec;
+    bad.owned = bad_lists[i].first;
+    bad.halo = bad_lists[i].second;
+    auto parsed_or = WorkerSpec::Parse(bad.Serialize());
+    ASSERT_FALSE(parsed_or.ok()) << "owned/halo case " << i;
+    EXPECT_EQ(parsed_or.status().code(), StatusCode::kDataLoss);
+  }
+
   WorkerSpec stranger = spec;
   stranger.neighbors = {7, 3};
   auto parsed_or = WorkerSpec::Parse(stranger.Serialize());
@@ -146,6 +169,33 @@ TEST(WorkerSpecTest, BadOffsetsAndUnknownNeighborsAreDataLossAtConfig) {
   auto stranger_or = SlotTable::Build(parsed_or.value());
   ASSERT_FALSE(stranger_or.ok());
   EXPECT_EQ(stranger_or.status().code(), StatusCode::kDataLoss);
+}
+
+// The hashed slot table maps every owned id to its row and every halo id
+// to the row after the owned block, across enough ids that lookups probe
+// past collisions, up to the largest legal id; anything else is -1.
+TEST(WorkerSpecTest, SlotOfFindsEveryOwnedAndHaloIdAndNoStranger) {
+  WorkerSpec spec;
+  spec.num_workers = 1;
+  for (NodeId id = 0; id < 3000; id += 3) spec.owned.push_back(id);
+  for (NodeId id = 1; id < 3000; id += 6) spec.halo.push_back(id);
+  spec.halo.push_back(graph::kInvalidNode - 1);
+  spec.offsets.assign(spec.owned.size() + 1, 0);
+  spec.self_loop.assign(spec.owned.size(), 1.0f);
+  ASSERT_TRUE(WorkerSpec::Parse(spec.Serialize()).ok());
+  auto table_or = SlotTable::Build(spec);
+  ASSERT_TRUE(table_or.ok()) << table_or.status().ToString();
+  const SlotTable& table = table_or.value();
+  for (size_t i = 0; i < spec.owned.size(); ++i) {
+    EXPECT_EQ(table.SlotOf(spec.owned[i]), static_cast<int64_t>(i));
+  }
+  for (size_t i = 0; i < spec.halo.size(); ++i) {
+    EXPECT_EQ(table.SlotOf(spec.halo[i]),
+              static_cast<int64_t>(spec.owned.size() + i));
+  }
+  for (NodeId id = 2; id < 3000; id += 3) EXPECT_EQ(table.SlotOf(id), -1);
+  EXPECT_EQ(table.SlotOf(4), -1);
+  EXPECT_EQ(table.SlotOf(graph::kInvalidNode), -1);
 }
 
 TEST(HaloPlanTest, MatchesSimulatedCommunicationVolume) {
