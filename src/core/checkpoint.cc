@@ -49,7 +49,7 @@ struct Cursor {
       ok = false;
       return false;
     }
-    std::memcpy(out, p, n);
+    if (n != 0) std::memcpy(out, p, n);  // Empty vectors may have null data().
     p += n;
     left -= n;
     return true;
@@ -225,7 +225,12 @@ StatusOr<PipelineSnapshot> LoadSnapshot(const std::string& path,
 
   const int64_t rows = cur.Pod<int64_t>();
   const int64_t cols = cur.Pod<int64_t>();
+  // Bound rows by the bytes left before multiplying, so a forged size
+  // cannot wrap 64 bits into a match and then size the allocation.
+  const uint64_t max_floats = cur.left / sizeof(float);
   if (!cur.ok || rows < 0 || cols < 0 ||
+      (cols > 0 && static_cast<uint64_t>(rows) >
+                       max_floats / static_cast<uint64_t>(cols)) ||
       static_cast<uint64_t>(rows) * static_cast<uint64_t>(cols) *
               sizeof(float) !=
           cur.left) {

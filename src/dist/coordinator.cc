@@ -92,6 +92,13 @@ class Coordinator {
     return core::PipelineSignature({"dist:propagate"}, config);
   }
 
+  /// Row batch of `ids` read from the canonical state by global id.
+  std::string EncodeState(const std::vector<NodeId>& ids) const {
+    return EncodeRows(ids, state_.cols(), [this, &ids](size_t i) {
+      return state_.Row(ids[i]).data();
+    });
+  }
+
   WorkerSpec SpecFor(int w) const;
   Status SpawnWorker(int w);
   Status SendEpochInputs(int w, int epoch);
@@ -133,7 +140,6 @@ WorkerSpec Coordinator::SpecFor(int w) const {
   spec.worker_id = w;
   spec.num_workers = plan_.num_workers;
   spec.incarnation = workers_[static_cast<size_t>(w)].incarnation;
-  spec.rows_per_frame = opts_.rows_per_frame;
   spec.cols = state_.cols();
   spec.owned = plan_.owned[static_cast<size_t>(w)];
   spec.halo = plan_.need[static_cast<size_t>(w)];
@@ -188,7 +194,7 @@ Status Coordinator::SpawnWorker(int w) {
   SGNN_RETURN_IF_ERROR(WriteFrame(handle.fd, config, &control_stats_));
   Frame scatter;
   scatter.type = FrameType::kRows;
-  scatter.payload = EncodeRows(plan_.owned[static_cast<size_t>(w)], state_);
+  scatter.payload = EncodeState(plan_.owned[static_cast<size_t>(w)]);
   return WriteFrame(handle.fd, scatter, &scatter_stats_);
 }
 
@@ -200,7 +206,7 @@ Status Coordinator::SendEpochInputs(int w, int epoch) {
     Frame halo;
     halo.type = FrameType::kHalo;
     halo.epoch = static_cast<uint32_t>(epoch);
-    halo.payload = EncodeRows(plan_.need[static_cast<size_t>(w)], state_);
+    halo.payload = EncodeState(plan_.need[static_cast<size_t>(w)]);
     SGNN_RETURN_IF_ERROR(WriteFrame(handle.fd, halo, &halo_stats_));
   }
   Frame go;

@@ -23,9 +23,6 @@ struct DistOptions {
   /// Budget for one full epoch (halo send -> all gathers done). A worker
   /// that goes silent past this point is declared dead and respawned.
   int64_t epoch_deadline_micros = 30'000'000;
-  /// Result rows per gather frame; smaller chunks mean finer-grained
-  /// mid-epoch kill points, larger ones less framing overhead.
-  int32_t rows_per_frame = 256;
   /// Respawn budget *per worker* (`max_attempts` spawns total each) with
   /// deterministic jittered backoff between respawns.
   common::RetryPolicy retry{.max_attempts = 4};

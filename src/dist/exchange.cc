@@ -57,9 +57,8 @@ HaloPlan BuildHaloPlan(const graph::CsrGraph& graph,
   return plan;
 }
 
-std::string EncodeRows(const std::vector<NodeId>& ids,
-                       const tensor::Matrix& src) {
-  const int64_t cols = src.cols();
+std::string EncodeRows(std::span<const NodeId> ids, int64_t cols,
+                       const std::function<const float*(size_t)>& row) {
   const size_t record = sizeof(uint32_t) + static_cast<size_t>(cols) *
                                                sizeof(float);
   std::string payload;
@@ -68,12 +67,11 @@ std::string EncodeRows(const std::vector<NodeId>& ids,
   const uint32_t count = static_cast<uint32_t>(ids.size());
   std::memcpy(p, &count, sizeof(count));
   p += sizeof(count);
-  for (const NodeId id : ids) {
-    const uint32_t raw = static_cast<uint32_t>(id);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const uint32_t raw = static_cast<uint32_t>(ids[i]);
     std::memcpy(p, &raw, sizeof(raw));
     p += sizeof(raw);
-    std::memcpy(p, src.Row(id).data(),
-                static_cast<size_t>(cols) * sizeof(float));
+    std::memcpy(p, row(i), static_cast<size_t>(cols) * sizeof(float));
     p += static_cast<size_t>(cols) * sizeof(float);
   }
   common::GlobalCounters().floats_moved +=

@@ -3,13 +3,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "graph/csr_graph.h"
 #include "partition/partition.h"
-#include "tensor/matrix.h"
 
 namespace sgnn::dist {
 
@@ -36,10 +36,11 @@ HaloPlan BuildHaloPlan(const graph::CsrGraph& graph,
 
 /// Row-batch payload codec, shared by scatter, halo, and gather frames:
 /// `u32 count`, then `count` records of `u32 node id` + `cols` raw floats.
-/// Floats travel as raw bits, which is what makes a respawned worker's
+/// Record i carries `ids[i]` and the `cols` floats at `row(i)`. Floats
+/// travel as raw bits, which is what makes a respawned worker's
 /// recomputation bit-identical to the original.
-std::string EncodeRows(const std::vector<graph::NodeId>& ids,
-                       const tensor::Matrix& src);
+std::string EncodeRows(std::span<const graph::NodeId> ids, int64_t cols,
+                       const std::function<const float*(size_t)>& row);
 
 /// Decodes a row batch, invoking `sink(id, row)` per record with `row`
 /// pointing at `cols` floats. Framing errors are `kDataLoss`; a non-OK

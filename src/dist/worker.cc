@@ -6,6 +6,7 @@
 #include <bit>
 #include <cstring>
 #include <functional>
+#include <span>
 #include <type_traits>
 #include <utility>
 
@@ -113,9 +114,7 @@ std::string WorkerSpec::Serialize() const {
   PutPod<int32_t>(&buf, worker_id);
   PutPod<int32_t>(&buf, num_workers);
   PutPod<int32_t>(&buf, incarnation);
-  PutPod<int32_t>(&buf, rows_per_frame);
   PutPod<int64_t>(&buf, cols);
-  PutPod<int64_t>(&buf, read_deadline_micros);
   PutVec(&buf, owned);
   PutVec(&buf, halo);
   PutVec(&buf, offsets);
@@ -131,9 +130,7 @@ StatusOr<WorkerSpec> WorkerSpec::Parse(const std::string& payload) {
   spec.worker_id = cur.Pod<int32_t>();
   spec.num_workers = cur.Pod<int32_t>();
   spec.incarnation = cur.Pod<int32_t>();
-  spec.rows_per_frame = cur.Pod<int32_t>();
   spec.cols = cur.Pod<int64_t>();
-  spec.read_deadline_micros = cur.Pod<int64_t>();
   cur.Vec(&spec.owned);
   cur.Vec(&spec.halo);
   cur.Vec(&spec.offsets);
@@ -145,7 +142,6 @@ StatusOr<WorkerSpec> WorkerSpec::Parse(const std::string& payload) {
   }
   if (spec.worker_id < 0 || spec.num_workers <= 0 ||
       spec.worker_id >= spec.num_workers || spec.cols < 0 ||
-      spec.rows_per_frame <= 0 ||
       spec.offsets.size() != spec.owned.size() + 1 || spec.offsets[0] != 0 ||
       !std::is_sorted(spec.offsets.begin(), spec.offsets.end()) ||
       spec.self_loop.size() != spec.owned.size() ||
@@ -199,6 +195,14 @@ StatusOr<SlotTable> SlotTable::Build(const WorkerSpec& spec) {
 
 namespace {
 
+/// Result rows per gather frame: the granularity of mid-epoch kill points.
+constexpr size_t kRowsPerFrame = 256;
+
+/// Deadline for each blocking read in the worker loop; a silent
+/// coordinator past this point means the parent is gone and the worker
+/// exits rather than lingering as an orphan.
+constexpr int64_t kReadDeadlineMicros = 600'000'000;
+
 /// Mutable per-process worker state between frames.
 struct WorkerState {
   WorkerSpec spec;
@@ -206,30 +210,6 @@ struct WorkerState {
   tensor::Matrix local;  ///< Owned rows first, then halo rows.
   tensor::Matrix out;    ///< One row per owned node, epoch scratch.
 };
-
-/// Encodes rows [begin, begin+count) of `state.out` as a row-batch
-/// payload keyed by their global ids (matches `DecodeRows`).
-std::string EncodeOutChunk(const WorkerState& state, size_t begin,
-                           size_t count) {
-  const int64_t cols = state.spec.cols;
-  const size_t record = sizeof(uint32_t) + static_cast<size_t>(cols) *
-                                               sizeof(float);
-  std::string payload;
-  payload.resize(sizeof(uint32_t) + count * record);
-  char* p = payload.data();
-  const uint32_t n = static_cast<uint32_t>(count);
-  std::memcpy(p, &n, sizeof(n));
-  p += sizeof(n);
-  for (size_t i = begin; i < begin + count; ++i) {
-    const uint32_t raw = static_cast<uint32_t>(state.spec.owned[i]);
-    std::memcpy(p, &raw, sizeof(raw));
-    p += sizeof(raw);
-    std::memcpy(p, state.out.Row(static_cast<int64_t>(i)).data(),
-                static_cast<size_t>(cols) * sizeof(float));
-    p += static_cast<size_t>(cols) * sizeof(float);
-  }
-  return payload;
-}
 
 /// One epoch of local aggregation: `Propagator::Apply`'s row kernel over
 /// every owned row, reading the local value store through the slot table.
@@ -266,10 +246,9 @@ void WorkerMain(int fd, common::FaultInjector* faults) {
   WorkerState state;
   bool configured = false;
   for (;;) {
-    const int64_t read_micros = state.spec.read_deadline_micros;
     Frame frame;
     const Status read_status =
-        ReadFrame(fd, &frame, common::Deadline::After(read_micros));
+        ReadFrame(fd, &frame, common::Deadline::After(kReadDeadlineMicros));
     if (!read_status.ok()) {
       // Coordinator gone (EOF), stream torn, or deadline: nothing to do
       // but die; the coordinator's own detection drives recovery.
@@ -311,9 +290,7 @@ void WorkerMain(int fd, common::FaultInjector* faults) {
         ComputeEpoch(&state);
 
         const size_t total = state.spec.owned.size();
-        const size_t per_frame =
-            static_cast<size_t>(state.spec.rows_per_frame);
-        const size_t num_chunks = (total + per_frame - 1) / per_frame;
+        const size_t num_chunks = (total + kRowsPerFrame - 1) / kRowsPerFrame;
         for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
           if (chunk == num_chunks / 2 && faults != nullptr &&
               faults->ShouldFail(kSiteWorkerKill, token)) {
@@ -322,12 +299,16 @@ void WorkerMain(int fd, common::FaultInjector* faults) {
             // real SIGKILL runs no user code either.
             _exit(3);
           }
-          const size_t begin = chunk * per_frame;
-          const size_t count = std::min(per_frame, total - begin);
+          const size_t begin = chunk * kRowsPerFrame;
+          const size_t count = std::min(kRowsPerFrame, total - begin);
           Frame rows;
           rows.type = FrameType::kRows;
           rows.epoch = frame.epoch;
-          rows.payload = EncodeOutChunk(state, begin, count);
+          rows.payload = EncodeRows(
+              std::span(state.spec.owned).subspan(begin, count),
+              state.spec.cols, [&state, begin](size_t i) {
+                return state.out.Row(static_cast<int64_t>(begin + i)).data();
+              });
           if (!WriteFrame(fd, rows, nullptr, send_faults).ok()) _exit(4);
         }
         // Adopt the new values for the next epoch before reporting done.

@@ -24,12 +24,7 @@ struct WorkerSpec {
   int32_t worker_id = 0;
   int32_t num_workers = 0;
   int32_t incarnation = 0;
-  int32_t rows_per_frame = 256;
   int64_t cols = 0;
-  /// Deadline for each blocking read in the worker loop; a silent
-  /// coordinator past this point means the parent is gone and the worker
-  /// exits rather than lingering as an orphan.
-  int64_t read_deadline_micros = 600'000'000;
 
   /// Strictly ascending global ids this worker owns.
   std::vector<graph::NodeId> owned;

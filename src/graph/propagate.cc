@@ -4,7 +4,6 @@
 
 #include "common/counters.h"
 #include "par/par.h"
-#include "simd/simd.h"
 
 namespace sgnn::graph {
 
@@ -119,35 +118,16 @@ void Propagator::ApplyVector(const std::vector<double>& x,
 
 void Propagator::ApplyTranspose(const tensor::Matrix& x,
                                 tensor::Matrix* out) const {
-  // Deliberately serial: the transpose scatters into rows indexed by the
-  // *neighbour* ids, so row partitioning does not give disjoint writes.
-  // Making this parallel would need a transposed CSR or atomics (which
-  // break bit-determinism); the kernel is off the hot path.
+  // Serial (see `SpmmTransposeRows`): parallelising it would need a
+  // transposed CSR or atomics, which break bit-determinism; the kernel is
+  // off the hot path.
   SGNN_CHECK(out != nullptr);
   SGNN_CHECK_EQ(x.rows(), static_cast<int64_t>(graph_.num_nodes()));
   SGNN_DCHECK_EQ(coeff_.size(), static_cast<size_t>(graph_.num_edges()));
-  const int64_t cols = x.cols();
-  *out = tensor::Matrix(x.rows(), cols);
-  const simd::KernelTable& kt = simd::Active();
-  uint64_t applied = 0;
-  for (NodeId u = 0; u < graph_.num_nodes(); ++u) {
-    auto nbrs = graph_.Neighbors(u);
-    const float* cs = coeff_.data() + graph_.OffsetOf(u);
-    const float* xrow = x.data() + static_cast<int64_t>(u) * cols;
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      const float c = cs[i];
-      if (c == 0.0f) continue;
-      ++applied;
-      kt.axpy(c, xrow, out->data() + static_cast<int64_t>(nbrs[i]) * cols,
-              cols);
-    }
-    if (!self_loop_coeff_.empty() && self_loop_coeff_[u] != 0.0f) {
-      ++applied;
-      kt.axpy(self_loop_coeff_[u], xrow,
-              out->data() + static_cast<int64_t>(u) * cols, cols);
-    }
-  }
-  BillSpmm(static_cast<uint64_t>(graph_.num_edges()), applied, cols);
+  *out = tensor::Matrix(x.rows(), x.cols());
+  SpmmTransposeRows(CoefficientRows{graph_.offsets(), graph_.neighbors(),
+                                    coeff_, self_loop_coeff_},
+                    {0, static_cast<int64_t>(graph_.num_nodes())}, x, out);
 }
 
 tensor::Matrix PropagateKHops(const Propagator& prop, const tensor::Matrix& x,

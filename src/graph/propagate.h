@@ -173,6 +173,41 @@ void SpmmRows(const Rows& rows, par::Range range, const tensor::Matrix& x,
            applied, cols);
 }
 
+/// The transposed sibling of `SpmmRows` over the same view, for backward
+/// passes and \hat{A}^T x: for kernel rows r in `range`, in order,
+/// out[n_i] += c_i x[OutRow(r)] in view order, then out[OutRow(r)] +=
+/// s x[OutRow(r)]. Same axpy microkernel, zero skip and bill as
+/// `SpmmRows`. Serial: the writes scatter into neighbour rows, so a row
+/// partition does not give disjoint writes and one call must own `out`.
+template <typename Rows>
+void SpmmTransposeRows(const Rows& rows, par::Range range,
+                       const tensor::Matrix& x, tensor::Matrix* out) {
+  const int64_t cols = x.cols();
+  const simd::KernelTable& kt = simd::Active();
+  uint64_t applied = 0;
+  for (int64_t r = range.begin; r < range.end; ++r) {
+    const auto nbrs = rows.Neighbors(r);
+    const auto cs = rows.Coefficients(r);
+    const int64_t o = rows.OutRow(r);
+    const float* xrow = x.data() + o * cols;
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      const float c = cs[i];
+      if (c == 0.0f) continue;
+      ++applied;
+      kt.axpy(c, xrow, out->data() + static_cast<int64_t>(nbrs[i]) * cols,
+              cols);
+    }
+    const float s = rows.SelfLoop(r);
+    if (s != 0.0f) {
+      ++applied;
+      kt.axpy(s, xrow, out->data() + o * cols, cols);
+    }
+  }
+  BillSpmm(static_cast<uint64_t>(rows.EdgeBegin(range.end) -
+                                 rows.EdgeBegin(range.begin)),
+           applied, cols);
+}
+
 /// Precomputed normalised sparse operator \hat{A}; the message-passing /
 /// propagation kernel shared by all GNN models and decoupled methods.
 ///

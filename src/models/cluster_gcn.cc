@@ -27,13 +27,8 @@ ModelResult TrainClusterGcn(const graph::CsrGraph& graph, const Matrix& x,
   common::Rng rng(config.seed);
 
   // One-time partitioning (the preprocessing the method amortises).
-  partition::Partition parts =
-      cluster.use_multilevel
-          ? partition::MultilevelPartition(graph, cluster.num_parts,
-                                           partition::MultilevelConfig{},
-                                           config.seed)
-          : partition::LdgPartition(graph, cluster.num_parts, 1.1,
-                                    config.seed);
+  partition::Partition parts = partition::MultilevelPartition(
+      graph, cluster.num_parts, partition::MultilevelConfig{}, config.seed);
 
   Gcn model(x.cols(), config.hidden_dim, num_classes, config.dropout, &rng);
   nn::Adam opt(model.Params(), config.lr, 0.9, 0.999, 1e-8,

@@ -7,14 +7,14 @@
 
 namespace sgnn::models {
 
-/// Cluster-GCN (Chiang et al.): partition the graph once, then run
-/// full-GCN steps on induced subgraphs of a few merged parts per batch —
-/// partition-based mini-batching (§3.1.2 "Graph Partition"). Activation
-/// memory is bounded by the batch subgraph, not the whole graph (E13).
+/// Cluster-GCN (Chiang et al.): partition the graph once with the
+/// multilevel partitioner, then run full-GCN steps on induced subgraphs of
+/// a few merged parts per batch — partition-based mini-batching (§3.1.2
+/// "Graph Partition"). Activation memory is bounded by the batch subgraph,
+/// not the whole graph (E13).
 struct ClusterGcnConfig {
   int num_parts = 16;
   int parts_per_batch = 2;
-  bool use_multilevel = true;  ///< false = LDG streaming partitioner.
 };
 
 ModelResult TrainClusterGcn(const graph::CsrGraph& graph,

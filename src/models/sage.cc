@@ -37,28 +37,6 @@ Matrix Prefix(const Matrix& m, int64_t n) {
   return out;
 }
 
-/// Weighted aggregation over a block using *local* source representations
-/// (rows of `h` are ordered like layer.src). Distinct from
-/// `sampling::AggregateThroughLayer`, which reads globally-indexed rows.
-Matrix AggregateLocal(const LayerSample& layer, const Matrix& h) {
-  const int64_t cols = h.cols();
-  Matrix out(static_cast<int64_t>(layer.dst.size()), cols);
-  for (size_t i = 0; i < layer.dst.size(); ++i) {
-    float* orow = out.data() + static_cast<int64_t>(i) * cols;
-    for (graph::EdgeIndex e = layer.offsets[i]; e < layer.offsets[i + 1];
-         ++e) {
-      const float w = layer.weights[static_cast<size_t>(e)];
-      const float* hrow =
-          h.data() +
-          static_cast<int64_t>(layer.src_local[static_cast<size_t>(e)]) * cols;
-      for (int64_t c = 0; c < cols; ++c) orow[c] += w * hrow[c];
-    }
-  }
-  common::GlobalCounters().edges_touched +=
-      static_cast<uint64_t>(layer.num_edges());
-  return out;
-}
-
 }  // namespace
 
 double SageModel::TrainStep(const MiniBatch& batch,
@@ -90,8 +68,10 @@ double SageModel::TrainStep(const MiniBatch& batch,
     const LayerSample& layer = batch.layers[l];
     h_in.push_back(cur);
     SGNN_CHECK_EQ(cur.rows(), static_cast<int64_t>(layer.src.size()));
-    Matrix self_rows = Prefix(cur, static_cast<int64_t>(layer.dst.size()));
-    Matrix agg_rows = AggregateLocal(layer, cur);
+    const int64_t num_dst = static_cast<int64_t>(layer.dst.size());
+    Matrix self_rows = Prefix(cur, num_dst);
+    Matrix agg_rows(num_dst, cur.cols());
+    graph::SpmmRows(layer, {0, num_dst}, cur, &agg_rows);
     h_self.push_back(self_rows);
     agg.push_back(agg_rows);
     Matrix out_self, out_nbr;
@@ -132,19 +112,7 @@ double SageModel::TrainStep(const MiniBatch& batch,
     Matrix dinput(static_cast<int64_t>(layer.src.size()), dself.cols());
     std::copy(dself.data(),
               dself.data() + dself.rows() * dself.cols(), dinput.data());
-    const int64_t cols = dagg.cols();
-    for (size_t i = 0; i < layer.dst.size(); ++i) {
-      const float* grow = dagg.data() + static_cast<int64_t>(i) * cols;
-      for (graph::EdgeIndex e = layer.offsets[i]; e < layer.offsets[i + 1];
-           ++e) {
-        float* drow = dinput.data() +
-                      static_cast<int64_t>(layer.src_local[static_cast<size_t>(e)]) * cols;
-        const float w = layer.weights[static_cast<size_t>(e)];
-        for (int64_t c = 0; c < cols; ++c) drow[c] += w * grow[c];
-      }
-    }
-    common::GlobalCounters().edges_touched +=
-        static_cast<uint64_t>(layer.num_edges());
+    graph::SpmmTransposeRows(layer, {0, dagg.rows()}, dagg, &dinput);
     dout = std::move(dinput);
   }
   common::GlobalCounters().Release(resident);

@@ -2,6 +2,7 @@
 #define SGNN_SAMPLING_BLOCK_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/types.h"
@@ -24,6 +25,21 @@ struct LayerSample {
   std::vector<float> weights;            ///< Per edge: aggregation weight.
 
   int64_t num_edges() const { return static_cast<int64_t>(src_local.size()); }
+
+  /// The `graph::SpmmRows` / `graph::SpmmTransposeRows` row view: dst row r
+  /// reads rows `src_local` of a src-ordered matrix at `weights`, with no
+  /// self loop.
+  graph::EdgeIndex EdgeBegin(int64_t r) const { return offsets[r]; }
+  int64_t OutRow(int64_t r) const { return r; }
+  std::span<const uint32_t> Neighbors(int64_t r) const {
+    return std::span(src_local).subspan(offsets[r],
+                                        offsets[r + 1] - offsets[r]);
+  }
+  std::span<const float> Coefficients(int64_t r) const {
+    return std::span(weights).subspan(offsets[r],
+                                      offsets[r + 1] - offsets[r]);
+  }
+  float SelfLoop(int64_t) const { return 0.0f; }
 };
 
 /// A full mini-batch: `layers[0]` is the innermost block (touching raw

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "graph/propagate.h"
 #include "sampling/neighbor_sampler.h"
 
 namespace sgnn::sampling {
@@ -26,17 +27,10 @@ std::vector<double> ExactNeighborhoodMean(const CsrGraph& graph,
 }
 
 Matrix AggregateThroughLayer(const LayerSample& layer, const Matrix& features) {
-  const int64_t cols = features.cols();
-  Matrix out(static_cast<int64_t>(layer.dst.size()), cols);
-  for (size_t i = 0; i < layer.dst.size(); ++i) {
-    float* orow = out.data() + static_cast<int64_t>(i) * cols;
-    for (graph::EdgeIndex e = layer.offsets[i]; e < layer.offsets[i + 1]; ++e) {
-      const NodeId global = layer.src[layer.src_local[static_cast<size_t>(e)]];
-      const float w = layer.weights[static_cast<size_t>(e)];
-      const float* frow = features.data() + static_cast<int64_t>(global) * cols;
-      for (int64_t c = 0; c < cols; ++c) orow[c] += w * frow[c];
-    }
-  }
+  const std::vector<int64_t> src(layer.src.begin(), layer.src.end());
+  const int64_t num_dst = static_cast<int64_t>(layer.dst.size());
+  Matrix out(num_dst, features.cols());
+  graph::SpmmRows(layer, {0, num_dst}, features.GatherRows(src), &out);
   return out;
 }
 

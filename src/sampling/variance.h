@@ -20,8 +20,9 @@ std::vector<double> ExactNeighborhoodMean(const graph::CsrGraph& graph,
                                           graph::NodeId u);
 
 /// Aggregates `features` through a single LayerSample: for each dst i,
-/// out[i] = sum_edges w * features[src_global]. This mirrors what a GNN
-/// layer computes and is what the unbiasedness claims are about.
+/// out[i] = sum_edges w * features[src_global]. This is the GNN layer's
+/// own kernel (`graph::SpmmRows` over the block, billed like it) and is
+/// what the unbiasedness claims are about.
 tensor::Matrix AggregateThroughLayer(const LayerSample& layer,
                                      const tensor::Matrix& features);
 

@@ -39,7 +39,7 @@ struct Cursor {
       ok = false;
       return false;
     }
-    std::memcpy(out, p, n);
+    if (n != 0) std::memcpy(out, p, n);  // Empty vectors may have null data().
     p += n;
     left -= n;
     return true;
@@ -188,7 +188,13 @@ StatusOr<ShardManifest> ReadManifest(const std::string& path) {
     return Corrupt(path, "implausible shard count " +
                              std::to_string(num_shards));
   }
-  if (cur.ok) manifest.shards.reserve(num_shards);
+  // Each count is checked against the bytes left before it sizes an
+  // allocation.
+  constexpr size_t kEntryBytes = 3 * sizeof(uint32_t) + 2 * sizeof(uint64_t);
+  if (!cur.ok || num_shards > cur.left / kEntryBytes) {
+    return Corrupt(path, "truncated manifest");
+  }
+  manifest.shards.reserve(num_shards);
   for (uint32_t s = 0; cur.ok && s < num_shards; ++s) {
     ShardEntry entry;
     entry.num_rows = cur.Pod<uint32_t>();
@@ -199,12 +205,12 @@ StatusOr<ShardManifest> ReadManifest(const std::string& path) {
     manifest.shards.push_back(entry);
   }
   const uint32_t assignment_crc = cur.Pod<uint32_t>();
-  if (cur.ok) {
-    manifest.shard_of.resize(manifest.num_nodes);
-    cur.Take(manifest.shard_of.data(),
-             manifest.shard_of.size() * sizeof(uint32_t));
+  if (!cur.ok || manifest.num_nodes > cur.left / sizeof(uint32_t)) {
+    return Corrupt(path, "truncated manifest");
   }
-  if (!cur.ok) return Corrupt(path, "truncated manifest");
+  manifest.shard_of.resize(manifest.num_nodes);
+  cur.Take(manifest.shard_of.data(),
+           manifest.shard_of.size() * sizeof(uint32_t));
   if (cur.left != 0) return Corrupt(path, "trailing bytes after manifest");
   if (common::Crc32(manifest.shard_of.data(),
                     manifest.shard_of.size() * sizeof(uint32_t)) !=
@@ -241,6 +247,12 @@ StatusOr<ShardHeader> ParseShardHeader(const void* bytes, uint64_t file_bytes,
   if (version != kFormatVersion) {
     return Corrupt(where,
                    "unsupported format version " + std::to_string(version));
+  }
+  // Each edge takes a neighbour and a weight, so a count past that bound
+  // cannot fit; checking it first keeps `LayoutFor` from wrapping 64 bits.
+  if (header.num_edges > file_bytes / (sizeof(uint32_t) + sizeof(float))) {
+    return Corrupt(where, "edge count " + std::to_string(header.num_edges) +
+                              " exceeds the file size");
   }
   const ShardLayout layout = LayoutFor(header.num_rows, header.num_edges);
   if (layout.file_bytes != file_bytes) {
@@ -299,14 +311,19 @@ StatusOr<ShardData> ReadShardFile(const std::string& path) {
   shard.offsets.resize(uint64_t{header.num_rows} + 1);
   shard.neighbors.resize(header.num_edges);
   shard.weights.resize(header.num_edges);
-  std::memcpy(shard.rows.data(), bytes.data() + layout.rows_off,
-              shard.rows.size() * sizeof(uint32_t));
-  std::memcpy(shard.offsets.data(), bytes.data() + layout.offsets_off,
-              shard.offsets.size() * sizeof(uint64_t));
-  std::memcpy(shard.neighbors.data(), bytes.data() + layout.neighbors_off,
-              shard.neighbors.size() * sizeof(uint32_t));
-  std::memcpy(shard.weights.data(), bytes.data() + layout.weights_off,
-              shard.weights.size() * sizeof(float));
+  // An empty section's vector may have a null data(), which memcpy must
+  // not see even for zero bytes.
+  auto copy_section = [&bytes](void* out, uint64_t off, size_t n) {
+    if (n != 0) std::memcpy(out, bytes.data() + off, n);
+  };
+  copy_section(shard.rows.data(), layout.rows_off,
+               shard.rows.size() * sizeof(uint32_t));
+  copy_section(shard.offsets.data(), layout.offsets_off,
+               shard.offsets.size() * sizeof(uint64_t));
+  copy_section(shard.neighbors.data(), layout.neighbors_off,
+               shard.neighbors.size() * sizeof(uint32_t));
+  copy_section(shard.weights.data(), layout.weights_off,
+               shard.weights.size() * sizeof(float));
   return shard;
 }
 

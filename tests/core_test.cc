@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 
+#include "common/crc32.h"
 #include "common/fault.h"
 #include "core/checkpoint.h"
 #include "core/coarse_flow.h"
@@ -348,6 +351,42 @@ TEST(CheckpointTest, CorruptionIsDetectedByCrc) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), common::StatusCode::kIOError);
   EXPECT_NE(loaded.status().message().find("CRC"), std::string::npos);
+  std::filesystem::remove(path);
+}
+
+// A CRC-valid snapshot whose feature dimensions multiply past 2^64 bytes
+// (rows = 2^62, cols = 1: 2^62 * 1 * 4 wraps to the 0 bytes left) is
+// corrupt, not a matrix to allocate.
+TEST(CheckpointTest, OverflowingFeatureDimensionsAreCorrupt) {
+  PipelineSnapshot snap;
+  snap.signature = 7;
+  const std::string path = ::testing::TempDir() + "/sgnn_snap_dims.bin";
+  ASSERT_TRUE(SaveSnapshot(snap, path).ok());
+  ASSERT_TRUE(LoadSnapshot(path, 7).ok());
+
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // The empty feature matrix ends the payload: i64 rows | i64 cols | u32 CRC.
+  const size_t payload = bytes.size() - sizeof(uint32_t);
+  const int64_t rows = int64_t{1} << 62;
+  const int64_t cols = 1;
+  std::memcpy(bytes.data() + payload - 16, &rows, sizeof(rows));
+  std::memcpy(bytes.data() + payload - 8, &cols, sizeof(cols));
+  const uint32_t crc = common::Crc32(bytes.data(), payload);
+  std::memcpy(bytes.data() + payload, &crc, sizeof(crc));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  auto loaded = LoadSnapshot(path, 7);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), common::StatusCode::kIOError);
+  EXPECT_NE(loaded.status().message().find("feature dimensions"),
+            std::string::npos);
   std::filesystem::remove(path);
 }
 

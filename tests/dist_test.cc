@@ -106,7 +106,7 @@ TEST(WorkerSpecTest, OverflowingVectorCountIsDataLoss) {
   spec.offsets = {0};
   std::string bytes = spec.Serialize();
   const uint64_t huge = uint64_t{1} << 62;  // * sizeof(NodeId) wraps to 0.
-  std::memcpy(bytes.data() + 32, &huge, sizeof(huge));  // The `owned` count.
+  std::memcpy(bytes.data() + 20, &huge, sizeof(huge));  // The `owned` count.
   auto parsed_or = WorkerSpec::Parse(bytes);
   ASSERT_FALSE(parsed_or.ok());
   EXPECT_EQ(parsed_or.status().code(), StatusCode::kDataLoss);

@@ -6,8 +6,10 @@
 // backend sweep degenerates to scalar-vs-scalar and every comparison still
 // holds, so the suite is meaningful on every machine the CI matrix covers.
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,7 +21,9 @@
 #include "graph/csr_graph.h"
 #include "graph/generators.h"
 #include "graph/propagate.h"
+#include "models/sage.h"
 #include "par/par.h"
+#include "sampling/neighbor_sampler.h"
 #include "simd/simd.h"
 #include "storage/ooc.h"
 #include "storage/shard_writer.h"
@@ -271,6 +275,84 @@ TEST_F(SimdTest, PropagatorApplyBitIdentical) {
         EXPECT_TRUE(BytesEqual(reference, run(simd_on, threads)));
       }
     }
+  }
+}
+
+// GraphSAGE's sampled step runs both shared kernels over the block view:
+// the forward aggregation through `SpmmRows` (column-blocked at 160 input
+// columns) and the backward through `SpmmTransposeRows`. The loss and every
+// parameter gradient must not depend on backend or thread count.
+TEST_F(SimdTest, SageTrainStepBitIdentical) {
+  const CsrGraph g = graph::BarabasiAlbert(600, 6, 43);
+  const Matrix x = RandomMatrix(g.num_nodes(), 160, 44);
+  std::vector<NodeId> seeds;
+  std::vector<int> labels;
+  for (NodeId u = 0; u < g.num_nodes(); u += 13) {
+    seeds.push_back(u);
+    labels.push_back(static_cast<int>(u % 3));
+  }
+  struct Step {
+    double loss;
+    std::vector<Matrix> grads;
+  };
+  auto run = [&](bool simd_on, int threads) {
+    simd::SetEnabled(simd_on);
+    par::SetThreads(threads);
+    common::Rng rng(45);
+    models::SageModel model({x.cols(), 24, 3}, 0.5, &rng);
+    const std::vector<int> fanouts = {5, 5};
+    const sampling::MiniBatch batch =
+        sampling::SampleNodeWise(g, seeds, fanouts, &rng);
+    const std::vector<int64_t> inputs(batch.input_nodes().begin(),
+                                      batch.input_nodes().end());
+    model.ZeroGrad();
+    Step step{model.TrainStep(batch, x.GatherRows(inputs), labels, &rng), {}};
+    for (const nn::ParamRef& p : model.Params()) step.grads.push_back(*p.grad);
+    return step;
+  };
+  const Step reference = run(false, 1);
+  for (const bool simd_on : {false, true}) {
+    for (const int threads : {1, 8}) {
+      SCOPED_TRACE(std::string("simd=") + (simd_on ? "on" : "off") +
+                   " threads=" + std::to_string(threads));
+      const Step step = run(simd_on, threads);
+      EXPECT_EQ(std::memcmp(&reference.loss, &step.loss, sizeof(double)), 0);
+      ASSERT_EQ(step.grads.size(), reference.grads.size());
+      for (size_t i = 0; i < step.grads.size(); ++i) {
+        EXPECT_TRUE(BytesEqual(reference.grads[i], step.grads[i])) << i;
+      }
+    }
+  }
+}
+
+// Over one view the two kernels are adjoint: with A a sampled block,
+// <y, A x> = <A^T y, x> to float tolerance, narrow and column-blocked.
+TEST_F(SimdTest, BlockViewKernelsAreAdjoint) {
+  const CsrGraph g = graph::BarabasiAlbert(400, 5, 47);
+  std::vector<NodeId> seeds;
+  for (NodeId u = 0; u < g.num_nodes(); u += 9) seeds.push_back(u);
+  common::Rng rng(48);
+  const std::vector<int> fanouts = {4};
+  const sampling::MiniBatch batch =
+      sampling::SampleNodeWise(g, seeds, fanouts, &rng);
+  const sampling::LayerSample& layer = batch.layers.front();
+  const int64_t num_dst = static_cast<int64_t>(layer.dst.size());
+  const int64_t num_src = static_cast<int64_t>(layer.src.size());
+  ASSERT_GT(num_src, num_dst);
+  for (const int64_t cols : {3L, 160L}) {
+    const Matrix x = RandomMatrix(num_src, cols, 49);
+    const Matrix y = RandomMatrix(num_dst, cols, 50);
+    Matrix ax(num_dst, cols);
+    Matrix aty(num_src, cols);
+    graph::SpmmRows(layer, {0, num_dst}, x, &ax);
+    graph::SpmmTransposeRows(layer, {0, num_dst}, y, &aty);
+    auto flat = [](const Matrix& m) {
+      return std::span<const float>(m.data(), static_cast<size_t>(m.size()));
+    };
+    const double lhs = tensor::Dot(flat(y), flat(ax));
+    const double rhs = tensor::Dot(flat(aty), flat(x));
+    EXPECT_NE(lhs, 0.0);
+    EXPECT_NEAR(lhs, rhs, 1e-5 * (1.0 + std::abs(lhs))) << cols;
   }
 }
 

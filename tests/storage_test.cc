@@ -11,6 +11,7 @@
 
 #include "analysis/validate.h"
 #include "common/counters.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/propagate.h"
@@ -82,6 +83,7 @@ void ExpectShardsMatchGraph(const CsrGraph& g, const std::string& dir) {
       const uint64_t begin = shard.offsets[r];
       const uint64_t count = shard.offsets[r + 1] - begin;
       ASSERT_EQ(count, nbrs.size()) << "node " << u;
+      if (count == 0) continue;  // An empty section's data() may be null.
       ASSERT_EQ(0, std::memcmp(shard.neighbors.data() + begin, nbrs.data(),
                                nbrs.size() * sizeof(NodeId)));
       ASSERT_EQ(0, std::memcmp(shard.weights.data() + begin, ws.data(),
@@ -136,6 +138,17 @@ TEST(WriterTest, RoundTripContiguousPlan) {
   }
   std::filesystem::remove_all(dir);
   std::filesystem::remove_all(dir2);
+}
+
+// A shard whose nodes are all isolated has empty neighbour and weight
+// sections; decoding it must not hand memcpy a null destination.
+TEST(WriterTest, EdgelessShardRoundTrips) {
+  const CsrGraph g = CsrGraph::FromEdges(10, {{0, 1, 1.0f}, {1, 0, 1.0f}});
+  const std::string dir = NewDir("edgeless_shard");
+  ASSERT_TRUE(WriteShardedGraph(g, ShardPlan::Contiguous(g, 2), dir).ok());
+  ExpectShardsMatchGraph(g, dir);
+  EXPECT_TRUE(analysis::ValidateShardedGraph(dir).ok());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(WriterTest, RoundTripPartitionPlan) {
@@ -279,6 +292,60 @@ TEST(CorruptionTest, TornManifestIsDataLossAtEveryTruncationPoint) {
   auto open_or = ShardedGraph::Open(dir);
   ASSERT_TRUE(open_or.ok()) << open_or.status().message();
   EXPECT_EQ(open_or.value()->num_nodes(), g.num_nodes());
+  std::filesystem::remove_all(dir);
+}
+
+// Overwrites `bytes` at `offset` with `value`, then recomputes the CRC of
+// [0, crc_offset) stored at `crc_offset`, so the forgery passes integrity.
+template <typename T>
+void Forge(std::string* bytes, size_t offset, T value, size_t crc_offset) {
+  std::memcpy(bytes->data() + offset, &value, sizeof(value));
+  const uint32_t crc = common::Crc32(bytes->data(), crc_offset);
+  std::memcpy(bytes->data() + crc_offset, &crc, sizeof(crc));
+}
+
+void WriteAll(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamoff>(bytes.size()));
+}
+
+// CRC-valid files whose counts claim more than the file holds are
+// kDataLoss before any allocation is sized from them: a shard header whose
+// edge count is raised by 2^62 (its section sizes wrap 64 bits back to the
+// real ones) and a manifest claiming 2^28 nodes (a 1 GiB assignment).
+TEST(CorruptionTest, ForgedCountsAreDataLossBeforeAllocating) {
+  const CsrGraph g = graph::ErdosRenyi(100, 400, 13);
+  const std::string dir = NewDir("forged_counts");
+  ASSERT_TRUE(WriteShardedGraph(g, ShardPlan::Contiguous(g, 2), dir).ok());
+  auto manifest_or = ReadManifest(ManifestPath(dir));
+  ASSERT_TRUE(manifest_or.ok());
+  const ShardManifest& manifest = manifest_or.value();
+
+  // Header: num_edges is the u64 at byte 24; the header CRC covers [0, 44).
+  const std::string shard0 = ShardPath(dir, 0);
+  std::string shard_bytes = ReadAll(shard0);
+  Forge<uint64_t>(&shard_bytes, 24,
+                  manifest.shards[0].num_edges + (uint64_t{1} << 62),
+                  kShardHeaderBytes - sizeof(uint32_t));
+  WriteAll(shard0, shard_bytes);
+  for (const common::Status& status :
+       {ReadShardFile(shard0).status(),
+        analysis::ValidateShardFile(manifest, 0, shard0)}) {
+    EXPECT_EQ(status.code(), common::StatusCode::kDataLoss);
+    ExpectStatusContains(status, "exceeds the file size");
+  }
+  EXPECT_EQ(ShardedGraph::Open(dir).status().code(),
+            common::StatusCode::kDataLoss);
+
+  // Manifest: num_nodes is the u32 at byte 16; the trailing CRC covers the
+  // rest of the file.
+  std::string manifest_bytes = ReadAll(ManifestPath(dir));
+  Forge<uint32_t>(&manifest_bytes, 16, uint32_t{1} << 28,
+                  manifest_bytes.size() - sizeof(uint32_t));
+  WriteAll(ManifestPath(dir), manifest_bytes);
+  const common::Status status = ReadManifest(ManifestPath(dir)).status();
+  EXPECT_EQ(status.code(), common::StatusCode::kDataLoss);
+  ExpectStatusContains(status, "truncated manifest");
   std::filesystem::remove_all(dir);
 }
 
