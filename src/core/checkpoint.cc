@@ -1,13 +1,9 @@
 #include "core/checkpoint.h"
 
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iterator>
-#include <type_traits>
 
 #include "analysis/validate.h"
-#include "common/crc32.h"
+#include "common/bytes.h"
 
 namespace sgnn::core {
 
@@ -19,96 +15,41 @@ namespace {
 constexpr char kMagic[8] = {'S', 'G', 'N', 'N', 'C', 'K', 'P', 'T'};
 constexpr uint32_t kVersion = 1;
 
-// ---- little serialisation helpers over a growable byte buffer ----------
-
-void PutBytes(std::string* buf, const void* data, size_t n) {
-  buf->append(static_cast<const char*>(data), n);
-}
-
-template <typename T>
-void PutPod(std::string* buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PutBytes(buf, &v, sizeof(v));
-}
-
-void PutString(std::string* buf, const std::string& s) {
-  PutPod<uint32_t>(buf, static_cast<uint32_t>(s.size()));
-  PutBytes(buf, s.data(), s.size());
-}
-
-/// Bounds-checked forward reader over the loaded snapshot bytes. Every
-/// getter reports underrun through `ok`, so a truncated file surfaces as a
-/// framing error instead of undefined behaviour.
-struct Cursor {
-  const char* p;
-  size_t left;
-  bool ok = true;
-
-  bool Take(void* out, size_t n) {
-    if (!ok || n > left) {
-      ok = false;
-      return false;
-    }
-    if (n != 0) std::memcpy(out, p, n);  // Empty vectors may have null data().
-    p += n;
-    left -= n;
-    return true;
-  }
-
-  template <typename T>
-  T Pod() {
-    T v{};
-    Take(&v, sizeof(v));
-    return v;
-  }
-
-  std::string Str() {
-    const uint32_t n = Pod<uint32_t>();
-    if (!ok || n > left) {
-      ok = false;
-      return {};
-    }
-    std::string s(p, n);
-    p += n;
-    left -= n;
-    return s;
-  }
-};
-
 std::string Serialize(const PipelineSnapshot& snap) {
-  std::string buf;
-  PutBytes(&buf, kMagic, sizeof(kMagic));
-  PutPod<uint32_t>(&buf, kVersion);
-  PutPod<uint64_t>(&buf, snap.signature);
-  PutPod<int32_t>(&buf, snap.stages_done);
+  common::ByteWriter w;
+  w.Bytes(kMagic, sizeof(kMagic));
+  w.Pod<uint32_t>(kVersion);
+  w.Pod<uint64_t>(snap.signature);
+  w.Pod<int32_t>(snap.stages_done);
 
-  PutPod<uint32_t>(&buf, static_cast<uint32_t>(snap.stages.size()));
+  w.Pod<uint32_t>(static_cast<uint32_t>(snap.stages.size()));
   for (const StageTiming& stage : snap.stages) {
-    PutString(&buf, stage.name);
-    PutPod<double>(&buf, stage.seconds);
-    PutPod<uint64_t>(&buf, stage.ops.edges_touched);
-    PutPod<uint64_t>(&buf, stage.ops.floats_moved);
-    PutPod<uint64_t>(&buf, stage.ops.peak_resident_floats);
-    PutPod<uint64_t>(&buf, stage.ops.resident_floats);
+    w.Str(stage.name);
+    w.Pod<double>(stage.seconds);
+    w.Pod<uint64_t>(stage.ops.edges_touched);
+    w.Pod<uint64_t>(stage.ops.floats_moved);
+    w.Pod<uint64_t>(stage.ops.peak_resident_floats);
+    w.Pod<uint64_t>(stage.ops.resident_floats);
   }
 
-  PutPod<int64_t>(&buf, snap.edges_before);
-  PutPod<int64_t>(&buf, snap.feature_cols_before);
+  w.Pod<int64_t>(snap.edges_before);
+  w.Pod<int64_t>(snap.feature_cols_before);
 
-  PutPod<uint32_t>(&buf, snap.graph.num_nodes());
+  w.Pod<uint32_t>(snap.graph.num_nodes());
   const std::vector<graph::Edge> edges = snap.graph.ToEdges();
-  PutPod<uint64_t>(&buf, static_cast<uint64_t>(edges.size()));
+  w.Pod<uint64_t>(static_cast<uint64_t>(edges.size()));
   for (const graph::Edge& e : edges) {
-    PutPod<uint32_t>(&buf, e.src);
-    PutPod<uint32_t>(&buf, e.dst);
-    PutPod<float>(&buf, e.weight);  // Raw bits: resume is bit-identical.
+    w.Pod<uint32_t>(e.src);
+    w.Pod<uint32_t>(e.dst);
+    w.Pod<float>(e.weight);  // Raw bits: resume is bit-identical.
   }
 
-  PutPod<int64_t>(&buf, snap.features.rows());
-  PutPod<int64_t>(&buf, snap.features.cols());
-  PutBytes(&buf, snap.features.data(),
-           static_cast<size_t>(snap.features.size()) * sizeof(float));
-  return buf;
+  w.Pod<int64_t>(snap.features.rows());
+  w.Pod<int64_t>(snap.features.cols());
+  w.Bytes(snap.features.data(),
+          static_cast<size_t>(snap.features.size()) * sizeof(float));
+  w.CrcTrailer();
+  return w.Release();
 }
 
 Status Corrupt(const std::string& path, const std::string& why) {
@@ -133,113 +74,93 @@ uint64_t PipelineSignature(const std::vector<std::string>& stage_names,
 
 Status SaveSnapshot(const PipelineSnapshot& snapshot,
                     const std::string& path) {
-  std::string payload = Serialize(snapshot);
-  const uint32_t crc = common::Crc32(payload.data(), payload.size());
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IOError("cannot open for write: " + tmp);
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    if (!out) return Status::IOError("write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("rename failed: " + tmp + " -> " + path);
-  }
-  return Status::OK();
+  return common::WriteFileAtomic(path, Serialize(snapshot));
 }
 
 StatusOr<PipelineSnapshot> LoadSnapshot(const std::string& path,
                                         uint64_t expected_signature) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("no snapshot at " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::IOError("read failed: " + path);
-  }
-  if (bytes.size() < sizeof(kMagic) + sizeof(uint32_t)) {
+  auto bytes_or = common::ReadFile(path);
+  if (!bytes_or.ok()) return bytes_or.status();
+  const std::string& bytes = bytes_or.value();
+  if (bytes.size() < sizeof(kMagic) + common::kCrcTrailerBytes) {
     return Corrupt(path, "truncated");
   }
+  if (!common::CheckCrcTrailer(bytes)) return Corrupt(path, "CRC mismatch");
 
-  const size_t payload_size = bytes.size() - sizeof(uint32_t);
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + payload_size, sizeof(stored_crc));
-  if (common::Crc32(bytes.data(), payload_size) != stored_crc) {
-    return Corrupt(path, "CRC mismatch");
-  }
-
-  Cursor cur{bytes.data(), payload_size};
-  char magic[sizeof(kMagic)];
-  cur.Take(magic, sizeof(magic));
-  if (!cur.ok || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  common::ByteReader in(bytes.data(), bytes.size() - common::kCrcTrailerBytes);
+  const char* magic = in.Take(sizeof(kMagic));
+  if (!in.ok() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Corrupt(path, "bad magic");
   }
-  if (cur.Pod<uint32_t>() != kVersion) {
+  if (in.Pod<uint32_t>() != kVersion) {
     return Corrupt(path, "unsupported version");
   }
 
   PipelineSnapshot snap;
-  snap.signature = cur.Pod<uint64_t>();
-  if (cur.ok && snap.signature != expected_signature) {
+  snap.signature = in.Pod<uint64_t>();
+  if (in.ok() && snap.signature != expected_signature) {
     return Status::FailedPrecondition(
         "snapshot " + path + " belongs to a different pipeline");
   }
-  snap.stages_done = cur.Pod<int32_t>();
+  snap.stages_done = in.Pod<int32_t>();
 
-  const uint32_t num_stages = cur.Pod<uint32_t>();
-  for (uint32_t i = 0; cur.ok && i < num_stages; ++i) {
+  const uint32_t num_stages = in.Pod<uint32_t>();
+  for (uint32_t i = 0; in.ok() && i < num_stages; ++i) {
     StageTiming stage;
-    stage.name = cur.Str();
-    stage.seconds = cur.Pod<double>();
-    stage.ops.edges_touched = cur.Pod<uint64_t>();
-    stage.ops.floats_moved = cur.Pod<uint64_t>();
-    stage.ops.peak_resident_floats = cur.Pod<uint64_t>();
-    stage.ops.resident_floats = cur.Pod<uint64_t>();
+    stage.name = in.Str();
+    stage.seconds = in.Pod<double>();
+    stage.ops.edges_touched = in.Pod<uint64_t>();
+    stage.ops.floats_moved = in.Pod<uint64_t>();
+    stage.ops.peak_resident_floats = in.Pod<uint64_t>();
+    stage.ops.resident_floats = in.Pod<uint64_t>();
     snap.stages.push_back(std::move(stage));
   }
 
-  snap.edges_before = cur.Pod<int64_t>();
-  snap.feature_cols_before = cur.Pod<int64_t>();
+  snap.edges_before = in.Pod<int64_t>();
+  snap.feature_cols_before = in.Pod<int64_t>();
 
-  const uint32_t num_nodes = cur.Pod<uint32_t>();
-  const uint64_t num_edges = cur.Pod<uint64_t>();
+  const uint32_t num_nodes = in.Pod<uint32_t>();
+  const uint64_t num_edges = in.Pod<uint64_t>();
   constexpr size_t kEdgeBytes = 2 * sizeof(uint32_t) + sizeof(float);
-  if (!cur.ok || num_edges > cur.left / kEdgeBytes) {
-    return Corrupt(path, "bad edge count");
-  }
+  if (!in.Fits(num_edges, kEdgeBytes)) return Corrupt(path, "bad edge count");
   std::vector<graph::Edge> edges;
   edges.reserve(num_edges);
-  for (uint64_t i = 0; cur.ok && i < num_edges; ++i) {
+  for (uint64_t i = 0; i < num_edges; ++i) {
     graph::Edge e;
-    e.src = cur.Pod<uint32_t>();
-    e.dst = cur.Pod<uint32_t>();
-    e.weight = cur.Pod<float>();
+    e.src = in.Pod<uint32_t>();
+    e.dst = in.Pod<uint32_t>();
+    e.weight = in.Pod<float>();
     if (e.src >= num_nodes || e.dst >= num_nodes) {
       return Corrupt(path, "edge endpoint out of range");
     }
     edges.push_back(e);
   }
 
-  const int64_t rows = cur.Pod<int64_t>();
-  const int64_t cols = cur.Pod<int64_t>();
-  // Bound rows by the bytes left before multiplying, so a forged size
-  // cannot wrap 64 bits into a match and then size the allocation.
-  const uint64_t max_floats = cur.left / sizeof(float);
-  if (!cur.ok || rows < 0 || cols < 0 ||
-      (cols > 0 && static_cast<uint64_t>(rows) >
-                       max_floats / static_cast<uint64_t>(cols)) ||
+  const int64_t rows = in.Pod<int64_t>();
+  const int64_t cols = in.Pod<int64_t>();
+  // Every row carries at least one float, and rows x cols floats must be
+  // exactly the bytes left; bounding rows, then cols by the row bytes,
+  // keeps the product from wrapping 64 bits into a match.
+  if (!in.ok() || rows < 0 || cols < 0 ||
+      !in.Fits(static_cast<uint64_t>(rows), sizeof(float)) ||
+      (rows > 0 && !in.Fits(static_cast<uint64_t>(cols),
+                            static_cast<uint64_t>(rows) * sizeof(float))) ||
       static_cast<uint64_t>(rows) * static_cast<uint64_t>(cols) *
               sizeof(float) !=
-          cur.left) {
+          in.left()) {
     return Corrupt(path, "bad feature dimensions");
   }
+  // One feature row per node, or no nodes at all (the dist coordinator
+  // checkpoints its state matrix without a graph): the node count is then
+  // bounded by the file too before it sizes the graph.
+  if (num_nodes != 0 && num_nodes != static_cast<uint64_t>(rows)) {
+    return Corrupt(path, "node count " + std::to_string(num_nodes) +
+                             " does not match " + std::to_string(rows) +
+                             " feature rows");
+  }
   snap.features = tensor::Matrix(rows, cols);
-  cur.Take(snap.features.data(),
-           static_cast<size_t>(snap.features.size()) * sizeof(float));
-  if (!cur.ok) return Corrupt(path, "truncated payload");
+  in.Take(snap.features.data(),
+          static_cast<size_t>(snap.features.size()) * sizeof(float));
 
   snap.graph = graph::CsrGraph::FromEdges(num_nodes, std::move(edges));
   if (snap.stages_done < 0 ||

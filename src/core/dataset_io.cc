@@ -1,5 +1,6 @@
 #include "core/dataset_io.h"
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -12,6 +13,15 @@ using common::Status;
 using common::StatusOr;
 
 namespace {
+
+// A value in a text file takes at least two bytes, a digit and a
+// separator (the last one may end the file), so the file size bounds
+// every count a header declares before that count sizes anything.
+uint64_t MaxTextValues(const std::string& path) {
+  std::error_code ec;
+  const uintmax_t bytes = std::filesystem::file_size(path, ec);
+  return ec ? 0 : (static_cast<uint64_t>(bytes) + 1) / 2;
+}
 
 Status WriteFeatures(const tensor::Matrix& features, const std::string& path) {
   std::ofstream out(path);
@@ -33,6 +43,14 @@ StatusOr<tensor::Matrix> ReadFeatures(const std::string& path) {
   int64_t rows = 0, cols = 0;
   if (!(in >> rows >> cols) || rows < 0 || cols < 0) {
     return Status::InvalidArgument("bad features header in " + path);
+  }
+  // Bounding rows by the values per column keeps rows x cols from
+  // overflowing; a matrix without columns allocates nothing.
+  if (cols > 0 && static_cast<uint64_t>(rows) >
+                      MaxTextValues(path) / static_cast<uint64_t>(cols)) {
+    return Status::InvalidArgument(
+        "features header claims " + std::to_string(rows) + " x " +
+        std::to_string(cols) + " values, more than " + path + " holds");
   }
   tensor::Matrix m(rows, cols);
   for (int64_t i = 0; i < m.size(); ++i) {
@@ -70,19 +88,28 @@ Status WriteSplits(const models::NodeSplits& splits, const std::string& path) {
 }
 
 StatusOr<std::vector<graph::NodeId>> ReadPart(std::istream& in,
-                                              const std::string& expected) {
+                                              const std::string& expected,
+                                              uint64_t max_values) {
   std::string name;
-  size_t count = 0;
+  uint64_t count = 0;
   if (!(in >> name >> count) || name != expected) {
     return Status::InvalidArgument("bad splits section, expected " + expected);
   }
+  if (count > max_values) {
+    return Status::InvalidArgument(
+        "splits section " + expected + " claims " + std::to_string(count) +
+        " ids, more than the file holds");
+  }
   std::vector<graph::NodeId> part(count);
-  for (size_t i = 0; i < count; ++i) {
+  for (graph::NodeId& u : part) {
     uint64_t v = 0;
     if (!(in >> v)) {
       return Status::InvalidArgument("truncated splits section " + expected);
     }
-    part[i] = static_cast<graph::NodeId>(v);
+    if (v >= graph::kInvalidNode) {
+      return Status::InvalidArgument("split node id out of range");
+    }
+    u = static_cast<graph::NodeId>(v);
   }
   return part;
 }
@@ -112,9 +139,14 @@ StatusOr<Dataset> LoadDataset(const std::string& dir) {
     const std::string path = dir + "/labels.txt";
     std::ifstream in(path);
     if (!in) return Status::IOError("cannot open for read: " + path);
-    size_t count = 0;
+    uint64_t count = 0;
     if (!(in >> count >> dataset.num_classes) || dataset.num_classes <= 0) {
       return Status::InvalidArgument("bad labels header in " + path);
+    }
+    if (count > MaxTextValues(path)) {
+      return Status::InvalidArgument("labels header claims " +
+                                     std::to_string(count) +
+                                     " labels, more than " + path + " holds");
     }
     dataset.labels.resize(count);
     for (size_t i = 0; i < count; ++i) {
@@ -131,11 +163,12 @@ StatusOr<Dataset> LoadDataset(const std::string& dir) {
     const std::string path = dir + "/splits.txt";
     std::ifstream in(path);
     if (!in) return Status::IOError("cannot open for read: " + path);
-    auto train = ReadPart(in, "train");
+    const uint64_t max_values = MaxTextValues(path);
+    auto train = ReadPart(in, "train", max_values);
     if (!train.ok()) return train.status();
-    auto val = ReadPart(in, "val");
+    auto val = ReadPart(in, "val", max_values);
     if (!val.ok()) return val.status();
-    auto test = ReadPart(in, "test");
+    auto test = ReadPart(in, "test", max_values);
     if (!test.ok()) return test.status();
     dataset.splits.train = std::move(train).value();
     dataset.splits.val = std::move(val).value();

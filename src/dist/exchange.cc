@@ -1,10 +1,11 @@
 #include "dist/exchange.h"
 
 #include <algorithm>
-#include <cstring>
 
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/counters.h"
+#include "dist/frame.h"
 
 namespace sgnn::dist {
 
@@ -57,52 +58,50 @@ HaloPlan BuildHaloPlan(const graph::CsrGraph& graph,
   return plan;
 }
 
+bool FitsOneRowBatch(uint64_t rows, int64_t cols) {
+  // Bound cols before forming the record size so it cannot wrap.
+  constexpr uint64_t kBody = kMaxFramePayload - sizeof(uint32_t);
+  if (cols < 0 || static_cast<uint64_t>(cols) >= kBody / sizeof(float)) {
+    return rows == 0;
+  }
+  const uint64_t record =
+      sizeof(uint32_t) + static_cast<uint64_t>(cols) * sizeof(float);
+  return rows <= kBody / record;
+}
+
 std::string EncodeRows(std::span<const NodeId> ids, int64_t cols,
                        const std::function<const float*(size_t)>& row) {
-  const size_t record = sizeof(uint32_t) + static_cast<size_t>(cols) *
-                                               sizeof(float);
-  std::string payload;
-  payload.resize(sizeof(uint32_t) + ids.size() * record);
-  char* p = payload.data();
-  const uint32_t count = static_cast<uint32_t>(ids.size());
-  std::memcpy(p, &count, sizeof(count));
-  p += sizeof(count);
+  const size_t row_bytes = static_cast<size_t>(cols) * sizeof(float);
+  common::ByteWriter w(sizeof(uint32_t) +
+                       ids.size() * (sizeof(uint32_t) + row_bytes));
+  w.Pod<uint32_t>(static_cast<uint32_t>(ids.size()));
   for (size_t i = 0; i < ids.size(); ++i) {
-    const uint32_t raw = static_cast<uint32_t>(ids[i]);
-    std::memcpy(p, &raw, sizeof(raw));
-    p += sizeof(raw);
-    std::memcpy(p, row(i), static_cast<size_t>(cols) * sizeof(float));
-    p += static_cast<size_t>(cols) * sizeof(float);
+    w.Pod<uint32_t>(ids[i]);
+    w.Bytes(row(i), row_bytes);
   }
   common::GlobalCounters().floats_moved +=
       static_cast<uint64_t>(ids.size()) * static_cast<uint64_t>(cols);
-  return payload;
+  return w.Release();
 }
 
 Status DecodeRows(
     const std::string& payload, int64_t cols,
     const std::function<Status(NodeId, const float*)>& sink) {
-  if (payload.size() < sizeof(uint32_t)) {
-    return Status::DataLoss("row batch smaller than its count field");
-  }
-  uint32_t count = 0;
-  std::memcpy(&count, payload.data(), sizeof(count));
-  const size_t record =
-      sizeof(uint32_t) + static_cast<size_t>(cols) * sizeof(float);
-  if (payload.size() != sizeof(uint32_t) + count * record) {
+  SGNN_DCHECK_GE(cols, 0);
+  common::ByteReader in(payload);
+  const uint32_t count = in.Pod<uint32_t>();
+  const size_t row_bytes = static_cast<size_t>(cols) * sizeof(float);
+  const size_t record = sizeof(uint32_t) + row_bytes;
+  if (!in.Fits(count, record) || in.left() != count * record) {
     return Status::DataLoss("row batch length does not match its count (" +
                             std::to_string(count) + " rows of " +
                             std::to_string(cols) + " cols in " +
                             std::to_string(payload.size()) + " bytes)");
   }
-  const char* p = payload.data() + sizeof(uint32_t);
   for (uint32_t i = 0; i < count; ++i) {
-    uint32_t raw = 0;
-    std::memcpy(&raw, p, sizeof(raw));
-    p += sizeof(raw);
-    SGNN_RETURN_IF_ERROR(
-        sink(static_cast<NodeId>(raw), reinterpret_cast<const float*>(p)));
-    p += static_cast<size_t>(cols) * sizeof(float);
+    const NodeId id = in.Pod<uint32_t>();
+    const char* row = in.Take(row_bytes);
+    SGNN_RETURN_IF_ERROR(sink(id, reinterpret_cast<const float*>(row)));
   }
   return Status::OK();
 }

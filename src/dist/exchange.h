@@ -34,6 +34,11 @@ struct HaloPlan {
 HaloPlan BuildHaloPlan(const graph::CsrGraph& graph,
                        const partition::Partition& parts);
 
+/// Whether `rows` rows of `cols` floats fit in one row-batch payload of at
+/// most `kMaxFramePayload` bytes. The coordinator scatters each worker's
+/// owned rows, and its halo rows, as one batch each.
+bool FitsOneRowBatch(uint64_t rows, int64_t cols);
+
 /// Row-batch payload codec, shared by scatter, halo, and gather frames:
 /// `u32 count`, then `count` records of `u32 node id` + `cols` raw floats.
 /// Record i carries `ids[i]` and the `cols` floats at `row(i)`. Floats
@@ -43,8 +48,9 @@ std::string EncodeRows(std::span<const graph::NodeId> ids, int64_t cols,
                        const std::function<const float*(size_t)>& row);
 
 /// Decodes a row batch, invoking `sink(id, row)` per record with `row`
-/// pointing at `cols` floats. Framing errors are `kDataLoss`; a non-OK
-/// sink status aborts the decode and is returned as-is.
+/// pointing at `cols` floats; `cols` is the receiver's own row width.
+/// Framing errors are `kDataLoss`; a non-OK sink status aborts the decode
+/// and is returned as-is.
 SGNN_NODISCARD common::Status DecodeRows(
     const std::string& payload, int64_t cols,
     const std::function<common::Status(graph::NodeId, const float*)>& sink);

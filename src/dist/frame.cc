@@ -5,8 +5,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/posix.h"
 
@@ -18,13 +18,12 @@ namespace {
 
 constexpr uint32_t kFrameMagic = 0x53444631;  // "SDF1"
 
-void PutU32(char* p, uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
+/// First payload read of `ReadFrame`. Each later regrowth makes room for
+/// eight times what has arrived, so a forged length costs at most 64 KiB
+/// or eight times the bytes the peer sent, and a frame of up to 32 MiB
+/// (a config or halo frame is a few MiB) is regrown at most three times.
+constexpr std::size_t kFirstPayloadChunk = std::size_t{1} << 16;
+constexpr std::size_t kPayloadGrowth = 8;
 
 /// `ReadFull` with the deadline honoured on every blocking wait: each
 /// iteration polls for readability with the remaining budget, then reads
@@ -81,14 +80,14 @@ Status WriteFrame(int fd, const Frame& frame, WireStats* stats,
     return Status::InvalidArgument("frame payload too large: " +
                                    std::to_string(frame.payload.size()));
   }
-  std::string wire(kFrameHeaderBytes, '\0');
-  PutU32(wire.data(), kFrameMagic);
-  PutU32(wire.data() + 4, static_cast<uint32_t>(frame.type));
-  PutU32(wire.data() + 8, frame.epoch);
-  PutU32(wire.data() + 12, static_cast<uint32_t>(frame.payload.size()));
-  PutU32(wire.data() + 16,
-         common::Crc32(frame.payload.data(), frame.payload.size()));
-  wire += frame.payload;
+  common::ByteWriter w(kFrameHeaderBytes + frame.payload.size());
+  w.Pod<uint32_t>(kFrameMagic);
+  w.Pod<uint32_t>(static_cast<uint32_t>(frame.type));
+  w.Pod<uint32_t>(frame.epoch);
+  w.Pod<uint32_t>(static_cast<uint32_t>(frame.payload.size()));
+  w.Pod<uint32_t>(common::Crc32(frame.payload.data(), frame.payload.size()));
+  w.Bytes(frame.payload.data(), frame.payload.size());
+  std::string wire = w.Release();
 
   if (faults.injector != nullptr) {
     if (faults.injector->ShouldFail(kSiteFrameDrop, faults.token)) {
@@ -130,21 +129,28 @@ Status ReadFrame(int fd, Frame* frame, const common::Deadline& deadline,
     }
     return status;
   }
-  if (GetU32(header) != kFrameMagic) {
+  common::ByteReader in(header, sizeof(header));
+  if (in.Pod<uint32_t>() != kFrameMagic) {
     return Status::DataLoss("bad frame magic (stream desynchronised)");
   }
-  const uint32_t type = GetU32(header + 4);
-  const uint32_t epoch = GetU32(header + 8);
-  const uint32_t length = GetU32(header + 12);
-  const uint32_t payload_crc = GetU32(header + 16);
+  const uint32_t type = in.Pod<uint32_t>();
+  const uint32_t epoch = in.Pod<uint32_t>();
+  const uint32_t length = in.Pod<uint32_t>();
+  const uint32_t payload_crc = in.Pod<uint32_t>();
   if (length > kMaxFramePayload) {
     return Status::DataLoss("implausible frame payload length " +
                             std::to_string(length));
   }
-  std::string payload(length, '\0');
-  if (length > 0) {
-    SGNN_RETURN_IF_ERROR(
-        ReadWithDeadline(fd, payload.data(), length, deadline, nullptr));
+  // Grow the payload as its bytes arrive instead of sizing it from the
+  // length field up front.
+  std::string payload;
+  while (payload.size() < length) {
+    const std::size_t have = payload.size();
+    payload.resize(std::min<std::size_t>(
+        length, std::max(kFirstPayloadChunk, kPayloadGrowth * have)));
+    SGNN_RETURN_IF_ERROR(ReadWithDeadline(fd, payload.data() + have,
+                                          payload.size() - have, deadline,
+                                          nullptr));
   }
   if (common::Crc32(payload.data(), payload.size()) != payload_crc) {
     return Status::DataLoss("frame payload CRC mismatch");

@@ -87,7 +87,9 @@ SGNN_NODISCARD common::Status WriteFrame(int fd, const Frame& frame,
 /// Reads one frame, honouring `deadline` on every blocking wait
 /// (`kDeadlineExceeded` when it expires first). A peer that closed the
 /// stream between frames is `kUnavailable`; one that died mid-frame, or a
-/// CRC/framing mismatch, is `kDataLoss`.
+/// CRC/framing mismatch, is `kDataLoss`. The payload buffer grows as its
+/// bytes arrive, so a forged length costs at most 64 KiB or eight times
+/// what the peer sent.
 SGNN_NODISCARD common::Status ReadFrame(int fd, Frame* frame, const common::Deadline& deadline,
                          WireStats* stats = nullptr);
 

@@ -7,9 +7,9 @@
 #include <cstring>
 #include <functional>
 #include <span>
-#include <type_traits>
 #include <utility>
 
+#include "common/bytes.h"
 #include "dist/exchange.h"
 #include "dist/frame.h"
 #include "graph/propagate.h"
@@ -22,59 +22,6 @@ using common::StatusOr;
 using graph::NodeId;
 
 namespace {
-
-// Same append/cursor serialisation idiom as storage/format.cc: PODs and
-// POD vectors into a growable buffer, read back bounds-checked so a short
-// payload is a framing error, never UB. (The frame CRC already catches
-// corruption; the cursor catches logic/version mismatches.)
-
-template <typename T>
-void PutPod(std::string* buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  buf->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <typename T>
-void PutVec(std::string* buf, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PutPod<uint64_t>(buf, v.size());
-  buf->append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
-}
-
-struct Cursor {
-  const char* p;
-  size_t left;
-  bool ok = true;
-
-  bool Take(void* out, size_t n) {
-    if (!ok || n > left) {
-      ok = false;
-      return false;
-    }
-    if (n != 0) std::memcpy(out, p, n);  // Empty vectors may have null data().
-    p += n;
-    left -= n;
-    return true;
-  }
-
-  template <typename T>
-  T Pod() {
-    T v{};
-    Take(&v, sizeof(v));
-    return v;
-  }
-
-  template <typename T>
-  void Vec(std::vector<T>* out) {
-    const uint64_t n = Pod<uint64_t>();
-    if (!ok || n > left / sizeof(T)) {
-      ok = false;
-      return;
-    }
-    out->resize(n);
-    Take(out->data(), n * sizeof(T));
-  }
-};
 
 // Strictly ascending and free of `kInvalidNode`, the slot table's free-bucket
 // marker (the largest id, so only the last element can be it).
@@ -110,34 +57,34 @@ size_t Bucket(uint64_t mask, NodeId id) {
 }  // namespace
 
 std::string WorkerSpec::Serialize() const {
-  std::string buf;
-  PutPod<int32_t>(&buf, worker_id);
-  PutPod<int32_t>(&buf, num_workers);
-  PutPod<int32_t>(&buf, incarnation);
-  PutPod<int64_t>(&buf, cols);
-  PutVec(&buf, owned);
-  PutVec(&buf, halo);
-  PutVec(&buf, offsets);
-  PutVec(&buf, neighbors);
-  PutVec(&buf, coefficients);
-  PutVec(&buf, self_loop);
-  return buf;
+  common::ByteWriter w;
+  w.Pod<int32_t>(worker_id);
+  w.Pod<int32_t>(num_workers);
+  w.Pod<int32_t>(incarnation);
+  w.Pod<int64_t>(cols);
+  w.Vec(owned);
+  w.Vec(halo);
+  w.Vec(offsets);
+  w.Vec(neighbors);
+  w.Vec(coefficients);
+  w.Vec(self_loop);
+  return w.Release();
 }
 
 StatusOr<WorkerSpec> WorkerSpec::Parse(const std::string& payload) {
-  Cursor cur{payload.data(), payload.size()};
+  common::ByteReader in(payload);
   WorkerSpec spec;
-  spec.worker_id = cur.Pod<int32_t>();
-  spec.num_workers = cur.Pod<int32_t>();
-  spec.incarnation = cur.Pod<int32_t>();
-  spec.cols = cur.Pod<int64_t>();
-  cur.Vec(&spec.owned);
-  cur.Vec(&spec.halo);
-  cur.Vec(&spec.offsets);
-  cur.Vec(&spec.neighbors);
-  cur.Vec(&spec.coefficients);
-  cur.Vec(&spec.self_loop);
-  if (!cur.ok || cur.left != 0) {
+  spec.worker_id = in.Pod<int32_t>();
+  spec.num_workers = in.Pod<int32_t>();
+  spec.incarnation = in.Pod<int32_t>();
+  spec.cols = in.Pod<int64_t>();
+  in.Vec(&spec.owned);
+  in.Vec(&spec.halo);
+  in.Vec(&spec.offsets);
+  in.Vec(&spec.neighbors);
+  in.Vec(&spec.coefficients);
+  in.Vec(&spec.self_loop);
+  if (!in.ok() || in.left() != 0) {
     return Status::DataLoss("truncated or oversized worker spec");
   }
   if (spec.worker_id < 0 || spec.num_workers <= 0 ||
@@ -148,6 +95,16 @@ StatusOr<WorkerSpec> WorkerSpec::Parse(const std::string& payload) {
       spec.coefficients.size() != spec.neighbors.size() ||
       static_cast<uint64_t>(spec.offsets.back()) != spec.neighbors.size()) {
     return Status::DataLoss("inconsistent worker spec");
+  }
+  // The coordinator scatters the owned rows in one row-batch frame and the
+  // halo rows in another, so a spec whose sets could not travel that way
+  // did not come from it. The check also bounds the (owned + halo) x cols
+  // value store `WorkerMain` sizes from the spec.
+  if (!FitsOneRowBatch(spec.owned.size(), spec.cols) ||
+      !FitsOneRowBatch(spec.halo.size(), spec.cols)) {
+    return Status::DataLoss("worker spec rows of " +
+                            std::to_string(spec.cols) +
+                            " cols exceed one row-batch frame");
   }
   if (!StrictlyAscendingIds(spec.owned) || !StrictlyAscendingIds(spec.halo) ||
       !Disjoint(spec.owned, spec.halo)) {

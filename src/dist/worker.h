@@ -39,8 +39,9 @@ struct WorkerSpec {
 
   std::string Serialize() const;
   /// `kDataLoss` on a truncated, oversized or inconsistent payload, such as
-  /// offsets an epoch would read past the coefficient array on, or owned
-  /// and halo lists that are unsorted, repeat or share an id (which would
+  /// offsets an epoch would read past the coefficient array on, owned or
+  /// halo rows too wide or too many for one row-batch frame, or owned and
+  /// halo lists that are unsorted, repeat or share an id (which would
   /// alias two value rows) or name `graph::kInvalidNode`.
   static common::StatusOr<WorkerSpec> Parse(const std::string& payload);
 };

@@ -5,7 +5,8 @@
 
 namespace sgnn::graph {
 
-CsrGraph::CsrGraph(NodeId num_nodes) : offsets_(num_nodes + 1, 0) {}
+CsrGraph::CsrGraph(NodeId num_nodes)
+    : offsets_(size_t{num_nodes} + 1, 0) {}
 
 CsrGraph CsrGraph::FromBuilder(EdgeListBuilder builder) {
   builder.Deduplicate();

@@ -38,6 +38,11 @@ common::StatusOr<CsrGraph> LoadEdgeList(const std::string& path) {
       if (hs >> word && word == "nodes") {
         uint64_t n = 0;
         if (hs >> n) {
+          if (n > kInvalidNode) {
+            return common::Status::InvalidArgument(
+                "node count " + std::to_string(n) + " in " + path +
+                " does not fit a 32-bit node id");
+          }
           num_nodes = static_cast<NodeId>(n);
           have_header = true;
         }
@@ -50,6 +55,11 @@ common::StatusOr<CsrGraph> LoadEdgeList(const std::string& path) {
     if (!(ls >> src >> dst)) {
       return common::Status::InvalidArgument(
           "malformed edge at line " + std::to_string(line_no) + " of " + path);
+    }
+    if (src >= kInvalidNode || dst >= kInvalidNode) {
+      return common::Status::InvalidArgument(
+          "node id out of range at line " + std::to_string(line_no) + " of " +
+          path);
     }
     ls >> weight;  // optional
     edges.push_back(Edge{static_cast<NodeId>(src), static_cast<NodeId>(dst),

@@ -3,9 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <type_traits>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 
 namespace sgnn::storage {
@@ -15,60 +14,12 @@ using common::StatusOr;
 
 namespace {
 
-// ---- little serialisation helpers over a growable byte buffer ----------
-// (same idiom as core/checkpoint.cc: append PODs, read back through a
-// bounds-checked cursor so truncation is a framing error, never UB).
-
-void PutBytes(std::string* buf, const void* data, size_t n) {
-  buf->append(static_cast<const char*>(data), n);
-}
-
-template <typename T>
-void PutPod(std::string* buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PutBytes(buf, &v, sizeof(v));
-}
-
-struct Cursor {
-  const char* p;
-  size_t left;
-  bool ok = true;
-
-  bool Take(void* out, size_t n) {
-    if (!ok || n > left) {
-      ok = false;
-      return false;
-    }
-    if (n != 0) std::memcpy(out, p, n);  // Empty vectors may have null data().
-    p += n;
-    left -= n;
-    return true;
-  }
-
-  template <typename T>
-  T Pod() {
-    T v{};
-    Take(&v, sizeof(v));
-    return v;
-  }
-};
-
 constexpr uint64_t PadTo8(uint64_t n) { return (n + 7) & ~uint64_t{7}; }
 
 Status Corrupt(const std::string& where, const std::string& why) {
   // kDataLoss rather than kIOError: the read itself worked, but the bytes
   // fail integrity checks — a torn write or bit rot, not a device error.
   return Status::DataLoss("corrupt shard data " + where + ": " + why);
-}
-
-/// Reads a whole file; `kNotFound` when it does not exist.
-StatusOr<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("no such file: " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::IOError("read failed: " + path);
-  return bytes;
 }
 
 }  // namespace
@@ -96,122 +47,107 @@ std::string ShardPath(const std::string& dir, int shard) {
 }
 
 std::string SerializeManifest(const ShardManifest& manifest) {
-  std::string buf;
-  PutBytes(&buf, kManifestMagic, sizeof(kManifestMagic));
-  PutPod<uint32_t>(&buf, manifest.version);
-  PutPod<uint32_t>(&buf, static_cast<uint32_t>(manifest.shards.size()));
-  PutPod<uint32_t>(&buf, manifest.num_nodes);
-  PutPod<uint64_t>(&buf, manifest.num_edges);
+  common::ByteWriter w;
+  w.Bytes(kManifestMagic, sizeof(kManifestMagic));
+  w.Pod<uint32_t>(manifest.version);
+  w.Pod<uint32_t>(static_cast<uint32_t>(manifest.shards.size()));
+  w.Pod<uint32_t>(manifest.num_nodes);
+  w.Pod<uint64_t>(manifest.num_edges);
   for (const ShardEntry& entry : manifest.shards) {
-    PutPod<uint32_t>(&buf, entry.num_rows);
-    PutPod<uint32_t>(&buf, entry.min_node);
-    PutPod<uint32_t>(&buf, entry.max_node);
-    PutPod<uint64_t>(&buf, entry.num_edges);
-    PutPod<uint64_t>(&buf, entry.file_bytes);
+    w.Pod<uint32_t>(entry.num_rows);
+    w.Pod<uint32_t>(entry.min_node);
+    w.Pod<uint32_t>(entry.max_node);
+    w.Pod<uint64_t>(entry.num_edges);
+    w.Pod<uint64_t>(entry.file_bytes);
   }
   const size_t assignment_bytes =
       manifest.shard_of.size() * sizeof(uint32_t);
-  PutPod<uint32_t>(&buf,
-                   common::Crc32(manifest.shard_of.data(), assignment_bytes));
-  PutBytes(&buf, manifest.shard_of.data(), assignment_bytes);
-  PutPod<uint32_t>(&buf, common::Crc32(buf.data(), buf.size()));
-  return buf;
+  w.Pod<uint32_t>(common::Crc32(manifest.shard_of.data(), assignment_bytes));
+  w.Bytes(manifest.shard_of.data(), assignment_bytes);
+  w.CrcTrailer();
+  return w.Release();
 }
 
 std::string SerializeShard(const ShardData& shard) {
   const uint64_t num_rows = shard.rows.size();
   const uint64_t num_edges = shard.neighbors.size();
   const ShardLayout layout = LayoutFor(num_rows, num_edges);
+  const size_t rows_bytes = num_rows * sizeof(uint32_t);
+  const size_t offsets_bytes = (num_rows + 1) * sizeof(uint64_t);
+  const size_t neighbors_bytes = num_edges * sizeof(uint32_t);
+  const size_t weights_bytes = num_edges * sizeof(float);
 
-  std::string buf;
-  buf.reserve(layout.file_bytes);
-  PutBytes(&buf, kShardMagic, sizeof(kShardMagic));
-  PutPod<uint32_t>(&buf, kFormatVersion);
-  PutPod<uint32_t>(&buf, shard.shard_id);
-  PutPod<uint32_t>(&buf, static_cast<uint32_t>(num_rows));
-  PutPod<uint32_t>(&buf, common::Crc32(shard.rows.data(),
-                                       num_rows * sizeof(uint32_t)));
-  PutPod<uint64_t>(&buf, num_edges);
-  PutPod<uint32_t>(&buf, common::Crc32(shard.offsets.data(),
-                                       (num_rows + 1) * sizeof(uint64_t)));
-  PutPod<uint32_t>(&buf, common::Crc32(shard.neighbors.data(),
-                                       num_edges * sizeof(uint32_t)));
-  PutPod<uint32_t>(&buf, common::Crc32(shard.weights.data(),
-                                       num_edges * sizeof(float)));
-  PutPod<uint32_t>(&buf, common::Crc32(buf.data(), buf.size()));
+  common::ByteWriter w(layout.file_bytes);
+  w.Bytes(kShardMagic, sizeof(kShardMagic));
+  w.Pod<uint32_t>(kFormatVersion);
+  w.Pod<uint32_t>(shard.shard_id);
+  w.Pod<uint32_t>(static_cast<uint32_t>(num_rows));
+  w.Pod<uint32_t>(common::Crc32(shard.rows.data(), rows_bytes));
+  w.Pod<uint64_t>(num_edges);
+  w.Pod<uint32_t>(common::Crc32(shard.offsets.data(), offsets_bytes));
+  w.Pod<uint32_t>(common::Crc32(shard.neighbors.data(), neighbors_bytes));
+  w.Pod<uint32_t>(common::Crc32(shard.weights.data(), weights_bytes));
+  w.CrcTrailer();
 
-  auto put_section = [&buf](const void* data, size_t n, uint64_t end_off) {
-    PutBytes(&buf, data, n);
-    buf.resize(end_off, '\0');  // Zero pad to the next 8-byte boundary.
-  };
-  put_section(shard.rows.data(), num_rows * sizeof(uint32_t),
-              layout.offsets_off);
-  put_section(shard.offsets.data(), (num_rows + 1) * sizeof(uint64_t),
-              layout.neighbors_off);
-  put_section(shard.neighbors.data(), num_edges * sizeof(uint32_t),
-              layout.weights_off);
-  put_section(shard.weights.data(), num_edges * sizeof(float),
-              layout.file_bytes);
-  return buf;
+  w.Bytes(shard.rows.data(), rows_bytes);
+  w.PadTo(layout.offsets_off);
+  w.Bytes(shard.offsets.data(), offsets_bytes);
+  w.Bytes(shard.neighbors.data(), neighbors_bytes);
+  w.PadTo(layout.weights_off);
+  w.Bytes(shard.weights.data(), weights_bytes);
+  return w.Release();
 }
 
 StatusOr<ShardManifest> ReadManifest(const std::string& path) {
-  auto bytes_or = ReadFileBytes(path);
+  auto bytes_or = common::ReadFile(path);
   if (!bytes_or.ok()) return bytes_or.status();
   const std::string& bytes = bytes_or.value();
 
-  if (bytes.size() < sizeof(kManifestMagic) + sizeof(uint32_t)) {
+  if (bytes.size() < sizeof(kManifestMagic) + common::kCrcTrailerBytes) {
     return Corrupt(path, "truncated manifest (too small for header)");
   }
-  if (std::memcmp(bytes.data(), kManifestMagic, sizeof(kManifestMagic)) != 0) {
+  common::ByteReader in(bytes.data(), bytes.size() - common::kCrcTrailerBytes);
+  const char* magic = in.Take(sizeof(kManifestMagic));
+  if (!in.ok() ||
+      std::memcmp(magic, kManifestMagic, sizeof(kManifestMagic)) != 0) {
     return Corrupt(path, "bad magic (not a shard manifest)");
   }
-  const size_t payload = bytes.size() - sizeof(uint32_t);
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + payload, sizeof(stored_crc));
-  if (common::Crc32(bytes.data(), payload) != stored_crc) {
+  if (!common::CheckCrcTrailer(bytes)) {
     return Corrupt(path, "manifest CRC mismatch");
   }
 
-  Cursor cur{bytes.data() + sizeof(kManifestMagic),
-             payload - sizeof(kManifestMagic)};
   ShardManifest manifest;
-  manifest.version = cur.Pod<uint32_t>();
-  if (cur.ok && manifest.version != kFormatVersion) {
+  manifest.version = in.Pod<uint32_t>();
+  if (in.ok() && manifest.version != kFormatVersion) {
     return Corrupt(path, "unsupported format version " +
                              std::to_string(manifest.version));
   }
-  const uint32_t num_shards = cur.Pod<uint32_t>();
-  manifest.num_nodes = cur.Pod<uint32_t>();
-  manifest.num_edges = cur.Pod<uint64_t>();
-  if (cur.ok && (num_shards == 0 || num_shards > (1u << 20))) {
+  const uint32_t num_shards = in.Pod<uint32_t>();
+  manifest.num_nodes = in.Pod<uint32_t>();
+  manifest.num_edges = in.Pod<uint64_t>();
+  if (in.ok() && (num_shards == 0 || num_shards > (1u << 20))) {
     return Corrupt(path, "implausible shard count " +
                              std::to_string(num_shards));
   }
-  // Each count is checked against the bytes left before it sizes an
-  // allocation.
   constexpr size_t kEntryBytes = 3 * sizeof(uint32_t) + 2 * sizeof(uint64_t);
-  if (!cur.ok || num_shards > cur.left / kEntryBytes) {
+  if (!in.Fits(num_shards, kEntryBytes)) {
     return Corrupt(path, "truncated manifest");
   }
   manifest.shards.reserve(num_shards);
-  for (uint32_t s = 0; cur.ok && s < num_shards; ++s) {
+  for (uint32_t s = 0; s < num_shards; ++s) {
     ShardEntry entry;
-    entry.num_rows = cur.Pod<uint32_t>();
-    entry.min_node = cur.Pod<uint32_t>();
-    entry.max_node = cur.Pod<uint32_t>();
-    entry.num_edges = cur.Pod<uint64_t>();
-    entry.file_bytes = cur.Pod<uint64_t>();
+    entry.num_rows = in.Pod<uint32_t>();
+    entry.min_node = in.Pod<uint32_t>();
+    entry.max_node = in.Pod<uint32_t>();
+    entry.num_edges = in.Pod<uint64_t>();
+    entry.file_bytes = in.Pod<uint64_t>();
     manifest.shards.push_back(entry);
   }
-  const uint32_t assignment_crc = cur.Pod<uint32_t>();
-  if (!cur.ok || manifest.num_nodes > cur.left / sizeof(uint32_t)) {
+  const uint32_t assignment_crc = in.Pod<uint32_t>();
+  if (!in.Vec(manifest.num_nodes, &manifest.shard_of)) {
     return Corrupt(path, "truncated manifest");
   }
-  manifest.shard_of.resize(manifest.num_nodes);
-  cur.Take(manifest.shard_of.data(),
-           manifest.shard_of.size() * sizeof(uint32_t));
-  if (cur.left != 0) return Corrupt(path, "trailing bytes after manifest");
+  if (in.left() != 0) return Corrupt(path, "trailing bytes after manifest");
   if (common::Crc32(manifest.shard_of.data(),
                     manifest.shard_of.size() * sizeof(uint32_t)) !=
       assignment_crc) {
@@ -225,23 +161,23 @@ StatusOr<ShardHeader> ParseShardHeader(const void* bytes, uint64_t file_bytes,
   if (file_bytes < kShardHeaderBytes) {
     return Corrupt(where, "truncated shard file (smaller than header)");
   }
-  const char* p = static_cast<const char*>(bytes);
-  if (std::memcmp(p, kShardMagic, sizeof(kShardMagic)) != 0) {
+  common::ByteReader in(bytes, file_bytes);
+  const char* magic = in.Take(sizeof(kShardMagic));
+  if (!in.ok() || std::memcmp(magic, kShardMagic, sizeof(kShardMagic)) != 0) {
     return Corrupt(where, "bad magic (not a shard file)");
   }
-  Cursor cur{p + sizeof(kShardMagic),
-             kShardHeaderBytes - sizeof(kShardMagic)};
-  const uint32_t version = cur.Pod<uint32_t>();
+  const uint32_t version = in.Pod<uint32_t>();
   ShardHeader header;
-  header.shard_id = cur.Pod<uint32_t>();
-  header.num_rows = cur.Pod<uint32_t>();
-  header.crc_rows = cur.Pod<uint32_t>();
-  header.num_edges = cur.Pod<uint64_t>();
-  header.crc_offsets = cur.Pod<uint32_t>();
-  header.crc_neighbors = cur.Pod<uint32_t>();
-  header.crc_weights = cur.Pod<uint32_t>();
-  const uint32_t header_crc = cur.Pod<uint32_t>();
-  if (common::Crc32(p, kShardHeaderBytes - sizeof(uint32_t)) != header_crc) {
+  header.shard_id = in.Pod<uint32_t>();
+  header.num_rows = in.Pod<uint32_t>();
+  header.crc_rows = in.Pod<uint32_t>();
+  header.num_edges = in.Pod<uint64_t>();
+  header.crc_offsets = in.Pod<uint32_t>();
+  header.crc_neighbors = in.Pod<uint32_t>();
+  header.crc_weights = in.Pod<uint32_t>();
+  in.Skip(common::kCrcTrailerBytes);  // header_crc, checked next
+  if (!common::CheckCrcTrailer(
+          {static_cast<const char*>(bytes), kShardHeaderBytes})) {
     return Corrupt(where, "shard header CRC mismatch");
   }
   if (version != kFormatVersion) {
@@ -250,7 +186,7 @@ StatusOr<ShardHeader> ParseShardHeader(const void* bytes, uint64_t file_bytes,
   }
   // Each edge takes a neighbour and a weight, so a count past that bound
   // cannot fit; checking it first keeps `LayoutFor` from wrapping 64 bits.
-  if (header.num_edges > file_bytes / (sizeof(uint32_t) + sizeof(float))) {
+  if (!in.Fits(header.num_edges, sizeof(uint32_t) + sizeof(float))) {
     return Corrupt(where, "edge count " + std::to_string(header.num_edges) +
                               " exceeds the file size");
   }
@@ -295,7 +231,7 @@ Status VerifyShardSections(const void* bytes, const ShardHeader& header,
 }
 
 StatusOr<ShardData> ReadShardFile(const std::string& path) {
-  auto bytes_or = ReadFileBytes(path);
+  auto bytes_or = common::ReadFile(path);
   if (!bytes_or.ok()) return bytes_or.status();
   const std::string& bytes = bytes_or.value();
 
@@ -305,25 +241,21 @@ StatusOr<ShardData> ReadShardFile(const std::string& path) {
   SGNN_RETURN_IF_ERROR(VerifyShardSections(bytes.data(), header, path));
 
   const ShardLayout layout = LayoutFor(header.num_rows, header.num_edges);
+  auto read_section = [&bytes](uint64_t off, uint64_t count, auto* out) {
+    common::ByteReader in(bytes);
+    in.Skip(off);
+    return in.Vec(count, out);
+  };
   ShardData shard;
   shard.shard_id = header.shard_id;
-  shard.rows.resize(header.num_rows);
-  shard.offsets.resize(uint64_t{header.num_rows} + 1);
-  shard.neighbors.resize(header.num_edges);
-  shard.weights.resize(header.num_edges);
-  // An empty section's vector may have a null data(), which memcpy must
-  // not see even for zero bytes.
-  auto copy_section = [&bytes](void* out, uint64_t off, size_t n) {
-    if (n != 0) std::memcpy(out, bytes.data() + off, n);
-  };
-  copy_section(shard.rows.data(), layout.rows_off,
-               shard.rows.size() * sizeof(uint32_t));
-  copy_section(shard.offsets.data(), layout.offsets_off,
-               shard.offsets.size() * sizeof(uint64_t));
-  copy_section(shard.neighbors.data(), layout.neighbors_off,
-               shard.neighbors.size() * sizeof(uint32_t));
-  copy_section(shard.weights.data(), layout.weights_off,
-               shard.weights.size() * sizeof(float));
+  if (!read_section(layout.rows_off, header.num_rows, &shard.rows) ||
+      !read_section(layout.offsets_off, uint64_t{header.num_rows} + 1,
+                    &shard.offsets) ||
+      !read_section(layout.neighbors_off, header.num_edges,
+                    &shard.neighbors) ||
+      !read_section(layout.weights_off, header.num_edges, &shard.weights)) {
+    return Corrupt(path, "truncated shard file");
+  }
   return shard;
 }
 

@@ -20,8 +20,11 @@ namespace sgnn::storage {
 /// pipeline checkpoints use) so corruption surfaces as a diagnostic, never
 /// as silently wrong results.
 ///
-/// Manifest layout (variable-size fields framed, read via a bounds-checked
-/// cursor; integrity = trailing CRC over everything before it):
+/// Both files are written with `common::ByteWriter` and decoded with
+/// `common::ByteReader`, so every count is bounded by the bytes that carry
+/// it before it sizes anything.
+///
+/// Manifest layout (integrity = trailing CRC over everything before it):
 ///
 ///   magic "SGNNSHMF" | u32 version | u32 num_shards | u32 num_nodes
 ///   | u64 num_edges

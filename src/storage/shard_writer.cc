@@ -1,38 +1,14 @@
 #include "storage/shard_writer.h"
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 
+#include "common/bytes.h"
 #include "common/check.h"
-#include "common/posix.h"
 
 namespace sgnn::storage {
 
 using common::Status;
 using graph::NodeId;
-
-namespace {
-
-/// Writes `bytes` to `path` via a `.tmp` sibling + rename, the same
-/// atomicity story as checkpoint saves: a crash mid-write leaves the old
-/// file (or nothing), never a torn one.
-Status AtomicWrite(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IOError("cannot write " + tmp);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) return Status::IOError("write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return common::StatusFromErrno("rename failed: " + tmp + " -> " + path);
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 ShardPlan ShardPlan::Contiguous(const graph::CsrGraph& graph,
                                 int num_shards) {
@@ -124,7 +100,7 @@ Status WriteShardedGraph(const graph::CsrGraph& graph, const ShardPlan& plan,
     }
 
     const std::string bytes = SerializeShard(shard);
-    SGNN_RETURN_IF_ERROR(AtomicWrite(ShardPath(dir, s), bytes));
+    SGNN_RETURN_IF_ERROR(common::WriteFileAtomic(ShardPath(dir, s), bytes));
 
     ShardEntry& entry = manifest.shards[static_cast<size_t>(s)];
     entry.num_rows = static_cast<uint32_t>(shard.rows.size());
@@ -136,7 +112,7 @@ Status WriteShardedGraph(const graph::CsrGraph& graph, const ShardPlan& plan,
 
   // Manifest last: an interrupted conversion leaves a directory that
   // fails to open (no manifest) rather than one that lies.
-  return AtomicWrite(ManifestPath(dir), SerializeManifest(manifest));
+  return common::WriteFileAtomic(ManifestPath(dir), SerializeManifest(manifest));
 }
 
 }  // namespace sgnn::storage

@@ -269,6 +269,39 @@ TEST(DatasetIoTest, RejectsInconsistentLabelCount) {
   std::filesystem::remove_all(dir);
 }
 
+// Header counts a file cannot hold are rejected before they size an
+// allocation: a 1 GiB feature matrix, one whose size throws or overflows,
+// 10^12 labels or split ids, and a 1 GiB split section. A split id past
+// the node-id range is rejected instead of truncated into range.
+TEST(DatasetIoTest, ForgedCountsAreRejectedBeforeAllocating) {
+  Dataset d = SmallDataset(33);
+  const std::string dir = ::testing::TempDir() + "/sgnn_dataset_forged";
+  std::filesystem::create_directories(dir);
+  const struct {
+    const char* file;
+    const char* text;
+    const char* diagnostic;
+  } cases[] = {
+      {"features.txt", "67108864 4\n1 2 3 4\n", "more than"},
+      {"features.txt", "2147483648 2147483648\n", "more than"},
+      {"features.txt", "4611686018427387904 4\n", "more than"},
+      {"labels.txt", "1000000000000 3\n0\n", "more than"},
+      {"splits.txt", "train 1000000000000 0\n", "more than"},
+      {"splits.txt", "train 268435456 0\n", "more than"},
+      {"splits.txt", "train 1 4294967296\nval 0\ntest 0\n", "out of range"},
+  };
+  for (const auto& c : cases) {
+    ASSERT_TRUE(SaveDataset(d, dir).ok());
+    std::ofstream(dir + "/" + c.file) << c.text;
+    auto result = LoadDataset(dir);
+    ASSERT_FALSE(result.ok()) << c.file << ": " << c.text;
+    EXPECT_EQ(result.status().code(), common::StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find(c.diagnostic), std::string::npos)
+        << c.file << ": " << result.status().ToString();
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // A two-stage pipeline (edit + analytics) with a deterministic decoupled
 // head — enough structure to crash at any boundary and resume.
 Pipeline MakeCheckpointedPipeline() {
@@ -387,6 +420,53 @@ TEST(CheckpointTest, OverflowingFeatureDimensionsAreCorrupt) {
   EXPECT_EQ(loaded.status().code(), common::StatusCode::kIOError);
   EXPECT_NE(loaded.status().message().find("feature dimensions"),
             std::string::npos);
+  std::filesystem::remove(path);
+}
+
+// A CRC-valid snapshot whose node count is neither 0 nor its feature row
+// count, or whose rows the bytes left cannot carry at one float each, is
+// corrupt before the count sizes the graph: 2^20 nodes over an empty
+// feature matrix loaded as a 2^20-node graph, and 2^32 - 1 nodes wrapped
+// the graph's offset array to nothing.
+TEST(CheckpointTest, NodeCountBeyondFeatureRowsIsCorrupt) {
+  PipelineSnapshot snap;
+  snap.signature = 7;
+  const std::string path = ::testing::TempDir() + "/sgnn_snap_nodes.bin";
+  ASSERT_TRUE(SaveSnapshot(snap, path).ok());
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // The empty snapshot ends: u32 num_nodes | u64 num_edges | i64 rows
+  // | i64 cols | u32 CRC.
+  const size_t payload = bytes.size() - sizeof(uint32_t);
+  const struct {
+    uint32_t nodes;
+    int64_t rows;
+    const char* diagnostic;
+  } cases[] = {
+      {uint32_t{1} << 20, 0, "node count"},
+      {UINT32_MAX, 0, "node count"},
+      {uint32_t{1} << 20, int64_t{1} << 20, "feature dimensions"},
+  };
+  for (const auto& c : cases) {
+    std::string forged = bytes;
+    std::memcpy(forged.data() + payload - 28, &c.nodes, sizeof(c.nodes));
+    std::memcpy(forged.data() + payload - 16, &c.rows, sizeof(c.rows));
+    const uint32_t crc = common::Crc32(forged.data(), payload);
+    std::memcpy(forged.data() + payload, &crc, sizeof(crc));
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(forged.data(), static_cast<std::streamsize>(forged.size()));
+    }
+    auto loaded = LoadSnapshot(path, 7);
+    ASSERT_FALSE(loaded.ok()) << c.nodes << " nodes, " << c.rows << " rows";
+    EXPECT_EQ(loaded.status().code(), common::StatusCode::kIOError);
+    EXPECT_NE(loaded.status().message().find(c.diagnostic), std::string::npos)
+        << loaded.status().ToString();
+  }
   std::filesystem::remove(path);
 }
 

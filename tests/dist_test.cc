@@ -112,6 +112,33 @@ TEST(WorkerSpecTest, OverflowingVectorCountIsDataLoss) {
   EXPECT_EQ(parsed_or.status().code(), StatusCode::kDataLoss);
 }
 
+// A spec whose owned or whose halo rows could not travel in one row-batch
+// frame did not come from the coordinator. With 2^40 cols, WorkerMain
+// would size (owned + halo) x cols floats from it. At 255 cols a record
+// is 1 KiB, so 2^20 - 1 halo rows is the most one frame carries.
+TEST(WorkerSpecTest, RowsWiderThanOneFrameAreDataLoss) {
+  WorkerSpec wide;
+  wide.num_workers = 1;
+  wide.cols = int64_t{1} << 40;
+  wide.owned = {0};
+  wide.offsets = {0, 0};
+  wide.self_loop = {1.0f};
+  auto parsed_or = WorkerSpec::Parse(wide.Serialize());
+  ASSERT_FALSE(parsed_or.ok());
+  EXPECT_EQ(parsed_or.status().code(), StatusCode::kDataLoss);
+
+  WorkerSpec spec;
+  spec.num_workers = 1;
+  spec.cols = 255;
+  spec.offsets = {0};
+  for (NodeId id = 0; id + 1 < (NodeId{1} << 20); ++id) spec.halo.push_back(id);
+  ASSERT_TRUE(WorkerSpec::Parse(spec.Serialize()).ok());
+  spec.halo.push_back(spec.halo.back() + 1);
+  parsed_or = WorkerSpec::Parse(spec.Serialize());
+  ASSERT_FALSE(parsed_or.ok());
+  EXPECT_EQ(parsed_or.status().code(), StatusCode::kDataLoss);
+}
+
 // Config-time rejection of specs an epoch would otherwise trip over: CSR
 // offsets that do not start at 0 or decrease (reads past the coefficient
 // array) and owned/halo lists that are unsorted, repeat or share an id

@@ -660,6 +660,8 @@ TEST(FaultServingTest, EveryAdmittedRequestIsTerminalUnderStress) {
   std::mutex mu;
   std::vector<std::future<InferenceResponse>> admitted;
   std::atomic<int> rejected{0};
+  std::atomic<int> num_admitted{0};
+  std::atomic<int> clients_done{0};
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
@@ -671,14 +673,21 @@ TEST(FaultServingTest, EveryAdmittedRequestIsTerminalUnderStress) {
         if (future.ok()) {
           std::lock_guard<std::mutex> lock(mu);
           admitted.push_back(std::move(future).value());
+          ++num_admitted;
         } else {
           ++rejected;
         }
       }
+      ++clients_done;
     });
   }
   // Shut down while clients are still submitting: late Submits fail
-  // cleanly, already-admitted requests must still drain.
+  // cleanly, already-admitted requests must still drain. Waiting for the
+  // first admission first keeps a slow start (a loaded host, a sanitizer
+  // build) from shutting down before any request got in.
+  while (num_admitted.load() == 0 && clients_done.load() < kClients) {
+    std::this_thread::yield();
+  }
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   server.Shutdown();
   for (auto& t : clients) t.join();

@@ -376,6 +376,21 @@ TEST(IoTest, LoadRejectsOutOfRangeIds) {
   std::remove(path.c_str());
 }
 
+// Ids at or above kInvalidNode and header counts past it are rejected:
+// id 2^32 - 1 made the inferred node count wrap to 0, and larger ids and
+// counts were truncated into range.
+TEST(IoTest, LoadRejectsIdsAndCountsPastNodeIdRange) {
+  const std::string path = ::testing::TempDir() + "/wide_ids.txt";
+  for (const char* text :
+       {"4294967295 0\n", "5000000001 0\n", "# nodes 4294967298\n0 1\n"}) {
+    { std::ofstream(path) << text; }
+    auto result = LoadEdgeList(path);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.status().code(), common::StatusCode::kInvalidArgument);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(IoTest, LoadInfersNodeCountWithoutHeader) {
   std::string path = ::testing::TempDir() + "/headerless.txt";
   { std::ofstream(path) << "0 5\n2 3\n"; }
