@@ -9,13 +9,18 @@
 // `bench_kernels --json[=path]` writes the machine-readable comparison to
 // `path` (default BENCH_kernels.json) and prints a table; without flags
 // the binary runs the usual google-benchmark suite (Arg(0) = scalar
-// backend, Arg(1) = vector backend).
+// backend, Arg(1) = vector backend). Every json row that writes a fresh
+// output (the GEMM rows, transpose, SpMM) also byte-compares the scalar
+// and vector results, and the run exits non-zero on a mismatch, so the
+// json mode doubles as a bit-identity smoke for any build.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,6 +47,15 @@ tensor::Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   for (int64_t i = 0; i < m.size(); ++i) {
     m.data()[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
   }
+  return m;
+}
+
+/// The decoupled training head's GEMM operand: 2048 rows of 64 features or
+/// hidden units. With `relu`, about half the entries are +0, like the
+/// output layer's input after ReLU.
+tensor::Matrix HeadInput(bool relu, uint64_t seed) {
+  tensor::Matrix m = RandomMatrix(2048, 64, seed);
+  if (relu) tensor::Relu(&m);
   return m;
 }
 
@@ -73,6 +87,46 @@ void BM_KernelGemm(benchmark::State& state) {
   simd::SetEnabled(true);
 }
 BENCHMARK(BM_KernelGemm)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// The head's forward GEMMs: Args({backend, n}). n = 64 is the hidden layer
+// over dense features; n = 8 is the output layer over ReLU outputs.
+void BM_KernelGemmHead(benchmark::State& state) {
+  SetBackend(state.range(0));
+  par::SetThreads(1);
+  const int64_t n = state.range(1);
+  const tensor::Matrix a = HeadInput(/*relu=*/n == 8, 16);
+  const tensor::Matrix b = RandomMatrix(64, n, 17);
+  tensor::Matrix out;
+  for (auto _ : state) {
+    tensor::Gemm(a, b, &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * a.rows() * a.cols() * n);
+  simd::SetEnabled(true);
+}
+BENCHMARK(BM_KernelGemmHead)
+    ->Args({0, 64})->Args({1, 64})->Args({0, 8})->Args({1, 8})
+    ->Unit(benchmark::kMicrosecond);
+
+// The head's weight gradient, X^T dY: 64 x 2048 times 2048 x 64.
+void BM_KernelGemmTransposeAHead(benchmark::State& state) {
+  SetBackend(state.range(0));
+  par::SetThreads(1);
+  const tensor::Matrix a = HeadInput(/*relu=*/false, 18);
+  const tensor::Matrix b = HeadInput(/*relu=*/false, 19);
+  tensor::Matrix out;
+  for (auto _ : state) {
+    tensor::GemmTransposeA(a, b, &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * a.rows() * a.cols() *
+                          b.cols());
+  simd::SetEnabled(true);
+}
+BENCHMARK(BM_KernelGemmTransposeAHead)
+    ->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_KernelAxpy(benchmark::State& state) {
   SetBackend(state.range(0));
@@ -117,6 +171,9 @@ struct KernelResult {
   double flops = 0.0;        ///< Arithmetic ops per run (0 = not reported).
   uint64_t bytes = 0;        ///< Logical bytes per run (OpCounters bill).
   uint64_t edges = 0;        ///< Edges per run (SpMM rows only).
+  /// Whether the backends' outputs matched byte for byte; empty for rows
+  /// that update their operand in place and so are not compared.
+  std::optional<bool> identical;
 
   double Speedup() const {
     return simd_seconds > 0.0 ? scalar_seconds / simd_seconds : 0.0;
@@ -137,16 +194,27 @@ double TimeBest(Fn&& fn, int reps = 5) {
   return best;
 }
 
-/// Times `fn` on both backends and captures the byte bill of one run.
+/// Times `fn` on both backends and captures the byte bill of one run. When
+/// `out` is given, each run of `fn` writes a fresh `*out`, and the scalar
+/// and vector results are byte-compared.
 template <typename Fn>
-KernelResult Compare(const std::string& name, double flops, Fn&& fn) {
+KernelResult Compare(const std::string& name, double flops,
+                     const tensor::Matrix* out, Fn&& fn) {
   KernelResult result;
   result.name = name;
   result.flops = flops;
   simd::SetEnabled(false);
   result.scalar_seconds = TimeBest(fn);
+  tensor::Matrix scalar_out;
+  if (out != nullptr) scalar_out = *out;
   simd::SetEnabled(true);
   result.simd_seconds = TimeBest(fn);
+  if (out != nullptr) {
+    result.identical =
+        scalar_out.rows() == out->rows() && scalar_out.cols() == out->cols() &&
+        std::memcmp(scalar_out.data(), out->data(),
+                    static_cast<size_t>(out->size()) * sizeof(float)) == 0;
+  }
   sgnn::common::ScopedCounterDelta scope;
   fn();
   const sgnn::common::OpCounters delta = scope.Delta();
@@ -164,7 +232,7 @@ int RunJson(const std::string& path) {
     const tensor::Matrix b = RandomMatrix(256, 256, 3);
     tensor::Matrix out;
     results.push_back(Compare(
-        "gemm_512x256x256", 2.0 * 512 * 256 * 256,
+        "gemm_512x256x256", 2.0 * 512 * 256 * 256, &out,
         [&] { tensor::Gemm(a, b, &out); }));
   }
   {
@@ -172,8 +240,28 @@ int RunJson(const std::string& path) {
     const tensor::Matrix bt = RandomMatrix(256, 256, 9);
     tensor::Matrix out;
     results.push_back(Compare(
-        "gemm_tb_512x256x256", 2.0 * 512 * 256 * 256,
+        "gemm_tb_512x256x256", 2.0 * 512 * 256 * 256, &out,
         [&] { tensor::GemmTransposeB(a, bt, &out); }));
+  }
+  {
+    // The decoupled head's own shapes: the hidden layer (n = 64), the
+    // output layer over ReLU outputs (n = 8, the class count) and the
+    // weight gradient X^T dY.
+    const tensor::Matrix x = HeadInput(/*relu=*/false, 16);
+    const tensor::Matrix h = HeadInput(/*relu=*/true, 16);
+    const tensor::Matrix dy = HeadInput(/*relu=*/false, 19);
+    const tensor::Matrix w1 = RandomMatrix(64, 64, 17);
+    const tensor::Matrix w2 = RandomMatrix(64, 8, 17);
+    tensor::Matrix out;
+    results.push_back(Compare(
+        "gemm_2048x64x64", 2.0 * 2048 * 64 * 64, &out,
+        [&] { tensor::Gemm(x, w1, &out); }));
+    results.push_back(Compare(
+        "gemm_2048x64x8", 2.0 * 2048 * 64 * 8, &out,
+        [&] { tensor::Gemm(h, w2, &out); }));
+    results.push_back(Compare(
+        "gemm_ta_64x2048x64", 2.0 * 64 * 2048 * 64, &out,
+        [&] { tensor::GemmTransposeA(x, dy, &out); }));
   }
   {
     // Streaming sizes (8 MB per operand): these sit on the DRAM roofline,
@@ -183,13 +271,13 @@ int RunJson(const std::string& path) {
     const tensor::Matrix other = RandomMatrix(2048, 1024, 4);
     tensor::Matrix m = RandomMatrix(2048, 1024, 5);
     results.push_back(Compare(
-        "axpy_2m", 2.0 * 2048 * 1024,
+        "axpy_2m", 2.0 * 2048 * 1024, nullptr,
         [&] { tensor::Axpy(0.5f, other, &m); }));
     results.push_back(Compare(
-        "scale_2m", 1.0 * 2048 * 1024,
+        "scale_2m", 1.0 * 2048 * 1024, nullptr,
         [&] { tensor::Scale(1.0009f, &m); }));
     results.push_back(Compare(
-        "relu_2m", 1.0 * 2048 * 1024, [&] { tensor::Relu(&m); }));
+        "relu_2m", 1.0 * 2048 * 1024, nullptr, [&] { tensor::Relu(&m); }));
   }
   {
     // Cache-resident sizes (128 KB per operand, the shape of a GNN layer's
@@ -198,27 +286,27 @@ int RunJson(const std::string& path) {
     tensor::Matrix m = RandomMatrix(128, 256, 15);
     const int kInner = 64;  // Amortize the parallel-section dispatch.
     results.push_back(Compare(
-        "axpy_32k_resident", 2.0 * 128 * 256 * kInner, [&] {
+        "axpy_32k_resident", 2.0 * 128 * 256 * kInner, nullptr, [&] {
           for (int rep = 0; rep < kInner; ++rep) {
             tensor::Axpy(0.5f, other, &m);
           }
         }));
     results.push_back(Compare(
-        "relu_32k_resident", 1.0 * 128 * 256 * kInner, [&] {
+        "relu_32k_resident", 1.0 * 128 * 256 * kInner, nullptr, [&] {
           for (int rep = 0; rep < kInner; ++rep) tensor::Relu(&m);
         }));
   }
   {
     tensor::Matrix m = RandomMatrix(8192, 256, 10);
     results.push_back(Compare(
-        "softmax_rows_8192x256", 4.0 * 8192 * 256,
+        "softmax_rows_8192x256", 4.0 * 8192 * 256, nullptr,
         [&] { tensor::SoftmaxRows(&m); }));
   }
   {
     const tensor::Matrix m = RandomMatrix(2048, 512, 11);
     tensor::Matrix out;
-    results.push_back(Compare(
-        "transpose_2048x512", 0.0, [&] { out = tensor::Transpose(m); }));
+    results.push_back(Compare("transpose_2048x512", 0.0, &out,
+                              [&] { out = tensor::Transpose(m); }));
   }
   {
     const CsrGraph& g = SpmmGraph();
@@ -231,16 +319,18 @@ int RunJson(const std::string& path) {
           "spmm_" + std::to_string(cols) + "c",
           2.0 * static_cast<double>(g.num_edges()) *
               static_cast<double>(cols),
-          [&] { prop.Apply(x, &out); }));
+          &out, [&] { prop.Apply(x, &out); }));
     }
   }
 
   std::string json = "{\n  \"experiment\": \"E25\",\n  \"backend\": \"";
   json += simd::Supported() ? "avx2" : "scalar-only";
   json += "\",\n  \"results\": [\n";
-  std::printf("%-22s %12s %12s %8s %9s %11s %10s\n", "kernel", "scalar_ms",
-              "simd_ms", "speedup", "GF/s", "edges/s", "bytes/edge");
+  std::printf("%-22s %12s %12s %8s %9s %11s %10s %6s\n", "kernel",
+              "scalar_ms", "simd_ms", "speedup", "GF/s", "edges/s",
+              "bytes/edge", "bits");
   char buf[512];
+  int mismatches = 0;
   for (size_t i = 0; i < results.size(); ++i) {
     const KernelResult& r = results[i];
     const double gflops =
@@ -260,16 +350,20 @@ int RunJson(const std::string& path) {
         "    {\"name\": \"%s\", \"scalar_seconds\": %.6e, "
         "\"simd_seconds\": %.6e, \"speedup\": %.3f, \"gflops\": %.3f, "
         "\"bytes\": %llu, \"edges\": %llu, \"edges_per_s\": %.3e, "
-        "\"bytes_per_edge\": %.1f}%s\n",
+        "\"bytes_per_edge\": %.1f, \"bit_identical\": %s}%s\n",
         r.name.c_str(), r.scalar_seconds, r.simd_seconds, r.Speedup(),
         gflops, static_cast<unsigned long long>(r.bytes),
         static_cast<unsigned long long>(r.edges), edges_per_s,
-        bytes_per_edge, i + 1 < results.size() ? "," : "");
+        bytes_per_edge,
+        !r.identical ? "null" : (*r.identical ? "true" : "false"),
+        i + 1 < results.size() ? "," : "");
     json += buf;
-    std::printf("%-22s %12.3f %12.3f %8.2f %9.2f %11.3e %10.1f\n",
+    std::printf("%-22s %12.3f %12.3f %8.2f %9.2f %11.3e %10.1f %6s\n",
                 r.name.c_str(), r.scalar_seconds * 1e3,
                 r.simd_seconds * 1e3, r.Speedup(), gflops, edges_per_s,
-                bytes_per_edge);
+                bytes_per_edge,
+                !r.identical ? "-" : (*r.identical ? "same" : "DIFF"));
+    if (r.identical && !*r.identical) ++mismatches;
   }
   json += "  ]\n}\n";
 
@@ -281,6 +375,13 @@ int RunJson(const std::string& path) {
   out << json;
   out.close();
   std::printf("wrote %s\n", path.c_str());
+  if (mismatches > 0) {
+    std::fprintf(stderr,
+                 "%d kernel(s) differ between the scalar and vector "
+                 "backends\n",
+                 mismatches);
+    return 1;
+  }
   return 0;
 }
 

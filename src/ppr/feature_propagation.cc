@@ -26,7 +26,11 @@ Matrix AppnpPropagate(const graph::Propagator& prop, const Matrix& h,
     // z <- (1-alpha) S z + alpha h
     tensor::Scale(static_cast<float>(1.0 - alpha), &sz);
     tensor::Axpy(static_cast<float>(alpha), h, &sz);
-    delta = tensor::MaxAbsDiff(z, sz);
+    // The delta is a serial pass over the whole matrix: take it only when
+    // the early stop reads it, or on the final hop when `stats` reports it.
+    if (early_stop_tol > 0.0 || (stats != nullptr && k + 1 == hops)) {
+      delta = tensor::MaxAbsDiff(z, sz);
+    }
     z = std::move(sz);
     if (early_stop_tol > 0.0 && delta < early_stop_tol) {
       ++k;

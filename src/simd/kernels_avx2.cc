@@ -5,9 +5,13 @@
 // vector instruction.
 //
 // Bit-identity with the scalar backend (the contract in simd.h) rests on
-// three facts encoded below:
+// four facts encoded below:
 //   * elementwise lanes use vmulps/vaddps — exactly rounded, never fused —
 //     so each lane is the identical IEEE operation the scalar loop does;
+//   * the gemm tile keeps a block of C in registers but still adds each
+//     element's products in ascending k, and replaces the scalar zero skip
+//     by masking the product to +0, which is exact because C never holds
+//     -0;
 //   * the double dot uses vfmaddpd only because float*float is exact in
 //     double, making fusion bit-neutral; the lane partition (i mod 4) and
 //     fold order (l0 + l1) + (l2 + l3) match the scalar backend;
@@ -36,9 +40,9 @@ bool CpuHasAvx2Fma() {
 namespace {
 
 void AxpyAvx2(float alpha, const float* x, float* y, int64_t n) {
-  // 4x unrolled: axpy is the GEMM inner kernel, so shaving loop overhead
-  // here is what moves the dense-GEMM roofline. Every lane is independent
-  // (one unfused mul + add per element), so the unroll is bit-neutral.
+  // 4x unrolled: axpy is the SpMM row kernel, called once per edge. Every
+  // lane is independent (one unfused mul + add per element), so the unroll
+  // is bit-neutral.
   const __m256 va = _mm256_set1_ps(alpha);
   int64_t i = 0;
   for (; i + 32 <= n; i += 32) {
@@ -59,6 +63,113 @@ void AxpyAvx2(float alpha, const float* x, float* y, int64_t n) {
     _mm256_storeu_ps(y + i, _mm256_add_ps(_mm256_loadu_ps(y + i), prod));
   }
   for (; i < n; ++i) y[i] += alpha * x[i];
+}
+
+/// Lanes [0, live) of one vector, for the last, partial vector of a strip.
+__m256i TailMask(int64_t live) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(live)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// One R x 8V block of C held in registers across the whole k panel. Per
+/// p, the V vectors of b row p are loaded once and reused by all R rows;
+/// each product is masked to +0 where A(r,p) == 0 (either sign; NaN stays
+/// live, as in the scalar `av == 0` skip) and added unfused. With kTail the
+/// last vector covers only the lanes of `tail`.
+template <int R, int V, bool kTail>
+void GemmBlockAvx2(const float* a, int64_t a_row_stride, int64_t a_k_stride,
+                   const float* b, float* c, int64_t k, int64_t n,
+                   __m256i tail) {
+  auto load = [tail](const float* src, int v) {
+    return (kTail && v == V - 1) ? _mm256_maskload_ps(src, tail)
+                                 : _mm256_loadu_ps(src);
+  };
+  // The unroll pragmas let the compiler keep acc in registers.
+  __m256 acc[R][V];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) acc[r][v] = load(c + r * n + 8 * v, v);
+  }
+  const __m256 zero = _mm256_setzero_ps();
+  for (int64_t p = 0; p < k; ++p) {
+    const float* ap = a + p * a_k_stride;
+    const float* bp = b + p * n;
+    __m256 bv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) bv[v] = load(bp + 8 * v, v);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_broadcast_ss(ap + r * a_row_stride);
+      const __m256 live = _mm256_cmp_ps(av, zero, _CMP_NEQ_UQ);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_add_ps(
+            acc[r][v], _mm256_and_ps(_mm256_mul_ps(av, bv[v]), live));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      float* dst = c + r * n + 8 * v;
+      if (kTail && v == V - 1) {
+        _mm256_maskstore_ps(dst, tail, acc[r][v]);
+      } else {
+        _mm256_storeu_ps(dst, acc[r][v]);
+      }
+    }
+  }
+}
+
+/// One 8V-column strip of C, all rows: blocks of four, then the 1..3 left.
+template <int V, bool kTail>
+void GemmStripAvx2(const float* a, int64_t a_row_stride, int64_t a_k_stride,
+                   const float* b, float* c, int64_t rows, int64_t k,
+                   int64_t n, __m256i tail) {
+  constexpr void (*kBlock[])(const float*, int64_t, int64_t, const float*,
+                             float*, int64_t, int64_t, __m256i) = {
+      nullptr, GemmBlockAvx2<1, V, kTail>, GemmBlockAvx2<2, V, kTail>,
+      GemmBlockAvx2<3, V, kTail>, GemmBlockAvx2<4, V, kTail>};
+  for (int64_t r = 0; r < rows; r += 4) {
+    kBlock[rows - r < 4 ? rows - r : 4](a + r * a_row_stride, a_row_stride,
+                                        a_k_stride, b, c + r * n, k, n, tail);
+  }
+}
+
+uint64_t GemmAvx2(const float* a, int64_t a_row_stride, int64_t a_k_stride,
+                  const float* b, float* c, int64_t rows, int64_t k,
+                  int64_t n) {
+  // Column strips of 16, then one of 8, then a masked partial vector. The
+  // b strip (k x 16 floats) stays in L1 while the row blocks walk it.
+  const __m256i all = _mm256_set1_epi32(-1);
+  int64_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    GemmStripAvx2<2, false>(a, a_row_stride, a_k_stride, b + j, c + j, rows,
+                            k, n, all);
+  }
+  if (j + 8 <= n) {
+    GemmStripAvx2<1, false>(a, a_row_stride, a_k_stride, b + j, c + j, rows,
+                            k, n, all);
+    j += 8;
+  }
+  if (j < n) {
+    GemmStripAvx2<1, true>(a, a_row_stride, a_k_stride, b + j, c + j, rows,
+                           k, n, TailMask(n - j));
+  }
+  // Count along A's unit stride when it has one (both tensor callers do),
+  // so the compare loop vectorizes.
+  const bool k_inner = a_k_stride == 1;
+  const int64_t outer = k_inner ? rows : k, inner = k_inner ? k : rows;
+  const int64_t outer_stride = k_inner ? a_row_stride : a_k_stride;
+  const int64_t inner_stride = k_inner ? 1 : a_row_stride;
+  uint64_t nnz = 0;
+  for (int64_t o = 0; o < outer; ++o) {
+    const float* x = a + o * outer_stride;
+    for (int64_t i = 0; i < inner; ++i) nnz += x[i * inner_stride] != 0.0f;
+  }
+  return nnz;
 }
 
 void ScaleAvx2(float alpha, float* y, int64_t n) {
@@ -167,9 +278,8 @@ double DotAvx2(const float* a, const float* b, int64_t n) {
 }
 
 constexpr KernelTable kAvx2Table = {
-    AxpyAvx2,  ScaleAvx2,        MulAvx2, AddAvx2, AddScalarAvx2,
-    ReluAvx2,  ReluBackwardAvx2, MaxAvx2, DotAvx2,
-    "avx2",
+    AxpyAvx2, GemmAvx2,         ScaleAvx2, MulAvx2, AddAvx2, AddScalarAvx2,
+    ReluAvx2, ReluBackwardAvx2, MaxAvx2,   DotAvx2, "avx2",
 };
 
 }  // namespace

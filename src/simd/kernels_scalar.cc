@@ -15,6 +15,24 @@ void AxpyScalar(float alpha, const float* x, float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
+uint64_t GemmScalar(const float* a, int64_t a_row_stride, int64_t a_k_stride,
+                    const float* b, float* c, int64_t rows, int64_t k,
+                    int64_t n) {
+  // The reference loop: each c[r][j] takes its products in ascending p,
+  // one unfused mul and add each, and a zero A(r,p) issues nothing.
+  uint64_t nnz = 0;
+  for (int64_t r = 0; r < rows; ++r) {
+    float* crow = c + r * n;
+    for (int64_t p = 0; p < k; ++p) {
+      const float av = a[r * a_row_stride + p * a_k_stride];
+      if (av == 0.0f) continue;
+      ++nnz;
+      AxpyScalar(av, b + p * n, crow, n);
+    }
+  }
+  return nnz;
+}
+
 void ScaleScalar(float alpha, float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] *= alpha;
 }
@@ -94,9 +112,9 @@ double DotScalar(const float* a, const float* b, int64_t n) {
 }
 
 constexpr KernelTable kScalarTable = {
-    AxpyScalar,        ScaleScalar, MulScalar, AddScalar, AddScalarScalar,
-    ReluScalar,        ReluBackwardScalar,     MaxScalar, DotScalar,
-    "scalar",
+    AxpyScalar, GemmScalar,         ScaleScalar, MulScalar, AddScalar,
+    AddScalarScalar, ReluScalar,    ReluBackwardScalar,     MaxScalar,
+    DotScalar,  "scalar",
 };
 
 }  // namespace

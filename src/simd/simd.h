@@ -24,7 +24,15 @@ namespace sgnn::simd {
 ///     rounded single-precision mul/add — never fused — so a vector lane
 ///     computes the identical operation the scalar loop does. The two
 ///     backends differ only in how many elements advance per iteration,
-///     which is unobservable.
+///     which is unobservable. The `gemm` tile is elementwise in j: each
+///     c[r][j] accumulates its products in ascending p with an unfused
+///     multiply then add, exactly the scalar loop's order, whatever block
+///     of C the vector backend holds in registers. The scalar loop skips
+///     A(r,p) == 0 (either sign); the vector tile instead adds the product
+///     masked to +0. That changes no bit: C starts at +0, and a
+///     round-to-nearest sum is -0 only when both addends are -0, so C
+///     never holds -0, and c + (+0) == c for every other c (NaN and inf
+///     included). The mask also keeps 0 * inf = NaN out of C.
 ///  2. Reductions fix the lane-fold order: `Dot` partitions index i into
 ///     lane i mod 4, accumulates each lane in ascending order in double,
 ///     and folds `(l0 + l1) + (l2 + l3)` before adding the scalar tail in
@@ -50,8 +58,16 @@ namespace sgnn::simd {
 /// `Active()` once per shard and call through the table, so the per-row
 /// cost is one indirect call, not a dispatch lookup.
 struct KernelTable {
-  /// y[i] += alpha * x[i] — the SpMM/GEMM accumulation row.
+  /// y[i] += alpha * x[i] — the SpMM accumulation row.
   void (*axpy)(float alpha, const float* x, float* y, int64_t n);
+  /// The GEMM tile: c[r][j] += A(r,p) * b[p][j] for r < rows, p < k,
+  /// j < n, where A(r,p) = a[r * a_row_stride + p * a_k_stride], b is a
+  /// row-major k x n panel and c a row-major rows x n block that holds no
+  /// -0 (contract #1). Products of A(r,p) == 0 are skipped. Returns the
+  /// number of nonzero A(r,p).
+  uint64_t (*gemm)(const float* a, int64_t a_row_stride, int64_t a_k_stride,
+                   const float* b, float* c, int64_t rows, int64_t k,
+                   int64_t n);
   /// y[i] *= alpha.
   void (*scale)(float alpha, float* y, int64_t n);
   /// y[i] *= x[i] (hadamard).

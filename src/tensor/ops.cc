@@ -26,9 +26,21 @@ void CountMoved(uint64_t n) {
 ///   scale / add_scalar / relu          read  n   write n
 ///   max                                read  n   write 0
 ///   dot                                read 2n   write 0
+///   gemm (rows x k panel of A)         read rows*k + k*n + rows*n
+///                                      write rows*n
 void CountBytes(uint64_t read_floats, uint64_t written_floats) {
   sgnn::common::GlobalCounters().BillBytes(read_floats * sizeof(float),
                                            written_floats * sizeof(float));
+}
+
+/// One `gemm` tile call: A, the b panel and C each counted once, and
+/// `floats_moved` the multiplies issued (nnz * n) — the zero skip does no
+/// work, so sparse operands (ReLU outputs, masks) are not overbilled.
+void BillGemm(uint64_t nnz, int64_t rows, int64_t k, int64_t n) {
+  const uint64_t r = static_cast<uint64_t>(rows),
+                 kk = static_cast<uint64_t>(k), nn = static_cast<uint64_t>(n);
+  CountMoved(nnz * nn);
+  CountBytes(r * kk + kk * nn + r * nn, r * nn);
 }
 
 // Shard-geometry grains (pure functions of problem size, per the par
@@ -64,33 +76,16 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix* out) {
   const auto rows = RowRangesFor(m, k * n);
   const simd::KernelTable& kt = simd::Active();
   par::ParallelFor("tensor.gemm", rows, [&](int, par::Range range) {
-    // k-panelled i-k-j: the b panel stays cache-hot across the shard's
-    // rows, and each output element still accumulates in ascending k — the
-    // same summation order as the naive loop, so blocking changes no bits.
-    // The accumulation row itself is the axpy microkernel, whose lanes use
-    // unfused mul/add (simd contract #1), so vectorizing over j preserves
-    // every bit too.
-    uint64_t nnz = 0;
+    // One gemm tile per k panel: the b panel stays cache-hot across the
+    // shard's rows, and each output element still accumulates in
+    // ascending k — the naive loop's order, so panelling changes no bits.
+    float* c = out->data() + range.begin * n;
     for (int64_t p0 = 0; p0 < k; p0 += kGemmPanel) {
-      const int64_t p1 = std::min(k, p0 + kGemmPanel);
-      for (int64_t i = range.begin; i < range.end; ++i) {
-        const float* arow = a.data() + i * k;
-        float* orow = out->data() + i * n;
-        for (int64_t p = p0; p < p1; ++p) {
-          const float av = arow[p];
-          if (av == 0.0f) continue;
-          ++nnz;
-          kt.axpy(av, b.data() + p * n, orow, n);
-        }
-      }
+      const int64_t pk = std::min(kGemmPanel, k - p0);
+      const uint64_t nnz = kt.gemm(a.data() + range.begin * k + p0, k, 1,
+                                   b.data() + p0 * n, c, range.size(), pk, n);
+      BillGemm(nnz, range.size(), pk, n);
     }
-    // Bill the multiplies actually issued: the zero-skip fast path does no
-    // work, so sparse operands (ReLU outputs, masks) are not overbilled.
-    CountMoved(nnz * static_cast<uint64_t>(n));
-    // Bytes: the zero-skip scan reads every a element in the shard once
-    // across the panels; each surviving element issues one axpy over n.
-    CountBytes(static_cast<uint64_t>(range.size()) * k + nnz * 2u * n,
-               nnz * static_cast<uint64_t>(n));
   });
 }
 
@@ -112,20 +107,14 @@ void GemmTransposeA(const Matrix& a, const Matrix& b, Matrix* out) {
   par::ParallelFor("tensor.gemm_ta", panels, [&](int shard, par::Range pr) {
     Matrix& part = partials[static_cast<size_t>(shard)];
     part = Matrix(m, n);
-    uint64_t nnz = 0;
-    for (int64_t p = pr.begin; p < pr.end; ++p) {
-      const float* arow = a.data() + p * a.cols();
-      const float* brow = b.data() + p * n;
-      for (int64_t i = 0; i < m; ++i) {
-        const float av = arow[i];
-        if (av == 0.0f) continue;
-        ++nnz;
-        kt.axpy(av, brow, part.data() + i * n, n);
-      }
+    // A^T(i, p) = a[p][i]: the tile reads A with row stride 1 and k stride
+    // m, one k panel at a time.
+    for (int64_t p0 = pr.begin; p0 < pr.end; p0 += kGemmPanel) {
+      const int64_t pk = std::min(kGemmPanel, pr.end - p0);
+      const uint64_t nnz = kt.gemm(a.data() + p0 * m, 1, m, b.data() + p0 * n,
+                                   part.data(), m, pk, n);
+      BillGemm(nnz, m, pk, n);
     }
-    CountMoved(nnz * static_cast<uint64_t>(n));
-    CountBytes(static_cast<uint64_t>(pr.size()) * m + nnz * 2u * n,
-               nnz * static_cast<uint64_t>(n));
   });
   // Ascending-shard fold of the partials (one add microkernel per partial:
   // read both operands, write the accumulator).

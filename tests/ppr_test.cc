@@ -185,6 +185,19 @@ TEST(AppnpPropagateTest, EarlyStopReportsFewerHops) {
   EXPECT_LT(stats.final_delta, 1e-7);
 }
 
+TEST(AppnpPropagateTest, StatsWithoutEarlyStopReportFinalHop) {
+  CsrGraph g = graph::ErdosRenyi(40, 160, 31);
+  graph::Propagator prop(g, graph::Normalization::kSymmetric, true);
+  common::Rng rng(4);
+  Matrix x = Matrix::Gaussian(40, 3, 0, 1, &rng);
+  AppnpStats stats;
+  Matrix z7 = AppnpPropagate(prop, x, 0.2, 7, 0.0, &stats);
+  Matrix z6 = AppnpPropagate(prop, x, 0.2, 6);
+  EXPECT_EQ(stats.hops_run, 7);
+  EXPECT_GT(stats.final_delta, 0.0);
+  EXPECT_EQ(stats.final_delta, tensor::MaxAbsDiff(z6, z7));
+}
+
 TEST(ThresholdedPropagateTest, ZeroThresholdMatchesDense) {
   CsrGraph g = graph::ErdosRenyi(40, 160, 29);
   graph::Propagator prop(g, graph::Normalization::kSymmetric, true);

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -229,6 +230,74 @@ TEST_F(SimdTest, GemmFamilyBitIdentical) {
       SCOPED_TRACE(std::string("simd=") + (simd_on ? "on" : "off") +
                    " threads=" + std::to_string(threads));
       EXPECT_TRUE(BytesEqual(reference, run(simd_on, threads)));
+    }
+  }
+}
+
+// Gemm and GemmTransposeA against a naive i-p-j loop that keeps the zero
+// skip, byte for byte, so a tile that drifted the same way in both backends
+// still fails. The shapes cross every tile edge: row blocks of four, column
+// strips of 16 and 8, the masked partial vector and the 256-deep k panel
+// (all stay inside one GemmTransposeA reduction shard, whose fold onto +0
+// is exact). About 60% of A is zero, of both signs, and each B row whose A
+// column is all zero holds inf and NaN, which only a skipped or masked
+// product keeps out of C.
+TEST_F(SimdTest, GemmMatchesNaiveLoop) {
+  auto naive = [](const Matrix& a, const Matrix& b) {
+    Matrix c(a.rows(), b.cols());
+    for (int64_t i = 0; i < a.rows(); ++i) {
+      for (int64_t p = 0; p < a.cols(); ++p) {
+        const float av = a.at(i, p);
+        if (av == 0.0f) continue;
+        for (int64_t j = 0; j < b.cols(); ++j) {
+          // volatile, not just a named float: GCC fuses a named product
+          // with the add under -mfma, and the reference must stay unfused.
+          volatile float prod = av * b.at(p, j);
+          c.at(i, j) += prod;
+        }
+      }
+    }
+    return c;
+  };
+  const float kSpecials[] = {std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<float>::quiet_NaN()};
+  common::Rng rng(71);
+  for (const int64_t rows : {1, 3, 4, 5, 9}) {
+    for (const int64_t n : {1, 7, 8, 9, 15, 16, 17, 64, 65}) {
+      for (const int64_t k : {1, 255, 256, 257}) {
+        Matrix a(rows, k), b(k, n);
+        for (int64_t p = 0; p < k; ++p) {
+          const bool dead = p % 5 == 2;  // A column p all zero.
+          for (int64_t r = 0; r < rows; ++r) {
+            a.at(r, p) = (dead || rng.Bernoulli(0.6))
+                             ? (rng.Bernoulli(0.5) ? 0.0f : -0.0f)
+                             : static_cast<float>(rng.Uniform(-1.0, 1.0));
+          }
+          for (int64_t j = 0; j < n; ++j) {
+            b.at(p, j) = dead ? kSpecials[j % 3]
+                              : static_cast<float>(rng.Uniform(-1.0, 1.0));
+          }
+        }
+        const Matrix want = naive(a, b);
+        const Matrix at = tensor::Transpose(a);
+        for (const bool simd_on : {false, true}) {
+          for (const int threads : {1, 8}) {
+            SCOPED_TRACE("rows=" + std::to_string(rows) +
+                         " n=" + std::to_string(n) +
+                         " k=" + std::to_string(k) +
+                         " simd=" + (simd_on ? "on" : "off") +
+                         " threads=" + std::to_string(threads));
+            simd::SetEnabled(simd_on);
+            par::SetThreads(threads);
+            Matrix c, cta;
+            tensor::Gemm(a, b, &c);
+            tensor::GemmTransposeA(at, b, &cta);
+            EXPECT_TRUE(BytesEqual(want, c));
+            EXPECT_TRUE(BytesEqual(want, cta));
+          }
+        }
+      }
     }
   }
 }
@@ -455,22 +524,31 @@ TEST_F(SimdTest, ByteAccountingExactAndInvariant) {
     }
   }
 
-  // Dense Gemm(m x k, k x n): every a element survives the zero-skip, so
-  // the bill is the scan (m*k reads) plus m*k axpys over n.
-  const int64_t gm = 23, gk = 17, gn = 13;
+  // Dense Gemm(m x k, k x n) with k = 300, two k panels (256 + 44) in one
+  // row shard: each gemm tile call reads its A panel, its b panel and the
+  // C block once and writes C once, so A and b are read once in total and
+  // C is read and written once per panel. floats_moved is the multiplies
+  // issued, m*k*n when no element of a is zero.
+  const int64_t gm = 23, gk = 300, gn = 13;
   Matrix a(gm, gk), b(gk, gn);
   for (int64_t i = 0; i < a.size(); ++i) a.data()[i] = 1.0f;
   for (int64_t i = 0; i < b.size(); ++i) b.data()[i] = 2.0f;
-  want_read = 4u * (static_cast<uint64_t>(gm * gk) +
-                    static_cast<uint64_t>(gm * gk) * 2u * gn);
-  want_written = 4u * static_cast<uint64_t>(gm * gk) * gn;
-  for (const int threads : {1, 8}) {
-    par::SetThreads(threads);
-    Matrix c;
-    common::ScopedCounterDelta scope;
-    tensor::Gemm(a, b, &c);
-    EXPECT_EQ(scope.Delta().bytes_read, want_read) << threads;
-    EXPECT_EQ(scope.Delta().bytes_written, want_written) << threads;
+  want_read = 4u * static_cast<uint64_t>(gm * gk + gk * gn + 2 * gm * gn);
+  want_written = 4u * static_cast<uint64_t>(2 * gm * gn);
+  for (const bool simd_on : {false, true}) {
+    for (const int threads : {1, 8}) {
+      SCOPED_TRACE(std::string("simd=") + (simd_on ? "on" : "off") +
+                   " threads=" + std::to_string(threads));
+      simd::SetEnabled(simd_on);
+      par::SetThreads(threads);
+      Matrix c;
+      common::ScopedCounterDelta scope;
+      tensor::Gemm(a, b, &c);
+      EXPECT_EQ(scope.Delta().bytes_read, want_read);
+      EXPECT_EQ(scope.Delta().bytes_written, want_written);
+      EXPECT_EQ(scope.Delta().floats_moved,
+                static_cast<uint64_t>(gm * gk * gn));
+    }
   }
 
   // SpMM bills the same bytes at any thread count and on both backends
