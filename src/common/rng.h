@@ -19,11 +19,11 @@ inline uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Derives the seed of an independent stream from a (base, key) pair.
-/// Parallel kernels seed one `Rng` per work item as
-/// `Rng(MixSeed(base, item))`: the stream depends only on the pair, never
-/// on which thread or in what order the item runs — the property that
-/// makes sampling results independent of the worker count.
+/// Derives the key of an independent stream from a (base, key) pair.
+/// Parallel kernels key one `KeyedStream` per work item as
+/// `KeyedStream(MixSeed(base, item))`: the stream depends only on the pair,
+/// never on which thread or in what order the item runs — the property
+/// that makes sampling results independent of the worker count.
 inline uint64_t MixSeed(uint64_t base, uint64_t key) {
   return SplitMix64(base ^ SplitMix64(key));
 }
@@ -34,11 +34,56 @@ inline double KeyedUniform(uint64_t base, uint64_t key) {
   return static_cast<double>(MixSeed(base, key) >> 11) * 0x1.0p-53;
 }
 
+/// Counter-based keyed stream (Salmon et al., "Parallel Random Numbers: As
+/// Easy as 1, 2, 3", SC'11): output i of key k is
+/// `SplitMix64(k + i * 0x9E3779B97F4A7C15)`, a pure function of (k, i).
+/// There is no engine state to seed or twist, so a hot loop can give each
+/// work item its own stream, or each element its own output, for three
+/// multiplies, and no result depends on which thread asks or in what
+/// order. Bits become numbers only through the explicit arithmetic here
+/// and at the call sites, never through `std::*_distribution`, whose
+/// outputs the standard leaves to the library.
+class KeyedStream {
+ public:
+  explicit KeyedStream(uint64_t key) : key_(key) {}
+
+  /// Output i of the stream.
+  uint64_t At(uint64_t i) const {
+    return SplitMix64(key_ + i * 0x9E3779B97F4A7C15ULL);
+  }
+
+  /// The next output of a cursor over At(0), At(1), ...
+  uint64_t Next() { return At(next_++); }
+
+  /// Exactly uniform integer in [0, n): Lemire's multiply-high reduction
+  /// ("Fast Random Integer Generation in an Interval", 2019), rejecting the
+  /// 2^64 mod n low products that would over-represent small results.
+  /// Consumes one output, or more with probability below n / 2^64.
+  /// Requires n > 0.
+  uint64_t Below(uint64_t n) {
+    SGNN_DCHECK(n > 0);
+    unsigned __int128 product = static_cast<unsigned __int128>(Next()) * n;
+    if (static_cast<uint64_t>(product) < n) {
+      const uint64_t reject_below = (uint64_t{0} - n) % n;  // 2^64 mod n.
+      while (static_cast<uint64_t>(product) < reject_below) {
+        product = static_cast<unsigned __int128>(Next()) * n;
+      }
+    }
+    return static_cast<uint64_t>(product >> 64);
+  }
+
+ private:
+  uint64_t key_;
+  uint64_t next_ = 0;
+};
+
 /// Deterministic random number generator used throughout the library.
 ///
 /// Every stochastic component (generators, samplers, initialisers) takes an
 /// explicit 64-bit seed and derives an `Rng`, so any run of the library is
-/// reproducible bit-for-bit given the seed.
+/// reproducible bit-for-bit given the seed. Hot per-item and per-element
+/// draws (node-wise sampling, dropout) take one engine output as the key
+/// of a `KeyedStream` instead of drawing from the engine item by item.
 class Rng {
  public:
   explicit Rng(uint64_t seed) : engine_(seed) {}

@@ -47,7 +47,7 @@ double Gcn::TrainStepWeighted(const Propagator& prop, const Matrix& x,
   Matrix h = h_pre;
   tensor::Relu(&h);
   Matrix mask;
-  nn::DropoutForward(dropout_, /*training=*/true, rng, &h, &mask);
+  nn::DropoutForward(dropout_, rng, &h, &mask);
   Matrix t1;
   l1_.Forward(h, &t1);
   Matrix logits;

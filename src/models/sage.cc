@@ -57,36 +57,34 @@ double SageModel::TrainStep(const MiniBatch& batch,
   }
   common::GlobalCounters().Acquire(resident);
 
-  // Forward with caches.
-  std::vector<Matrix> h_in;       // Input rep per layer (rows = src).
+  // Forward with caches. Each layer reads its input (rows = src) in place.
   std::vector<Matrix> h_self;     // dst prefix per layer.
   std::vector<Matrix> agg;        // Aggregated neighbours per layer.
   std::vector<Matrix> pre;        // Pre-activation per layer.
   std::vector<Matrix> masks;      // Dropout masks per non-final layer.
-  Matrix cur = input_features;
+  const Matrix* in = &input_features;
+  Matrix cur;
   for (size_t l = 0; l < num_layers; ++l) {
     const LayerSample& layer = batch.layers[l];
-    h_in.push_back(cur);
-    SGNN_CHECK_EQ(cur.rows(), static_cast<int64_t>(layer.src.size()));
+    SGNN_CHECK_EQ(in->rows(), static_cast<int64_t>(layer.src.size()));
     const int64_t num_dst = static_cast<int64_t>(layer.dst.size());
-    Matrix self_rows = Prefix(cur, num_dst);
-    Matrix agg_rows(num_dst, cur.cols());
-    graph::SpmmRows(layer, {0, num_dst}, cur, &agg_rows);
-    h_self.push_back(self_rows);
-    agg.push_back(agg_rows);
+    h_self.push_back(Prefix(*in, num_dst));
+    agg.emplace_back(num_dst, in->cols());
+    graph::SpmmRows(layer, {0, num_dst}, *in, &agg.back());
     Matrix out_self, out_nbr;
-    self_[l].Forward(self_rows, &out_self);
-    nbr_[l].Forward(agg_rows, &out_nbr);
+    self_[l].Forward(h_self.back(), &out_self);
+    nbr_[l].Forward(agg.back(), &out_nbr);
     tensor::Axpy(1.0f, out_nbr, &out_self);
     const bool is_last = (l + 1 == num_layers);
     if (!is_last) {
       pre.push_back(out_self);
       tensor::Relu(&out_self);
       Matrix mask;
-      nn::DropoutForward(dropout_, true, rng, &out_self, &mask);
+      nn::DropoutForward(dropout_, rng, &out_self, &mask);
       masks.push_back(std::move(mask));
     }
     cur = std::move(out_self);
+    in = &cur;
   }
 
   // Loss over all seeds.
@@ -104,9 +102,13 @@ double SageModel::TrainStep(const MiniBatch& batch,
       nn::DropoutBackward(masks[l], &dout);
       tensor::ReluBackward(pre[l], &dout);
     }
+    // Layer 0's input is the gathered raw features, which are not trained,
+    // so its input gradient is never formed.
+    const bool need_dinput = l > 0;
     Matrix dself, dagg;
-    self_[l].Backward(h_self[l], dout, &dself);
-    nbr_[l].Backward(agg[l], dout, &dagg);
+    self_[l].Backward(h_self[l], dout, need_dinput ? &dself : nullptr);
+    nbr_[l].Backward(agg[l], dout, need_dinput ? &dagg : nullptr);
+    if (!need_dinput) break;
     // d(input rep): self path hits the dst prefix; aggregation transposes
     // onto sampled sources.
     Matrix dinput(static_cast<int64_t>(layer.src.size()), dself.cols());

@@ -43,24 +43,16 @@ std::vector<ParamRef> Linear::Params() {
   return {{&weight_, &weight_grad_}, {&bias_, &bias_grad_}};
 }
 
-void DropoutForward(double p, bool training, common::Rng* rng, Matrix* x,
-                    Matrix* mask) {
+void DropoutForward(double p, common::Rng* rng, Matrix* x, Matrix* mask) {
   SGNN_CHECK(x != nullptr);
   SGNN_CHECK(mask != nullptr);
   SGNN_CHECK(p >= 0.0 && p < 1.0);
-  *mask = Matrix(x->rows(), x->cols(), 1.0f);
-  if (!training || p == 0.0) return;
-  SGNN_CHECK(rng != nullptr);
-  const float scale = static_cast<float>(1.0 / (1.0 - p));
-  for (int64_t i = 0; i < x->size(); ++i) {
-    if (rng->Bernoulli(p)) {
-      mask->data()[i] = 0.0f;
-      x->data()[i] = 0.0f;
-    } else {
-      mask->data()[i] = scale;
-      x->data()[i] *= scale;
-    }
+  if (p == 0.0) {
+    *mask = Matrix(x->rows(), x->cols(), 1.0f);
+    return;
   }
+  SGNN_CHECK(rng != nullptr);
+  tensor::KeyedDropout(rng->engine()(), p, x, mask);
 }
 
 void DropoutBackward(const Matrix& mask, Matrix* grad) {

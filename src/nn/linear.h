@@ -49,10 +49,12 @@ class Linear {
 };
 
 /// Inverted dropout: zeroes entries with probability `p` and scales the
-/// survivors by 1/(1-p); identity when `training` is false. The mask is
-/// written to `mask` for the backward pass (`DropoutBackward`).
-void DropoutForward(double p, bool training, common::Rng* rng,
-                    tensor::Matrix* x, tensor::Matrix* mask);
+/// survivors by 1/(1-p) (`tensor::KeyedDropout`, keyed by one engine draw
+/// from `rng`). The mask is written to `mask` for the backward pass
+/// (`DropoutBackward`). At p == 0 nothing is drawn: `x` is left as is
+/// under an all-ones mask. Inference skips dropout instead of calling it.
+void DropoutForward(double p, common::Rng* rng, tensor::Matrix* x,
+                    tensor::Matrix* mask);
 
 /// grad *= mask (the saved forward mask).
 void DropoutBackward(const tensor::Matrix& mask, tensor::Matrix* grad);

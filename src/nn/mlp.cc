@@ -24,20 +24,25 @@ void Mlp::Forward(const Matrix& x, bool training, common::Rng* rng,
   pre_activations_.clear();
   dropout_masks_.clear();
 
-  Matrix cur = x;
+  // Each layer reads its input in place; only training keeps copies.
+  const Matrix* in = &x;
+  Matrix cur;
   for (size_t l = 0; l < layers_.size(); ++l) {
-    if (training) inputs_.push_back(cur);
+    if (training) inputs_.push_back(*in);
     Matrix out;
-    layers_[l].Forward(cur, &out);
+    layers_[l].Forward(*in, &out);
     const bool is_last = (l + 1 == layers_.size());
     if (!is_last) {
       if (training) pre_activations_.push_back(out);
       tensor::Relu(&out);
-      Matrix mask;
-      DropoutForward(dropout_, training, rng, &out, &mask);
-      if (training) dropout_masks_.push_back(std::move(mask));
+      if (training) {
+        Matrix mask;
+        DropoutForward(dropout_, rng, &out, &mask);
+        dropout_masks_.push_back(std::move(mask));
+      }
     }
     cur = std::move(out);
+    in = &cur;
   }
   *logits = std::move(cur);
 }

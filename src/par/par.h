@@ -33,8 +33,9 @@ namespace sgnn::par {
 ///  3. Reductions (`ParallelReduce`, per-shard partial accumulators in
 ///     `tensor::GemmTransposeA`) combine partials in ascending shard
 ///     order — a fixed floating-point summation tree.
-///  4. Randomised kernels derive per-item streams from `(seed, item)` keys
-///     (`common::MixSeed`), never from which worker runs the item.
+///  4. Randomised kernels read counter-based `common::KeyedStream`s whose
+///     outputs are pure functions of `(key, item)` or `(key, element)`,
+///     never of which worker runs the item.
 ///
 /// Worker count is process-wide: `SetThreads(n)` (or the `SGNN_THREADS`
 /// environment variable, read once at first use; default 1) resizes the

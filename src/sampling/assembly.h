@@ -26,9 +26,12 @@ LayerSample AssembleLayer(
 
 /// The node-wise (GraphSAGE) draw for destination `dst` with adjacency
 /// `nbrs`, appended to `out`: every neighbour at weight 1/d when
-/// d <= fanout, otherwise `fanout` picks without replacement from the keyed
-/// stream (layer_base, dst) at weight 1/fanout. Shared by the in-memory and
-/// out-of-core samplers, so equal adjacency draws equal edges.
+/// d <= fanout, otherwise `fanout` distinct neighbour positions at weight
+/// 1/fanout, chosen by Floyd's algorithm over the counter-based stream
+/// `common::KeyedStream(common::MixSeed(layer_base, dst))`. The picks are
+/// a pure function of (layer_base, dst, nbrs): no engine, no heap beyond
+/// one `reserve` of `out`. Shared by the in-memory and out-of-core
+/// samplers, so equal adjacency draws equal edges.
 void DrawNodeWise(std::span<const graph::NodeId> nbrs, graph::NodeId dst,
                   int fanout, uint64_t layer_base,
                   std::vector<std::pair<graph::NodeId, float>>* out);

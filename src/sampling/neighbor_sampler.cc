@@ -1,6 +1,7 @@
 #include "sampling/neighbor_sampler.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -42,16 +43,36 @@ void DrawNodeWise(std::span<const NodeId> nbrs, NodeId dst, int fanout,
                   uint64_t layer_base,
                   std::vector<std::pair<NodeId, float>>* out) {
   if (nbrs.empty()) return;
-  if (static_cast<int>(nbrs.size()) <= fanout) {
-    const float w = 1.0f / static_cast<float>(nbrs.size());
+  const uint64_t degree = nbrs.size();
+  const uint64_t k = static_cast<uint64_t>(fanout);
+  if (degree <= k) {
+    out->reserve(out->size() + degree);
+    const float w = 1.0f / static_cast<float>(degree);
     for (NodeId v : nbrs) out->emplace_back(v, w);
     return;
   }
-  common::Rng local(common::MixSeed(layer_base, dst));
-  auto picks = local.SampleWithoutReplacement(nbrs.size(),
-                                              static_cast<uint64_t>(fanout));
+  // Floyd's algorithm: for j in [degree - k, degree), draw t in [0, j] and
+  // take j instead when t is already taken. The picks are neighbour
+  // positions, held in `out` while drawing and mapped to ids at the end,
+  // so a multigraph's repeated ids never look taken and the scan covers at
+  // most `fanout` entries. The scan has no early exit: whether t collides
+  // is a coin flip, and a branch on it mispredicts.
+  SGNN_CHECK_LE(degree, uint64_t{std::numeric_limits<NodeId>::max()});
+  const size_t first = out->size();
+  out->reserve(first + k);
+  common::KeyedStream stream(common::MixSeed(layer_base, dst));
   const float w = 1.0f / static_cast<float>(fanout);
-  for (uint64_t p : picks) out->emplace_back(nbrs[p], w);
+  for (uint64_t j = degree - k; j < degree; ++j) {
+    const NodeId t = static_cast<NodeId>(stream.Below(j + 1));
+    bool taken = false;
+    for (size_t p = first; p < out->size(); ++p) {
+      taken |= (*out)[p].first == t;
+    }
+    out->emplace_back(taken ? static_cast<NodeId>(j) : t, w);
+  }
+  for (size_t p = first; p < out->size(); ++p) {
+    (*out)[p].first = nbrs[(*out)[p].first];
+  }
 }
 
 std::vector<par::Range> DstShards(size_t num_dst) {
@@ -70,10 +91,10 @@ MiniBatch SampleNodeWise(const CsrGraph& graph,
       [&graph, &fanouts, rng](int l, const std::vector<NodeId>& dst) {
         const int fanout = fanouts[static_cast<size_t>(l)];
         SGNN_CHECK_GE(fanout, 1);
-        // One caller-side engine draw seeds the layer; each destination
-        // then owns the keyed stream (layer_base, node). Which worker runs
-        // a destination never affects its draws, so the batch is identical
-        // for any SGNN_THREADS.
+        // One caller-side engine draw keys the layer; each destination
+        // then draws from the counter-based stream (layer_base, node).
+        // Which worker runs a destination never affects its draws, so the
+        // batch is identical for any SGNN_THREADS.
         const uint64_t layer_base = rng->engine()();
         std::vector<std::vector<std::pair<NodeId, float>>> edges(dst.size());
         par::ParallelFor(

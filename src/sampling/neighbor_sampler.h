@@ -11,10 +11,10 @@
 namespace sgnn::sampling {
 
 /// The samplers below fan out over the `sgnn::par` worker pool. Each
-/// destination draws from a keyed stream derived from (layer, node) via
-/// `common::MixSeed`, never from the shared `rng` stream directly, so a
-/// batch is bit-identical for any `SGNN_THREADS`; `rng` advances once per
-/// layer (plus the global draws of layer-wise sampling).
+/// destination draws from a counter-based `common::KeyedStream` keyed by
+/// (layer, node) via `common::MixSeed`, never from the shared `rng` stream
+/// directly, so a batch is bit-identical for any `SGNN_THREADS`; `rng`
+/// advances once per layer (plus the global draws of layer-wise sampling).
 
 /// Node-wise (GraphSAGE-style) neighbour sampling: every destination node
 /// independently draws up to `fanout` neighbours without replacement.

@@ -133,9 +133,10 @@ StatusOr<sampling::MiniBatch> SampleNodeWise(ShardedGraph* graph,
           -> StatusOr<sampling::LayerSample> {
         const int fanout = fanouts[static_cast<size_t>(l)];
         SGNN_CHECK_GE(fanout, 1);
-        // One caller-side engine draw per layer, then keyed per-destination
-        // streams — the in-memory sampler's scheme, so the draws (and the
-        // assembled block) do not depend on the shard grouping below.
+        // One caller-side engine draw per layer keys every destination's
+        // counter-based stream — the in-memory sampler's scheme, so the
+        // draws (and the assembled block) do not depend on the shard
+        // grouping below.
         const uint64_t layer_base = rng->engine()();
         std::vector<std::vector<std::pair<NodeId, float>>> edges(dst.size());
         std::vector<std::vector<size_t>> by_shard(

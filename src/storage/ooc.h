@@ -22,7 +22,10 @@ namespace sgnn::storage {
 /// `sampling::DrawNodeWise`/`BuildBatch`/`AssembleLayer` — so the outputs
 /// are byte-identical to the in-memory kernel on the same graph for any
 /// shard plan, any budget, and any `SGNN_THREADS`: a shard holds whole
-/// rows, and the sampler's draws are keyed per destination. Only the
+/// rows, and each destination's picks come from its own counter-based
+/// stream keyed by (layer draw, destination), so neither the shard a
+/// destination lives in nor the order shards are visited moves a pick.
+/// Only the
 /// shard-fault/eviction counters change with the budget. Kernels
 /// orchestrate cache access from the calling thread (parallelism fans out
 /// *inside* a pinned shard), which also makes the load/eviction sequence
@@ -66,7 +69,8 @@ SGNN_NODISCARD common::StatusOr<std::vector<ppr::PushResult>> PushBatch(
     double r_max);
 
 /// Out-of-core `sampling::SampleNodeWise`: same per-layer engine draw and
-/// per-destination draw (`sampling::DrawNodeWise`), so the batch is
+/// per-destination draw (`sampling::DrawNodeWise`, a pure function of the
+/// layer draw, the destination and its adjacency), so the batch is
 /// byte-identical to the in-memory sampler with an equal-state `rng`.
 /// Destinations are grouped by shard and shards visited in ascending
 /// order; the keyed draws make the grouping invisible in the output.

@@ -1,9 +1,11 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/counters.h"
+#include "common/rng.h"
 #include "par/par.h"
 #include "simd/simd.h"
 
@@ -255,6 +257,34 @@ void ReluBackward(const Matrix& pre_activation, Matrix* grad) {
                      CountBytes(2u * static_cast<uint64_t>(r.size()),
                                 static_cast<uint64_t>(r.size()));
                    });
+}
+
+void KeyedDropout(uint64_t key, double p, Matrix* x, Matrix* mask) {
+  SGNN_CHECK(x != nullptr);
+  SGNN_CHECK(mask != nullptr);
+  SGNN_CHECK(p >= 0.0 && p < 1.0);
+  *mask = Matrix(x->rows(), x->cols());
+  const float scale = static_cast<float>(1.0 / (1.0 - p));
+  const uint32_t scale_bits = std::bit_cast<uint32_t>(scale);
+  // For an integer u, u * 2^-53 < p exactly when u < ceil(p * 2^53); the
+  // scaling by a power of two is exact, so the compare is all integer.
+  const uint64_t drop_below =
+      static_cast<uint64_t>(std::ceil(std::ldexp(p, 53)));
+  const common::KeyedStream stream(key);
+  float* xs = x->data();
+  float* ms = mask->data();
+  const auto drop = [&](int, par::Range r) {
+    for (int64_t i = r.begin; i < r.end; ++i) {
+      // All ones to keep, all zeros to drop: the AND selects without a
+      // branch and leaves a dropped element's bits exactly +0.0f.
+      const uint64_t u = stream.At(static_cast<uint64_t>(i)) >> 11;
+      const uint32_t keep = 0u - static_cast<uint32_t>(u >= drop_below);
+      xs[i] = std::bit_cast<float>(std::bit_cast<uint32_t>(xs[i] * scale) &
+                                   keep);
+      ms[i] = std::bit_cast<float>(scale_bits & keep);
+    }
+  };
+  par::ParallelFor("tensor.dropout", ElemRanges(x->size()), drop);
 }
 
 void SoftmaxRows(Matrix* m) {

@@ -10,8 +10,9 @@
 namespace sgnn::tensor {
 
 /// Dense kernels used by the NN stack and the spectral/decoupled modules.
-/// All kernels are single-threaded and instrument `common::GlobalCounters()`
-/// with the number of scalars they move.
+/// Kernels fan out through `sgnn::par` with bit-identical results at any
+/// thread count, and all but `KeyedDropout` instrument
+/// `common::GlobalCounters()` with the scalars and bytes they move.
 
 /// out = a * b. Requires a.cols == b.rows; `out` is resized/overwritten.
 void Gemm(const Matrix& a, const Matrix& b, Matrix* out);
@@ -42,6 +43,16 @@ void Relu(Matrix* m);
 
 /// grad *= 1[pre_activation > 0]; the backward of `Relu`.
 void ReluBackward(const Matrix& pre_activation, Matrix* grad);
+
+/// Inverted dropout with counter-based draws. Element i is dropped when the
+/// top 53 bits of `common::KeyedStream(key).At(i)`, read as a fraction in
+/// [0, 1), fall below p. A dropped element and its `mask` entry become
+/// +0.0f, whatever `x` held (±inf and NaN included); a kept element becomes
+/// x * scale and its mask entry scale = 1/(1-p). The mask is a pure
+/// function of (key, p, shape), so it is byte-identical at any thread
+/// count. `mask` is overwritten; requires 0 <= p < 1. Bills no counters:
+/// the mask is applied, and billed, by `Hadamard` in the backward pass.
+void KeyedDropout(uint64_t key, double p, Matrix* x, Matrix* mask);
 
 /// Row-wise softmax, numerically stabilised, in place.
 void SoftmaxRows(Matrix* m);

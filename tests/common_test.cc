@@ -197,6 +197,61 @@ TEST(RngTest, SampleWithoutReplacementIsUniformish) {
   }
 }
 
+// Output i of a keyed stream is a pure function of (key, i): reading the
+// outputs in any order, or through the cursor, gives the same values.
+TEST(KeyedStreamTest, OutputsArePureInKeyAndCounter) {
+  const KeyedStream stream(0x1234);
+  std::vector<uint64_t> forward(64);
+  for (uint64_t i = 0; i < forward.size(); ++i) forward[i] = stream.At(i);
+  for (uint64_t i = forward.size(); i-- > 0;) {
+    EXPECT_EQ(stream.At(i), forward[i]) << i;
+  }
+  KeyedStream cursor(0x1234);
+  for (uint64_t i = 0; i < forward.size(); ++i) {
+    EXPECT_EQ(cursor.Next(), forward[i]) << i;
+  }
+  EXPECT_NE(KeyedStream(0x1235).At(0), forward[0]);
+}
+
+// Pins the stream's bits. Key 0 reproduces the published SplitMix64
+// sequence seeded with 0.
+TEST(KeyedStreamTest, GoldenOutputs) {
+  const KeyedStream zero(0);
+  EXPECT_EQ(zero.At(0), 0xE220A8397B1DCDAFULL);
+  EXPECT_EQ(zero.At(1), 0x6E789E6AA1B965F4ULL);
+  EXPECT_EQ(zero.At(2), 0x06C45D188009454FULL);
+  EXPECT_EQ(zero.At(3), 0xF88BB8A8724C81ECULL);
+  const KeyedStream other(0x53474E4E);
+  EXPECT_EQ(other.At(0), 0x3BDE9C9EEC521EF2ULL);
+  EXPECT_EQ(other.At(1), 0x249DD683A5E86F00ULL);
+  EXPECT_EQ(other.At(2), 0xF98AEA0AD3B09EB3ULL);
+  EXPECT_EQ(other.At(3), 0xF4120E1018FACB29ULL);
+}
+
+TEST(KeyedStreamTest, BelowStaysInRange) {
+  for (const uint64_t n : {uint64_t{1}, uint64_t{2}, uint64_t{3},
+                           (uint64_t{1} << 32) + 1, ~uint64_t{0}}) {
+    KeyedStream stream(MixSeed(7, n));
+    for (int i = 0; i < 2000; ++i) {
+      EXPECT_LT(stream.Below(n), n) << n;
+    }
+  }
+}
+
+// Chi-square goodness of fit at n = 10 over 10^5 draws: 9 degrees of
+// freedom, 27.88 is the 0.999 quantile.
+TEST(KeyedStreamTest, BelowIsUniform) {
+  constexpr int kBins = 10;
+  constexpr int kDraws = 100000;
+  std::vector<int> counts(kBins, 0);
+  KeyedStream stream(99);
+  for (int i = 0; i < kDraws; ++i) ++counts[stream.Below(kBins)];
+  const double expected = static_cast<double>(kDraws) / kBins;
+  double chi2 = 0.0;
+  for (int c : counts) chi2 += (c - expected) * (c - expected) / expected;
+  EXPECT_LT(chi2, 27.88);
+}
+
 TEST(RngTest, CategoricalRespectsWeights) {
   Rng rng(21);
   std::vector<double> w = {1.0, 0.0, 3.0};

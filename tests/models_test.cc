@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include "common/counters.h"
 #include "core/dataset.h"
 #include "models/cluster_gcn.h"
 #include "models/decoupled.h"
 #include "models/gcn.h"
 #include "models/sage.h"
 #include "models/saint.h"
+#include "sampling/neighbor_sampler.h"
 
 namespace sgnn::models {
 namespace {
@@ -239,6 +241,36 @@ TEST(SageTest, LearnsHomophilousSbmWithSampling) {
   ModelResult result = TrainSage(d.graph, d.features, d.labels, d.splits,
                                  config, SageConfig{.fanouts = {5, 5}});
   EXPECT_GT(result.report.test_accuracy, 0.8);
+}
+
+// A sampled step bills the forward aggregation over every block and the
+// backward transpose over every block but block 0: the gathered input
+// features are not trained, so no gradient flows back through block 0.
+TEST(SageTest, TrainStepBillsNoInputGradient) {
+  const Dataset d = EasyDataset();
+  common::Rng rng(3);
+  SageModel model({d.features.cols(), 16, 16, d.num_classes}, 0.5, &rng);
+  std::vector<graph::NodeId> seeds;
+  std::vector<int> labels;
+  for (graph::NodeId u = 0; u < d.num_nodes(); u += 9) {
+    seeds.push_back(u);
+    labels.push_back(d.labels[u]);
+  }
+  const std::vector<int> fanouts = {4, 4, 4};
+  const sampling::MiniBatch batch =
+      sampling::SampleNodeWise(d.graph, seeds, fanouts, &rng);
+  const std::vector<int64_t> inputs(batch.input_nodes().begin(),
+                                    batch.input_nodes().end());
+  const tensor::Matrix x = d.features.GatherRows(inputs);
+  uint64_t expected = 0;
+  for (size_t l = 0; l < batch.layers.size(); ++l) {
+    const uint64_t edges = static_cast<uint64_t>(batch.layers[l].num_edges());
+    expected += l == 0 ? edges : 2 * edges;
+  }
+  model.ZeroGrad();
+  const common::ScopedCounterDelta counters;
+  model.TrainStep(batch, x, labels, &rng);
+  EXPECT_EQ(counters.Delta().edges_touched, expected);
 }
 
 TEST(SageTest, LaborVariantMatchesNodeWiseQuality) {

@@ -80,21 +80,12 @@ TEST(LinearTest, GradientsAccumulateAcrossBackwardCalls) {
   EXPECT_FLOAT_EQ(params[0].grad->at(0, 0), 2.0f * once);
 }
 
-TEST(DropoutTest, InferenceModeIsIdentity) {
-  common::Rng rng(4);
-  Matrix x = Matrix::FromRows({{1, 2, 3}});
-  Matrix orig = x;
-  Matrix mask;
-  DropoutForward(0.5, /*training=*/false, &rng, &x, &mask);
-  EXPECT_TRUE(x.Equals(orig));
-}
-
 TEST(DropoutTest, TrainingModePreservesExpectation) {
   common::Rng rng(5);
   const int n = 20000;
   Matrix x(1, n, 1.0f);
   Matrix mask;
-  DropoutForward(0.3, true, &rng, &x, &mask);
+  DropoutForward(0.3, &rng, &x, &mask);
   double mean = 0.0;
   for (int64_t i = 0; i < n; ++i) mean += x.data()[i];
   mean /= n;
@@ -105,7 +96,7 @@ TEST(DropoutTest, BackwardAppliesSameMask) {
   common::Rng rng(6);
   Matrix x(1, 100, 1.0f);
   Matrix mask;
-  DropoutForward(0.5, true, &rng, &x, &mask);
+  DropoutForward(0.5, &rng, &x, &mask);
   Matrix grad(1, 100, 1.0f);
   DropoutBackward(mask, &grad);
   EXPECT_TRUE(grad.Equals(x));  // Same scaling pattern.
@@ -268,6 +259,20 @@ TEST(AdamTest, FirstStepIsLrSizedRegardlessOfGradientScale) {
     opt.Step();
     EXPECT_NEAR(p.at(0, 0), -0.01, 1e-4) << "scale " << scale;
   }
+}
+
+// Inference applies no dropout: the logits of an Mlp built with dropout
+// equal those of the same weights built without it.
+TEST(MlpTest, InferenceLogitsIgnoreDropout) {
+  common::Rng data_rng(4);
+  const Matrix x = Matrix::Gaussian(32, 6, 0, 1, &data_rng);
+  common::Rng init_a(40), init_b(40);
+  Mlp with_dropout({6, 16, 16, 3}, 0.5, &init_a);
+  Mlp without_dropout({6, 16, 16, 3}, 0.0, &init_b);
+  Matrix a, b;
+  with_dropout.Forward(x, /*training=*/false, nullptr, &a);
+  without_dropout.Forward(x, /*training=*/false, nullptr, &b);
+  EXPECT_TRUE(a.Equals(b));
 }
 
 TEST(MlpTest, ForwardShapeAndDeterminism) {

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <thread>
 #include <unordered_set>
 
 #include "graph/generators.h"
+#include "sampling/assembly.h"
 #include "sampling/historical_cache.h"
 #include "sampling/neighbor_sampler.h"
 #include "sampling/subgraph_sampler.h"
@@ -105,6 +107,58 @@ TEST(NodeWiseSamplerTest, ReceptiveFieldExplodesWithDepth) {
   const auto b3 = SampleNodeWise(g, seeds, f3, &rng);
   EXPECT_GT(static_cast<int64_t>(b3.input_nodes().size()),
             5 * static_cast<int64_t>(b1.input_nodes().size()));
+}
+
+// A multigraph lists a neighbour once per parallel edge. The draw picks
+// distinct *positions*: exactly `fanout` picks, no id more often than it
+// is listed, and each id at its multiplicity times fanout/degree.
+TEST(NodeWiseSamplerTest, DrawPicksDistinctPositionsOfAMultigraph) {
+  const std::vector<NodeId> nbrs = {3, 3, 3, 5, 5, 7, 7, 7, 7, 9};
+  constexpr int kFanout = 4;
+  constexpr int kKeys = 20000;
+  std::map<NodeId, int> listed;
+  for (NodeId v : nbrs) ++listed[v];
+  std::map<NodeId, int> total;
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    std::vector<std::pair<NodeId, float>> out;
+    DrawNodeWise(nbrs, /*dst=*/11, kFanout, key, &out);
+    ASSERT_EQ(out.size(), static_cast<size_t>(kFanout));
+    std::map<NodeId, int> picked;
+    for (const auto& [v, w] : out) {
+      ++picked[v];
+      EXPECT_FLOAT_EQ(w, 1.0f / kFanout);
+    }
+    for (const auto& [v, count] : picked) {
+      ASSERT_TRUE(listed.contains(v));
+      ASSERT_LE(count, listed[v]) << "id " << v << " key " << key;
+      total[v] += count;
+    }
+  }
+  const double rate = static_cast<double>(kFanout) / nbrs.size();
+  for (const auto& [v, count] : listed) {
+    EXPECT_NEAR(static_cast<double>(total[v]) / kKeys, count * rate, 0.03)
+        << "id " << v;
+  }
+}
+
+// Over many keys, each neighbour of a simple list is included at rate
+// fanout/degree: the picks are a uniform fanout-subset.
+TEST(NodeWiseSamplerTest, DrawInclusionRateIsFanoutOverDegree) {
+  std::vector<NodeId> nbrs(13);
+  for (size_t i = 0; i < nbrs.size(); ++i) nbrs[i] = static_cast<NodeId>(100 + i);
+  constexpr int kFanout = 5;
+  constexpr int kKeys = 20000;
+  std::vector<int> included(nbrs.size(), 0);
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    std::vector<std::pair<NodeId, float>> out;
+    DrawNodeWise(nbrs, /*dst=*/static_cast<NodeId>(key), kFanout, 17, &out);
+    ASSERT_EQ(out.size(), static_cast<size_t>(kFanout));
+    for (const auto& [v, w] : out) ++included[v - 100];
+  }
+  const double rate = static_cast<double>(kFanout) / nbrs.size();
+  for (size_t i = 0; i < included.size(); ++i) {
+    EXPECT_NEAR(static_cast<double>(included[i]) / kKeys, rate, 0.02) << i;
+  }
 }
 
 TEST(LaborSamplerTest, BatchInvariantsHold) {

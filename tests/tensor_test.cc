@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "par/par.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
 
@@ -235,6 +240,70 @@ TEST(OpsTest, MaxAbsDiffFindsLargestDeviation) {
   Matrix a = Matrix::FromRows({{1, 2}, {3, 4}});
   Matrix b = Matrix::FromRows({{1, 2.5}, {3, 3}});
   EXPECT_NEAR(MaxAbsDiff(a, b), 1.0, 1e-6);
+}
+
+bool SameBytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// 512 x 512 spans several element shards, so 8 workers really split it.
+TEST(KeyedDropoutTest, MaskIsByteIdenticalAcrossThreadCounts) {
+  common::Rng rng(31);
+  const Matrix input = Matrix::Gaussian(512, 512, 0, 1, &rng);
+  auto run = [&](int threads) {
+    par::SetThreads(threads);
+    std::pair<Matrix, Matrix> out{input, Matrix()};
+    KeyedDropout(0xD00D, 0.5, &out.first, &out.second);
+    return out;
+  };
+  const auto one = run(1);
+  const auto eight = run(8);
+  par::SetThreads(1);
+  EXPECT_TRUE(SameBytes(one.first, eight.first));
+  EXPECT_TRUE(SameBytes(one.second, eight.second));
+}
+
+// A dropped element is +0.0f whatever it held, where multiplying by a zero
+// mask entry would turn inf into NaN and keep NaN; a kept one is x * scale.
+TEST(KeyedDropoutTest, DroppedNonFiniteInputsBecomePositiveZero) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float values[] = {kInf, -kInf, std::numeric_limits<float>::quiet_NaN(),
+                          -0.0f, 2.0f};
+  Matrix x(40, 5);
+  for (int64_t r = 0; r < x.rows(); ++r) {
+    for (int64_t c = 0; c < x.cols(); ++c) x.at(r, c) = values[c];
+  }
+  Matrix mask;
+  KeyedDropout(5, 0.5, &x, &mask);
+  int dropped = 0;
+  for (int64_t r = 0; r < x.rows(); ++r) {
+    for (int64_t c = 0; c < x.cols(); ++c) {
+      if (mask.at(r, c) == 0.0f) {
+        ++dropped;
+        EXPECT_EQ(std::bit_cast<uint32_t>(x.at(r, c)), 0u);
+        EXPECT_EQ(std::bit_cast<uint32_t>(mask.at(r, c)), 0u);
+      } else {
+        EXPECT_EQ(mask.at(r, c), 2.0f);
+        const float kept = values[c] * 2.0f;
+        EXPECT_EQ(std::bit_cast<uint32_t>(x.at(r, c)),
+                  std::bit_cast<uint32_t>(kept));
+      }
+    }
+  }
+  EXPECT_GT(dropped, 0);
+  EXPECT_LT(dropped, x.size());
+}
+
+TEST(KeyedDropoutTest, KeptFractionIsOneMinusP) {
+  for (const double p : {0.1, 0.5, 0.9}) {
+    Matrix x(1, 100000, 1.0f);
+    Matrix mask;
+    KeyedDropout(static_cast<uint64_t>(p * 1000), p, &x, &mask);
+    int64_t kept = 0;
+    for (int64_t i = 0; i < x.size(); ++i) kept += x.data()[i] != 0.0f;
+    EXPECT_NEAR(static_cast<double>(kept) / x.size(), 1.0 - p, 0.01) << p;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,9 @@ raw primitives outside their sanctioned module.
 Absorbs and supersedes the former tools/lint_determinism.py:
   * tree-wide bans (det/random-device, det/system-clock, det/c-rand,
     det/assert) with the same patterns and the same wrapper allowlist;
+  * det/std-distribution: `std::*_distribution` and the `std::mt19937`
+    engines only inside the common/rng wrapper, so neither a per-item
+    engine nor a library-defined distribution returns to a hot path;
   * scoped bans whose prefix has a stronger contract (det/obs-wallclock:
     sgnn::obs is logical-tick only; det/par-raw-thread: sgnn::par must
     schedule through common::ThreadPool);
@@ -50,6 +53,13 @@ RULES = [
         "det/c-rand",
         "rand()/srand() is hidden-global-state C PRNG; use common::Rng",
         fixture="det-c-rand.cc.fixture"),
+    registry.Rule(
+        "det/std-distribution",
+        "std::*_distribution outputs are left to the standard library, and "
+        "a std::mt19937 engine per item costs more to seed than the draws "
+        "it makes; both are confined to common/rng. Use common::Rng, or a "
+        "common::KeyedStream with explicit integer arithmetic on hot paths",
+        fixture="det-std-distribution.cc.fixture"),
     registry.Rule(
         "det/assert",
         "assert() compiles out under NDEBUG (the default Release build) and "
@@ -118,6 +128,10 @@ FORBIDDEN = [
      re.compile(r"(?<![_\w])s?rand\s*\(")),
     (_R["det/assert"], "assert(",
      re.compile(r"(?<![_\w])assert\s*\(")),
+    (_R["det/std-distribution"], "std::*_distribution",
+     re.compile(r"std::\w*_distribution\b")),
+    (_R["det/std-distribution"], "std::mt19937",
+     re.compile(r"std::mt19937")),
 ]
 
 # Stricter rules for path prefixes whose contract is stronger.

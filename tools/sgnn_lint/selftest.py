@@ -28,6 +28,7 @@ COUNTER_PATHS = {
     "det/process-syscall": "src/dist/fixture.cc",
     "det/net-syscall": "src/net/fixture.cc",
     "det/simd-intrinsics": "src/simd/fixture.cc",
+    "det/std-distribution": "src/common/rng.cc",
     "det/obs-wallclock": "src/graph/fixture.cc",
     "det/par-raw-thread": "src/graph/fixture.cc",
     "billing/unbilled-kernel-loop": "src/models/fixture.cc",
