@@ -80,7 +80,7 @@ void Propagator::Apply(const tensor::Matrix& x, tensor::Matrix* out) const {
   SGNN_CHECK(out != nullptr);
   SGNN_CHECK_EQ(x.rows(), static_cast<int64_t>(graph_.num_nodes()));
   SGNN_DCHECK_EQ(coeff_.size(), static_cast<size_t>(graph_.num_edges()));
-  *out = tensor::Matrix(x.rows(), x.cols());
+  out->Reset(x.rows(), x.cols());
   // Row-partitioned SpMM: each shard owns a contiguous block of output
   // rows and gathers from x, so no write is shared and no atomics are
   // needed; per-row accumulation order is the serial order, so the result
@@ -124,7 +124,7 @@ void Propagator::ApplyTranspose(const tensor::Matrix& x,
   SGNN_CHECK(out != nullptr);
   SGNN_CHECK_EQ(x.rows(), static_cast<int64_t>(graph_.num_nodes()));
   SGNN_DCHECK_EQ(coeff_.size(), static_cast<size_t>(graph_.num_edges()));
-  *out = tensor::Matrix(x.rows(), x.cols());
+  out->Reset(x.rows(), x.cols());
   SpmmTransposeRows(CoefficientRows{graph_.offsets(), graph_.neighbors(),
                                     coeff_, self_loop_coeff_},
                     {0, static_cast<int64_t>(graph_.num_nodes())}, x, out);

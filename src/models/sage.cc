@@ -30,111 +30,110 @@ SageModel::SageModel(const std::vector<int64_t>& dims, double dropout,
 
 namespace {
 
-/// Rows 0..n-1 of `m` (dst prefix of a block's src representation).
-Matrix Prefix(const Matrix& m, int64_t n) {
-  Matrix out(n, m.cols());
-  std::copy(m.data(), m.data() + n * m.cols(), out.data());
-  return out;
+/// Rows 0..n-1 of `m` (the dst prefix of a block's src rows) into `out`,
+/// reset in place.
+void CopyPrefix(const Matrix& m, int64_t n, Matrix* out) {
+  out->Reset(n, m.cols());
+  std::copy_n(m.data(), n * m.cols(), out->data());
 }
 
 }  // namespace
 
-double SageModel::TrainStep(const MiniBatch& batch,
-                            const Matrix& input_features,
+double SageModel::TrainStep(const MiniBatch& batch, const Matrix& features,
                             std::span<const int> seed_labels,
                             common::Rng* rng) {
   SGNN_CHECK_EQ(batch.layers.size(), self_.size());
-  SGNN_CHECK_EQ(input_features.rows(),
-                static_cast<int64_t>(batch.input_nodes().size()));
   const size_t num_layers = self_.size();
+  // Layer 0 reads `features` by global id; the view checks every input id.
+  const sampling::GlobalSourceRows inputs(batch.layers.front(),
+                                          features.rows());
 
-  // Resident-activation accounting (E13): a sampled step keeps one
-  // activation (and one gradient) row per sampled source per layer.
-  uint64_t resident = static_cast<uint64_t>(input_features.size());
+  // Resident-activation accounting (E13): a sampled step keeps the input
+  // rows it reads, and one activation (and one gradient) row per sampled
+  // source per layer.
+  uint64_t resident = static_cast<uint64_t>(batch.input_nodes().size()) *
+                      static_cast<uint64_t>(features.cols());
   for (size_t l = 0; l < num_layers; ++l) {
     resident += 2 * static_cast<uint64_t>(batch.layers[l].src.size()) *
                 static_cast<uint64_t>(self_[l].out_dim());
   }
   common::GlobalCounters().Acquire(resident);
 
-  // Forward with caches. Each layer reads its input (rows = src) in place.
-  std::vector<Matrix> h_self;     // dst prefix per layer.
-  std::vector<Matrix> agg;        // Aggregated neighbours per layer.
-  std::vector<Matrix> pre;        // Pre-activation per layer.
-  std::vector<Matrix> masks;      // Dropout masks per non-final layer.
-  const Matrix* in = &input_features;
-  Matrix cur;
+  // Forward, caching each layer's matrices in the workspace.
+  ws_.layers.resize(num_layers);
   for (size_t l = 0; l < num_layers; ++l) {
     const LayerSample& layer = batch.layers[l];
-    SGNN_CHECK_EQ(in->rows(), static_cast<int64_t>(layer.src.size()));
+    LayerWorkspace& w = ws_.layers[l];
     const int64_t num_dst = static_cast<int64_t>(layer.dst.size());
-    h_self.push_back(Prefix(*in, num_dst));
-    agg.emplace_back(num_dst, in->cols());
-    graph::SpmmRows(layer, {0, num_dst}, *in, &agg.back());
-    Matrix out_self, out_nbr;
-    self_[l].Forward(h_self.back(), &out_self);
-    nbr_[l].Forward(agg.back(), &out_nbr);
-    tensor::Axpy(1.0f, out_nbr, &out_self);
-    const bool is_last = (l + 1 == num_layers);
-    if (!is_last) {
-      pre.push_back(out_self);
-      tensor::Relu(&out_self);
-      Matrix mask;
-      nn::DropoutForward(dropout_, rng, &out_self, &mask);
-      masks.push_back(std::move(mask));
+    if (l == 0) {
+      features.GatherRowsInto<NodeId>(layer.dst, &w.h_self);
+      w.agg.Reset(num_dst, features.cols());
+      graph::SpmmRows(inputs, {0, num_dst}, features, &w.agg);
+    } else {
+      const Matrix& in = ws_.layers[l - 1].out;
+      SGNN_CHECK_EQ(in.rows(), static_cast<int64_t>(layer.src.size()));
+      CopyPrefix(in, num_dst, &w.h_self);
+      w.agg.Reset(num_dst, in.cols());
+      graph::SpmmRows(layer, {0, num_dst}, in, &w.agg);
     }
-    cur = std::move(out_self);
-    in = &cur;
+    self_[l].Forward(w.h_self, &w.out);
+    nbr_[l].Forward(w.agg, &ws_.out_nbr);
+    tensor::Axpy(1.0f, ws_.out_nbr, &w.out);
+    if (l + 1 < num_layers) {
+      w.pre = w.out;
+      tensor::Relu(&w.out);
+      nn::DropoutForward(dropout_, rng, &w.out, &w.mask);
+    }
   }
 
   // Loss over all seeds.
+  LayerWorkspace& top = ws_.layers.back();
   std::vector<NodeId> rows(batch.seeds().size());
   for (size_t i = 0; i < rows.size(); ++i) rows[i] = static_cast<NodeId>(i);
-  Matrix dout;
   const double loss =
-      nn::SoftmaxCrossEntropy(cur, seed_labels, rows, &dout);
+      nn::SoftmaxCrossEntropy(top.out, seed_labels, rows, &top.dout);
 
   // Backward.
   for (size_t l = num_layers; l-- > 0;) {
     const LayerSample& layer = batch.layers[l];
-    const bool is_last = (l + 1 == num_layers);
-    if (!is_last) {
-      nn::DropoutBackward(masks[l], &dout);
-      tensor::ReluBackward(pre[l], &dout);
+    LayerWorkspace& w = ws_.layers[l];
+    if (l + 1 < num_layers) {
+      nn::DropoutBackward(w.mask, &w.dout);
+      tensor::ReluBackward(w.pre, &w.dout);
     }
-    // Layer 0's input is the gathered raw features, which are not trained,
-    // so its input gradient is never formed.
+    // Layer 0's input is the raw feature matrix, which is not trained, so
+    // its input gradient is never formed.
     const bool need_dinput = l > 0;
-    Matrix dself, dagg;
-    self_[l].Backward(h_self[l], dout, need_dinput ? &dself : nullptr);
-    nbr_[l].Backward(agg[l], dout, need_dinput ? &dagg : nullptr);
+    self_[l].Backward(w.h_self, w.dout, need_dinput ? &ws_.dself : nullptr);
+    nbr_[l].Backward(w.agg, w.dout, need_dinput ? &ws_.dagg : nullptr);
     if (!need_dinput) break;
-    // d(input rep): self path hits the dst prefix; aggregation transposes
-    // onto sampled sources.
-    Matrix dinput(static_cast<int64_t>(layer.src.size()), dself.cols());
-    std::copy(dself.data(),
-              dself.data() + dself.rows() * dself.cols(), dinput.data());
-    graph::SpmmTransposeRows(layer, {0, dagg.rows()}, dagg, &dinput);
-    dout = std::move(dinput);
+    // d(input rep), the gradient of layer l-1's output: the self path hits
+    // the dst prefix; the aggregation transposes onto sampled sources.
+    Matrix& dinput = ws_.layers[l - 1].dout;
+    dinput.Reset(static_cast<int64_t>(layer.src.size()), ws_.dself.cols());
+    std::copy_n(ws_.dself.data(), ws_.dself.size(), dinput.data());
+    graph::SpmmTransposeRows(layer, {0, ws_.dagg.rows()}, ws_.dagg, &dinput);
   }
   common::GlobalCounters().Release(resident);
   return loss;
 }
 
-Matrix SageModel::Predict(const graph::CsrGraph& graph, const Matrix& x) {
-  // Exact mean aggregation: D^-1 A without self loops.
-  graph::Propagator mean_prop(graph, graph::Normalization::kRow,
-                              /*add_self_loops=*/false);
-  Matrix cur = x;
+Matrix SageModel::Predict(const graph::Propagator& mean_prop,
+                          const Matrix& x) const {
+  SGNN_CHECK(mean_prop.normalization() == graph::Normalization::kRow);
+  SGNN_CHECK(!mean_prop.self_loops());
+  // Each layer reads its input in place.
+  const Matrix* in = &x;
+  Matrix cur, aggregated, out_nbr;
   for (size_t l = 0; l < self_.size(); ++l) {
-    Matrix aggregated;
-    mean_prop.Apply(cur, &aggregated);
-    Matrix out_self, out_nbr;
-    self_[l].Forward(cur, &out_self);
+    mean_prop.Apply(*in, &aggregated);
+    Matrix out_self;
+    self_[l].Forward(*in, &out_self);
     nbr_[l].Forward(aggregated, &out_nbr);
     tensor::Axpy(1.0f, out_nbr, &out_self);
     if (l + 1 < self_.size()) tensor::Relu(&out_self);
     cur = std::move(out_self);
+    in = &cur;
   }
   return cur;
 }
@@ -174,6 +173,10 @@ ModelResult TrainSage(const graph::CsrGraph& graph, const Matrix& x,
   SGNN_CHECK_EQ(dims.size(), sage.fanouts.size() + 1);
 
   SageModel model(dims, config.dropout, &rng);
+  // Exact mean aggregation for full-graph inference: D^-1 A without self
+  // loops, built once per run.
+  const graph::Propagator mean_prop(graph, graph::Normalization::kRow,
+                                    /*add_self_loops=*/false);
   nn::Adam opt(model.Params(), config.lr, 0.9, 0.999, 1e-8,
                config.weight_decay);
   EarlyStopTracker tracker(config.patience);
@@ -196,15 +199,12 @@ ModelResult TrainSage(const graph::CsrGraph& graph, const Matrix& x,
           sage.use_labor
               ? sampling::SampleLabor(graph, seeds, sage.fanouts, &rng)
               : sampling::SampleNodeWise(graph, seeds, sage.fanouts, &rng);
-      std::vector<int64_t> gather(batch.input_nodes().begin(),
-                                  batch.input_nodes().end());
-      Matrix input = x.GatherRows(gather);
       std::vector<int> seed_labels(seeds.size());
       for (size_t i = 0; i < seeds.size(); ++i) {
         seed_labels[i] = labels[seeds[i]];
       }
       model.ZeroGrad();
-      epoch_loss += model.TrainStep(batch, input, seed_labels, &rng);
+      epoch_loss += model.TrainStep(batch, x, seed_labels, &rng);
       opt.Step();
       ++num_batches;
     }
@@ -212,7 +212,10 @@ ModelResult TrainSage(const graph::CsrGraph& graph, const Matrix& x,
         epoch_loss / static_cast<double>(num_batches);
     result.report.epochs_run = epoch + 1;
 
-    Matrix logits = model.Predict(graph, x);
+    // The workspace holds the epoch's largest block; free it before
+    // inference allocates graph-sized activations.
+    model.ReleaseWorkspace();
+    Matrix logits = model.Predict(mean_prop, x);
     const double val = nn::Accuracy(logits, labels, splits.val);
     const double test = nn::Accuracy(logits, labels, splits.test);
     if (tracker.Update(val, test)) break;

@@ -48,7 +48,7 @@ void DropoutForward(double p, common::Rng* rng, Matrix* x, Matrix* mask) {
   SGNN_CHECK(mask != nullptr);
   SGNN_CHECK(p >= 0.0 && p < 1.0);
   if (p == 0.0) {
-    *mask = Matrix(x->rows(), x->cols(), 1.0f);
+    mask->Reset(x->rows(), x->cols(), 1.0f);
     return;
   }
   SGNN_CHECK(rng != nullptr);

@@ -14,7 +14,7 @@ double SoftmaxCrossEntropy(const Matrix& logits, std::span<const int> labels,
                            Matrix* dlogits) {
   SGNN_CHECK_EQ(labels.size(), static_cast<size_t>(logits.rows()));
   SGNN_CHECK(!rows.empty());
-  if (dlogits != nullptr) *dlogits = Matrix(logits.rows(), logits.cols());
+  if (dlogits != nullptr) dlogits->Reset(logits.rows(), logits.cols());
   const double inv_count = 1.0 / static_cast<double>(rows.size());
   double loss = 0.0;
   std::vector<double> probs(static_cast<size_t>(logits.cols()));
@@ -56,7 +56,7 @@ double SoftmaxCrossEntropyWeighted(const Matrix& logits,
     total_weight += w;
   }
   SGNN_CHECK_GT(total_weight, 0.0);
-  if (dlogits != nullptr) *dlogits = Matrix(logits.rows(), logits.cols());
+  if (dlogits != nullptr) dlogits->Reset(logits.rows(), logits.cols());
   double loss = 0.0;
   std::vector<double> probs(static_cast<size_t>(logits.cols()));
   for (size_t i = 0; i < rows.size(); ++i) {

@@ -32,6 +32,22 @@ TrainReport TrainMlpOnEmbeddings(Mlp* mlp, const Matrix& embeddings,
       config.batch_size > 0 ? static_cast<size_t>(config.batch_size)
                             : order.size();
 
+  // Validation reads only val ∪ test, so each pass forwards just those
+  // rows, val first, gathered per pass so no copy outlives it. GEMM rows
+  // are independent: the logits equal those rows of whole-matrix inference.
+  std::vector<int64_t> eval_nodes(val_nodes.begin(), val_nodes.end());
+  eval_nodes.insert(eval_nodes.end(), test_nodes.begin(), test_nodes.end());
+  std::vector<int> eval_labels(eval_nodes.size());
+  std::vector<NodeId> eval_rows(eval_nodes.size());
+  for (size_t i = 0; i < eval_nodes.size(); ++i) {
+    eval_labels[i] = labels[static_cast<size_t>(eval_nodes[i])];
+    eval_rows[i] = static_cast<NodeId>(i);
+  }
+  const std::span<const NodeId> val_rows =
+      std::span<const NodeId>(eval_rows).first(val_nodes.size());
+  const std::span<const NodeId> test_rows =
+      std::span<const NodeId>(eval_rows).subspan(val_nodes.size());
+
   TrainReport report;
   int since_best = 0;
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
@@ -69,13 +85,14 @@ TrainReport TrainMlpOnEmbeddings(Mlp* mlp, const Matrix& embeddings,
     report.final_train_loss = epoch_loss / static_cast<double>(batches);
     report.epochs_run = epoch + 1;
 
-    // Validation (inference mode, whole matrix).
+    // Validation (inference mode, val ∪ test rows only).
     Matrix logits;
-    mlp->Forward(embeddings, /*training=*/false, nullptr, &logits);
-    const double val_acc = Accuracy(logits, labels, val_nodes);
+    mlp->Forward(embeddings.GatherRows(eval_nodes), /*training=*/false,
+                 nullptr, &logits);
+    const double val_acc = Accuracy(logits, eval_labels, val_rows);
     if (val_acc > report.best_val_accuracy) {
       report.best_val_accuracy = val_acc;
-      report.test_accuracy = Accuracy(logits, labels, test_nodes);
+      report.test_accuracy = Accuracy(logits, eval_labels, test_rows);
       since_best = 0;
     } else if (++since_best >= config.patience) {
       break;

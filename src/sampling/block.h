@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "graph/types.h"
 
 namespace sgnn::sampling {
@@ -40,6 +41,47 @@ struct LayerSample {
                                       offsets[r + 1] - offsets[r]);
   }
   float SelfLoop(int64_t) const { return 0.0f; }
+};
+
+/// The same block read by global node id: dst row r reads rows
+/// `src[src_local[i]]` of a matrix indexed by node id (the full feature
+/// matrix) at `weights`, with no self loop. It visits the block's edges in
+/// the same order at the same weights, so `graph::SpmmRows` over it gives
+/// the bits of running `LayerSample`'s own view over the gathered src rows,
+/// without the gather.
+class GlobalSourceRows {
+ public:
+  /// Neighbour ids of one dst row, read through `src_local`: an indexable
+  /// proxy, so the view allocates nothing.
+  struct Sources {
+    std::span<const uint32_t> local;
+    std::span<const graph::NodeId> src;
+
+    size_t size() const { return local.size(); }
+    graph::NodeId operator[](size_t i) const { return src[local[i]]; }
+  };
+
+  /// Checks that every src id of `layer` is below `num_rows`, the row
+  /// count of the matrix the view will be applied to.
+  GlobalSourceRows(const LayerSample& layer, int64_t num_rows)
+      : layer_(layer) {
+    for (const graph::NodeId u : layer.src) {
+      SGNN_CHECK_LT(static_cast<int64_t>(u), num_rows);
+    }
+  }
+
+  graph::EdgeIndex EdgeBegin(int64_t r) const { return layer_.EdgeBegin(r); }
+  int64_t OutRow(int64_t r) const { return r; }
+  Sources Neighbors(int64_t r) const {
+    return {layer_.Neighbors(r), layer_.src};
+  }
+  std::span<const float> Coefficients(int64_t r) const {
+    return layer_.Coefficients(r);
+  }
+  float SelfLoop(int64_t) const { return 0.0f; }
+
+ private:
+  const LayerSample& layer_;
 };
 
 /// A full mini-batch: `layers[0]` is the innermost block (touching raw

@@ -27,10 +27,10 @@ std::vector<double> ExactNeighborhoodMean(const CsrGraph& graph,
 }
 
 Matrix AggregateThroughLayer(const LayerSample& layer, const Matrix& features) {
-  const std::vector<int64_t> src(layer.src.begin(), layer.src.end());
   const int64_t num_dst = static_cast<int64_t>(layer.dst.size());
   Matrix out(num_dst, features.cols());
-  graph::SpmmRows(layer, {0, num_dst}, features.GatherRows(src), &out);
+  graph::SpmmRows(GlobalSourceRows(layer, features.rows()), {0, num_dst},
+                  features, &out);
   return out;
 }
 

@@ -21,8 +21,9 @@ std::vector<double> ExactNeighborhoodMean(const graph::CsrGraph& graph,
 
 /// Aggregates `features` through a single LayerSample: for each dst i,
 /// out[i] = sum_edges w * features[src_global]. This is the GNN layer's
-/// own kernel (`graph::SpmmRows` over the block, billed like it) and is
-/// what the unbiasedness claims are about.
+/// own kernel (`graph::SpmmRows` over the block's global-id view, as
+/// GraphSAGE's layer 0 runs it, billed like it) and is what the
+/// unbiasedness claims are about. Every src id must be a row of `features`.
 tensor::Matrix AggregateThroughLayer(const LayerSample& layer,
                                      const tensor::Matrix& features);
 

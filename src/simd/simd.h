@@ -29,8 +29,10 @@ namespace sgnn::simd {
 ///     multiply then add, exactly the scalar loop's order, whatever block
 ///     of C the vector backend holds in registers. The scalar loop skips
 ///     A(r,p) == 0 (either sign); the vector tile instead adds the product
-///     masked to +0. That changes no bit: C starts at +0, and a
-///     round-to-nearest sum is -0 only when both addends are -0, so C
+///     masked to +0. That changes no bit: C starts at +0 (`tensor` GEMMs
+///     `Matrix::Reset` their output, which fills +0.0f exactly as the
+///     constructor does), and a round-to-nearest sum is -0 only when both
+///     addends are -0, so C
 ///     never holds -0, and c + (+0) == c for every other c (NaN and inf
 ///     included). The mask also keeps 0 * inf = NaN out of C.
 ///  2. Reductions fix the lane-fold order: `Dot` partitions index i into

@@ -91,7 +91,7 @@ Status OocPropagator::Apply(const tensor::Matrix& x,
   SGNN_CHECK(out != nullptr);
   SGNN_CHECK(graph_ != nullptr);
   SGNN_CHECK_EQ(x.rows(), static_cast<int64_t>(graph_->num_nodes()));
-  *out = tensor::Matrix(x.rows(), x.cols());
+  out->Reset(x.rows(), x.cols());
   for (int s = 0; s < graph_->num_shards(); ++s) {
     auto pin_or = graph_->PinShard(s);
     if (!pin_or.ok()) return pin_or.status();

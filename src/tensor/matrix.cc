@@ -45,14 +45,12 @@ Matrix Matrix::Gaussian(int64_t rows, int64_t cols, float mean, float stddev,
 
 void Matrix::Fill(float v) { std::fill(data_.begin(), data_.end(), v); }
 
-Matrix Matrix::GatherRows(std::span<const int64_t> indices) const {
-  Matrix out(static_cast<int64_t>(indices.size()), cols_);
-  for (size_t i = 0; i < indices.size(); ++i) {
-    SGNN_CHECK(indices[i] >= 0 && indices[i] < rows_);
-    auto src = Row(indices[i]);
-    std::copy(src.begin(), src.end(), out.Row(static_cast<int64_t>(i)).begin());
-  }
-  return out;
+void Matrix::Reset(int64_t rows, int64_t cols, float fill) {
+  SGNN_CHECK_GE(rows, 0);
+  SGNN_CHECK_GE(cols, 0);
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(static_cast<size_t>(rows * cols), fill);
 }
 
 void Matrix::AccumulateRow(int64_t dst_row, std::span<const float> src) {

@@ -1,6 +1,7 @@
 #ifndef SGNN_TENSOR_MATRIX_H_
 #define SGNN_TENSOR_MATRIX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -20,11 +21,8 @@ class Matrix {
  public:
   Matrix() : rows_(0), cols_(0) {}
   /// Creates a `rows` x `cols` matrix initialised to `fill`.
-  Matrix(int64_t rows, int64_t cols, float fill = 0.0f)
-      : rows_(rows), cols_(cols),
-        data_(static_cast<size_t>(rows * cols), fill) {
-    SGNN_CHECK_GE(rows, 0);
-    SGNN_CHECK_GE(cols, 0);
+  Matrix(int64_t rows, int64_t cols, float fill = 0.0f) : Matrix() {
+    Reset(rows, cols, fill);
   }
 
   Matrix(const Matrix&) = default;
@@ -78,8 +76,31 @@ class Matrix {
   /// Sets every entry to zero (gradient reset idiom).
   void Zero() { Fill(0.0f); }
 
+  /// Becomes a `rows` x `cols` matrix of `fill`, as the constructor makes
+  /// it, but keeps the allocation when it is large enough: the in-place
+  /// output idiom of every op that overwrites its `out`.
+  void Reset(int64_t rows, int64_t cols, float fill = 0.0f);
+
   /// Returns a new matrix containing the given rows, in order.
-  Matrix GatherRows(std::span<const int64_t> indices) const;
+  Matrix GatherRows(std::span<const int64_t> indices) const {
+    Matrix out;
+    GatherRowsInto(indices, &out);
+    return out;
+  }
+
+  /// As `GatherRows`, from row ids of any integral type, into `out`, which
+  /// is reset in place (`Reset`).
+  template <typename Index>
+  void GatherRowsInto(std::span<const Index> indices, Matrix* out) const {
+    SGNN_CHECK(out != nullptr && out != this);
+    out->Reset(static_cast<int64_t>(indices.size()), cols_);
+    for (size_t i = 0; i < indices.size(); ++i) {
+      const int64_t r = static_cast<int64_t>(indices[i]);
+      SGNN_CHECK(r >= 0 && r < rows_);
+      std::copy_n(data_.data() + r * cols_, cols_,
+                  out->data() + static_cast<int64_t>(i) * cols_);
+    }
+  }
 
   /// Adds `src` row r into this matrix's row `dst_row` (scatter-accumulate).
   void AccumulateRow(int64_t dst_row, std::span<const float> src);

@@ -73,7 +73,7 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix* out) {
   SGNN_CHECK(out != nullptr);
   SGNN_CHECK_EQ(a.cols(), b.rows());
   const int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  *out = Matrix(m, n);
+  out->Reset(m, n);
   if (m == 0 || k == 0 || n == 0) return;
   const auto rows = RowRangesFor(m, k * n);
   const simd::KernelTable& kt = simd::Active();
@@ -95,7 +95,7 @@ void GemmTransposeA(const Matrix& a, const Matrix& b, Matrix* out) {
   SGNN_CHECK(out != nullptr);
   SGNN_CHECK_EQ(a.rows(), b.rows());
   const int64_t m = a.cols(), k = a.rows(), n = b.cols();
-  *out = Matrix(m, n);
+  out->Reset(m, n);
   if (m == 0 || k == 0 || n == 0) return;
   // The k rows all scatter into the same m x n output, so shards reduce
   // into private partials that fold in ascending shard order — a fixed
@@ -131,7 +131,7 @@ void GemmTransposeB(const Matrix& a, const Matrix& b, Matrix* out) {
   SGNN_CHECK(out != nullptr);
   SGNN_CHECK_EQ(a.cols(), b.cols());
   const int64_t m = a.rows(), k = a.cols(), n = b.rows();
-  *out = Matrix(m, n);
+  out->Reset(m, n);
   if (m == 0 || k == 0 || n == 0) return;
   const auto rows = RowRangesFor(m, k * n);
   const simd::KernelTable& kt = simd::Active();
@@ -263,7 +263,7 @@ void KeyedDropout(uint64_t key, double p, Matrix* x, Matrix* mask) {
   SGNN_CHECK(x != nullptr);
   SGNN_CHECK(mask != nullptr);
   SGNN_CHECK(p >= 0.0 && p < 1.0);
-  *mask = Matrix(x->rows(), x->cols());
+  mask->Reset(x->rows(), x->cols());
   const float scale = static_cast<float>(1.0 / (1.0 - p));
   const uint32_t scale_bits = std::bit_cast<uint32_t>(scale);
   // For an integer u, u * 2^-53 < p exactly when u < ceil(p * 2^53); the

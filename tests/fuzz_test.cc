@@ -7,17 +7,16 @@
 //
 // The contract for every decode call: it returns a Status, with no crash,
 // abort, sanitizer report or escaped exception, and a call that rejects
-// its input made no single allocation over 64 MiB. The replaced operator
-// new below throws std::bad_alloc above 1 GiB, so a size forged past a
-// decoder's checks fails its case instead of exhausting the machine.
+// its input made no single allocation over 64 MiB. The binary links
+// alloc_tracker.cc, whose replaced operator new throws std::bad_alloc
+// above 1 GiB, so a size forged past a decoder's checks fails its case
+// instead of exhausting the machine.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -29,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_tracker.h"
 #include "common/crc32.h"
 #include "common/fault.h"
 #include "common/posix.h"
@@ -48,90 +48,15 @@
 #include "storage/shard_writer.h"
 #include "tensor/matrix.h"
 
-namespace {
-
-constexpr size_t kAllocCap = size_t{1} << 30;
-constexpr size_t kRejectedAllocCap = size_t{64} << 20;
-std::atomic<size_t> g_largest_alloc{0};
-
-void* CappedAlloc(size_t n, size_t align) {
-  if (n > kAllocCap) throw std::bad_alloc();
-  size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
-  while (n > seen && !g_largest_alloc.compare_exchange_weak(
-                         seen, n, std::memory_order_relaxed)) {
-  }
-  const size_t bytes = std::max<size_t>(n, 1);
-  void* p = align == 0 ? std::malloc(bytes)
-                       : std::aligned_alloc(
-                             align, (bytes + align - 1) / align * align);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* CappedAllocNoThrow(size_t n, size_t align) noexcept {
-  try {
-    return CappedAlloc(n, align);
-  } catch (const std::bad_alloc&) {
-    return nullptr;
-  }
-}
-
-}  // namespace
-
-// Every replaceable form, so no allocation bypasses the cap and every
-// block returns to the allocator it came from.
-void* operator new(size_t n) { return CappedAlloc(n, 0); }
-void* operator new[](size_t n) { return CappedAlloc(n, 0); }
-void* operator new(size_t n, std::align_val_t a) {
-  return CappedAlloc(n, static_cast<size_t>(a));
-}
-void* operator new[](size_t n, std::align_val_t a) {
-  return CappedAlloc(n, static_cast<size_t>(a));
-}
-void* operator new(size_t n, const std::nothrow_t&) noexcept {
-  return CappedAllocNoThrow(n, 0);
-}
-void* operator new[](size_t n, const std::nothrow_t&) noexcept {
-  return CappedAllocNoThrow(n, 0);
-}
-void* operator new(size_t n, std::align_val_t a,
-                   const std::nothrow_t&) noexcept {
-  return CappedAllocNoThrow(n, static_cast<size_t>(a));
-}
-void* operator new[](size_t n, std::align_val_t a,
-                     const std::nothrow_t&) noexcept {
-  return CappedAllocNoThrow(n, static_cast<size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t,
-                     const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
 namespace sgnn {
 namespace {
 
 using common::Status;
 using graph::NodeId;
+
+/// A decode that rejects its input may make no single allocation above
+/// this.
+constexpr size_t kRejectedAllocCap = size_t{64} << 20;
 
 /// Random mutations per target, on top of the targeted ones.
 constexpr int kIterations = 2000;
@@ -171,7 +96,7 @@ struct Target {
 /// violation.
 bool Check(const Target& target, const std::string& input,
            const std::string& what) {
-  g_largest_alloc.store(0, std::memory_order_relaxed);
+  alloc_tracker::ResetLargest();
   Status status;
   try {
     status = target.decode(input);
@@ -183,7 +108,7 @@ bool Check(const Target& target, const std::string& input,
     ADD_FAILURE() << what << ": an exception escaped the decoder";
     return false;
   }
-  const size_t largest = g_largest_alloc.load(std::memory_order_relaxed);
+  const size_t largest = alloc_tracker::Largest();
   if (!status.ok() && largest > kRejectedAllocCap) {
     ADD_FAILURE() << what << ": rejected (" << status.ToString()
                   << ") after allocating " << largest << " bytes at once";

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/counters.h"
 #include "core/dataset.h"
 #include "models/cluster_gcn.h"
@@ -7,6 +10,7 @@
 #include "models/gcn.h"
 #include "models/sage.h"
 #include "models/saint.h"
+#include "nn/optimizer.h"
 #include "sampling/neighbor_sampler.h"
 
 namespace sgnn::models {
@@ -244,8 +248,8 @@ TEST(SageTest, LearnsHomophilousSbmWithSampling) {
 }
 
 // A sampled step bills the forward aggregation over every block and the
-// backward transpose over every block but block 0: the gathered input
-// features are not trained, so no gradient flows back through block 0.
+// backward transpose over every block but block 0: the input features are
+// not trained, so no gradient flows back through block 0.
 TEST(SageTest, TrainStepBillsNoInputGradient) {
   const Dataset d = EasyDataset();
   common::Rng rng(3);
@@ -259,9 +263,6 @@ TEST(SageTest, TrainStepBillsNoInputGradient) {
   const std::vector<int> fanouts = {4, 4, 4};
   const sampling::MiniBatch batch =
       sampling::SampleNodeWise(d.graph, seeds, fanouts, &rng);
-  const std::vector<int64_t> inputs(batch.input_nodes().begin(),
-                                    batch.input_nodes().end());
-  const tensor::Matrix x = d.features.GatherRows(inputs);
   uint64_t expected = 0;
   for (size_t l = 0; l < batch.layers.size(); ++l) {
     const uint64_t edges = static_cast<uint64_t>(batch.layers[l].num_edges());
@@ -269,8 +270,78 @@ TEST(SageTest, TrainStepBillsNoInputGradient) {
   }
   model.ZeroGrad();
   const common::ScopedCounterDelta counters;
-  model.TrainStep(batch, x, labels, &rng);
+  model.TrainStep(batch, d.features, labels, &rng);
   EXPECT_EQ(counters.Delta().edges_touched, expected);
+}
+
+bool BytesEqual(const tensor::Matrix& a, const tensor::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// One model keeps its step workspace across batches whose blocks go large,
+// small, large, small and large again, with an Adam step after each. Each
+// step's loss and gradients must match, byte for byte, those of a fresh
+// model given the same weights, so no stale row or shape survives a reuse.
+TEST(SageTest, ReusedWorkspaceMatchesFreshModel) {
+  const Dataset d = EasyDataset();
+  const std::vector<int64_t> dims = {d.features.cols(), 16, 16,
+                                     d.num_classes};
+  common::Rng init(3);
+  SageModel model(dims, 0.5, &init);
+  nn::Adam opt(model.Params(), 0.01);
+  const std::vector<int> fanouts = {4, 4, 4};
+  for (const graph::NodeId stride : {2u, 29u, 3u, 41u, 2u}) {
+    SCOPED_TRACE("stride " + std::to_string(stride));
+    std::vector<graph::NodeId> seeds;
+    std::vector<int> labels;
+    for (graph::NodeId u = stride % 5; u < d.num_nodes(); u += stride) {
+      seeds.push_back(u);
+      labels.push_back(d.labels[u]);
+    }
+    common::Rng sample_rng(stride);
+    const sampling::MiniBatch batch =
+        sampling::SampleNodeWise(d.graph, seeds, fanouts, &sample_rng);
+    common::Rng fresh_init(3);
+    SageModel fresh(dims, 0.5, &fresh_init);
+    const std::vector<nn::ParamRef> params = model.Params();
+    const std::vector<nn::ParamRef> fresh_params = fresh.Params();
+    ASSERT_EQ(params.size(), fresh_params.size());
+    for (size_t i = 0; i < params.size(); ++i) {
+      *fresh_params[i].value = *params[i].value;
+    }
+    common::Rng step_rng(100 + stride), fresh_step_rng(100 + stride);
+    model.ZeroGrad();
+    fresh.ZeroGrad();
+    const double loss = model.TrainStep(batch, d.features, labels, &step_rng);
+    const double want =
+        fresh.TrainStep(batch, d.features, labels, &fresh_step_rng);
+    EXPECT_EQ(std::memcmp(&loss, &want, sizeof(double)), 0);
+    for (size_t i = 0; i < params.size(); ++i) {
+      EXPECT_TRUE(BytesEqual(*params[i].grad, *fresh_params[i].grad)) << i;
+    }
+    opt.Step();
+  }
+}
+
+// Layer 0 reads the feature matrix by node id, so a matrix with too few
+// rows (a caller still passing a gathered copy, say) stops the step before
+// any out-of-bounds read.
+TEST(SageDeathTest, TrainStepRejectsAnInputIdPastTheFeatureRows) {
+  const Dataset d = EasyDataset();
+  common::Rng rng(3);
+  SageModel model({d.features.cols(), 8, d.num_classes}, 0.0, &rng);
+  const std::vector<graph::NodeId> seeds = {0, 1, 2};
+  const std::vector<int> labels = {d.labels[0], d.labels[1], d.labels[2]};
+  const std::vector<int> fanouts = {3, 3};
+  const sampling::MiniBatch batch =
+      sampling::SampleNodeWise(d.graph, seeds, fanouts, &rng);
+  const std::vector<graph::NodeId>& inputs = batch.input_nodes();
+  const graph::NodeId max_id = *std::max_element(inputs.begin(), inputs.end());
+  const tensor::Matrix too_few(static_cast<int64_t>(max_id),
+                               d.features.cols());
+  EXPECT_DEATH(model.TrainStep(batch, too_few, labels, &rng), "num_rows");
 }
 
 TEST(SageTest, LaborVariantMatchesNodeWiseQuality) {

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
+#include "par/par.h"
+#include "simd/simd.h"
 #include "tensor/ops.h"
 
 namespace sgnn::nn {
@@ -273,6 +277,40 @@ TEST(MlpTest, InferenceLogitsIgnoreDropout) {
   with_dropout.Forward(x, /*training=*/false, nullptr, &a);
   without_dropout.Forward(x, /*training=*/false, nullptr, &b);
   EXPECT_TRUE(a.Equals(b));
+}
+
+// The validation pass forwards only the rows it reads. GEMM rows are
+// independent, so inference over gathered rows gives, byte for byte, those
+// rows of whole-matrix inference, on either backend at any thread count.
+TEST(MlpTest, GatheredRowInferenceMatchesWholeMatrix) {
+  common::Rng rng(12);
+  Mlp mlp({24, 40, 40, 5}, 0.5, &rng);
+  const Matrix x = Matrix::Gaussian(1500, 24, 0, 1, &rng);
+  std::vector<int64_t> rows;
+  for (int64_t r = x.rows() - 1; r >= 0; r -= 7) rows.push_back(r);
+  rows.push_back(3);
+  const Matrix gathered = x.GatherRows(rows);
+  const bool simd_was = simd::Enabled();
+  const int threads_was = par::NumThreads();
+  for (const bool simd_on : {false, true}) {
+    for (const int threads : {1, 8}) {
+      SCOPED_TRACE(std::string("simd=") + (simd_on ? "on" : "off") +
+                   " threads=" + std::to_string(threads));
+      simd::SetEnabled(simd_on);
+      par::SetThreads(threads);
+      Matrix whole, part;
+      mlp.Forward(x, /*training=*/false, nullptr, &whole);
+      mlp.Forward(gathered, /*training=*/false, nullptr, &part);
+      const Matrix want = whole.GatherRows(rows);
+      ASSERT_EQ(part.rows(), want.rows());
+      ASSERT_EQ(part.cols(), want.cols());
+      EXPECT_EQ(std::memcmp(part.data(), want.data(),
+                            static_cast<size_t>(want.size()) * sizeof(float)),
+                0);
+    }
+  }
+  simd::SetEnabled(simd_was);
+  par::SetThreads(threads_was);
 }
 
 TEST(MlpTest, ForwardShapeAndDeterminism) {

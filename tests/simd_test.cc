@@ -241,7 +241,9 @@ TEST_F(SimdTest, GemmFamilyBitIdentical) {
 // (all stay inside one GemmTransposeA reduction shard, whose fold onto +0
 // is exact). About 60% of A is zero, of both signs, and each B row whose A
 // column is all zero holds inf and NaN, which only a skipped or masked
-// product keeps out of C.
+// product keeps out of C. Every GEMM, GemmTransposeB too, also writes into
+// an output that already holds NaN at a larger shape: it is reset in place
+// and must match a fresh output byte for byte.
 TEST_F(SimdTest, GemmMatchesNaiveLoop) {
   auto naive = [](const Matrix& a, const Matrix& b) {
     Matrix c(a.rows(), b.cols());
@@ -281,6 +283,9 @@ TEST_F(SimdTest, GemmMatchesNaiveLoop) {
         }
         const Matrix want = naive(a, b);
         const Matrix at = tensor::Transpose(a);
+        const Matrix bt = tensor::Transpose(b);
+        const Matrix stale(rows + 3, n + 5,
+                           std::numeric_limits<float>::quiet_NaN());
         for (const bool simd_on : {false, true}) {
           for (const int threads : {1, 8}) {
             SCOPED_TRACE("rows=" + std::to_string(rows) +
@@ -290,11 +295,19 @@ TEST_F(SimdTest, GemmMatchesNaiveLoop) {
                          " threads=" + std::to_string(threads));
             simd::SetEnabled(simd_on);
             par::SetThreads(threads);
-            Matrix c, cta;
+            Matrix c, cta, ctb;
             tensor::Gemm(a, b, &c);
             tensor::GemmTransposeA(at, b, &cta);
+            tensor::GemmTransposeB(a, bt, &ctb);
             EXPECT_TRUE(BytesEqual(want, c));
             EXPECT_TRUE(BytesEqual(want, cta));
+            Matrix reused_c = stale, reused_cta = stale, reused_ctb = stale;
+            tensor::Gemm(a, b, &reused_c);
+            tensor::GemmTransposeA(at, b, &reused_cta);
+            tensor::GemmTransposeB(a, bt, &reused_ctb);
+            EXPECT_TRUE(BytesEqual(c, reused_c));
+            EXPECT_TRUE(BytesEqual(cta, reused_cta));
+            EXPECT_TRUE(BytesEqual(ctb, reused_ctb));
           }
         }
       }
@@ -347,10 +360,11 @@ TEST_F(SimdTest, PropagatorApplyBitIdentical) {
   }
 }
 
-// GraphSAGE's sampled step runs both shared kernels over the block view:
-// the forward aggregation through `SpmmRows` (column-blocked at 160 input
-// columns) and the backward through `SpmmTransposeRows`. The loss and every
-// parameter gradient must not depend on backend or thread count.
+// GraphSAGE's sampled step runs both shared kernels over the block views:
+// the forward aggregation through `SpmmRows` (layer 0 over the global-id
+// view, column-blocked at 160 input columns) and the backward through
+// `SpmmTransposeRows`. The loss and every parameter gradient must not
+// depend on backend or thread count.
 TEST_F(SimdTest, SageTrainStepBitIdentical) {
   const CsrGraph g = graph::BarabasiAlbert(600, 6, 43);
   const Matrix x = RandomMatrix(g.num_nodes(), 160, 44);
@@ -372,10 +386,8 @@ TEST_F(SimdTest, SageTrainStepBitIdentical) {
     const std::vector<int> fanouts = {5, 5};
     const sampling::MiniBatch batch =
         sampling::SampleNodeWise(g, seeds, fanouts, &rng);
-    const std::vector<int64_t> inputs(batch.input_nodes().begin(),
-                                      batch.input_nodes().end());
     model.ZeroGrad();
-    Step step{model.TrainStep(batch, x.GatherRows(inputs), labels, &rng), {}};
+    Step step{model.TrainStep(batch, x, labels, &rng), {}};
     for (const nn::ParamRef& p : model.Params()) step.grads.push_back(*p.grad);
     return step;
   };

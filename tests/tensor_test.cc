@@ -76,6 +76,48 @@ TEST(MatrixTest, GatherRowsSelectsAndOrders) {
   EXPECT_FLOAT_EQ(g.at(1, 1), 2.0f);
 }
 
+TEST(MatrixTest, GatherRowsIntoAcceptsAnyIdTypeAndReusesOut) {
+  const Matrix m = Small();
+  const std::vector<uint32_t> idx = {1, 2, 1};
+  Matrix out(8, 8, 9.0f);
+  const float* before = out.data();
+  m.GatherRowsInto<uint32_t>(idx, &out);
+  EXPECT_EQ(out.data(), before);
+  EXPECT_TRUE(out.Equals(Matrix::FromRows({{3, 4}, {5, 6}, {3, 4}})));
+}
+
+// Reset gives what the constructor gives, +0.0f by default, and keeps the
+// allocation whenever it is large enough.
+TEST(MatrixTest, ResetSetsShapeAndFill) {
+  Matrix m(2, 3, 7.0f);
+  m.Reset(3, 2);
+  EXPECT_EQ(m.rows(), 3);
+  EXPECT_EQ(m.cols(), 2);
+  EXPECT_TRUE(m.Equals(Matrix(3, 2)));
+  for (int64_t i = 0; i < m.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(m.data()[i]), 0u) << i;
+  }
+  m.Reset(4, 5, -1.5f);
+  EXPECT_TRUE(m.Equals(Matrix(4, 5, -1.5f)));
+  m.Reset(0, 5);
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.cols(), 5);
+}
+
+TEST(MatrixTest, ResetKeepsTheAllocationWhenItFits) {
+  Matrix m(64, 32, std::numeric_limits<float>::quiet_NaN());
+  const float* data = m.data();
+  m.Reset(64, 32);  // Same size.
+  EXPECT_EQ(m.data(), data);
+  EXPECT_TRUE(m.Equals(Matrix(64, 32)));
+  m.Reset(10, 7, 2.0f);  // Smaller.
+  EXPECT_EQ(m.data(), data);
+  EXPECT_TRUE(m.Equals(Matrix(10, 7, 2.0f)));
+  m.Reset(32, 64);  // Back up to the capacity.
+  EXPECT_EQ(m.data(), data);
+  EXPECT_TRUE(m.Equals(Matrix(32, 64)));
+}
+
 TEST(MatrixTest, AccumulateRowAdds) {
   Matrix m = Small();
   std::vector<float> inc = {10.0f, 20.0f};
