@@ -11,8 +11,9 @@
 // the binary runs the usual google-benchmark suite (Arg(0) = scalar
 // backend, Arg(1) = vector backend). Every json row that writes a fresh
 // output (the GEMM rows, transpose, SpMM) also byte-compares the scalar
-// and vector results, and the run exits non-zero on a mismatch, so the
-// json mode doubles as a bit-identity smoke for any build.
+// and vector results, and the CRC row compares the two checksums; the run
+// exits non-zero on a mismatch, so the json mode doubles as a bit-identity
+// smoke for any build.
 
 #include <benchmark/benchmark.h>
 
@@ -178,6 +179,10 @@ struct KernelResult {
   double Speedup() const {
     return simd_seconds > 0.0 ? scalar_seconds / simd_seconds : 0.0;
   }
+  /// Logical bytes per second of one backend, in GB/s.
+  double Gbps(double seconds) const {
+    return seconds > 0.0 ? static_cast<double>(bytes) / seconds / 1e9 : 0.0;
+  }
 };
 
 /// Best-of-N wall time of `fn` (after one warmup run), in seconds.
@@ -309,6 +314,24 @@ int RunJson(const std::string& path) {
                               [&] { out = tensor::Transpose(m); }));
   }
   {
+    // The shard-section and frame checksum over 1 MiB, about one shard
+    // section of the scale-out benchmark. The bytes are the checksummed
+    // length, and the row is identical when both backends agree on the CRC.
+    std::vector<unsigned char> buf(size_t{1} << 20);
+    for (size_t i = 0; i < buf.size(); ++i) {
+      buf[i] = static_cast<unsigned char>(sgnn::common::SplitMix64(i));
+    }
+    uint32_t crc = 0;
+    const auto checksum = [&] { crc = simd::Crc32(buf.data(), buf.size()); };
+    simd::SetEnabled(false);
+    checksum();
+    const uint32_t scalar_crc = crc;
+    KernelResult result = Compare("crc32_1MiB", 0.0, nullptr, checksum);
+    result.bytes = buf.size();
+    result.identical = crc == scalar_crc;
+    results.push_back(result);
+  }
+  {
     const CsrGraph& g = SpmmGraph();
     sgnn::graph::Propagator prop(g, sgnn::graph::Normalization::kSymmetric,
                                  /*add_self_loops=*/true);
@@ -326,8 +349,8 @@ int RunJson(const std::string& path) {
   std::string json = "{\n  \"experiment\": \"E25\",\n  \"backend\": \"";
   json += simd::Supported() ? "avx2" : "scalar-only";
   json += "\",\n  \"results\": [\n";
-  std::printf("%-22s %12s %12s %8s %9s %11s %10s %6s\n", "kernel",
-              "scalar_ms", "simd_ms", "speedup", "GF/s", "edges/s",
+  std::printf("%-22s %12s %12s %8s %9s %9s %11s %10s %6s\n", "kernel",
+              "scalar_ms", "simd_ms", "speedup", "GF/s", "GB/s", "edges/s",
               "bytes/edge", "bits");
   char buf[512];
   int mismatches = 0;
@@ -349,19 +372,21 @@ int RunJson(const std::string& path) {
         buf, sizeof(buf),
         "    {\"name\": \"%s\", \"scalar_seconds\": %.6e, "
         "\"simd_seconds\": %.6e, \"speedup\": %.3f, \"gflops\": %.3f, "
+        "\"scalar_gbps\": %.3f, \"simd_gbps\": %.3f, "
         "\"bytes\": %llu, \"edges\": %llu, \"edges_per_s\": %.3e, "
         "\"bytes_per_edge\": %.1f, \"bit_identical\": %s}%s\n",
         r.name.c_str(), r.scalar_seconds, r.simd_seconds, r.Speedup(),
-        gflops, static_cast<unsigned long long>(r.bytes),
+        gflops, r.Gbps(r.scalar_seconds), r.Gbps(r.simd_seconds),
+        static_cast<unsigned long long>(r.bytes),
         static_cast<unsigned long long>(r.edges), edges_per_s,
         bytes_per_edge,
         !r.identical ? "null" : (*r.identical ? "true" : "false"),
         i + 1 < results.size() ? "," : "");
     json += buf;
-    std::printf("%-22s %12.3f %12.3f %8.2f %9.2f %11.3e %10.1f %6s\n",
+    std::printf("%-22s %12.3f %12.3f %8.2f %9.2f %9.2f %11.3e %10.1f %6s\n",
                 r.name.c_str(), r.scalar_seconds * 1e3,
-                r.simd_seconds * 1e3, r.Speedup(), gflops, edges_per_s,
-                bytes_per_edge,
+                r.simd_seconds * 1e3, r.Speedup(), gflops,
+                r.Gbps(r.simd_seconds), edges_per_s, bytes_per_edge,
                 !r.identical ? "-" : (*r.identical ? "same" : "DIFF"));
     if (r.identical && !*r.identical) ++mismatches;
   }

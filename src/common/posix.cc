@@ -1,7 +1,10 @@
 #include "common/posix.h"
 
+#include <poll.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <system_error>
@@ -61,18 +64,52 @@ Status ReadFull(int fd, void* buf, std::size_t n, std::size_t* bytes_read) {
   return Status::OK();
 }
 
-Status WriteFull(int fd, const void* buf, std::size_t n) {
-  const char* p = static_cast<const char*>(buf);
-  std::size_t done = 0;
-  while (done < n) {
-    ssize_t put = ::write(fd, p + done, n - done);
+Status WriteFullV(int fd, std::span<const ConstBuffer> bufs) {
+  // bufs[i] is the first buffer with bytes left, `skip` of them written.
+  std::size_t i = 0;
+  std::size_t skip = 0;
+  for (;;) {
+    while (i < bufs.size() && skip == bufs[i].size) {
+      ++i;
+      skip = 0;
+    }
+    if (i == bufs.size()) return Status::OK();
+    constexpr int kMaxIov = 16;
+    iovec iov[kMaxIov];
+    int count = 0;
+    for (std::size_t j = i; j < bufs.size() && count < kMaxIov; ++j) {
+      const std::size_t from = j == i ? skip : 0;
+      if (bufs[j].size == from) continue;
+      iov[count].iov_base =
+          const_cast<char*>(static_cast<const char*>(bufs[j].data) + from);
+      iov[count].iov_len = bufs[j].size - from;
+      ++count;
+    }
+    const ssize_t put = ::writev(fd, iov, count);
     if (put < 0) {
       if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        // A non-blocking descriptor is full: wait for room, then resume.
+        pollfd pfd{fd, POLLOUT, 0};
+        if (::poll(&pfd, 1, -1) >= 0 || errno == EINTR) continue;
+      }
       return StatusFromErrno("write failed");
     }
-    done += static_cast<std::size_t>(put);
+    for (auto left = static_cast<std::size_t>(put); left > 0;) {
+      const std::size_t step = std::min(left, bufs[i].size - skip);
+      left -= step;
+      skip += step;
+      if (skip == bufs[i].size) {
+        ++i;
+        skip = 0;
+      }
+    }
   }
-  return Status::OK();
+}
+
+Status WriteFull(int fd, const void* buf, std::size_t n) {
+  const ConstBuffer one{buf, n};
+  return WriteFullV(fd, {&one, 1});
 }
 
 }  // namespace sgnn::common

@@ -2,6 +2,7 @@
 #define SGNN_COMMON_POSIX_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
 
 #include "common/status.h"
@@ -34,9 +35,21 @@ SGNN_NODISCARD Status StatusFromErrno(const std::string& prefix);
 SGNN_NODISCARD Status ReadFull(int fd, void* buf, std::size_t n,
                 std::size_t* bytes_read = nullptr);
 
-/// Writes exactly `n` bytes from `buf` to `fd`, retrying on `EINTR` and
-/// continuing across short writes. `EPIPE` surfaces as `kUnavailable` via
-/// `StatusFromErrno` (callers must have SIGPIPE ignored or blocked).
+/// One buffer of a gathering write; `data` may be null when `size` is 0.
+struct ConstBuffer {
+  const void* data = nullptr;
+  std::size_t size = 0;
+};
+
+/// Writes every byte of `bufs` to `fd`, in order, as if they were one
+/// buffer, with `writev`: no copy joins them. Retries on `EINTR`, resumes
+/// after a short write, also one that ends inside a buffer, and on a
+/// non-blocking `fd` waits for room instead of failing with `EAGAIN`.
+/// `EPIPE` surfaces as `kUnavailable` via `StatusFromErrno` (callers must
+/// have SIGPIPE ignored or blocked).
+SGNN_NODISCARD Status WriteFullV(int fd, std::span<const ConstBuffer> bufs);
+
+/// `WriteFullV` of the one buffer of `n` bytes at `buf`.
 SGNN_NODISCARD Status WriteFull(int fd, const void* buf, std::size_t n);
 
 }  // namespace sgnn::common

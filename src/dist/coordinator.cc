@@ -49,8 +49,19 @@ struct WorkerHandle {
   int fd = -1;
   int incarnation = 0;
   int spawns = 0;  ///< Total spawns, first launch included.
+  /// Result rows of the epoch in flight from this incarnation, and the last
+  /// row's id (-1 before the first): a worker sends its owned rows in
+  /// ascending order, so each id must exceed the one before.
   size_t rows_received = 0;
+  int64_t last_row = -1;
   bool epoch_done = false;
+
+  /// Starts the row count of an epoch (or a fresh incarnation).
+  void ExpectRows() {
+    rows_received = 0;
+    last_row = -1;
+    epoch_done = false;
+  }
 };
 
 class Coordinator {
@@ -62,7 +73,6 @@ class Coordinator {
         parts_(parts),
         opts_(opts),
         ctx_(ctx),
-        prop_(graph, opts.norm, opts.add_self_loops),
         breaker_(opts.breaker),
         state_(x) {}
 
@@ -103,7 +113,7 @@ class Coordinator {
   Status SpawnWorker(int w);
   Status SendEpochInputs(int w, int epoch);
   Status Recover(int w, int epoch, const Status& cause);
-  Status CollectWorker(int w, int epoch, tensor::Matrix* next);
+  Status CollectWorker(int w, int epoch);
   Status CheckpointEpoch(int epoch);
   void TryResume(int* start_epoch);
   void KillAll();
@@ -119,12 +129,16 @@ class Coordinator {
   const partition::Partition& parts_;
   const DistOptions& opts_;
   const core::RunContext& ctx_;
-  graph::Propagator prop_;
+  /// `graph::NodeFactors` of the graph, from which `SpecFor` evaluates the
+  /// coefficient of each edge it ships.
+  std::vector<double> factor_;
+  std::vector<float> self_loop_;
   common::FaultInjector env_faults_;
   common::FaultInjector* faults_ = nullptr;
   common::CircuitBreaker breaker_;
   HaloPlan plan_;
   tensor::Matrix state_;  ///< Canonical H_e: input state of the next epoch.
+  tensor::Matrix next_;   ///< H_{e+1} as it is gathered; swapped into state_.
   std::vector<WorkerHandle> workers_;
   common::Deadline epoch_deadline_;  ///< Deadline of the epoch in flight.
 
@@ -143,17 +157,29 @@ WorkerSpec Coordinator::SpecFor(int w) const {
   spec.cols = state_.cols();
   spec.owned = plan_.owned[static_cast<size_t>(w)];
   spec.halo = plan_.need[static_cast<size_t>(w)];
-  spec.offsets.reserve(spec.owned.size() + 1);
-  spec.offsets.push_back(0);
-  spec.self_loop.reserve(spec.owned.size());
-  for (const NodeId u : spec.owned) {
+  const size_t rows = spec.owned.size();
+  spec.offsets.resize(rows + 1);
+  spec.offsets[0] = 0;
+  for (size_t i = 0; i < rows; ++i) {
+    spec.offsets[i + 1] = spec.offsets[i] + graph_.OutDegree(spec.owned[i]);
+  }
+  spec.neighbors.resize(static_cast<size_t>(spec.offsets[rows]));
+  spec.coefficients.resize(spec.neighbors.size());
+  spec.self_loop.resize(rows);
+  // `Propagator`'s coefficient formula over the same factors, so the bits
+  // equal its stored coefficients.
+  for (size_t i = 0; i < rows; ++i) {
+    const NodeId u = spec.owned[i];
     const auto nbrs = graph_.Neighbors(u);
-    const auto coeffs = prop_.Coefficients(u);
-    spec.neighbors.insert(spec.neighbors.end(), nbrs.begin(), nbrs.end());
-    spec.coefficients.insert(spec.coefficients.end(), coeffs.begin(),
-                             coeffs.end());
-    spec.offsets.push_back(spec.neighbors.size());
-    spec.self_loop.push_back(prop_.SelfLoopCoefficient(u));
+    const auto ws = graph_.Weights(u);
+    NodeId* out_nbrs = spec.neighbors.data() + spec.offsets[i];
+    float* out_coeffs = spec.coefficients.data() + spec.offsets[i];
+    for (size_t e = 0; e < nbrs.size(); ++e) {
+      out_nbrs[e] = nbrs[e];
+      out_coeffs[e] = graph::EdgeCoefficient(opts_.norm, ws[e], factor_[u],
+                                             factor_[nbrs[e]]);
+    }
+    spec.self_loop[i] = self_loop_.empty() ? 0.0f : self_loop_[u];
   }
   return spec;
 }
@@ -185,8 +211,7 @@ Status Coordinator::SpawnWorker(int w) {
   handle.pid = pid;
   handle.fd = sv[0];
   handle.spawns += 1;
-  handle.rows_received = 0;
-  handle.epoch_done = false;
+  handle.ExpectRows();
 
   Frame config;
   config.type = FrameType::kConfig;
@@ -200,8 +225,7 @@ Status Coordinator::SpawnWorker(int w) {
 
 Status Coordinator::SendEpochInputs(int w, int epoch) {
   WorkerHandle& handle = workers_[static_cast<size_t>(w)];
-  handle.rows_received = 0;
-  handle.epoch_done = false;
+  handle.ExpectRows();
   if (!plan_.need[static_cast<size_t>(w)].empty()) {
     Frame halo;
     halo.type = FrameType::kHalo;
@@ -258,7 +282,7 @@ Status Coordinator::Recover(int w, int epoch, const Status& cause) {
   return Status::OK();
 }
 
-Status Coordinator::CollectWorker(int w, int epoch, tensor::Matrix* next) {
+Status Coordinator::CollectWorker(int w, int epoch) {
   WorkerHandle& handle = workers_[static_cast<size_t>(w)];
   const size_t expected = plan_.owned[static_cast<size_t>(w)].size();
   while (!handle.epoch_done) {
@@ -270,13 +294,21 @@ Status Coordinator::CollectWorker(int w, int epoch, tensor::Matrix* next) {
         frame.epoch == static_cast<uint32_t>(epoch)) {
       status = DecodeRows(
           frame.payload, state_.cols(),
-          [this, next, w, &handle](NodeId id, const float* row) {
+          [this, w, &handle](NodeId id, const float* row) {
             if (id >= graph_.num_nodes() || parts_.part_of[id] != w) {
               return Status::DataLoss("worker " + std::to_string(w) +
                                       " sent a row it does not own: node " +
                                       std::to_string(id));
             }
-            std::memcpy(next->Row(id).data(), row,
+            // Ascending, owned and as many as owned: exactly the owned set.
+            if (static_cast<int64_t>(id) <= handle.last_row) {
+              return Status::DataLoss(
+                  "worker " + std::to_string(w) + " sent row " +
+                  std::to_string(id) + " after row " +
+                  std::to_string(handle.last_row));
+            }
+            handle.last_row = id;
+            std::memcpy(next_.Row(id).data(), row,
                         static_cast<size_t>(state_.cols()) * sizeof(float));
             handle.rows_received += 1;
             return Status::OK();
@@ -452,6 +484,8 @@ StatusOr<tensor::Matrix> Coordinator::Run(DistReport* report) {
   }
 
   plan_ = BuildHaloPlan(graph_, parts_);
+  graph::NodeFactors(graph_, opts_.norm, opts_.add_self_loops, &factor_,
+                     &self_loop_);
   workers_.assign(static_cast<size_t>(parts_.k), WorkerHandle{});
   report_ = DistReport{};
   report_.num_workers = parts_.k;
@@ -477,7 +511,7 @@ StatusOr<tensor::Matrix> Coordinator::Run(DistReport* report) {
     auto epoch_span = obs::StartSpan(
         ctx_.tracer, "dist:epoch:" + std::to_string(epoch), "dist");
     epoch_deadline_ = EpochDeadline();
-    tensor::Matrix next(state_.rows(), state_.cols());
+    next_.Reset(state_.rows(), state_.cols());
     for (int w = 0; w < parts_.k && status.ok(); ++w) {
       status = SendEpochInputs(w, epoch);
       if (!status.ok() && common::RetryPolicy::Retryable(status.code())) {
@@ -485,10 +519,10 @@ StatusOr<tensor::Matrix> Coordinator::Run(DistReport* report) {
       }
     }
     for (int w = 0; w < parts_.k && status.ok(); ++w) {
-      status = CollectWorker(w, epoch, &next);
+      status = CollectWorker(w, epoch);
     }
     if (!status.ok()) break;
-    state_ = std::move(next);
+    std::swap(state_, next_);
     report_.epochs_run += 1;
     status = CheckpointEpoch(epoch);
   }

@@ -1,6 +1,6 @@
 #include "dist/exchange.h"
 
-#include <algorithm>
+#include <bit>
 
 #include "common/bytes.h"
 #include "common/check.h"
@@ -26,31 +26,45 @@ HaloPlan BuildHaloPlan(const graph::CsrGraph& graph,
                        const partition::Partition& parts) {
   SGNN_CHECK_GT(parts.k, 0);
   SGNN_CHECK_EQ(parts.part_of.size(), static_cast<size_t>(graph.num_nodes()));
+  const auto k = static_cast<size_t>(parts.k);
   HaloPlan plan;
   plan.num_workers = parts.k;
-  plan.owned.resize(static_cast<size_t>(parts.k));
-  plan.need.resize(static_cast<size_t>(parts.k));
-  // `seen[v] == w + 1` marks v as already in need[w]: one O(n) stamp array
-  // per worker instead of a hash set keeps the scan deterministic and
-  // allocation-light. Node ids ascend in the outer loop, so both lists
-  // come out sorted without an explicit sort.
-  std::vector<int> seen(static_cast<size_t>(graph.num_nodes()), 0);
-  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-    const int w = parts.part_of[u];
+  plan.owned.resize(k);
+  plan.need.resize(k);
+  std::vector<size_t> owned_count(k, 0);
+  for (const int w : parts.part_of) {
     SGNN_DCHECK(w >= 0 && w < parts.k);
-    plan.owned[static_cast<size_t>(w)].push_back(u);
+    ++owned_count[static_cast<size_t>(w)];
   }
-  for (int w = 0; w < parts.k; ++w) {
-    for (const NodeId u : plan.owned[static_cast<size_t>(w)]) {
+  for (size_t w = 0; w < k; ++w) plan.owned[w].reserve(owned_count[w]);
+  // Node ids ascend, so each owned list comes out sorted.
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    plan.owned[static_cast<size_t>(parts.part_of[u])].push_back(u);
+  }
+  // One n-bit bitmap serves each worker in turn: mark its remote
+  // neighbours, then sweep the words in order, emitting need[w] ascending
+  // and clearing the bitmap for the next worker. n/8 bytes at any k.
+  std::vector<uint64_t> marked((static_cast<size_t>(graph.num_nodes()) + 63) /
+                               64);
+  for (size_t w = 0; w < k; ++w) {
+    size_t count = 0;
+    for (const NodeId u : plan.owned[w]) {
       for (const NodeId v : graph.Neighbors(u)) {
-        if (parts.part_of[v] == w) continue;
-        if (seen[v] == w + 1) continue;
-        seen[v] = w + 1;
-        plan.need[static_cast<size_t>(w)].push_back(v);
+        if (static_cast<size_t>(parts.part_of[v]) == w) continue;
+        uint64_t& word = marked[v / 64];
+        const uint64_t bit = uint64_t{1} << (v % 64);
+        count += (word & bit) == 0;
+        word |= bit;
       }
     }
-    auto& need = plan.need[static_cast<size_t>(w)];
-    std::sort(need.begin(), need.end());
+    auto& need = plan.need[w];
+    need.reserve(count);
+    for (size_t i = 0; i < marked.size(); ++i) {
+      for (uint64_t word = marked[i]; word != 0; word &= word - 1) {
+        need.push_back(static_cast<NodeId>(64 * i + std::countr_zero(word)));
+      }
+      marked[i] = 0;
+    }
   }
   // Each node is owned by exactly one worker, so the halo scan reads every
   // directed edge exactly once.

@@ -7,8 +7,8 @@
 #include <cerrno>
 
 #include "common/bytes.h"
-#include "common/crc32.h"
 #include "common/posix.h"
+#include "simd/simd.h"
 
 namespace sgnn::dist {
 
@@ -72,6 +72,30 @@ Status ReadWithDeadline(int fd, void* buf, std::size_t n,
   return Status::OK();
 }
 
+/// The fault branch of `WriteFrame`, the one path that holds a frame in
+/// one buffer: `corrupt` flips the first payload byte after the CRC was
+/// taken, and `truncate` writes the first half and reports the stream
+/// poisoned.
+Status WriteDamagedFrame(int fd, std::string wire, bool corrupt,
+                         bool truncate, WireStats* stats) {
+  if (corrupt) {
+    wire[kFrameHeaderBytes] = static_cast<char>(wire[kFrameHeaderBytes] ^ 0x5A);
+  }
+  if (truncate) {
+    const std::size_t half = wire.size() / 2;
+    SGNN_RETURN_IF_ERROR(common::WriteFull(fd, wire.data(), half));
+    if (stats != nullptr) stats->bytes += half;
+    return Status::DataLoss("injected frame truncation after " +
+                            std::to_string(half) + " bytes");
+  }
+  SGNN_RETURN_IF_ERROR(common::WriteFull(fd, wire.data(), wire.size()));
+  if (stats != nullptr) {
+    stats->frames += 1;
+    stats->bytes += wire.size();
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status WriteFrame(int fd, const Frame& frame, WireStats* stats,
@@ -80,37 +104,37 @@ Status WriteFrame(int fd, const Frame& frame, WireStats* stats,
     return Status::InvalidArgument("frame payload too large: " +
                                    std::to_string(frame.payload.size()));
   }
-  common::ByteWriter w(kFrameHeaderBytes + frame.payload.size());
+  common::ByteWriter w(kFrameHeaderBytes);
   w.Pod<uint32_t>(kFrameMagic);
   w.Pod<uint32_t>(static_cast<uint32_t>(frame.type));
   w.Pod<uint32_t>(frame.epoch);
   w.Pod<uint32_t>(static_cast<uint32_t>(frame.payload.size()));
-  w.Pod<uint32_t>(common::Crc32(frame.payload.data(), frame.payload.size()));
-  w.Bytes(frame.payload.data(), frame.payload.size());
-  std::string wire = w.Release();
+  w.Pod<uint32_t>(simd::Crc32(frame.payload.data(), frame.payload.size()));
+  const std::string header = w.Release();
 
   if (faults.injector != nullptr) {
     if (faults.injector->ShouldFail(kSiteFrameDrop, faults.token)) {
       return Status::OK();  // Silently lost; the receiver's deadline acts.
     }
-    if (!frame.payload.empty() &&
-        faults.injector->ShouldFail(kSiteFrameCorrupt, faults.token)) {
-      wire[kFrameHeaderBytes] =
-          static_cast<char>(wire[kFrameHeaderBytes] ^ 0x5A);
-    }
-    if (faults.injector->ShouldFail(kSiteFrameTruncate, faults.token)) {
-      const std::size_t half = wire.size() / 2;
-      SGNN_RETURN_IF_ERROR(common::WriteFull(fd, wire.data(), half));
-      if (stats != nullptr) stats->bytes += half;
-      return Status::DataLoss("injected frame truncation after " +
-                              std::to_string(half) + " bytes");
+    const bool corrupt =
+        !frame.payload.empty() &&
+        faults.injector->ShouldFail(kSiteFrameCorrupt, faults.token);
+    const bool truncate =
+        faults.injector->ShouldFail(kSiteFrameTruncate, faults.token);
+    if (corrupt || truncate) {
+      return WriteDamagedFrame(fd, header + frame.payload, corrupt, truncate,
+                               stats);
     }
   }
 
-  SGNN_RETURN_IF_ERROR(common::WriteFull(fd, wire.data(), wire.size()));
+  // Header and payload leave in one gathering write, without a copy.
+  const common::ConstBuffer wire[] = {
+      {header.data(), header.size()},
+      {frame.payload.data(), frame.payload.size()}};
+  SGNN_RETURN_IF_ERROR(common::WriteFullV(fd, wire));
   if (stats != nullptr) {
     stats->frames += 1;
-    stats->bytes += wire.size();
+    stats->bytes += kFrameHeaderBytes + frame.payload.size();
   }
   return Status::OK();
 }
@@ -152,7 +176,7 @@ Status ReadFrame(int fd, Frame* frame, const common::Deadline& deadline,
                                           payload.size() - have, deadline,
                                           nullptr));
   }
-  if (common::Crc32(payload.data(), payload.size()) != payload_crc) {
+  if (simd::Crc32(payload.data(), payload.size()) != payload_crc) {
     return Status::DataLoss("frame payload CRC mismatch");
   }
   frame->type = static_cast<FrameType>(type);

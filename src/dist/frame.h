@@ -50,7 +50,11 @@ inline constexpr uint32_t kMaxFramePayload = 1u << 30;
 ///    computed, so the receiver detects `kDataLoss`.
 ///  - `dist.frame.truncate`: sender writes half the frame then stops, as a
 ///    crash mid-`write` would.
+///  - `dist.worker.repeat_row`: the worker's first result frame of the
+///    epoch carries its first owned row twice and its second not at all,
+///    so the row count still adds up.
 inline constexpr char kSiteWorkerKill[] = "dist.worker.kill";
+inline constexpr char kSiteWorkerRepeatRow[] = "dist.worker.repeat_row";
 inline constexpr char kSiteFrameDrop[] = "dist.frame.drop";
 inline constexpr char kSiteFrameCorrupt[] = "dist.frame.corrupt";
 inline constexpr char kSiteFrameTruncate[] = "dist.frame.truncate";
@@ -76,10 +80,12 @@ struct WireStats {
   uint64_t bytes = 0;  ///< Header + payload bytes actually on the wire.
 };
 
-/// Writes one frame. With `faults` armed, the drop site makes the write a
-/// silent no-op (OK), the corrupt site flips a payload byte post-CRC, and
-/// the truncate site writes half the bytes and returns `kDataLoss` — the
-/// sender's stream is then poisoned and it must stop using the socket.
+/// Writes one frame: the header and the payload leave in one gathering
+/// write (`common::WriteFullV`), so the payload is not copied. With
+/// `faults` armed, the drop site makes the write a silent no-op (OK), the
+/// corrupt site flips a payload byte post-CRC, and the truncate site writes
+/// half the bytes and returns `kDataLoss` — the sender's stream is then
+/// poisoned and it must stop using the socket.
 SGNN_NODISCARD common::Status WriteFrame(int fd, const Frame& frame,
                           WireStats* stats = nullptr,
                           const FrameFaults& faults = {});

@@ -57,7 +57,14 @@ size_t Bucket(uint64_t mask, NodeId id) {
 }  // namespace
 
 std::string WorkerSpec::Serialize() const {
-  common::ByteWriter w;
+  // Sized up front: a config frame is megabytes, and regrowth would copy it.
+  auto vec_bytes = [](const auto& v) {
+    return sizeof(uint64_t) + v.size() * sizeof(v[0]);
+  };
+  common::ByteWriter w(
+      3 * sizeof(int32_t) + sizeof(int64_t) + vec_bytes(owned) +
+      vec_bytes(halo) + vec_bytes(offsets) + vec_bytes(neighbors) +
+      vec_bytes(coefficients) + vec_bytes(self_loop));
   w.Pod<int32_t>(worker_id);
   w.Pod<int32_t>(num_workers);
   w.Pod<int32_t>(incarnation);
@@ -248,6 +255,10 @@ void WorkerMain(int fd, common::FaultInjector* faults) {
 
         const size_t total = state.spec.owned.size();
         const size_t num_chunks = (total + kRowsPerFrame - 1) / kRowsPerFrame;
+        // Injected duplicate: record 1 of the first frame repeats record 0.
+        const bool repeat_row =
+            total >= 2 && faults != nullptr &&
+            faults->ShouldFail(kSiteWorkerRepeatRow, token);
         for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
           if (chunk == num_chunks / 2 && faults != nullptr &&
               faults->ShouldFail(kSiteWorkerKill, token)) {
@@ -258,13 +269,21 @@ void WorkerMain(int fd, common::FaultInjector* faults) {
           }
           const size_t begin = chunk * kRowsPerFrame;
           const size_t count = std::min(kRowsPerFrame, total - begin);
+          std::span<const NodeId> ids =
+              std::span(state.spec.owned).subspan(begin, count);
+          std::vector<NodeId> forged;
+          if (repeat_row && chunk == 0) {
+            forged.assign(ids.begin(), ids.end());
+            forged[1] = forged[0];
+            ids = forged;
+          }
           Frame rows;
           rows.type = FrameType::kRows;
           rows.epoch = frame.epoch;
           rows.payload = EncodeRows(
-              std::span(state.spec.owned).subspan(begin, count),
-              state.spec.cols, [&state, begin](size_t i) {
-                return state.out.Row(static_cast<int64_t>(begin + i)).data();
+              ids, state.spec.cols, [&state, &forged, begin](size_t i) {
+                const size_t r = forged.empty() || i != 1 ? begin + i : begin;
+                return state.out.Row(static_cast<int64_t>(r)).data();
               });
           if (!WriteFrame(fd, rows, nullptr, send_faults).ok()) _exit(4);
         }

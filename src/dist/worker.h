@@ -16,10 +16,11 @@ namespace sgnn::dist {
 /// shipped in one `kConfig` frame at spawn (and again at respawn, with a
 /// bumped `incarnation`). The adjacency arrives pre-normalised — neighbour
 /// ids plus the *float* propagation coefficients and self-loop terms the
-/// coordinator's `Propagator` computed — so the worker runs the same
-/// `graph::SpmmRows` kernel as `Propagator::Apply` on identical bits, which
-/// is what makes the distributed result bit-identical to the single-process
-/// one at any worker count and under any kill schedule.
+/// coordinator evaluates with `Propagator`'s formula from
+/// `graph::NodeFactors` — so the worker runs the same `graph::SpmmRows`
+/// kernel as `Propagator::Apply` on identical bits, which is what makes the
+/// distributed result bit-identical to the single-process one at any worker
+/// count and under any kill schedule.
 struct WorkerSpec {
   int32_t worker_id = 0;
   int32_t num_workers = 0;

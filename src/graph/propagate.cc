@@ -33,6 +33,23 @@ float LoopCoefficient(Normalization norm, double degree) {
   return static_cast<float>(norm == Normalization::kNone ? 1.0 : Inv(degree));
 }
 
+void NodeFactors(const CsrGraph& graph, Normalization norm,
+                 bool add_self_loops, std::vector<double>* factor,
+                 std::vector<float>* self_loop) {
+  const NodeId n = graph.num_nodes();
+  factor->resize(n);
+  self_loop->resize(add_self_loops ? n : 0);
+  par::ParallelFor(
+      "prop.degrees", EdgeShards(graph.offsets()), [&](int, par::Range range) {
+        for (int64_t u = range.begin; u < range.end; ++u) {
+          const double degree = graph.WeightedDegree(static_cast<NodeId>(u)) +
+                                (add_self_loops ? 1.0 : 0.0);
+          (*factor)[u] = DegreeFactor(norm, degree);
+          if (add_self_loops) (*self_loop)[u] = LoopCoefficient(norm, degree);
+        }
+      });
+}
+
 std::vector<par::Range> EdgeShards(std::span<const EdgeIndex> offsets) {
   return par::RowRanges(offsets, par::ShardsFor(offsets.back(), kEdgeGrain));
 }
@@ -50,19 +67,10 @@ void BillSpmm(uint64_t edges, uint64_t applied, int64_t cols) {
 Propagator::Propagator(const CsrGraph& graph, Normalization norm,
                        bool add_self_loops)
     : graph_(graph), norm_(norm) {
-  const NodeId n = graph.num_nodes();
-  const auto shards = EdgeShards(graph.offsets());
-  std::vector<double> factor(n);
-  if (add_self_loops) self_loop_coeff_.resize(n);
-  par::ParallelFor("prop.degrees", shards, [&](int, par::Range range) {
-    for (int64_t u = range.begin; u < range.end; ++u) {
-      const double degree = graph.WeightedDegree(static_cast<NodeId>(u)) +
-                            (add_self_loops ? 1.0 : 0.0);
-      factor[u] = DegreeFactor(norm, degree);
-      if (add_self_loops) self_loop_coeff_[u] = LoopCoefficient(norm, degree);
-    }
-  });
+  std::vector<double> factor;
+  NodeFactors(graph, norm, add_self_loops, &factor, &self_loop_coeff_);
   coeff_.resize(static_cast<size_t>(graph.num_edges()));
+  const auto shards = EdgeShards(graph.offsets());
   par::ParallelFor("prop.coeffs", shards, [&](int, par::Range range) {
     for (int64_t uu = range.begin; uu < range.end; ++uu) {
       const NodeId u = static_cast<NodeId>(uu);

@@ -32,6 +32,15 @@ double DegreeFactor(Normalization norm, double degree);
 /// kSymmetric that is 1/sqrt(d) * 1/sqrt(d), taken exactly).
 float LoopCoefficient(Normalization norm, double degree);
 
+/// The per-node half of \hat{A} for every node of `graph`: `DegreeFactor`
+/// of the weighted degree (+1 with `add_self_loops`) into `factor` and,
+/// with `add_self_loops`, `LoopCoefficient` into `self_loop` (emptied
+/// otherwise). Every holder of a per-node table takes it from here, so
+/// their edge coefficients are `Propagator`'s bits.
+void NodeFactors(const CsrGraph& graph, Normalization norm,
+                 bool add_self_loops, std::vector<double>* factor,
+                 std::vector<float>* self_loop);
+
 /// Coefficient of edge (u, v) with weight `weight`, from the degree
 /// factors of its endpoints: evaluated in double, rounded to float once.
 inline float EdgeCoefficient(Normalization norm, float weight, double factor_u,

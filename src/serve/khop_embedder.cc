@@ -25,14 +25,9 @@ KHopEmbedder::KHopEmbedder(const graph::CsrGraph& graph,
   SGNN_CHECK_GE(hops, 0);
   SGNN_CHECK_GE(node_budget, 0);
   SGNN_CHECK_EQ(features.rows(), static_cast<int64_t>(graph.num_nodes()));
-  factor_.resize(graph.num_nodes());
-  self_loop_.resize(graph.num_nodes());
-  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-    // Renormalisation-trick degree: weighted degree of A plus the self loop.
-    const double d = graph.WeightedDegree(u) + 1.0;
-    factor_[u] = graph::DegreeFactor(Normalization::kSymmetric, d);
-    self_loop_[u] = graph::LoopCoefficient(Normalization::kSymmetric, d);
-  }
+  // Renormalisation-trick degrees: weighted degree of A plus the self loop.
+  graph::NodeFactors(graph, Normalization::kSymmetric,
+                     /*add_self_loops=*/true, &factor_, &self_loop_);
 }
 
 void KHopEmbedder::Embed(NodeId center, std::span<float> out) const {

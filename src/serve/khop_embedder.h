@@ -43,8 +43,8 @@ class KHopEmbedder {
   const tensor::Matrix& features_;
   const int hops_;
   const int64_t node_budget_;
-  /// Global `graph::DegreeFactor` and self-loop coefficient per node,
-  /// precomputed once so per-request work is local to the ball.
+  /// Global `graph::NodeFactors` (degree factor and self-loop coefficient
+  /// per node), precomputed once so per-request work is local to the ball.
   std::vector<double> factor_;
   std::vector<float> self_loop_;
 };

@@ -8,13 +8,13 @@ namespace sgnn::simd::internal {
 /// The portable backend; always available.
 const KernelTable& ScalarTable();
 
-/// The AVX2+FMA backend, or nullptr when the build target cannot express
-/// it (non-x86). Availability of the *running* CPU is probed separately by
-/// `Supported()`; this only says the code exists.
+/// The AVX2+FMA+PCLMUL backend, or nullptr when the build target cannot
+/// express it (non-x86). Availability of the *running* CPU is probed
+/// separately by `Supported()`; this only says the code exists.
 const KernelTable* Avx2Table();
 
-/// True when the running CPU reports AVX2 and FMA.
-bool CpuHasAvx2Fma();
+/// True when the running CPU reports AVX2, FMA and PCLMUL.
+bool CpuHasAvx2FmaPclmul();
 
 }  // namespace sgnn::simd::internal
 

@@ -1,8 +1,8 @@
-// The AVX2 (FMA) backend. This is the only translation unit in the tree
-// allowed to touch <immintrin.h> (lint rule det/simd-intrinsics); it is
-// compiled with -mavx2 -mfma -ffp-contract=off and reached only through
-// the runtime dispatch in simd.cc, so a host without AVX2 never executes a
-// vector instruction.
+// The AVX2 (FMA, PCLMUL) backend. This is the only translation unit in the
+// tree allowed to touch <immintrin.h> (lint rule det/simd-intrinsics); it
+// is compiled with -mavx2 -mfma -mpclmul -ffp-contract=off and reached only
+// through the runtime dispatch in simd.cc, so a host without AVX2 never
+// executes a vector instruction.
 //
 // Bit-identity with the scalar backend (the contract in simd.h) rests on
 // four facts encoded below:
@@ -18,24 +18,30 @@
 //   * max uses the vmaxps select `(acc > x) ? acc : x` and a fixed
 //     pairwise fold, and the ReLU pair uses ordered-quiet compares so NaN
 //     and signed-zero handling matches the scalar branches.
+// The CRC is integer arithmetic over GF(2), so it has no rounding to match:
+// the carry-less fold computes the same polynomial remainder the table
+// kernel does, and hands it the pieces too short to fold.
 
 #include "simd/kernels.h"
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__) && defined(__FMA__) && defined(__PCLMUL__)
 #include <immintrin.h>
+
+#include "common/crc32.h"
 #endif
 
 namespace sgnn::simd::internal {
 
-bool CpuHasAvx2Fma() {
+bool CpuHasAvx2FmaPclmul() {
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+         __builtin_cpu_supports("pclmul");
 #else
   return false;
 #endif
 }
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__) && defined(__FMA__) && defined(__PCLMUL__)
 
 namespace {
 
@@ -277,16 +283,84 @@ double DotAvx2(const float* a, const float* b, int64_t n) {
   return sum;
 }
 
+/// a * b over GF(2) for the 64-bit halves `kImm` selects (bit 0: a's,
+/// bit 4: b's; 0 = low, 1 = high), then the 128-bit product xor `c`.
+template <int kImm>
+__m128i ClmulXor(__m128i a, __m128i b, __m128i c) {
+  return _mm_xor_si128(_mm_clmulepi64_si128(a, b, kImm), c);
+}
+
+/// Folds the 128-bit remainder `x` 128 bits forward onto `next`: x's low
+/// half times the low constant, its high half times the high one.
+__m128i Fold(__m128i x, __m128i k, __m128i next) {
+  return ClmulXor<0x11>(x, k, ClmulXor<0x00>(x, k, next));
+}
+
+/// The CRC register (the inverted CRC) after n bytes at p, n a multiple of
+/// 16 and at least 64, from `state`. Intel's PCLMULQDQ folding in the
+/// bit-reflected domain of the gzip polynomial ("Fast CRC Computation for
+/// Generic Polynomials Using PCLMULQDQ Instruction", 2009): four 128-bit
+/// lanes fold 64-byte blocks, fold down to one lane, which folds 16-byte
+/// blocks; then 128 -> 64 -> 32 bits by one more fold and a Barrett
+/// reduction.
+uint32_t Crc32FoldPclmul(const unsigned char* p, size_t n, uint32_t state) {
+  // [x^e mod P(x)]' << 1, 33 bits, for the fold distance e of each lane
+  // half: e = 4*128 + 32 (low) and 4*128 - 32 (high) across 64 bytes,
+  // 128 + 32 and 128 - 32 across 16 bytes, and 64 for the 64-bit step.
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  // Barrett: mu' = (x^64 / P(x))' and P'(x), 33 bits each.
+  const __m128i barrett = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  auto load = [](const unsigned char* at) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
+  };
+
+  __m128i x0 =
+      _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(state)));
+  __m128i x1 = load(p + 16);
+  __m128i x2 = load(p + 32);
+  __m128i x3 = load(p + 48);
+  size_t i = 64;
+  for (; i + 64 <= n; i += 64) {
+    x0 = Fold(x0, k1k2, load(p + i));
+    x1 = Fold(x1, k1k2, load(p + i + 16));
+    x2 = Fold(x2, k1k2, load(p + i + 32));
+    x3 = Fold(x3, k1k2, load(p + i + 48));
+  }
+  x0 = Fold(Fold(Fold(x0, k3k4, x1), k3k4, x2), k3k4, x3);
+  for (; i < n; i += 16) x0 = Fold(x0, k3k4, load(p + i));
+
+  // 128 -> 64 bits: the low half times x^(128-32)'s constant onto the
+  // high half; then the low 32 bits times x^64's onto the rest.
+  x0 = ClmulXor<0x10>(x0, k3k4, _mm_srli_si128(x0, 8));
+  x0 = ClmulXor<0x00>(_mm_and_si128(x0, low32), k5, _mm_srli_si128(x0, 4));
+  // Barrett reduction to the 32-bit remainder.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), barrett, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), barrett, 0x00);
+  return static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, t), 1));
+}
+
+uint32_t Crc32Avx2(const void* data, size_t n, uint32_t crc) {
+  // The table kernel takes inputs too short for four lanes and the tail
+  // after the last whole 16-byte block.
+  if (n < 64) return common::Crc32(data, n, crc);
+  const auto* p = static_cast<const unsigned char*>(data);
+  const size_t body = n & ~size_t{15};
+  return common::Crc32(p + body, n - body, ~Crc32FoldPclmul(p, body, ~crc));
+}
+
 constexpr KernelTable kAvx2Table = {
-    AxpyAvx2, GemmAvx2,         ScaleAvx2, MulAvx2, AddAvx2, AddScalarAvx2,
-    ReluAvx2, ReluBackwardAvx2, MaxAvx2,   DotAvx2, "avx2",
+    AxpyAvx2, GemmAvx2,         ScaleAvx2, MulAvx2, AddAvx2,   AddScalarAvx2,
+    ReluAvx2, ReluBackwardAvx2, MaxAvx2,   DotAvx2, Crc32Avx2, "avx2",
 };
 
 }  // namespace
 
 const KernelTable* Avx2Table() { return &kAvx2Table; }
 
-#else  // !(__AVX2__ && __FMA__): non-x86 build or vector ISA unavailable.
+#else  // !(__AVX2__ && __FMA__ && __PCLMUL__): non-x86 build or ISA missing.
 
 const KernelTable* Avx2Table() { return nullptr; }
 

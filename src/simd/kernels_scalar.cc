@@ -7,6 +7,8 @@
 
 #include "simd/kernels.h"
 
+#include "common/crc32.h"
+
 namespace sgnn::simd::internal {
 
 namespace {
@@ -111,10 +113,11 @@ double DotScalar(const float* a, const float* b, int64_t n) {
   return sum;
 }
 
+// The table CRC is `common::Crc32` itself, the reference value.
 constexpr KernelTable kScalarTable = {
     AxpyScalar, GemmScalar,         ScaleScalar, MulScalar, AddScalar,
     AddScalarScalar, ReluScalar,    ReluBackwardScalar,     MaxScalar,
-    DotScalar,  "scalar",
+    DotScalar,  common::Crc32,      "scalar",
 };
 
 }  // namespace

@@ -18,7 +18,8 @@ struct SimdState {
   std::atomic<const KernelTable*> active{nullptr};
 
   SimdState() {
-    supported = internal::Avx2Table() != nullptr && internal::CpuHasAvx2Fma();
+    supported = internal::Avx2Table() != nullptr &&
+                internal::CpuHasAvx2FmaPclmul();
     const bool want =
         SimdFromEnv(std::getenv("SGNN_SIMD"), /*fallback=*/true);
     active.store((want && supported) ? internal::Avx2Table()

@@ -1,18 +1,20 @@
 #ifndef SGNN_SIMD_SIMD_H_
 #define SGNN_SIMD_SIMD_H_
 
+#include <cstddef>
 #include <cstdint>
 
 namespace sgnn::simd {
 
 /// `sgnn::simd` — the vectorized microkernel substrate under the hot
 /// kernels (`tensor::Gemm` and friends, the `Propagator`/`OocPropagator`
-/// SpMM inner loops, the row/elementwise ops). Two backends implement one
-/// kernel table:
+/// SpMM inner loops, the row/elementwise ops, the shard-section and
+/// frame-payload checksums). Two backends implement one kernel table:
 ///
 ///   * `avx2`   — 8-lane single-precision AVX2 (FMA only where fusion is
-///                provably bit-neutral, see below), selected at runtime
-///                when the CPU reports AVX2+FMA;
+///                provably bit-neutral, see below) and a carry-less-multiply
+///                CRC-32, selected at runtime when the CPU reports
+///                AVX2+FMA+PCLMUL;
 ///   * `scalar` — a portable fallback whose loops replicate the vector
 ///                path's arithmetic *structure* (same lane partition, same
 ///                fold order), so both backends produce byte-identical
@@ -47,6 +49,8 @@ namespace sgnn::simd {
 ///  4. Nothing here consults the thread count: callers shard with
 ///     `par::ParallelFor` and invoke microkernels per row or range, so the
 ///     par bit-identity-across-worker-count contract is untouched.
+///  5. `crc32` is an exact function: both backends return `common::Crc32`'s
+///     value for every input, alignment, split and initial value.
 ///
 /// Backend selection: the `SGNN_SIMD` environment variable is read once at
 /// first use (`off`/`0`/`false`/`scalar` force the scalar backend; unset or
@@ -87,12 +91,16 @@ struct KernelTable {
   float (*max)(const float* x, int64_t n);
   /// Lane-folded double dot product (contract #2).
   double (*dot)(const float* a, const float* b, int64_t n);
+  /// CRC-32 of n bytes continuing from the CRC `crc` of what came before,
+  /// as `common::Crc32` defines it (contract #5).
+  uint32_t (*crc32)(const void* data, size_t n, uint32_t crc);
 
   /// Backend name for logs/benchmarks: "avx2" or "scalar".
   const char* name;
 };
 
-/// True when the running CPU supports the AVX2+FMA backend.
+/// True when the running CPU supports the AVX2 backend (AVX2, FMA and
+/// PCLMUL).
 bool Supported();
 
 /// True when the AVX2 backend is currently dispatched.
@@ -112,6 +120,13 @@ bool SimdFromEnv(const char* value, bool fallback);
 /// The active kernel table. First call reads `SGNN_SIMD` and probes the
 /// CPU; thereafter selection only changes via `SetEnabled`.
 const KernelTable& Active();
+
+/// CRC-32 through the active table: `common::Crc32(data, n, crc)`, at the
+/// active backend's speed. Every shard-section and frame-payload checksum
+/// goes through it.
+inline uint32_t Crc32(const void* data, size_t n, uint32_t crc = 0) {
+  return Active().crc32(data, n, crc);
+}
 
 }  // namespace sgnn::simd
 

@@ -5,7 +5,7 @@
 #include <cstring>
 
 #include "common/bytes.h"
-#include "common/crc32.h"
+#include "simd/simd.h"
 
 namespace sgnn::storage {
 
@@ -62,7 +62,7 @@ std::string SerializeManifest(const ShardManifest& manifest) {
   }
   const size_t assignment_bytes =
       manifest.shard_of.size() * sizeof(uint32_t);
-  w.Pod<uint32_t>(common::Crc32(manifest.shard_of.data(), assignment_bytes));
+  w.Pod<uint32_t>(simd::Crc32(manifest.shard_of.data(), assignment_bytes));
   w.Bytes(manifest.shard_of.data(), assignment_bytes);
   w.CrcTrailer();
   return w.Release();
@@ -82,11 +82,11 @@ std::string SerializeShard(const ShardData& shard) {
   w.Pod<uint32_t>(kFormatVersion);
   w.Pod<uint32_t>(shard.shard_id);
   w.Pod<uint32_t>(static_cast<uint32_t>(num_rows));
-  w.Pod<uint32_t>(common::Crc32(shard.rows.data(), rows_bytes));
+  w.Pod<uint32_t>(simd::Crc32(shard.rows.data(), rows_bytes));
   w.Pod<uint64_t>(num_edges);
-  w.Pod<uint32_t>(common::Crc32(shard.offsets.data(), offsets_bytes));
-  w.Pod<uint32_t>(common::Crc32(shard.neighbors.data(), neighbors_bytes));
-  w.Pod<uint32_t>(common::Crc32(shard.weights.data(), weights_bytes));
+  w.Pod<uint32_t>(simd::Crc32(shard.offsets.data(), offsets_bytes));
+  w.Pod<uint32_t>(simd::Crc32(shard.neighbors.data(), neighbors_bytes));
+  w.Pod<uint32_t>(simd::Crc32(shard.weights.data(), weights_bytes));
   w.CrcTrailer();
 
   w.Bytes(shard.rows.data(), rows_bytes);
@@ -148,7 +148,7 @@ StatusOr<ShardManifest> ReadManifest(const std::string& path) {
     return Corrupt(path, "truncated manifest");
   }
   if (in.left() != 0) return Corrupt(path, "trailing bytes after manifest");
-  if (common::Crc32(manifest.shard_of.data(),
+  if (simd::Crc32(manifest.shard_of.data(),
                     manifest.shard_of.size() * sizeof(uint32_t)) !=
       assignment_crc) {
     return Corrupt(path, "assignment section CRC mismatch");
@@ -222,7 +222,7 @@ Status VerifyShardSections(const void* bytes, const ShardHeader& header,
        header.crc_weights},
   };
   for (const Section& section : sections) {
-    if (common::Crc32(p + section.off, section.size) != section.crc) {
+    if (simd::Crc32(p + section.off, section.size) != section.crc) {
       return Corrupt(where, std::string("CRC mismatch in ") + section.name +
                                 " section");
     }

@@ -16,9 +16,9 @@ namespace sgnn::storage {
 /// `shard-NNNNNN.sgnn` file per shard. Shards own disjoint *sets* of nodes
 /// (not necessarily contiguous ranges — a `partition::Partition` may
 /// interleave them); each shard file stores the full adjacency of its nodes
-/// as a local CSR. Every section carries a CRC-32 (same `common/crc32` the
-/// pipeline checkpoints use) so corruption surfaces as a diagnostic, never
-/// as silently wrong results.
+/// as a local CSR. Every section carries a CRC-32 (the `common/crc32`
+/// value the pipeline checkpoints use, computed through `simd::Crc32`) so
+/// corruption surfaces as a diagnostic, never as silently wrong results.
 ///
 /// Both files are written with `common::ByteWriter` and decoded with
 /// `common::ByteReader`, so every count is bounded by the bytes that carry

@@ -9,11 +9,11 @@
 #include <utility>
 
 #include "common/counters.h"
-#include "common/crc32.h"
 #include "common/posix.h"
 #include "core/run_context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "simd/simd.h"
 
 namespace sgnn::storage {
 
@@ -63,11 +63,11 @@ Status ReadShardIndex(const std::string& path, const ShardEntry& entry,
   in.read(reinterpret_cast<char*>(offsets->data()),
           static_cast<std::streamsize>(offsets->size() * sizeof(uint64_t)));
   if (!in) return Corrupt(path, "truncated shard file (index sections)");
-  if (common::Crc32(rows->data(), rows->size() * sizeof(NodeId)) !=
+  if (simd::Crc32(rows->data(), rows->size() * sizeof(NodeId)) !=
       parsed.crc_rows) {
     return Corrupt(path, "CRC mismatch in rows section");
   }
-  if (common::Crc32(offsets->data(), offsets->size() * sizeof(uint64_t)) !=
+  if (simd::Crc32(offsets->data(), offsets->size() * sizeof(uint64_t)) !=
       parsed.crc_offsets) {
     return Corrupt(path, "CRC mismatch in offsets section");
   }

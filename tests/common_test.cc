@@ -538,6 +538,27 @@ TEST(PosixIoTest, WriteFullThenReadFullRoundTrips) {
   std::fclose(f);
 }
 
+TEST(PosixIoTest, GatheringWriteRoundTripsAroundAnEmptyBuffer) {
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  const int fd = fileno(f);
+  std::string data(70'000, '\0');
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>(i * 131 % 251);
+  }
+  const ConstBuffer bufs[] = {{data.data(), data.size()}, {nullptr, 0}};
+  ASSERT_TRUE(WriteFullV(fd, bufs).ok());
+  const ConstBuffer flipped[] = {{nullptr, 0}, {data.data(), data.size()}};
+  ASSERT_TRUE(WriteFullV(fd, flipped).ok());
+  ASSERT_EQ(lseek(fd, 0, SEEK_SET), 0);
+  std::string got(2 * data.size(), '\0');
+  ASSERT_TRUE(ReadFull(fd, got.data(), got.size()).ok());
+  EXPECT_EQ(got, data + data);
+  char extra = 0;
+  EXPECT_EQ(ReadFull(fd, &extra, 1).code(), StatusCode::kDataLoss);
+  std::fclose(f);
+}
+
 TEST(PosixIoTest, ShortStreamIsDataLossWithByteAccounting) {
   std::FILE* f = std::tmpfile();
   ASSERT_NE(f, nullptr);
@@ -571,6 +592,8 @@ TEST(PosixIoTest, BadDescriptorMapsThroughErrno) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(WriteFull(-1, buf, sizeof(buf)).code(),
             StatusCode::kInvalidArgument);
+  const ConstBuffer bufs[] = {{nullptr, 0}, {buf, sizeof(buf)}};
+  EXPECT_EQ(WriteFullV(-1, bufs).code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/fault.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "core/distributed_sim.h"
 #include "core/run_context.h"
@@ -247,6 +254,92 @@ TEST(HaloPlanTest, MatchesSimulatedCommunicationVolume) {
   EXPECT_EQ(owned_total, static_cast<size_t>(g.num_nodes()));
 }
 
+// need[w] is exactly the set of w's remote neighbours, ascending, and
+// owned[w] the ascending ids w owns, at every worker count, on a graph with
+// isolated nodes and with a worker that owns nothing.
+TEST(HaloPlanTest, NeedIsTheSetOfRemoteNeighborsAtEveryWorkerCount) {
+  const CsrGraph g = graph::ErdosRenyi(300, 400, 5);
+  bool isolated = false;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    isolated = isolated || g.OutDegree(u) == 0;
+  }
+  ASSERT_TRUE(isolated);
+  for (const int k : {1, 2, 3, 4, 7}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    Partition parts = partition::LdgPartition(g, k, 1.05, 31);
+    // The last worker's nodes move to worker 0, so it owns nothing.
+    for (int& p : parts.part_of) {
+      if (k > 1 && p == k - 1) p = 0;
+    }
+    const HaloPlan plan = BuildHaloPlan(g, parts);
+    ASSERT_EQ(plan.owned.size(), static_cast<size_t>(k));
+    ASSERT_EQ(plan.need.size(), static_cast<size_t>(k));
+    for (int w = 0; w < k; ++w) {
+      std::vector<NodeId> owned;
+      std::set<NodeId> need;
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        if (parts.part_of[u] != w) continue;
+        owned.push_back(u);
+        for (const NodeId v : g.Neighbors(u)) {
+          if (parts.part_of[v] != w) need.insert(v);
+        }
+      }
+      EXPECT_EQ(plan.owned[w], owned) << "worker " << w;
+      EXPECT_EQ(plan.need[w], std::vector<NodeId>(need.begin(), need.end()))
+          << "worker " << w;
+    }
+    if (k > 1) {
+      EXPECT_TRUE(plan.owned[k - 1].empty());
+    }
+  }
+}
+
+// An 8 MiB frame through a socket pair with a concurrent reader. The
+// writer's end is non-blocking, so writev returns short as soon as the
+// socket buffer fills and the gathering write must resume mid-payload.
+TEST(FrameTest, LargeAndEmptyPayloadsRoundTripOverASocketPair) {
+  int sv[2];
+  // sgnn-lint: allow(det/process-syscall): a connected stream pair is the
+  // frame layer's transport, and the test needs both of its ends.
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  ASSERT_EQ(::fcntl(sv[0], F_SETFL, ::fcntl(sv[0], F_GETFL) | O_NONBLOCK), 0);
+  std::string big(size_t{8} << 20, '\0');
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>(common::SplitMix64(i));
+  }
+  const common::Deadline deadline = common::Deadline::After(60'000'000);
+  const Frame sent{FrameType::kRows, 7, big};
+  Frame got;
+  WireStats read_stats;
+  common::Status read_status;
+  std::thread reader([&] {
+    read_status = ReadFrame(sv[1], &got, deadline, &read_stats);
+  });
+  WireStats write_stats;
+  const common::Status write_status = WriteFrame(sv[0], sent, &write_stats);
+  if (!write_status.ok()) ::close(sv[0]);  // The reader then sees EOF.
+  reader.join();
+  ASSERT_TRUE(write_status.ok()) << write_status.ToString();
+  ASSERT_TRUE(read_status.ok()) << read_status.ToString();
+  EXPECT_EQ(got.type, FrameType::kRows);
+  EXPECT_EQ(got.epoch, 7u);
+  EXPECT_TRUE(got.payload == big);
+  EXPECT_EQ(write_stats.frames, 1u);
+  EXPECT_EQ(write_stats.bytes, kFrameHeaderBytes + big.size());
+  EXPECT_EQ(read_stats.bytes, kFrameHeaderBytes + big.size());
+
+  const Frame go{FrameType::kGo, 3, ""};
+  WireStats empty_stats;
+  ASSERT_TRUE(WriteFrame(sv[0], go, &empty_stats).ok());
+  ASSERT_TRUE(ReadFrame(sv[1], &got, deadline).ok());
+  EXPECT_EQ(got.type, FrameType::kGo);
+  EXPECT_EQ(got.epoch, 3u);
+  EXPECT_TRUE(got.payload.empty());
+  EXPECT_EQ(empty_stats.bytes, kFrameHeaderBytes);
+  ::close(sv[0]);
+  ::close(sv[1]);
+}
+
 // The headline contract: the distributed result is bit-identical to the
 // single-process Propagator at any worker count. `ctx.faults` is left
 // null on purpose — when CI runs this binary under an SGNN_FAULTS kill
@@ -347,6 +440,26 @@ TEST(DistRunTest, KilledWorkerIsRespawnedAndResultStaysBitIdentical) {
   ASSERT_TRUE(got_or.ok()) << got_or.status().ToString();
   EXPECT_TRUE(got_or.value().Equals(Reference(g, x, opts)));
   EXPECT_GE(report.respawns, 1);
+}
+
+// A worker that sends one owned row twice and skips another still ships
+// as many rows as it owns; the gather must notice the order break, respawn
+// it, and end bit-identical instead of leaving the skipped row at +0.
+TEST(DistRunTest, RepeatedRowIsDetectedAndRecovered) {
+  const CsrGraph g = TestGraph();
+  const Matrix x = TestFeatures(g);
+  DistOptions opts;
+  opts.hops = 2;
+  const Partition parts = partition::LdgPartition(g, 4, 1.05, 31);
+  FaultInjector faults;
+  faults.ArmAt(kSiteWorkerRepeatRow, static_cast<int64_t>(KillToken(2, 1, 0)));
+  core::RunContext ctx;
+  ctx.faults = &faults;
+  DistReport report;
+  auto got_or = RunDistributedPropagation(g, parts, x, opts, ctx, &report);
+  ASSERT_TRUE(got_or.ok()) << got_or.status().ToString();
+  EXPECT_TRUE(got_or.value().Equals(Reference(g, x, opts)));
+  EXPECT_EQ(report.respawns, 1);
 }
 
 TEST(DistRunTest, CorruptFrameIsDetectedAndRecovered) {

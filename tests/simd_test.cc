@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "common/counters.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "graph/coo.h"
 #include "graph/csr_graph.h"
@@ -157,6 +158,67 @@ TEST_F(SimdTest, MicrokernelsBitIdenticalAcrossBackends) {
     const double dot_s = scalar.dot(x.data(), y0.data(), n);
     const double dot_v = vec.dot(x.data(), y0.data(), n);
     EXPECT_EQ(std::memcmp(&dot_s, &dot_v, sizeof(double)), 0);
+  }
+}
+
+std::vector<unsigned char> CrcBytes(size_t n, uint64_t seed) {
+  std::vector<unsigned char> bytes(n);
+  for (size_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<unsigned char>(common::SplitMix64(seed + i));
+  }
+  return bytes;
+}
+
+// The CRC entry is exact (contract #5): on both backends it returns
+// `common::Crc32`'s value at every length up to past 2 KiB (below the
+// vector path's 64-byte entry, every 16-byte block count and every table
+// tail), every alignment and three initial values.
+TEST_F(SimdTest, Crc32EntryMatchesCommonCrc32AtEveryLengthAndOffset) {
+  constexpr size_t kMaxLength = 2100;
+  const std::vector<unsigned char> bytes = CrcBytes(kMaxLength + 16, 7);
+  const uint32_t inits[] = {0u, 0xFFFFFFFFu,
+                            static_cast<uint32_t>(common::SplitMix64(99))};
+  for (const bool vector : {false, true}) {
+    simd::SetEnabled(vector);
+    SCOPED_TRACE(simd::Active().name);
+    EXPECT_EQ(simd::Crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(simd::Crc32(nullptr, 0), 0u);
+    const simd::KernelTable& kt = simd::Active();
+    for (size_t offset = 0; offset < 16; ++offset) {
+      const unsigned char* p = bytes.data() + offset;
+      for (size_t n = 0; n <= kMaxLength; ++n) {
+        for (const uint32_t init : inits) {
+          ASSERT_EQ(kt.crc32(p, n, init), common::Crc32(p, n, init))
+              << "offset " << offset << ", length " << n << ", init "
+              << init;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdTest, Crc32EntryMatchesCommonCrc32OnALargeBuffer) {
+  const std::vector<unsigned char> bytes = CrcBytes(size_t{4} << 20, 11);
+  const uint32_t want = common::Crc32(bytes.data(), bytes.size());
+  for (const bool vector : {false, true}) {
+    simd::SetEnabled(vector);
+    EXPECT_EQ(simd::Crc32(bytes.data(), bytes.size()), want)
+        << simd::Active().name;
+  }
+}
+
+TEST_F(SimdTest, Crc32EntryIncrementalEqualsWholeAtEverySplit) {
+  const std::vector<unsigned char> bytes = CrcBytes(1024, 13);
+  const uint32_t whole = common::Crc32(bytes.data(), bytes.size());
+  for (const bool vector : {false, true}) {
+    simd::SetEnabled(vector);
+    SCOPED_TRACE(simd::Active().name);
+    for (size_t split = 0; split <= bytes.size(); ++split) {
+      ASSERT_EQ(simd::Crc32(bytes.data() + split, bytes.size() - split,
+                            simd::Crc32(bytes.data(), split)),
+                whole)
+          << "split " << split;
+    }
   }
 }
 
