@@ -143,8 +143,8 @@ class Zipf {
 
 /// Full-stack round trips through one keep-alive connection at pipeline
 /// depth `state.range(0)`. Depth 1 is the classic request/response ping;
-/// deeper pipelines amortise the write/read syscalls and let the batcher
-/// actually form batches.
+/// deeper pipelines amortise the write/read syscalls and let the serving
+/// workers actually form batches.
 void BM_HttpPipelineDepth(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   Loopback loop;

@@ -26,7 +26,7 @@ struct ThreadPoolStats {
 /// Worker pool executing submitted closures FIFO; sized at construction
 /// and resizable between workloads (`Resize`). The internal
 /// task list is unbounded; callers that need backpressure bound their own
-/// admission (see `BoundedMpmcQueue` and `serve::BatchingServer`).
+/// admission (see `BoundedMpmcQueue`).
 ///
 /// Destruction drains: queued tasks still run before the workers join, so
 /// work submitted before shutdown is never silently dropped.

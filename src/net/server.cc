@@ -2,9 +2,9 @@
 
 #include <sys/epoll.h>
 
-#include <chrono>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "net/json.h"
@@ -25,6 +25,17 @@ constexpr uint64_t MakeCookie(uint64_t conn_id, uint64_t seq) {
   return (conn_id << kSeqBits) | (seq & kSeqMask);
 }
 
+/// epoll wait granularity: bounds how long a resumed admission queue or a
+/// `Shutdown` waits for the loop's next pass when no socket is ready.
+constexpr int kPollMillis = 20;
+
+/// A connection holding more answered-but-unsent bytes than this is closed,
+/// so a peer that stops reading costs bounded memory.
+constexpr size_t kMaxUnsentBytes = size_t{4} << 20;
+
+constexpr std::string_view kJson = "application/json";
+constexpr std::string_view kText = "text/plain; version=0.0.4";
+
 }  // namespace
 
 HttpFrontDoor::HttpFrontDoor(serve::BatchingServer* server,
@@ -38,8 +49,7 @@ HttpFrontDoor::HttpFrontDoor(serve::BatchingServer* server,
                           ? std::make_unique<obs::MetricsRegistry>()
                           : nullptr),
       registry_(ctx.metrics == nullptr ? owned_registry_.get() : ctx.metrics),
-      admission_(config_.admission),
-      completions_(config_.admission.per_tenant_capacity * 8 + 256) {
+      admission_(config_.admission) {
   SGNN_CHECK(server_ != nullptr);
   obs::MetricsRegistry& r = *registry_;
   accepted_total_ =
@@ -109,33 +119,19 @@ common::Status HttpFrontDoor::Start() {
       EpollAdd(epoll_fd_.fd(), listen_fd_.fd(), EPOLLIN, kListenCookie));
   started_.store(true);
   event_thread_ = std::thread([this] { EventLoop(); });
-  dispatch_thread_ = std::thread([this] { DispatchLoop(); });
-  waiter_threads_.reserve(static_cast<size_t>(config_.num_waiters));
-  for (int i = 0; i < config_.num_waiters; ++i) {
-    waiter_threads_.emplace_back([this] { WaiterLoop(); });
-  }
   return common::Status::OK();
 }
 
 void HttpFrontDoor::Shutdown() {
   if (!started_.load() || stop_.exchange(true)) return;
-  // Order matters: quiesce the only Offer-ing thread first, then drain
-  // admission through the dispatcher, then drain the completion queue
-  // through the waiters — every admitted request is answered before any
-  // connection closes.
-  event_thread_.join();
+  // New infers are refused from here on; the loop keeps dispatching what
+  // admission holds and writing answers until every one is in its slot.
   admission_.Close();
-  dispatch_thread_.join();
-  completions_.Close();
-  for (std::thread& t : waiter_threads_) t.join();
-  waiter_threads_.clear();
+  event_thread_.join();
   {
+    // No worker holds a connection any more: clearing the registry drops
+    // the last owners, and each Conn's OwnedFd closes.
     common::MutexLock lock(conns_.mu);
-    for (auto& [id, conn] : conns_.map) {
-      common::MutexLock conn_lock(conn->mu);
-      conn->dead = true;
-      conn->fd.Close();
-    }
     conns_.map.clear();
   }
   open_connections_->Set(0.0);
@@ -152,10 +148,8 @@ bool HttpFrontDoor::Healthy() const {
 
 void HttpFrontDoor::EventLoop() {
   std::vector<ReadyEvent> events;
-  const int timeout_ms =
-      static_cast<int>(config_.poll_interval_micros / 1000) + 1;
-  while (!stop_.load()) {
-    auto n = WaitEvents(epoll_fd_.fd(), &events, 64, timeout_ms);
+  while (!stop_.load() || unanswered_.load() > 0) {
+    auto n = WaitEvents(epoll_fd_.fd(), &events, 64, kPollMillis);
     if (!n.ok()) break;  // Only fails when the epoll fd itself is gone.
     for (const ReadyEvent& ev : events) {
       if (ev.data == kListenCookie) {
@@ -169,7 +163,41 @@ void HttpFrontDoor::EventLoop() {
         if (it == conns_.map.end()) continue;  // Closed while queued.
         conn = it->second;
       }
-      HandleReadable(conn);
+      if ((ev.events & ~uint32_t{EPOLLOUT}) != 0) HandleReadable(conn);
+      if ((ev.events & EPOLLOUT) != 0 && conn->fd.valid()) {
+        HandleWritable(conn);
+      }
+    }
+    Dispatch();
+  }
+  // Last pass: every admitted request is answered by now; write what each
+  // socket takes without blocking.
+  std::vector<std::shared_ptr<Conn>> open;
+  {
+    common::MutexLock lock(conns_.mu);
+    for (const auto& [id, conn] : conns_.map) open.push_back(conn);
+  }
+  for (const std::shared_ptr<Conn>& conn : open) HandleWritable(conn);
+}
+
+void HttpFrontDoor::Dispatch() {
+  serve::InferenceRequest request;
+  uint64_t cookie = 0;
+  while (admission_.PopDispatch(&request, &cookie)) {
+    obs::TraceSpan span = obs::StartSpan(tracer_, "net:dispatch", "net");
+    dispatches_total_->Increment();
+    common::Status submitted = server_->Submit(
+        request, [this, cookie](serve::InferenceResponse response) {
+          const int code = response.status.ok()
+                               ? 200
+                               : HttpStatusForCode(response.status.code());
+          Answer(cookie, code, RenderInferResponse(response), kJson);
+          unanswered_.fetch_sub(1);  // The last touch of *this.
+        });
+    if (!submitted.ok()) {
+      Answer(cookie, HttpStatusForCode(submitted.code()),
+             RenderError(submitted), kJson);
+      unanswered_.fetch_sub(1);
     }
   }
 }
@@ -234,12 +262,10 @@ void HttpFrontDoor::HandleReadable(const std::shared_ptr<Conn>& conn) {
     if (!fed.ok()) {
       const int code =
           fed.code() == common::StatusCode::kResourceExhausted ? 431 : 400;
-      const std::string body = RenderError(fed);
-      http_errors_total_->Increment();
-      FillSlot(ReserveSlot(conn),
-               SerializeResponse(code, ReasonPhrase(code), body,
-                                 "application/json"));
-      CloseConn(conn, false);  // Framing is gone; nothing to salvage.
+      Answer(ReserveSlot(conn), code, RenderError(fed), kJson);
+      // Framing is gone; the loop writes what the socket takes, then closes.
+      HandleWritable(conn);
+      CloseConn(conn, false);
       return;
     }
     HttpRequest request;
@@ -247,7 +273,41 @@ void HttpFrontDoor::HandleReadable(const std::shared_ptr<Conn>& conn) {
       HandleRequest(conn, std::move(request));
       request = HttpRequest();
     }
+    if (conn->unsent.load() > kMaxUnsentBytes) {
+      CloseConn(conn, false);  // The peer stopped reading its answers.
+      return;
+    }
     if (n.value() < sizeof(buf)) return;  // Drained what was ready.
+  }
+}
+
+void HttpFrontDoor::HandleWritable(const std::shared_ptr<Conn>& conn) {
+  {
+    common::MutexLock lock(conn->mu);
+    while (!conn->slots.empty() && conn->slots.front().ready) {
+      conn->out += conn->slots.front().bytes;
+      conn->slots.pop_front();
+    }
+  }
+  size_t sent = 0;
+  while (sent < conn->out.size()) {
+    auto n = SendSome(conn->fd.fd(), conn->out.data() + sent,
+                      conn->out.size() - sent);
+    if (!n.ok()) {
+      CloseConn(conn, false);  // The peer is gone.
+      return;
+    }
+    if (n.value() == 0) break;  // Send buffer full: wait for EPOLLOUT.
+    sent += n.value();
+  }
+  conn->out.erase(0, sent);
+  conn->unsent.fetch_sub(sent);
+  common::MutexLock lock(conn->mu);
+  const bool more = !conn->out.empty() ||
+                    (!conn->slots.empty() && conn->slots.front().ready);
+  if (conn->out_armed && !more) {
+    conn->out_armed =
+        !EpollMod(epoll_fd_.fd(), conn->fd.fd(), EPOLLIN, conn->id).ok();
   }
 }
 
@@ -258,61 +318,41 @@ void HttpFrontDoor::HandleRequest(const std::shared_ptr<Conn>& conn,
   // A successfully parsed request proves the stream is healthy again;
   // health probes themselves stay observers so a 503 remains visible.
   if (request.target != "/healthz") torn_streak_.store(0);
+  const uint64_t cookie = ReserveSlot(conn);
 
-  auto respond = [&](int code, const std::string& body,
-                     std::string_view content_type) {
-    if (code >= 400) http_errors_total_->Increment();
-    const uint64_t cookie = ReserveSlot(conn);
-    FillSlot(cookie,
-             SerializeResponse(code, ReasonPhrase(code), body, content_type));
+  auto refuse = [&](int code, const common::Status& status) {
+    Answer(cookie, code, RenderError(status), kJson);
+  };
+  auto wrong_method = [&](const char* only) {
+    refuse(405, common::Status::InvalidArgument(request.target + " accepts " +
+                                                only + " only"));
   };
 
   if (request.target == "/healthz") {
-    if (request.method != "GET") {
-      respond(405, RenderError(common::Status::InvalidArgument(
-                       "/healthz accepts GET only")),
-              "application/json");
-      return;
-    }
+    if (request.method != "GET") return wrong_method("GET");
     int code = 200;
     const std::string body = HealthzBody(&code);
-    respond(code, body, "text/plain; version=0.0.4");
+    Answer(cookie, code, body, kText);
     return;
   }
   if (request.target == "/metrics") {
-    if (request.method != "GET") {
-      respond(405, RenderError(common::Status::InvalidArgument(
-                       "/metrics accepts GET only")),
-              "application/json");
-      return;
-    }
-    respond(200, MetricsBody(), "text/plain; version=0.0.4");
+    if (request.method != "GET") return wrong_method("GET");
+    Answer(cookie, 200, MetricsBody(), kText);
     return;
   }
   if (request.target == "/v1/infer") {
-    if (request.method != "POST") {
-      respond(405, RenderError(common::Status::InvalidArgument(
-                       "/v1/infer accepts POST only")),
-              "application/json");
-      return;
-    }
-    HandleInfer(conn, request);
+    if (request.method != "POST") return wrong_method("POST");
+    HandleInfer(cookie, request);
     return;
   }
-  respond(404, RenderError(common::Status::NotFound("no route for '" +
-                                                    request.target + "'")),
-          "application/json");
+  refuse(404, common::Status::NotFound("no route for '" + request.target +
+                                       "'"));
 }
 
-void HttpFrontDoor::HandleInfer(const std::shared_ptr<Conn>& conn,
-                                const HttpRequest& request) {
+void HttpFrontDoor::HandleInfer(uint64_t cookie, const HttpRequest& request) {
   auto fail = [&](const common::Status& status) {
-    const int code = HttpStatusForCode(status.code());
-    http_errors_total_->Increment();
-    const uint64_t cookie = ReserveSlot(conn);
-    FillSlot(cookie, SerializeResponse(code, ReasonPhrase(code),
-                                       RenderError(status),
-                                       "application/json"));
+    Answer(cookie, HttpStatusForCode(status.code()), RenderError(status),
+           kJson);
   };
 
   auto parsed = ParseInferRequest(request.body);
@@ -332,7 +372,8 @@ void HttpFrontDoor::HandleInfer(const std::shared_ptr<Conn>& conn,
   infer.tenant_id = body.tenant;
   infer.deadline_micros = body.deadline_micros;
 
-  const uint64_t cookie = ReserveSlot(conn);
+  // Counted before the offer, so Shutdown cannot miss an admitted one.
+  unanswered_.fetch_add(1);
   auto admitted =
       admission_.Offer(std::move(infer), cookie, server_->breaker_state());
   if (!admitted.ok()) {
@@ -342,11 +383,8 @@ void HttpFrontDoor::HandleInfer(const std::shared_ptr<Conn>& conn,
     } else {
       shed_rejected_total_->Increment();
     }
-    const int code = HttpStatusForCode(admitted.status().code());
-    http_errors_total_->Increment();
-    FillSlot(cookie, SerializeResponse(code, ReasonPhrase(code),
-                                       RenderError(admitted.status()),
-                                       "application/json"));
+    fail(admitted.status());
+    unanswered_.fetch_sub(1);
     return;
   }
   shed_tier_->Set(static_cast<double>(admitted.value()));
@@ -357,27 +395,25 @@ void HttpFrontDoor::HandleInfer(const std::shared_ptr<Conn>& conn,
 }
 
 std::string HttpFrontDoor::MetricsBody() {
-  // Metrics() refreshes the registry-side breaker/pool/ops gauges, so a
-  // scrape through the front door sees the same numbers a snapshot does.
+  // Metrics() refreshes the registry-side breaker/ops gauges, so a scrape
+  // through the front door sees the same numbers a snapshot does.
   (void)server_->Metrics();
   return registry_->PrometheusText(true);
 }
 
 std::string HttpFrontDoor::HealthzBody(int* http_status) {
-  const serve::ShedTier tier = config_.admission.shed.Decide(
-      server_->breaker_state(), admission_.FillFraction());
-  const int torn = torn_streak_.load();
-  if (tier == serve::ShedTier::kExact &&
-      torn < config_.torn_read_threshold) {
+  if (Healthy()) {
     *http_status = 200;
     return "ok\n";
   }
   *http_status = 503;
+  const serve::ShedTier tier = config_.admission.shed.Decide(
+      server_->breaker_state(), admission_.FillFraction());
   std::string body = "unhealthy: shed_tier=";
   body += serve::ShedTierName(tier);
   body += " breaker=";
   body += common::CircuitBreaker::StateName(server_->breaker_state());
-  body += " torn_streak=" + std::to_string(torn) + "\n";
+  body += " torn_streak=" + std::to_string(torn_streak_.load()) + "\n";
   return body;
 }
 
@@ -386,6 +422,13 @@ uint64_t HttpFrontDoor::ReserveSlot(const std::shared_ptr<Conn>& conn) {
   const uint64_t seq = conn->next_seq++;
   conn->slots.push_back(Slot{seq, false, std::string()});
   return MakeCookie(conn->id, seq);
+}
+
+void HttpFrontDoor::Answer(uint64_t cookie, int code, std::string_view body,
+                           std::string_view content_type) {
+  if (code >= 400) http_errors_total_->Increment();
+  FillSlot(cookie,
+           SerializeResponse(code, ReasonPhrase(code), body, content_type));
 }
 
 void HttpFrontDoor::FillSlot(uint64_t cookie, std::string bytes) {
@@ -398,33 +441,23 @@ void HttpFrontDoor::FillSlot(uint64_t cookie, std::string bytes) {
     if (it == conns_.map.end()) return;  // Conn died; response dropped.
     conn = it->second;
   }
-  {
-    common::MutexLock lock(conn->mu);
-    for (Slot& slot : conn->slots) {
-      if ((slot.seq & kSeqMask) == seq) {
-        slot.ready = true;
-        slot.bytes = std::move(bytes);
-        break;
-      }
+  responses_total_->Increment();
+  common::MutexLock lock(conn->mu);
+  for (Slot& slot : conn->slots) {
+    if ((slot.seq & kSeqMask) == seq) {
+      conn->unsent.fetch_add(bytes.size());
+      slot.ready = true;
+      slot.bytes = std::move(bytes);
+      break;
     }
   }
-  responses_total_->Increment();
-  FlushConn(conn);
-}
-
-void HttpFrontDoor::FlushConn(const std::shared_ptr<Conn>& conn) {
-  common::MutexLock lock(conn->mu);
-  while (!conn->slots.empty() && conn->slots.front().ready) {
-    if (!conn->dead) {
-      const std::string& bytes = conn->slots.front().bytes;
-      common::Status sent = SendAll(conn->fd.fd(), bytes.data(), bytes.size());
-      if (!sent.ok()) {
-        // The peer is gone; the epoll thread owns closing the fd (it will
-        // see the EOF/error), we just stop writing.
-        conn->dead = true;
-      }
-    }
-    conn->slots.pop_front();
+  // The loop closes the fd under this lock, so a valid fd here is still
+  // this connection's.
+  if (!conn->out_armed && conn->fd.valid() && !conn->slots.empty() &&
+      conn->slots.front().ready) {
+    conn->out_armed = EpollMod(epoll_fd_.fd(), conn->fd.fd(),
+                               EPOLLIN | EPOLLOUT, conn->id)
+                          .ok();
   }
 }
 
@@ -437,7 +470,6 @@ void HttpFrontDoor::CloseConn(const std::shared_ptr<Conn>& conn, bool torn) {
   }
   {
     common::MutexLock lock(conn->mu);
-    conn->dead = true;
     if (conn->fd.valid()) {
       // sgnn-lint: allow(status/void-cast): best-effort deregistration on
       // the close path; the fd is closed next, which detaches it anyway.
@@ -450,60 +482,6 @@ void HttpFrontDoor::CloseConn(const std::shared_ptr<Conn>& conn, bool torn) {
     torn_streak_.fetch_add(1);
   }
   open_connections_->Set(static_cast<double>(open));
-}
-
-void HttpFrontDoor::DispatchLoop() {
-  for (;;) {
-    serve::InferenceRequest request;
-    uint64_t cookie = 0;
-    const bool got = admission_.PopDispatch(&request, &cookie,
-                                            config_.poll_interval_micros);
-    if (!got) {
-      if (stop_.load() && admission_.TotalQueued() == 0) return;
-      continue;
-    }
-    obs::TraceSpan span = obs::StartSpan(tracer_, "net:dispatch", "net");
-    dispatches_total_->Increment();
-    auto submitted = server_->Submit(request);
-    if (!submitted.ok()) {
-      const int code = HttpStatusForCode(submitted.status().code());
-      http_errors_total_->Increment();
-      FillSlot(cookie, SerializeResponse(code, ReasonPhrase(code),
-                                         RenderError(submitted.status()),
-                                         "application/json"));
-      continue;
-    }
-    // Single-producer backpressure: this thread is the only pusher, so a
-    // size check below capacity guarantees the TryPush lands (pops only
-    // shrink the queue). A failed TryPush would destroy the future and
-    // lose the response, so never race it against a full queue.
-    while (completions_.size() >= completions_.capacity()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    common::Status pushed =
-        completions_.TryPush(Completion{cookie, std::move(submitted).value()});
-    // Close() happens only after this thread joins (see Shutdown), so the
-    // push cannot be rejected.
-    SGNN_CHECK(pushed.ok());
-  }
-}
-
-void HttpFrontDoor::WaiterLoop() {
-  for (;;) {
-    Completion completion;
-    if (!completions_.WaitPop(&completion, std::chrono::milliseconds(20))) {
-      if (completions_.closed()) return;
-      continue;
-    }
-    serve::InferenceResponse response = completion.future.get();
-    const int code =
-        response.status.ok() ? 200 : HttpStatusForCode(response.status.code());
-    if (code >= 400) http_errors_total_->Increment();
-    const std::string body = RenderInferResponse(response);
-    FillSlot(completion.cookie,
-             SerializeResponse(code, ReasonPhrase(code), body,
-                               "application/json"));
-  }
 }
 
 }  // namespace sgnn::net

@@ -4,15 +4,13 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
-#include <vector>
 
 #include "common/fault.h"
-#include "common/mpmc_queue.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/run_context.h"
@@ -48,8 +46,6 @@ struct HttpFrontDoorConfig {
   std::string host = "127.0.0.1";
   /// 0 = ephemeral; `Start` writes the chosen port into `port()`.
   uint16_t port = 0;
-  /// Threads blocking on `BatchingServer` futures and writing responses.
-  int num_waiters = 2;
   /// Multi-tenant admission: quotas, DWRR weights, shed policy.
   serve::AdmissionConfig admission;
   HttpLimits http_limits;
@@ -57,8 +53,6 @@ struct HttpFrontDoorConfig {
   /// (`kDataLoss` stream endings); any successfully parsed request resets
   /// the streak.
   int torn_read_threshold = 3;
-  /// Dispatcher/epoll poll granularity — bounds shutdown latency only.
-  int64_t poll_interval_micros = 20000;
 };
 
 /// The epoll HTTP/1.1 front door of the serving tier. Three endpoints:
@@ -67,17 +61,22 @@ struct HttpFrontDoorConfig {
 ///   GET  /metrics    Prometheus text exposition of the shared registry
 ///   GET  /healthz    "ok" (200) or the reason it is not (503)
 ///
-/// An infer request flows: epoll thread parses it and `Offer`s it to the
-/// `serve::AdmissionQueue` (token-bucket quota, shed tier); a dispatcher
-/// thread pops deficit-weighted-fair and `Submit`s to the
-/// `BatchingServer`; waiter threads block on the response futures, render
-/// JSON, and write responses back *in request order per connection*
-/// (HTTP/1.1 pipelining). Load shedding degrades exact → stale → reject
-/// as the serving breaker opens and the admission queues fill.
+/// One event-loop thread is the tier's only I/O thread: it accepts, reads,
+/// parses, `Offer`s each infer to the `serve::AdmissionQueue` (token-bucket
+/// quota, shed tier), and at the end of every iteration drains admission
+/// deficit-weighted-fair into `BatchingServer::Submit`. The serving worker
+/// that resolves a request renders its JSON into the connection's response
+/// slot and, when that slot is the connection's oldest, arms EPOLLOUT. The
+/// loop then writes the ready slots *in request order per connection*
+/// (HTTP/1.1 pipelining) with non-blocking sends, so a slow infer holds
+/// back only the slots behind it on its own connection, and a peer that
+/// stops reading is closed once 4 MiB of answers wait for it.
+/// Load shedding degrades exact → stale → reject as the serving breaker
+/// opens and the admission queues fill.
 ///
 /// The front door owns only the sockets; the model, cache, and breaker
 /// stay in the `BatchingServer` it fronts. Shut down the front door
-/// before the server: `Shutdown` drains admission and resolves every
+/// before the server: `Shutdown` drains admission and answers every
 /// accepted request.
 class HttpFrontDoor {
  public:
@@ -92,13 +91,14 @@ class HttpFrontDoor {
   HttpFrontDoor(const HttpFrontDoor&) = delete;
   HttpFrontDoor& operator=(const HttpFrontDoor&) = delete;
 
-  /// Binds, listens, and starts the event loop, dispatcher, and waiter
-  /// threads. Errors (port in use, fd exhaustion) surface here.
+  /// Binds, listens, and starts the event loop. Errors (port in use, fd
+  /// exhaustion) surface here.
   SGNN_NODISCARD common::Status Start();
 
-  /// Stops accepting, drains every admitted request to a response, joins
-  /// all threads, closes all connections. Idempotent; the destructor
-  /// calls it.
+  /// Closes admission, waits until every admitted request is answered,
+  /// stops the event loop after a last pass that writes what each socket
+  /// takes without blocking, and closes all connections. Idempotent; the
+  /// destructor calls it.
   void Shutdown();
 
   /// The bound port (valid after `Start`).
@@ -114,8 +114,7 @@ class HttpFrontDoor {
 
  private:
   /// One pipelined response slot; responses are written strictly in
-  /// request order per connection, so a slow infer holds back the slots
-  /// behind it (HTTP semantics) without blocking other connections.
+  /// request order per connection.
   struct Slot {
     uint64_t seq = 0;
     bool ready = false;
@@ -126,13 +125,13 @@ class HttpFrontDoor {
     Conn(uint64_t id_in, const HttpLimits& limits)
         : id(id_in), parser(limits) {}
     const uint64_t id;
-    /// The socket. Reads and the final close happen only on the
-    /// event-loop thread (or in Shutdown after it joins); waiters write
-    /// responses through it under `mu`, and `dead` is checked first, so a
-    /// closed fd is never written.
-    // sgnn-lint: allow(lock/unannotated-field): closed only by the
-    // event-loop thread / post-join Shutdown; writers take mu and check
-    // `dead` before touching the fd.
+    /// The socket. Only the event loop reads, writes or closes it (it
+    /// closes it under `mu`; `Shutdown` closes what is left once the loop
+    /// has stopped). `FillSlot` arms EPOLLOUT under `mu` only while it is
+    /// still open, so a late answer never arms an fd number that a newer
+    /// connection now holds.
+    // sgnn-lint: allow(lock/unannotated-field): closed only by the event
+    // loop, under mu; other threads touch it only under mu.
     OwnedFd fd;
     // sgnn-lint: allow(lock/unannotated-field): fed and drained only by
     // the event-loop thread.
@@ -140,47 +139,53 @@ class HttpFrontDoor {
     /// Per-conn read counter feeding `ReadToken`.
     // sgnn-lint: allow(lock/unannotated-field): event-loop thread only.
     uint64_t reads = 0;
+    /// Ready answers taken from `slots` that the socket has not taken yet.
+    // sgnn-lint: allow(lock/unannotated-field): event-loop thread only.
+    std::string out;
     common::Mutex mu;
     std::deque<Slot> slots SGNN_GUARDED_BY(mu);
     uint64_t next_seq SGNN_GUARDED_BY(mu) = 0;
-    bool dead SGNN_GUARDED_BY(mu) = false;
+    /// Bytes of filled slots and of `out` not yet sent.
+    std::atomic<size_t> unsent{0};
+    /// Whether EPOLLOUT is armed on `fd`.
+    bool out_armed SGNN_GUARDED_BY(mu) = false;
   };
 
-  /// The connection registry; its own lock scope so lookups from waiter
-  /// threads never contend with anything but accept/close.
+  /// The connection registry; its own lock scope so lookups from serving
+  /// workers never contend with anything but accept/close.
   struct ConnTable {
     mutable common::Mutex mu;
     std::map<uint64_t, std::shared_ptr<Conn>> map SGNN_GUARDED_BY(mu);
   };
 
-  /// A dispatched request waiting on its `BatchingServer` future.
-  struct Completion {
-    uint64_t cookie = 0;
-    std::future<serve::InferenceResponse> future;
-  };
-
   void EventLoop();
-  void DispatchLoop();
-  void WaiterLoop();
+  /// Drains admission into `BatchingServer::Submit`, deficit-weighted-fair.
+  void Dispatch();
 
   void HandleAcceptable();
   void HandleReadable(const std::shared_ptr<Conn>& conn);
+  /// Moves the ready in-order prefix of `conn->slots` into `conn->out`,
+  /// sends what the socket takes, and disarms EPOLLOUT once nothing is
+  /// left.
+  void HandleWritable(const std::shared_ptr<Conn>& conn);
   void HandleRequest(const std::shared_ptr<Conn>& conn, HttpRequest request);
-  void HandleInfer(const std::shared_ptr<Conn>& conn,
-                   const HttpRequest& request);
+  void HandleInfer(uint64_t cookie, const HttpRequest& request);
   std::string MetricsBody();
   std::string HealthzBody(int* http_status);
 
   /// Reserves the next in-order response slot on `conn`; returns the
   /// cookie that routes the response back to it.
   uint64_t ReserveSlot(const std::shared_ptr<Conn>& conn);
-  /// Fills the slot `cookie` names and flushes the connection's ready
-  /// in-order prefix. Safe from any thread; a vanished connection drops
-  /// the bytes.
+  /// Serialises one answer into the slot `cookie` names, counting codes
+  /// >= 400 in `sgnn_net_http_errors_total`. Safe from any thread.
+  void Answer(uint64_t cookie, int code, std::string_view body,
+              std::string_view content_type);
+  /// Fills the slot `cookie` names and, when that makes the connection's
+  /// oldest slot ready, arms EPOLLOUT. Safe from any thread; a vanished
+  /// connection drops the bytes.
   void FillSlot(uint64_t cookie, std::string bytes);
-  /// Writes the ready prefix of `conn->slots`.
-  void FlushConn(const std::shared_ptr<Conn>& conn);
   /// Closes and forgets a connection; `torn` feeds the healthz streak.
+  /// Event-loop thread only.
   void CloseConn(const std::shared_ptr<Conn>& conn, bool torn);
 
   serve::BatchingServer* const server_;
@@ -191,7 +196,6 @@ class HttpFrontDoor {
   obs::MetricsRegistry* const registry_;
 
   serve::AdmissionQueue admission_;
-  common::BoundedMpmcQueue<Completion> completions_;
 
   OwnedFd listen_fd_;
   OwnedFd epoll_fd_;
@@ -200,10 +204,15 @@ class HttpFrontDoor {
   ConnTable conns_;
   std::atomic<uint64_t> next_conn_id_{0};
 
+  /// Infers counted in before their `Offer` and out once their slot is
+  /// filled or the offer is refused. Once `Shutdown` begins, the loop runs
+  /// until it reads zero here.
+  std::atomic<int64_t> unanswered_{0};
+
   std::atomic<uint64_t> accepts_{0};
   std::atomic<int> torn_streak_{0};
-  std::atomic<bool> stop_{false};
   std::atomic<bool> started_{false};
+  std::atomic<bool> stop_{false};
 
   obs::Counter* accepted_total_;
   obs::Counter* accept_faults_total_;
@@ -222,10 +231,6 @@ class HttpFrontDoor {
   // sgnn-lint: allow(lock/unannotated-field): started in Start() before
   // any concurrent access, joined in Shutdown(); not touched in between.
   std::thread event_thread_;
-  // sgnn-lint: allow(lock/unannotated-field): same start/join discipline.
-  std::thread dispatch_thread_;
-  // sgnn-lint: allow(lock/unannotated-field): same start/join discipline.
-  std::vector<std::thread> waiter_threads_;
 };
 
 }  // namespace sgnn::net

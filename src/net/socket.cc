@@ -44,6 +44,17 @@ common::Status SetNoDelay(int fd) {
   return common::Status::OK();
 }
 
+common::Status EpollCtl(int epoll_fd, int op, int fd, uint32_t events,
+                        uint64_t data, const char* what) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = data;
+  if (::epoll_ctl(epoll_fd, op, fd, &ev) < 0) {
+    return common::StatusFromErrno(what);
+  }
+  return common::Status::OK();
+}
+
 common::Status SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) return common::StatusFromErrno("fcntl(F_GETFL)");
@@ -169,6 +180,18 @@ common::Status SendAll(int fd, const void* buf, size_t n) {
   return common::Status::OK();
 }
 
+common::StatusOr<size_t> SendSome(int fd, const void* buf, size_t n) {
+  ssize_t rc;
+  do {
+    rc = ::send(fd, buf, n, MSG_DONTWAIT | MSG_NOSIGNAL);
+  } while (rc < 0 && errno == EINTR);
+  if (rc < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return size_t{0};
+    return common::StatusFromErrno("send");
+  }
+  return static_cast<size_t>(rc);
+}
+
 common::StatusOr<OwnedFd> EpollCreate() {
   OwnedFd fd(::epoll_create1(0));
   if (!fd.valid()) return common::StatusFromErrno("epoll_create1");
@@ -177,13 +200,12 @@ common::StatusOr<OwnedFd> EpollCreate() {
 
 common::Status EpollAdd(int epoll_fd, int fd, uint32_t events,
                         uint64_t data) {
-  epoll_event ev{};
-  ev.events = events;
-  ev.data.u64 = data;
-  if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
-    return common::StatusFromErrno("epoll_ctl(ADD)");
-  }
-  return common::Status::OK();
+  return EpollCtl(epoll_fd, EPOLL_CTL_ADD, fd, events, data, "epoll_ctl(ADD)");
+}
+
+common::Status EpollMod(int epoll_fd, int fd, uint32_t events,
+                        uint64_t data) {
+  return EpollCtl(epoll_fd, EPOLL_CTL_MOD, fd, events, data, "epoll_ctl(MOD)");
 }
 
 common::Status EpollDel(int epoll_fd, int fd) {

@@ -81,11 +81,20 @@ SGNN_NODISCARD common::StatusOr<size_t> RecvSome(int fd, void* buf,
 /// rather than a process-wide `SIGPIPE`.
 SGNN_NODISCARD common::Status SendAll(int fd, const void* buf, size_t n);
 
+/// Writes as much of the `n` bytes as the socket takes now, without
+/// blocking. Returns the byte count — 0 when the send buffer is full
+/// (`EAGAIN`) — or, like `SendAll`, `kUnavailable` for a dead peer.
+SGNN_NODISCARD common::StatusOr<size_t> SendSome(int fd, const void* buf,
+                                                 size_t n);
+
 /// Thin epoll wrappers; `data` round-trips through
 /// `epoll_event.data.u64` (the front door stores connection cookies
 /// there).
 SGNN_NODISCARD common::StatusOr<OwnedFd> EpollCreate();
 SGNN_NODISCARD common::Status EpollAdd(int epoll_fd, int fd, uint32_t events,
+                                       uint64_t data);
+/// Replaces the event mask and data of an fd already added.
+SGNN_NODISCARD common::Status EpollMod(int epoll_fd, int fd, uint32_t events,
                                        uint64_t data);
 SGNN_NODISCARD common::Status EpollDel(int epoll_fd, int fd);
 

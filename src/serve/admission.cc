@@ -1,7 +1,6 @@
 #include "serve/admission.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/check.h"
@@ -36,18 +35,14 @@ AdmissionQueue::AdmissionQueue(const AdmissionConfig& config)
   SGNN_CHECK_GT(config_.per_tenant_capacity, 0u);
   common::MutexLock lock(mu_);
   for (const auto& [id, quota] : config_.tenants) {
-    tenants_.emplace(
-        id, std::make_unique<Tenant>(quota, config_.per_tenant_capacity));
+    tenants_.emplace(id, std::make_unique<Tenant>(quota));
   }
 }
 
 AdmissionQueue::Tenant& AdmissionQueue::TenantFor(const std::string& id) {
   auto it = tenants_.find(id);
   if (it == tenants_.end()) {
-    it = tenants_
-             .emplace(id, std::make_unique<Tenant>(
-                              config_.default_quota,
-                              config_.per_tenant_capacity))
+    it = tenants_.emplace(id, std::make_unique<Tenant>(config_.default_quota))
              .first;
   }
   return *it->second;
@@ -70,49 +65,29 @@ common::StatusOr<ShedTier> AdmissionQueue::Offer(
     return common::Status::ResourceExhausted("tenant '" + request.tenant_id +
                                              "' is out of quota tokens");
   }
+  if (tenant.queue.size() >= config_.per_tenant_capacity) {
+    // Per-tenant backpressure: a flooding tenant fills only its own FIFO.
+    return common::Status::Unavailable("queue is full");
+  }
   if (tier == ShedTier::kStale) request.stale_only = true;
-  common::Status pushed =
-      tenant.queue.TryPush(Queued{std::move(request), cookie});
-  if (!pushed.ok()) return pushed;  // kUnavailable: per-tenant backpressure.
+  tenant.queue.push_back(Queued{std::move(request), cookie});
   tenant.tokens -= 1.0;
-  cv_.notify_one();
   return tier;
 }
 
-bool AdmissionQueue::PopDispatch(InferenceRequest* request, uint64_t* cookie,
-                                 int64_t timeout_micros) {
+bool AdmissionQueue::PopDispatch(InferenceRequest* request, uint64_t* cookie) {
   SGNN_CHECK(request != nullptr);
   SGNN_CHECK(cookie != nullptr);
   common::MutexLock lock(mu_);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(timeout_micros);
-  for (;;) {
-    Queued item;
-    if (!paused_ && TryDwrrPop(&item)) {
-      RefillAll();
-      if (config_.record_dispatch_log) {
-        dispatch_log_.push_back(item.request.tenant_id);
-      }
-      *request = std::move(item.request);
-      *cookie = item.cookie;
-      return true;
-    }
-    if (closed_ && !paused_) return false;  // Closed and fully drained.
-    if (cv_.wait_until(mu_, deadline) == std::cv_status::timeout) {
-      // One more non-waiting attempt absorbs a wakeup that raced the
-      // timeout; then give up.
-      if (!paused_ && TryDwrrPop(&item)) {
-        RefillAll();
-        if (config_.record_dispatch_log) {
-          dispatch_log_.push_back(item.request.tenant_id);
-        }
-        *request = std::move(item.request);
-        *cookie = item.cookie;
-        return true;
-      }
-      return false;
-    }
+  Queued item;
+  if (paused_ || !TryDwrrPop(&item)) return false;
+  RefillAll();
+  if (config_.record_dispatch_log) {
+    dispatch_log_.push_back(item.request.tenant_id);
   }
+  *request = std::move(item.request);
+  *cookie = item.cookie;
+  return true;
 }
 
 bool AdmissionQueue::TryDwrrPop(Queued* out) {
@@ -127,7 +102,7 @@ bool AdmissionQueue::TryDwrrPop(Queued* out) {
   const size_t max_visits = 2 * tenants_.size() + 2;
   bool any_nonempty = false;
   for (const auto& [id, tenant] : tenants_) {
-    if (tenant->queue.size() > 0) {
+    if (!tenant->queue.empty()) {
       any_nonempty = true;
       break;
     }
@@ -137,7 +112,7 @@ bool AdmissionQueue::TryDwrrPop(Queued* out) {
   if (it == tenants_.end()) it = tenants_.begin();
   for (size_t visits = 0; visits < max_visits; ++visits) {
     Tenant& tenant = *it->second;
-    const bool nonempty = tenant.queue.size() > 0;
+    const bool nonempty = !tenant.queue.empty();
     if (!cursor_granted_) {
       // Classic DRR: an idle tenant's deficit resets so it cannot hoard
       // service credit while it has nothing to send.
@@ -149,9 +124,10 @@ bool AdmissionQueue::TryDwrrPop(Queued* out) {
       cursor_granted_ = true;
     }
     if (nonempty && tenant.deficit >= 1.0) {
-      SGNN_CHECK(tenant.queue.TryPop(out));
+      *out = std::move(tenant.queue.front());
+      tenant.queue.pop_front();
       tenant.deficit -= 1.0;
-      if (tenant.queue.size() == 0) {
+      if (tenant.queue.empty()) {
         tenant.deficit = 0.0;
         ++it;
         if (it == tenants_.end()) it = tenants_.begin();
@@ -185,19 +161,13 @@ void AdmissionQueue::Pause() {
 }
 
 void AdmissionQueue::Resume() {
-  {
-    common::MutexLock lock(mu_);
-    paused_ = false;
-  }
-  cv_.notify_all();
+  common::MutexLock lock(mu_);
+  paused_ = false;
 }
 
 void AdmissionQueue::Close() {
-  {
-    common::MutexLock lock(mu_);
-    closed_ = true;
-  }
-  cv_.notify_all();
+  common::MutexLock lock(mu_);
+  closed_ = true;
 }
 
 size_t AdmissionQueue::TotalQueued() const {

@@ -1,15 +1,14 @@
 #ifndef SGNN_SERVE_ADMISSION_H_
 #define SGNN_SERVE_ADMISSION_H_
 
-#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/fault.h"
-#include "common/mpmc_queue.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "serve/batching_server.h"
@@ -18,9 +17,9 @@ namespace sgnn::serve {
 
 /// Multi-tenant admission stage between a front door (in-process caller or
 /// the `sgnn::net` HTTP server) and the `BatchingServer`: per-tenant
-/// token-bucket quotas, deficit-weighted-fair dequeue over per-tenant
-/// `common::BoundedMpmcQueue`s, and tiered load shedding driven by the
-/// server's `CircuitBreaker` state.
+/// token-bucket quotas, deficit-weighted-fair dequeue over bounded
+/// per-tenant FIFOs, and tiered load shedding driven by the server's
+/// `CircuitBreaker` state.
 ///
 /// Everything is counting-based — token buckets refill per *dispatch
 /// event*, the shed policy reads breaker state and queue fill, and DWRR
@@ -84,9 +83,10 @@ struct AdmissionConfig {
   bool record_dispatch_log = false;
 };
 
-/// The admission queue itself. `Offer` (any thread) applies shedding and
-/// quota, then enqueues into the tenant's bounded queue; `PopDispatch`
-/// (dispatcher threads) dequeues deficit-weighted-fair across tenants.
+/// The admission queue itself. `Offer` applies shedding and quota, then
+/// enqueues into the tenant's bounded queue; `PopDispatch` dequeues
+/// deficit-weighted-fair across tenants without waiting. Both are
+/// thread-safe; the HTTP front door calls both from its event loop.
 /// The `cookie` travels with the request so a front door can route the
 /// eventual response back to its connection.
 class AdmissionQueue {
@@ -107,19 +107,18 @@ class AdmissionQueue {
                                    common::CircuitBreaker::State breaker);
 
   /// Dequeues the next request by deficit-weighted round-robin over the
-  /// backlogged tenants, waiting up to `timeout_micros`. False on timeout
-  /// or when closed and fully drained. Also advances the token-bucket
-  /// refill clock by one dispatch event.
-  bool PopDispatch(InferenceRequest* request, uint64_t* cookie,
-                   int64_t timeout_micros);
+  /// backlogged tenants. False, without waiting, when paused or when no
+  /// request is ready. Also advances the token-bucket refill clock by one
+  /// dispatch event.
+  bool PopDispatch(InferenceRequest* request, uint64_t* cookie);
 
-  /// While paused, `PopDispatch` blocks (offers still queue): the
+  /// While paused, `PopDispatch` returns false (offers still queue): the
   /// saturation switch for fairness tests and the soak bench.
   void Pause();
   void Resume();
 
-  /// Rejects future offers and wakes dispatchers; queued requests remain
-  /// poppable (drain-then-stop).
+  /// Rejects future offers; queued requests remain poppable
+  /// (drain-then-stop).
   void Close();
 
   size_t TotalQueued() const;
@@ -137,15 +136,15 @@ class AdmissionQueue {
   };
 
   struct Tenant {
-    explicit Tenant(const TenantQuota& q, size_t capacity)
-        : quota(q), tokens(q.bucket_capacity), queue(capacity) {}
+    explicit Tenant(const TenantQuota& q)
+        : quota(q), tokens(q.bucket_capacity) {}
     const TenantQuota quota;
     // sgnn-lint: allow(lock/unannotated-field): guarded by the owning
     // AdmissionQueue's mu_; the annotation cannot name an outer mutex.
     double tokens;
-    // sgnn-lint: allow(lock/unannotated-field): internally synchronized
-    // BoundedMpmcQueue.
-    common::BoundedMpmcQueue<Queued> queue;
+    // sgnn-lint: allow(lock/unannotated-field): guarded by the owning
+    // AdmissionQueue's mu_; `Offer` bounds it at `per_tenant_capacity`.
+    std::deque<Queued> queue;
     // sgnn-lint: allow(lock/unannotated-field): guarded by the owning
     // AdmissionQueue's mu_ (DWRR state).
     double deficit = 0.0;
@@ -161,7 +160,6 @@ class AdmissionQueue {
   const AdmissionConfig config_;
 
   mutable common::Mutex mu_;
-  std::condition_variable_any cv_;
   /// Sorted by tenant id: DWRR visits tenants in deterministic key order.
   std::map<std::string, std::unique_ptr<Tenant>> tenants_ SGNN_GUARDED_BY(mu_);
   /// DWRR cursor: id of the tenant the next visit starts at ("" = first).

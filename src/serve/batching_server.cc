@@ -1,6 +1,7 @@
 #include "serve/batching_server.h"
 
 #include <algorithm>
+#include <memory>
 #include <thread>
 #include <utility>
 
@@ -20,7 +21,6 @@ BatchingServer::BatchingServer(FrozenModel model, EmbeddingFn embed_fn,
       embed_fn_(std::move(embed_fn)),
       num_nodes_(num_nodes),
       queue_(config.queue_capacity),
-      pool_(std::make_unique<common::ThreadPool>(config.num_workers)),
       cache_(num_nodes, model_.in_dim()),
       tracer_(ctx.tracer),
       faults_(ctx.faults),
@@ -34,13 +34,17 @@ BatchingServer::BatchingServer(FrozenModel model, EmbeddingFn embed_fn,
   SGNN_CHECK_GE(config.embed_retry.max_attempts, 1);
   SGNN_CHECK(embed_fn_ != nullptr);
   base_ops_ = common::AggregateThreadCounters();
-  batcher_ = std::thread([this] { BatcherLoop(); });
+  workers_.reserve(static_cast<size_t>(config.num_workers));
+  for (int i = 0; i < config.num_workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 BatchingServer::~BatchingServer() { Shutdown(); }
 
-common::StatusOr<std::future<InferenceResponse>> BatchingServer::Submit(
-    const InferenceRequest& inference_request) {
+common::Status BatchingServer::Submit(
+    const InferenceRequest& inference_request, ResponseCallback done) {
+  SGNN_CHECK(done != nullptr);
   const graph::NodeId node = inference_request.node;
   if (node >= num_nodes_) {
     return common::Status::InvalidArgument("node id out of range");
@@ -60,18 +64,26 @@ common::StatusOr<std::future<InferenceResponse>> BatchingServer::Submit(
   request.node = node;
   request.tenant_id = inference_request.tenant_id;
   request.stale_only = inference_request.stale_only;
+  request.done = std::move(done);
   request.enqueue_tick = latency_clock_.Next();
   request.deadline = deadline_micros > 0
                          ? common::Deadline::After(deadline_micros)
                          : common::Deadline::Infinite();
-  std::future<InferenceResponse> future = request.promise.get_future();
   common::Status status = queue_.TryPush(std::move(request));
-  if (!status.ok()) {
-    if (status.code() == common::StatusCode::kUnavailable) {
-      metrics_.RecordRejected();
-    }
-    return status;
+  if (status.code() == common::StatusCode::kUnavailable) {
+    metrics_.RecordRejected();
   }
+  return status;
+}
+
+common::StatusOr<std::future<InferenceResponse>> BatchingServer::Submit(
+    const InferenceRequest& request) {
+  // std::function needs a copyable callable; the promise is move-only.
+  auto promise = std::make_shared<std::promise<InferenceResponse>>();
+  std::future<InferenceResponse> future = promise->get_future();
+  SGNN_RETURN_IF_ERROR(Submit(request, [promise](InferenceResponse response) {
+    promise->set_value(std::move(response));
+  }));
   return future;
 }
 
@@ -97,8 +109,8 @@ ServeMetricsSnapshot BatchingServer::Metrics() const {
   snap.health.breaker_fast_fails = static_cast<uint64_t>(breaker_.fast_fails());
 
   // Refresh the registry-side gauges that mirror server-owned state, so a
-  // scrape taken after this call sees the breaker, worker pool, and
-  // data-movement counters too. All scheduling-dependent, hence volatile.
+  // scrape taken after this call sees the breaker and data-movement
+  // counters too. All scheduling-dependent, hence volatile.
   obs::MetricsRegistry& r = *metrics_.registry();
   r.GetGauge("sgnn_serve_breaker_state",
              "Circuit breaker state (0 closed, 1 open, 2 half-open).", {},
@@ -111,22 +123,6 @@ ServeMetricsSnapshot BatchingServer::Metrics() const {
              "Calls rejected by the open breaker (breaker-side count).", {},
              obs::kVolatile)
       ->Set(static_cast<double>(breaker_.fast_fails()));
-  const common::ThreadPoolStats pool = pool_->Stats();
-  r.GetGauge("sgnn_serve_pool_submitted", "Batches handed to the worker pool.",
-             {}, obs::kVolatile)
-      ->Set(static_cast<double>(pool.submitted));
-  r.GetGauge("sgnn_serve_pool_executed", "Batches completed by the pool.", {},
-             obs::kVolatile)
-      ->Set(static_cast<double>(pool.executed));
-  r.GetGauge("sgnn_serve_pool_queue_depth", "Tasks waiting in the pool queue.",
-             {}, obs::kVolatile)
-      ->Set(static_cast<double>(pool.queue_depth));
-  r.GetGauge("sgnn_serve_pool_max_queue_depth",
-             "Deepest pool queue observed.", {}, obs::kVolatile)
-      ->Set(static_cast<double>(pool.max_queue_depth));
-  r.GetGauge("sgnn_serve_pool_active", "Tasks executing right now.", {},
-             obs::kVolatile)
-      ->Set(static_cast<double>(pool.active));
   r.SetOpCounterGauges("sgnn_serve_ops",
                        "Serving-thread data movement since server start.", {},
                        snap.ops, obs::kVolatile);
@@ -136,50 +132,40 @@ ServeMetricsSnapshot BatchingServer::Metrics() const {
 void BatchingServer::Shutdown() {
   bool expected = false;
   if (!shutdown_.compare_exchange_strong(expected, true)) return;
-  queue_.Close();
-  if (batcher_.joinable()) batcher_.join();
-  pool_->Shutdown();  // Drains submitted batches before joining.
+  queue_.Close();  // Workers drain what is queued, then return.
+  for (std::thread& worker : workers_) worker.join();
 }
 
-void BatchingServer::BatcherLoop() {
+void BatchingServer::WorkerLoop() {
   const auto max_delay = std::chrono::microseconds(config_.max_delay_micros);
   const auto idle_poll = std::chrono::milliseconds(5);
+  std::vector<Request> batch;
   for (;;) {
-    Request first;
-    if (!queue_.WaitPop(&first, idle_poll)) {
-      // Timeout, or closed-and-drained: only the latter ends the loop (no
-      // new item can arrive after Close, so this is a stable condition).
-      if (queue_.closed() && queue_.size() == 0) return;
-      continue;
-    }
-    auto batch = std::make_shared<std::vector<Request>>();
-    batch->push_back(std::move(first));
-    const auto deadline = Clock::now() + max_delay;
-    while (static_cast<int>(batch->size()) < config_.max_batch) {
-      const auto now = Clock::now();
-      if (now >= deadline) break;
-      Request next;
-      if (!queue_.WaitPop(&next, deadline - now)) break;
-      batch->push_back(std::move(next));
-    }
-    metrics_.RecordBatch(batch->size(), queue_.size());
-
-    // Admit at most num_workers concurrent batches: while this waits, the
-    // bounded queue fills and Submit starts rejecting — backpressure
-    // reaches the client instead of growing an invisible backlog.
     {
-      common::MutexLock lock(inflight_mu_);
-      while (in_flight_ >= config_.num_workers) inflight_cv_.wait(inflight_mu_);
-      ++in_flight_;
-    }
-    pool_->Submit([this, batch] {
-      ProcessBatch(batch.get());
-      {
-        common::MutexLock lock(inflight_mu_);
-        --in_flight_;
+      common::MutexLock lock(form_mu_);
+      Request first;
+      if (!queue_.WaitPop(&first, idle_poll)) {
+        // Timeout, or closed-and-drained: only the latter ends the loop (no
+        // new item can arrive after Close, so this is a stable condition).
+        if (queue_.closed() && queue_.size() == 0) return;
+        continue;
       }
-      inflight_cv_.notify_one();
-    });
+      batch.clear();
+      batch.push_back(std::move(first));
+      const auto deadline = Clock::now() + max_delay;
+      while (static_cast<int>(batch.size()) < config_.max_batch) {
+        const auto now = Clock::now();
+        if (now >= deadline) break;
+        Request next;
+        if (!queue_.WaitPop(&next, deadline - now)) break;
+        batch.push_back(std::move(next));
+      }
+      metrics_.RecordBatch(batch.size(), queue_.size());
+    }
+    // While every worker is busy here, the bounded queue fills and Submit
+    // starts rejecting: backpressure reaches the client instead of growing
+    // an invisible backlog.
+    ProcessBatch(&batch);
   }
 }
 
@@ -326,7 +312,7 @@ void BatchingServer::ProcessBatch(std::vector<Request>* batch) {
       metrics_.RecordRequest(response.latency_ticks, response.cache_hit,
                              response.degraded);
     }
-    request.promise.set_value(std::move(response));
+    request.done(std::move(response));
   }
 }
 

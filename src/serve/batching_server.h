@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <future>
 #include <limits>
@@ -15,7 +14,6 @@
 #include "common/mpmc_queue.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/run_context.h"
 #include "graph/types.h"
@@ -31,14 +29,16 @@ namespace sgnn::serve {
 struct ServeConfig {
   /// Flush a micro-batch at this many requests...
   int max_batch = 32;
-  /// ...or once the oldest request in the forming batch has waited this
-  /// long, whichever comes first.
+  /// ...or this long after the worker forming it popped its first request
+  /// from the queue, whichever comes first. Time the request spent queued
+  /// before that pop does not count.
   int64_t max_delay_micros = 1000;
   /// Admission-queue bound; submissions beyond it are rejected with
   /// `kUnavailable` (backpressure) instead of blocking.
   size_t queue_capacity = 1024;
-  /// Threads executing batches. In-flight batches are capped at this
-  /// number, so pressure propagates back to the admission queue.
+  /// Threads that each form a batch, then execute it. In-flight batches are
+  /// capped at this number, so pressure propagates back to the admission
+  /// queue.
   int num_workers = 2;
   /// Embedding-cache entries older than this many flushed batches are
   /// recomputed; default accepts any staleness (weights are frozen, so
@@ -111,6 +111,9 @@ struct InferenceResponse {
   int64_t latency_ticks = 0;
 };
 
+/// Receives the answer to one submitted request.
+using ResponseCallback = std::function<void(InferenceResponse)>;
+
 /// Computes a node's embedding into the provided row buffer, or returns
 /// why it could not (`kUnavailable`/`kAborted` are treated as transient
 /// and retried; other codes are permanent). Must be thread-safe; called
@@ -119,11 +122,13 @@ using EmbeddingFn =
     std::function<common::Status(graph::NodeId, std::span<float>)>;
 
 /// Online inference server: clients submit single-node classification
-/// requests; a batcher thread coalesces them into dynamic micro-batches
-/// (flush on `max_batch` or `max_delay_micros`); worker threads resolve
-/// each batch by consulting the shared `HistoricalEmbeddingCache` first —
-/// hits skip feature gathering and propagation entirely — computing misses
-/// via the `EmbeddingFn`, and running the frozen head once per batch.
+/// requests; each of `num_workers` worker threads takes one formation lock,
+/// pops a dynamic micro-batch (flush on `max_batch` or `max_delay_micros`),
+/// releases the lock and resolves the batch: the shared
+/// `HistoricalEmbeddingCache` first — hits skip feature gathering and
+/// propagation entirely — then misses via the `EmbeddingFn`, then the
+/// frozen head once per batch. The worker answers each request through
+/// the callback it was submitted with.
 ///
 /// The first concurrent subsystem in the library: admission is lossy by
 /// design (`kUnavailable` when the bounded queue is full), shutdown drains
@@ -161,10 +166,16 @@ class BatchingServer {
   BatchingServer(const BatchingServer&) = delete;
   BatchingServer& operator=(const BatchingServer&) = delete;
 
-  /// Enqueues a classification request. Returns the future carrying the
-  /// response, or `kInvalidArgument` (node out of range), `kUnavailable`
-  /// when the server is saturated (backpressure; the caller may retry), or
+  /// Enqueues a classification request. On OK, the worker that resolves
+  /// it calls `done` exactly once, on that worker's thread, so `done` must
+  /// not block. Errors, after which `done` is never called:
+  /// `kInvalidArgument` (node out of range), `kUnavailable` when the server
+  /// is saturated (backpressure; the caller may retry), or
   /// `kFailedPrecondition` after shutdown. Thread-safe.
+  SGNN_NODISCARD common::Status Submit(const InferenceRequest& request,
+                                       ResponseCallback done);
+
+  /// The same, answering through a future.
   common::StatusOr<std::future<InferenceResponse>> Submit(
       const InferenceRequest& request);
 
@@ -174,8 +185,8 @@ class BatchingServer {
 
   /// Current metrics snapshot, including the work counters accumulated by
   /// the serving threads since construction. Also refreshes the
-  /// registry-side `sgnn_serve_breaker_*`, `sgnn_serve_pool_*`, and
-  /// `sgnn_serve_ops_*` gauges, so call it before scraping. Thread-safe.
+  /// registry-side `sgnn_serve_breaker_*` and `sgnn_serve_ops_*` gauges, so
+  /// call it before scraping. Thread-safe.
   ServeMetricsSnapshot Metrics() const;
 
   /// Current circuit-breaker state. This is the load shedder's input
@@ -196,12 +207,12 @@ class BatchingServer {
     graph::NodeId node = 0;
     std::string tenant_id;
     bool stale_only = false;
-    std::promise<InferenceResponse> promise;
+    ResponseCallback done;
     uint64_t enqueue_tick = 0;  ///< `latency_clock_` tick at admission.
     common::Deadline deadline;  ///< Infinite when no deadline applies.
   };
 
-  void BatcherLoop();
+  void WorkerLoop();
   void ProcessBatch(std::vector<Request>* batch);
   /// Resolves one cache miss: breaker gate, embedder with retry/backoff,
   /// degraded fallback. Returns OK (row written into `out`; `*degraded`
@@ -218,7 +229,9 @@ class BatchingServer {
   const graph::NodeId num_nodes_;
 
   common::BoundedMpmcQueue<Request> queue_;
-  std::unique_ptr<common::ThreadPool> pool_;
+  /// Held by the one worker forming a batch, so batches fill as a single
+  /// batcher would fill them.
+  common::Mutex form_mu_;
 
   /// Embedding cache shared across worker threads; reads take the shared
   /// lock (concurrent), writes the exclusive lock. The guard annotation
@@ -232,12 +245,6 @@ class BatchingServer {
   /// structure (how many serve events passed) rather than wall time.
   common::TickClock latency_clock_;
 
-  /// In-flight batch cap (== num_workers): keeps pressure on the admission
-  /// queue instead of an unbounded pool backlog.
-  common::Mutex inflight_mu_;
-  std::condition_variable_any inflight_cv_;
-  int in_flight_ SGNN_GUARDED_BY(inflight_mu_) = 0;
-
   /// Observability sinks from the construction-time `RunContext` (null =
   /// off); the injector is consulted at admission (`"serve.admit"`).
   obs::Tracer* const tracer_;
@@ -247,13 +254,13 @@ class BatchingServer {
   common::CircuitBreaker breaker_;
   /// Aggregate counters at construction.
   // sgnn-lint: allow(lock/unannotated-field): written once in the
-  // constructor before the batcher thread starts, read-only afterwards.
+  // constructor before the workers start, read-only afterwards.
   common::OpCounters base_ops_;
 
   std::atomic<bool> shutdown_{false};
   // sgnn-lint: allow(lock/unannotated-field): started in the constructor,
   // joined in Shutdown(); no access in between.
-  std::thread batcher_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace sgnn::serve

@@ -64,7 +64,7 @@ struct ServeMetricsSnapshot {
   std::string ToString() const;
 };
 
-/// Recording facade shared by the batcher and worker threads, backed by
+/// Recording facade shared by the serving worker threads, backed by
 /// `obs::MetricsRegistry` series (`sgnn_serve_*`). Construction registers
 /// every series in `registry` — pass the run's registry so serving shows
 /// up in the same scrape as the pipeline, or pass null and the facade owns

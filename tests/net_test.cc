@@ -259,7 +259,7 @@ TEST(AdmissionQueueTest, DwrrDispatchSharesMatchWeightsExactly) {
   InferenceRequest request;
   uint64_t cookie = 0;
   for (int i = 0; i < 3 * kPerTenant; ++i) {
-    ASSERT_TRUE(queue.PopDispatch(&request, &cookie, /*timeout_micros=*/0));
+    ASSERT_TRUE(queue.PopDispatch(&request, &cookie));
   }
   // While every tenant is backlogged, DWRR with quantum 1 serves exactly
   // weight-many requests per cycle: 5 cycles of (1 a, 2 b, 4 c) cover the
@@ -294,7 +294,7 @@ TEST(AdmissionQueueTest, TokenBucketRejectsWhenEmptyAndRefillsPerDispatch) {
   // bucket clock counts dispatches, not wall time.
   InferenceRequest request;
   uint64_t cookie = 0;
-  ASSERT_TRUE(queue.PopDispatch(&request, &cookie, 0));
+  ASSERT_TRUE(queue.PopDispatch(&request, &cookie));
   EXPECT_TRUE(offer().ok());
   EXPECT_EQ(offer().status().code(), StatusCode::kResourceExhausted);
 }
@@ -345,7 +345,7 @@ TEST(AdmissionQueueTest, StaleTierMarksRequestsAndRejectTierRefuses) {
   queue.Resume();
   InferenceRequest request;
   uint64_t cookie = 0;
-  ASSERT_TRUE(queue.PopDispatch(&request, &cookie, 0));
+  ASSERT_TRUE(queue.PopDispatch(&request, &cookie));
   EXPECT_TRUE(request.stale_only);  // The stale tier marked it.
 }
 
@@ -368,11 +368,11 @@ TEST(AdmissionQueueTest, CloseDrainsQueuedRequestsThenStops) {
             StatusCode::kFailedPrecondition);
   InferenceRequest request;
   uint64_t cookie = 0;
-  ASSERT_TRUE(queue.PopDispatch(&request, &cookie, 0));
+  ASSERT_TRUE(queue.PopDispatch(&request, &cookie));
   EXPECT_EQ(cookie, 11u);
-  ASSERT_TRUE(queue.PopDispatch(&request, &cookie, 0));
+  ASSERT_TRUE(queue.PopDispatch(&request, &cookie));
   EXPECT_EQ(cookie, 22u);
-  EXPECT_FALSE(queue.PopDispatch(&request, &cookie, 0));
+  EXPECT_FALSE(queue.PopDispatch(&request, &cookie));
 }
 
 // ------------------------------------------------------- loopback harness
@@ -829,6 +829,170 @@ TEST(HttpFrontDoorTest, SharedRegistryExposesNetAndServeSeries) {
   EXPECT_NE(body.find("sgnn_serve_requests_served_total"),
             std::string::npos);
   EXPECT_NE(body.find("sgnn_serve_latency_ticks"), std::string::npos);
+}
+
+TEST(HttpFrontDoorTest, StalledBatchHoldsNoOtherConnection) {
+  // Node 7's embedding waits on a gate; every other node is immediate.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<int> stalled{0};
+  ServeConfig serve_config = QuickServeConfig();
+  serve_config.num_workers = 3;
+  BatchingServer server(
+      TestModel(),
+      [opened, &stalled](NodeId node, std::span<float> out) {
+        if (node == 7) {
+          stalled.fetch_add(1);
+          opened.wait();
+        }
+        FillEmbedding(node, out);
+        return Status::OK();
+      },
+      kNodes, serve_config);
+  HttpFrontDoor door(&server, HttpFrontDoorConfig{});
+  ASSERT_TRUE(door.Start().ok());
+
+  // Connection A pipelines two infers that both stall, one per worker.
+  HttpClient a = Dial(door.port());
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(
+        a.SendRequest("POST", "/v1/infer", InferBody(7), "application/json")
+            .ok());
+  }
+  EXPECT_TRUE(WaitFor([&] { return stalled.load() == 2; }));
+
+  // Connection B's infer runs on the third worker and must not wait for A.
+  HttpClient b = Dial(door.port());
+  auto answered = std::async(std::launch::async, [&b] {
+    return b.Post("/v1/infer", InferBody(1));
+  });
+  const bool in_time = answered.wait_for(std::chrono::seconds(2)) ==
+                       std::future_status::ready;
+  gate.set_value();
+  EXPECT_TRUE(in_time) << "connection B waited for connection A's batch";
+  auto response = answered.get();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().status_code, 200);
+  EXPECT_NE(response.value().body.find("\"node\":1,"), std::string::npos);
+
+  for (int i = 0; i < 2; ++i) {
+    auto held = a.ReadResponse();
+    ASSERT_TRUE(held.ok()) << held.status().ToString();
+    EXPECT_EQ(held.value().status_code, 200);
+    EXPECT_NE(held.value().body.find("\"node\":7,"), std::string::npos);
+  }
+}
+
+TEST(HttpFrontDoorTest, ReaderThatStopsReadingStallsNoOne) {
+  BatchingServer server(
+      TestModel(),
+      [](NodeId node, std::span<float> out) {
+        FillEmbedding(node, out);
+        return Status::OK();
+      },
+      kNodes, QuickServeConfig());
+  HttpFrontDoor door(&server, HttpFrontDoorConfig{});
+  ASSERT_TRUE(door.Start().ok());
+
+  // Pipelines scrapes and never reads an answer. The answers fill the
+  // socket buffers, then pile up at the front door until it closes the
+  // connection; the next send fails and the thread ends.
+  HttpClient flood = Dial(door.port());
+  std::atomic<int> sent{0};
+  std::atomic<bool> send_failed{false};
+  std::thread flooder([&flood, &sent, &send_failed] {
+    for (int i = 0; i < (1 << 20); ++i) {
+      if (!flood.SendRequest("GET", "/metrics", "", "text/plain").ok()) {
+        send_failed.store(true);
+        return;
+      }
+      sent.fetch_add(1);
+    }
+  });
+  EXPECT_TRUE(WaitFor([&] { return sent.load() >= 1000; }));
+
+  HttpClient probe = Dial(door.port());
+  auto health = std::async(std::launch::async,
+                           [&probe] { return probe.Get("/healthz"); });
+  EXPECT_EQ(health.wait_for(std::chrono::seconds(3)),
+            std::future_status::ready)
+      << "a peer that stopped reading stalled the event loop";
+  flooder.join();
+  EXPECT_TRUE(send_failed.load()) << "the flooding connection stayed open";
+  auto answer = health.get();
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer.value().status_code, 200);
+}
+
+TEST(HttpFrontDoorTest, ShutdownAnswersEveryAdmittedRequest) {
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  BatchingServer server(
+      TestModel(),
+      [opened](NodeId node, std::span<float> out) {
+        opened.wait();
+        FillEmbedding(node, out);
+        return Status::OK();
+      },
+      kNodes, QuickServeConfig());
+  HttpFrontDoor door(&server, HttpFrontDoorConfig{});
+  ASSERT_TRUE(door.Start().ok());
+
+  door.admission().Pause();
+  constexpr int kPerConn = 4;
+  std::vector<HttpClient> clients;
+  clients.push_back(Dial(door.port()));
+  clients.push_back(Dial(door.port()));
+  for (HttpClient& client : clients) {
+    for (int i = 0; i < kPerConn; ++i) {
+      EXPECT_TRUE(client
+                      .SendRequest("POST", "/v1/infer",
+                                   InferBody(static_cast<NodeId>(i)),
+                                   "application/json")
+                      .ok());
+    }
+  }
+  EXPECT_TRUE(WaitFor(
+      [&] { return door.admission().TotalQueued() == 2u * kPerConn; }));
+  door.admission().Resume();
+  std::thread stopper([&door] { door.Shutdown(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gate.set_value();
+
+  for (HttpClient& client : clients) {
+    for (int i = 0; i < kPerConn; ++i) {
+      auto response = client.ReadResponse();
+      EXPECT_TRUE(response.ok()) << "#" << i << ": "
+                                 << response.status().ToString();
+      if (!response.ok()) break;  // stopper must still be joined.
+      EXPECT_EQ(response.value().status_code, 200);
+    }
+    EXPECT_FALSE(client.ReadResponse().ok());  // Closed after the answers.
+  }
+  stopper.join();
+}
+
+TEST(HttpFrontDoorTest, UnparseableRequestIsAnsweredThenClosed) {
+  BatchingServer server(
+      TestModel(),
+      [](NodeId node, std::span<float> out) {
+        FillEmbedding(node, out);
+        return Status::OK();
+      },
+      kNodes, QuickServeConfig());
+  HttpFrontDoor door(&server, HttpFrontDoorConfig{});
+  ASSERT_TRUE(door.Start().ok());
+  HttpClient client = Dial(door.port());
+
+  // A start line over the parser's limit: framing is lost, so the front
+  // door answers 431 and closes the connection. The request fits in one
+  // read, so the close leaves no unread bytes behind.
+  const std::string target = "/" + std::string(8 * 1024, 'a');
+  ASSERT_TRUE(client.SendRequest("GET", target, "", "text/plain").ok());
+  auto response = client.ReadResponse();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().status_code, 431);
+  EXPECT_FALSE(client.ReadResponse().ok());
 }
 
 }  // namespace

@@ -306,6 +306,84 @@ TEST(BatchingServerTest, BackpressureRejectsWithUnavailable) {
   EXPECT_EQ(snap.requests_served + snap.requests_rejected, 15u);
 }
 
+TEST(BatchingServerTest, CallbacksRunOnceAndInFlightBatchesStayCapped) {
+  common::Rng rng(9);
+  nn::Mlp mlp({4, 3}, 0.0, &rng);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<int> in_embedder{0};
+  std::atomic<int> max_in_embedder{0};
+
+  ServeConfig config;
+  config.max_batch = 1;
+  config.max_delay_micros = 0;
+  config.queue_capacity = 64;
+  config.num_workers = 3;
+  constexpr int kRequests = 40;
+  BatchingServer server(
+      FrozenModel::FromMlp(mlp),
+      [&](NodeId node, std::span<float> out) {
+        const int now = in_embedder.fetch_add(1) + 1;
+        int seen = max_in_embedder.load();
+        while (now > seen &&
+               !max_in_embedder.compare_exchange_weak(seen, now)) {
+        }
+        opened.wait();
+        for (float& v : out) v = static_cast<float>(node);
+        in_embedder.fetch_sub(1);
+        return common::Status::OK();
+      },
+      /*num_nodes=*/kRequests, config);
+
+  // Distinct nodes, so every request calls the embedder.
+  std::vector<std::atomic<int>> calls(kRequests);
+  std::vector<InferenceResponse> responses(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    EXPECT_TRUE(server
+                    .Submit(InferenceRequest(static_cast<NodeId>(i)),
+                            [&calls, &responses, i](InferenceResponse r) {
+                              responses[static_cast<size_t>(i)] = std::move(r);
+                              calls[static_cast<size_t>(i)].fetch_add(1);
+                            })
+                    .ok());
+  }
+  // One batch per worker reaches the gate; nobody forms a fourth.
+  for (int i = 0; i < 2000 && in_embedder.load() < 3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(in_embedder.load(), 3);
+
+  // Shutdown closes the queue with most requests still in it; once the
+  // gate opens, the workers drain them, each through its callback. A
+  // submit refused with kFailedPrecondition shows the close happened.
+  std::thread stopper([&server] { server.Shutdown(); });
+  std::atomic<int> late_calls{0};
+  common::Status late;
+  for (int i = 0; i < 2000; ++i) {
+    late = server.Submit(InferenceRequest(0), [&late_calls](InferenceResponse) {
+      late_calls.fetch_add(1);
+    });
+    if (late.code() == common::StatusCode::kFailedPrecondition) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(late.code(), common::StatusCode::kFailedPrecondition);
+  gate.set_value();
+  stopper.join();
+
+  for (int i = 0; i < kRequests; ++i) {
+    const size_t s = static_cast<size_t>(i);
+    EXPECT_EQ(calls[s].load(), 1) << "request " << i;
+    EXPECT_TRUE(responses[s].status.ok()) << responses[s].status.ToString();
+    EXPECT_EQ(responses[s].node, static_cast<NodeId>(i));
+  }
+  EXPECT_EQ(max_in_embedder.load(), config.num_workers);
+  // Late submits accepted before the close are answered once each; refused
+  // ones are never called back.
+  EXPECT_EQ(server.Metrics().requests_served,
+            static_cast<uint64_t>(kRequests + late_calls.load()));
+}
+
 TEST(BatchingServerTest, MetricsPercentilesAndWarmupHitRate) {
   core::Dataset dataset = SmallSbmDataset(120, 21);
   const int hops = 2;
