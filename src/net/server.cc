@@ -13,9 +13,10 @@ namespace sgnn::net {
 
 namespace {
 
-/// epoll user-data value marking the listening socket; connection events
-/// carry the connection id instead.
+/// epoll user-data values marking the listening socket and the wake fd;
+/// connection events carry the connection id instead.
 constexpr uint64_t kListenCookie = ~uint64_t{0};
+constexpr uint64_t kWakeCookie = ~uint64_t{1};
 
 /// Slot seq occupies the low bits of a routing cookie, conn id the rest.
 constexpr int kSeqBits = 24;
@@ -25,8 +26,10 @@ constexpr uint64_t MakeCookie(uint64_t conn_id, uint64_t seq) {
   return (conn_id << kSeqBits) | (seq & kSeqMask);
 }
 
-/// epoll wait granularity: bounds how long a resumed admission queue or a
-/// `Shutdown` waits for the loop's next pass when no socket is ready.
+/// epoll wait granularity. `Shutdown` and the last answer after it wake the
+/// loop through its wake fd; a resumed admission queue (`Resume`, which
+/// only tests and `bench_net` call) still waits for the next pass when no
+/// socket is ready.
 constexpr int kPollMillis = 20;
 
 /// A connection holding more answered-but-unsent bytes than this is closed,
@@ -117,6 +120,11 @@ common::Status HttpFrontDoor::Start() {
   epoll_fd_ = std::move(epoll).value();
   SGNN_RETURN_IF_ERROR(
       EpollAdd(epoll_fd_.fd(), listen_fd_.fd(), EPOLLIN, kListenCookie));
+  auto wake = WakeFdCreate();
+  if (!wake.ok()) return wake.status();
+  wake_fd_ = std::move(wake).value();
+  SGNN_RETURN_IF_ERROR(
+      EpollAdd(epoll_fd_.fd(), wake_fd_.fd(), EPOLLIN, kWakeCookie));
   started_.store(true);
   event_thread_ = std::thread([this] { EventLoop(); });
   return common::Status::OK();
@@ -127,6 +135,7 @@ void HttpFrontDoor::Shutdown() {
   // New infers are refused from here on; the loop keeps dispatching what
   // admission holds and writing answers until every one is in its slot.
   admission_.Close();
+  Wake(wake_fd_.fd());
   event_thread_.join();
   {
     // No worker holds a connection any more: clearing the registry drops
@@ -137,6 +146,7 @@ void HttpFrontDoor::Shutdown() {
   open_connections_->Set(0.0);
   listen_fd_.Close();
   epoll_fd_.Close();
+  wake_fd_.Close();
 }
 
 bool HttpFrontDoor::Healthy() const {
@@ -154,6 +164,10 @@ void HttpFrontDoor::EventLoop() {
     for (const ReadyEvent& ev : events) {
       if (ev.data == kListenCookie) {
         HandleAcceptable();
+        continue;
+      }
+      if (ev.data == kWakeCookie) {
+        DrainWake(wake_fd_.fd());
         continue;
       }
       std::shared_ptr<Conn> conn;
@@ -192,6 +206,9 @@ void HttpFrontDoor::Dispatch() {
                                ? 200
                                : HttpStatusForCode(response.status.code());
           Answer(cookie, code, RenderInferResponse(response), kJson);
+          // Once Shutdown began, each answer wakes the loop to recount;
+          // waking before the decrement keeps the wake fd open for it.
+          if (stop_.load()) Wake(wake_fd_.fd());
           unanswered_.fetch_sub(1);  // The last touch of *this.
         });
     if (!submitted.ok()) {

@@ -199,6 +199,8 @@ class HttpFrontDoor {
 
   OwnedFd listen_fd_;
   OwnedFd epoll_fd_;
+  /// In the epoll set; written by `Shutdown` and by answers after it.
+  OwnedFd wake_fd_;
   uint16_t port_ = 0;
 
   ConnTable conns_;

@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -213,6 +214,23 @@ common::Status EpollDel(int epoll_fd, int fd) {
     return common::StatusFromErrno("epoll_ctl(DEL)");
   }
   return common::Status::OK();
+}
+
+common::StatusOr<OwnedFd> WakeFdCreate() {
+  OwnedFd fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
+  if (!fd.valid()) return common::StatusFromErrno("eventfd");
+  return fd;
+}
+
+void Wake(int wake_fd) {
+  while (::eventfd_write(wake_fd, 1) < 0 && errno == EINTR) {
+  }
+}
+
+void DrainWake(int wake_fd) {
+  eventfd_t count = 0;
+  while (::eventfd_read(wake_fd, &count) < 0 && errno == EINTR) {
+  }
 }
 
 common::StatusOr<int> WaitEvents(int epoll_fd, std::vector<ReadyEvent>* out,

@@ -98,6 +98,16 @@ SGNN_NODISCARD common::Status EpollMod(int epoll_fd, int fd, uint32_t events,
                                        uint64_t data);
 SGNN_NODISCARD common::Status EpollDel(int epoll_fd, int fd);
 
+/// A non-blocking eventfd that lets another thread wake a `WaitEvents`
+/// caller: add it to the epoll set with EPOLLIN, `Wake` it from any
+/// thread, and `DrainWake` it on the waiting side once it fires.
+SGNN_NODISCARD common::StatusOr<OwnedFd> WakeFdCreate();
+/// Makes `wake_fd` readable. Never blocks; a saturated counter is already
+/// readable.
+void Wake(int wake_fd);
+/// Resets `wake_fd`'s counter, so it stops reporting readable.
+void DrainWake(int wake_fd);
+
 /// One ready event out of `WaitEvents`.
 struct ReadyEvent {
   uint64_t data = 0;

@@ -32,55 +32,68 @@ KHopEmbedder::KHopEmbedder(const graph::CsrGraph& graph,
 
 void KHopEmbedder::Embed(NodeId center, std::span<float> out) const {
   SGNN_CHECK_EQ(static_cast<int64_t>(out.size()), dim());
+  SGNN_CHECK_LT(center, graph_.num_nodes());
+  if (hops_ == 0) {
+    auto row = features_.Row(center);
+    std::copy(row.begin(), row.end(), out.begin());
+    return;
+  }
+  // within[d]: the ball rows within distance d, a prefix of `ball`. An
+  // unlimited ball stops at K - 1 (see header comment).
   std::vector<NodeId> ball;
   std::unordered_map<NodeId, NodeId> slot;
-  subgraph::KHopBall(graph_, center, hops_, node_budget_, &ball, &slot);
-  const int64_t k = static_cast<int64_t>(ball.size());
+  std::vector<int64_t> within;
+  subgraph::KHopBall(graph_, center, node_budget_ == 0 ? hops_ - 1 : hops_,
+                     node_budget_, &ball, &slot, &within);
   const int64_t cols = dim();
+  const int64_t rows1 = within[hops_ - 1];
 
-  // The ball's rows in slot space, with their raw features: each row's
-  // global adjacency in stored order with its global coefficient, minus
-  // out-of-ball neighbours (only boundary rows have those, and their
-  // inexactness never reaches the center — see header comment).
-  Matrix cur(k, cols);
+  // Rows within K - 1: each row's global adjacency in stored order with its
+  // global coefficient, minus out-of-ball neighbours (only a budget leaves
+  // any), then the self loop as the last edge, all by global id.
   std::vector<graph::EdgeIndex> offsets = {0};
-  std::vector<NodeId> nbr_slots;
+  std::vector<NodeId> nbrs;
   std::vector<float> coeffs;
-  std::vector<float> self_loop(static_cast<size_t>(k));
-  for (int64_t s = 0; s < k; ++s) {
-    const NodeId u = ball[static_cast<size_t>(s)];
-    auto src = features_.Row(u);
-    std::copy(src.begin(), src.end(), cur.Row(s).begin());
-    auto nbrs = graph_.Neighbors(u);
+  for (int64_t s = 0; s < rows1; ++s) {
+    const NodeId u = ball[s];
+    auto ns = graph_.Neighbors(u);
     auto ws = graph_.Weights(u);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      const auto it = slot.find(nbrs[i]);
-      if (it == slot.end()) continue;
-      nbr_slots.push_back(it->second);
+    for (size_t i = 0; i < ns.size(); ++i) {
+      if (node_budget_ > 0 && !slot.contains(ns[i])) continue;
+      nbrs.push_back(ns[i]);
       coeffs.push_back(graph::EdgeCoefficient(Normalization::kSymmetric, ws[i],
-                                              factor_[u], factor_[nbrs[i]]));
+                                              factor_[u], factor_[ns[i]]));
     }
-    offsets.push_back(static_cast<graph::EdgeIndex>(nbr_slots.size()));
-    self_loop[static_cast<size_t>(s)] = self_loop_[u];
+    nbrs.push_back(u);
+    coeffs.push_back(self_loop_[u]);
+    offsets.push_back(static_cast<graph::EdgeIndex>(nbrs.size()));
   }
-  const graph::CoefficientRows rows{offsets, nbr_slots, coeffs, self_loop};
+  const graph::CoefficientRows rows{offsets, nbrs, coeffs, {}};
 
-  // The feature gather is the request's feature-movement cost.
+  // Step t computes the rows within K - t. Step 1 reads feature rows in
+  // place; from step 2 on, rows read the previous step, so their edges
+  // switch to ball slots (those neighbours lie within K - 1, which step 1
+  // computed).
   auto& counters = common::GlobalCounters();
-  counters.floats_moved += static_cast<uint64_t>(k * cols);
-  counters.Acquire(static_cast<uint64_t>(2 * k * cols));
-
-  // Local S^K over the ball; only the center row is read out.
-  Matrix next(k, cols);
-  for (int step = 0; step < hops_; ++step) {
-    next.Zero();
-    graph::SpmmRows(rows, {0, k}, cur, &next);
+  const uint64_t resident = static_cast<uint64_t>(
+      (rows1 + (hops_ >= 2 ? within[hops_ - 2] : 0)) * cols);
+  counters.Acquire(resident);
+  Matrix cur, next;
+  for (int step = 1; step <= hops_; ++step) {
+    const int64_t computed = within[hops_ - step];
+    if (step == 2) {
+      for (graph::EdgeIndex e = 0; e < offsets[computed]; ++e) {
+        nbrs[e] = slot.at(nbrs[e]);
+      }
+    }
+    next.Reset(computed, cols);
+    graph::SpmmRows(rows, {0, computed}, step == 1 ? features_ : cur, &next);
     std::swap(cur, next);
   }
 
   auto center_row = cur.Row(0);  // ball[0] == center by construction.
   std::copy(center_row.begin(), center_row.end(), out.begin());
-  counters.Release(static_cast<uint64_t>(2 * k * cols));
+  counters.Release(resident);
 }
 
 }  // namespace sgnn::serve

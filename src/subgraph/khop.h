@@ -23,12 +23,15 @@ EgoNet ExtractKHop(const graph::CsrGraph& graph, graph::NodeId center,
                    int hops, int64_t node_budget);
 
 /// The BFS behind `ExtractKHop`, without materialising the subgraph:
-/// appends the ball's nodes to `nodes` in BFS order (center first) and maps
-/// each to its index there in `slot`, which doubles as the BFS seen-set.
-/// Both start empty. Returns the depth actually explored.
+/// appends the ball's nodes to `nodes` in BFS order (center first, so
+/// sorted by distance from it), maps each to its index there in `slot`,
+/// which doubles as the BFS seen-set, and sets `depth_end[d]` to the count
+/// of ball nodes within distance d, for d = 0..hops. All three start empty.
+/// Returns the depth actually explored.
 int KHopBall(const graph::CsrGraph& graph, graph::NodeId center, int hops,
              int64_t node_budget, std::vector<graph::NodeId>* nodes,
-             std::unordered_map<graph::NodeId, graph::NodeId>* slot);
+             std::unordered_map<graph::NodeId, graph::NodeId>* slot,
+             std::vector<int64_t>* depth_end);
 
 }  // namespace sgnn::subgraph
 

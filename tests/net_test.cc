@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -970,6 +971,35 @@ TEST(HttpFrontDoorTest, ShutdownAnswersEveryAdmittedRequest) {
     EXPECT_FALSE(client.ReadResponse().ok());  // Closed after the answers.
   }
   stopper.join();
+}
+
+// `Shutdown` wakes an idle event loop instead of waiting out its epoll
+// poll: ten Start/Shutdown cycles, each once the loop is waiting. Without
+// the wake, each one waited out the rest of the loop's 20 ms poll: 18.1 to
+// 18.2 ms after the 2 ms sleep below, against about 0.1 ms with it.
+TEST(HttpFrontDoorTest, IdleShutdownWakesTheWaitingLoop) {
+  BatchingServer server(
+      TestModel(),
+      [](NodeId node, std::span<float> out) {
+        FillEmbedding(node, out);
+        return Status::OK();
+      },
+      kNodes, QuickServeConfig());
+  std::vector<double> shutdown_ms;
+  for (int cycle = 0; cycle < 10; ++cycle) {
+    HttpFrontDoor door(&server, HttpFrontDoorConfig{});
+    ASSERT_TRUE(door.Start().ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const auto begin = std::chrono::steady_clock::now();
+    door.Shutdown();
+    shutdown_ms.push_back(std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - begin)
+                              .count());
+  }
+  std::sort(shutdown_ms.begin(), shutdown_ms.end());
+  EXPECT_LT(shutdown_ms[5], 5.0)
+      << "median idle Shutdown " << shutdown_ms[5] << " ms, slowest "
+      << shutdown_ms.back() << " ms";
 }
 
 TEST(HttpFrontDoorTest, UnparseableRequestIsAnsweredThenClosed) {

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <queue>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/rng.h"
 #include "core/dataset.h"
 #include "core/pipeline.h"
@@ -89,6 +94,18 @@ TEST(FrozenModelTest, SnapshotUnaffectedByLaterTraining) {
   EXPECT_FALSE(live.Equals(before));
 }
 
+// A 256-node R-MAT with uniform(0.25, 2) edge weights plus one isolated
+// node (the last id).
+graph::CsrGraph WeightedRmatWithIsolatedNode() {
+  std::vector<graph::Edge> edges =
+      graph::Rmat(256, 2048, graph::RmatConfig{}, 41).ToEdges();
+  common::Rng rng(43);
+  for (graph::Edge& e : edges) {
+    e.weight = static_cast<float>(rng.Uniform(0.25, 2.0));
+  }
+  return graph::CsrGraph::FromEdges(257, std::move(edges));
+}
+
 TEST(KHopEmbedderTest, MatchesGlobalPropagation) {
   core::Dataset dataset = SmallSbmDataset(120, 5);
   const int hops = 2;
@@ -140,6 +157,116 @@ TEST(KHopEmbedderTest, UnlimitedBudgetIsByteIdenticalToGlobalPropagation) {
     }
   }
   simd::SetEnabled(saved_simd);
+}
+
+// The embedder's algorithm without pruning, written out as the reference:
+// a queue BFS to depth K under the budget, every ball row's in-ball edges
+// (global coefficients, stored order) and self loop, and K full steps over
+// every ball row through the same row kernel.
+std::vector<float> UnprunedEmbed(const graph::CsrGraph& g, const Matrix& x,
+                                 std::span<const double> factor,
+                                 std::span<const float> self_loop, int hops,
+                                 int64_t budget, NodeId center) {
+  std::vector<NodeId> ball = {center};
+  std::unordered_map<NodeId, NodeId> slot = {{center, 0}};
+  std::queue<std::pair<NodeId, int>> frontier;
+  frontier.emplace(center, 0);
+  while (!frontier.empty()) {
+    const auto [u, depth] = frontier.front();
+    frontier.pop();
+    if (depth >= hops) continue;
+    for (NodeId v : g.Neighbors(u)) {
+      if (budget > 0 && static_cast<int64_t>(ball.size()) >= budget) break;
+      if (!slot.emplace(v, static_cast<NodeId>(ball.size())).second) continue;
+      ball.push_back(v);
+      frontier.emplace(v, depth + 1);
+    }
+  }
+  const int64_t k = static_cast<int64_t>(ball.size());
+  Matrix cur(k, x.cols());
+  std::vector<graph::EdgeIndex> offsets = {0};
+  std::vector<NodeId> nbr_slots;
+  std::vector<float> coeffs, loops;
+  for (int64_t s = 0; s < k; ++s) {
+    const NodeId u = ball[static_cast<size_t>(s)];
+    const auto src = x.Row(u);
+    std::copy(src.begin(), src.end(), cur.Row(s).begin());
+    const auto nbrs = g.Neighbors(u);
+    const auto ws = g.Weights(u);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      const auto it = slot.find(nbrs[i]);
+      if (it == slot.end()) continue;
+      nbr_slots.push_back(it->second);
+      coeffs.push_back(graph::EdgeCoefficient(graph::Normalization::kSymmetric,
+                                              ws[i], factor[u],
+                                              factor[nbrs[i]]));
+    }
+    offsets.push_back(static_cast<graph::EdgeIndex>(nbr_slots.size()));
+    loops.push_back(self_loop[u]);
+  }
+  const graph::CoefficientRows rows{offsets, nbr_slots, coeffs, loops};
+  Matrix next(k, x.cols());
+  for (int step = 0; step < hops; ++step) {
+    next.Zero();
+    graph::SpmmRows(rows, {0, k}, cur, &next);
+    std::swap(cur, next);
+  }
+  return {cur.Row(0).begin(), cur.Row(0).end()};
+}
+
+// Computing only the rows each step reads leaves every embedding's bytes
+// as they were when every step ran over the whole ball, truncated or not:
+// budgets from the center alone to the whole graph, hops 0-3, weighted
+// edges, both SIMD backends, on every fourth node (the hubs R-MAT puts at
+// the low ids, and the isolated node 256).
+TEST(KHopEmbedderTest, BudgetedEmbeddingsMatchUnprunedPropagation) {
+  const graph::CsrGraph g = WeightedRmatWithIsolatedNode();
+  common::Rng rng(47);
+  const Matrix x = Matrix::Gaussian(g.num_nodes(), 24, 0.0f, 1.0f, &rng);
+  std::vector<double> factor;
+  std::vector<float> self_loop;
+  graph::NodeFactors(g, graph::Normalization::kSymmetric,
+                     /*add_self_loops=*/true, &factor, &self_loop);
+  const bool saved_simd = simd::Enabled();
+  for (const bool simd_on : {false, true}) {
+    simd::SetEnabled(simd_on);
+    for (const int64_t budget : {0, 1, 2, 3, 7, 20, 64, 512}) {
+      for (int hops = 0; hops <= 3; ++hops) {
+        const KHopEmbedder embedder(g, x, hops, budget);
+        std::vector<float> row(static_cast<size_t>(embedder.dim()));
+        for (NodeId u = 0; u < g.num_nodes(); u += 4) {
+          embedder.Embed(u, row);
+          const std::vector<float> want =
+              UnprunedEmbed(g, x, factor, self_loop, hops, budget, u);
+          ASSERT_EQ(0, std::memcmp(row.data(), want.data(),
+                                   row.size() * sizeof(float)))
+              << "simd=" << simd_on << " budget=" << budget
+              << " hops=" << hops << " node " << u;
+        }
+      }
+    }
+  }
+  simd::SetEnabled(saved_simd);
+}
+
+// Step t bills only the rows within distance K - t. On a path, center 4
+// and 2 hops: step 1 computes nodes 3, 4 and 5 (two graph edges each),
+// step 2 the center alone (two), and each computed row's self loop rides
+// as one more edge. Running both steps over the 5-node ball bills its 8
+// in-ball edges twice (16).
+TEST(KHopEmbedderTest, BillsOnlyTheRowsEachStepReads) {
+  const graph::CsrGraph g = graph::Path(9);
+  common::Rng rng(53);
+  const Matrix x = Matrix::Gaussian(g.num_nodes(), 4, 0.0f, 1.0f, &rng);
+  const KHopEmbedder embedder(g, x, /*hops=*/2);
+  std::vector<float> row(static_cast<size_t>(embedder.dim()));
+  const common::OpCounters before = common::GlobalCounters();
+  embedder.Embed(4, row);
+  const common::OpCounters spent =
+      common::OpCounters::Delta(before, common::GlobalCounters());
+  const uint64_t graph_edges = 6 + 2, self_loop_edges = 3 + 1;
+  EXPECT_EQ(spent.edges_touched, graph_edges + self_loop_edges);
+  EXPECT_EQ(spent.floats_moved, (graph_edges + self_loop_edges) * 4);
 }
 
 /// The serving-latency ladder now lives in `obs::Histogram`

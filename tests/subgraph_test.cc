@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/metrics.h"
@@ -53,6 +55,30 @@ TEST(KHopTest, SubgraphEdgesAreInduced) {
   EgoNet ego = ExtractKHop(g, 0, 2, 0);  // Nodes {10,11,0,1,2}.
   EXPECT_EQ(ego.nodes.size(), 5u);
   EXPECT_EQ(ego.subgraph.num_edges(), 8);  // A path of 5 nodes: 4 und. edges.
+}
+
+TEST(KHopTest, BallReportsWhereEachDepthEnds) {
+  // A path's BFS from one end adds one node per depth until it runs out;
+  // the depths past the last node end where it does.
+  const CsrGraph g = graph::Path(5);
+  std::vector<NodeId> nodes;
+  std::unordered_map<NodeId, NodeId> slot;
+  std::vector<int64_t> depth_end;
+  EXPECT_EQ(KHopBall(g, 0, 6, 0, &nodes, &slot, &depth_end), 4);
+  EXPECT_EQ(nodes, (std::vector<NodeId>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(depth_end, (std::vector<int64_t>{1, 2, 3, 4, 5, 5, 5}));
+
+  // A budget cuts the ball inside a depth: 3 of the clique's 99 depth-1
+  // nodes, and nothing at depth 2.
+  const CsrGraph clique = graph::Complete(100);
+  nodes.clear();
+  slot.clear();
+  depth_end.clear();
+  EXPECT_EQ(KHopBall(clique, 0, 2, 4, &nodes, &slot, &depth_end), 1);
+  EXPECT_EQ(depth_end, (std::vector<int64_t>{1, 4, 4}));
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_EQ(slot.at(nodes[i]), static_cast<NodeId>(i));
+  }
 }
 
 TEST(WalkStoreTest, WalksStartAtSeedAndFollowEdges) {
