@@ -11,6 +11,8 @@
 //      epochs (at a different worker count, which bit-identity makes
 //      legal).
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -118,8 +120,11 @@ int main() {
   // 4. Checkpoint every epoch, then resume at a different worker count.
   std::printf("== checkpoint / resume ==\n");
   {
+    // A per-process name, so concurrent runs (two ctest trees) never share
+    // a snapshot.
     const std::string path =
-        (std::filesystem::temp_directory_path() / "sgnn_dist_example.ckpt")
+        (std::filesystem::temp_directory_path() /
+         ("sgnn_dist_example_" + std::to_string(::getpid()) + ".ckpt"))
             .string();
     std::filesystem::remove(path);
     dist::DistOptions half = opts;

@@ -10,7 +10,9 @@
 // check next to the per-budget cache traffic.
 //
 // `out_of_core --smoke` exits non-zero unless byte-identity holds at every
-// budget (used by CI and the verify recipe).
+// budget (a ctest case, and used by CI and the verify recipe).
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -49,8 +51,12 @@ int main(int argc, char** argv) {
   // One-time conversion: contiguous edge-balanced shards, every section
   // CRC-32'd, manifest written last so a crash never leaves a directory
   // that opens with partial data.
+  // A per-process directory, so concurrent runs (two ctest trees) never
+  // share shard files.
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "sgnn_out_of_core").string();
+      (std::filesystem::temp_directory_path() /
+       ("sgnn_out_of_core_" + std::to_string(::getpid())))
+          .string();
   std::filesystem::remove_all(dir);
   const storage::ShardPlan plan = storage::ShardPlan::Contiguous(g, 8);
   if (auto status = storage::WriteShardedGraph(g, plan, dir); !status.ok()) {

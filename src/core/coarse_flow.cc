@@ -3,7 +3,6 @@
 #include "common/timer.h"
 #include "graph/propagate.h"
 #include "models/gcn.h"
-#include "nn/loss.h"
 #include "nn/optimizer.h"
 
 namespace sgnn::core {
@@ -33,31 +32,27 @@ CoarseTrainResult TrainOnCoarseGraph(const Dataset& dataset,
                                 graph::Normalization::kSymmetric, true);
   models::Gcn model(coarse_x.cols(), config.hidden_dim, dataset.num_classes,
                     config.dropout, &rng);
-  nn::Adam opt(model.Params(), config.lr, 0.9, 0.999, 1e-8,
-               config.weight_decay);
-  models::EarlyStopTracker tracker(config.patience);
+  nn::Adam opt(model.Params(), config.lr, config.weight_decay);
+
+  auto train_epoch = [&] {
+    model.ZeroGrad();
+    const double loss = model.TrainStep(coarse_prop, coarse_x, coarse_labels,
+                                        coarse_splits.train, &rng);
+    opt.Step();
+    return loss;
+  };
+  // Lift coarse logits to fine nodes and score on the FINE splits.
+  auto eval_logits = [&] {
+    return coarsen::LiftFeatures(coarsening,
+                                 model.Predict(coarse_prop, coarse_x));
+  };
 
   CoarseTrainResult result;
   result.coarse_nodes = coarsening.num_coarse();
   result.model.name = "coarse_gcn";
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    model.ZeroGrad();
-    result.model.report.final_train_loss = model.TrainStep(
-        coarse_prop, coarse_x, coarse_labels, coarse_splits.train, &rng);
-    opt.Step();
-    result.model.report.epochs_run = epoch + 1;
-
-    // Lift coarse logits to fine nodes and score on the FINE splits.
-    Matrix coarse_logits = model.Predict(coarse_prop, coarse_x);
-    Matrix fine_logits = coarsen::LiftFeatures(coarsening, coarse_logits);
-    const double val =
-        nn::Accuracy(fine_logits, dataset.labels, dataset.splits.val);
-    const double test =
-        nn::Accuracy(fine_logits, dataset.labels, dataset.splits.test);
-    if (tracker.Update(val, test)) break;
-  }
-  result.model.report.best_val_accuracy = tracker.best_val();
-  result.model.report.test_accuracy = tracker.test_at_best();
+  result.model.report =
+      nn::RunEpochs(config, dataset.labels, dataset.splits.val,
+                    dataset.splits.test, train_epoch, eval_logits);
   result.model.report.train_seconds = timer.Seconds();
   result.model.ops = counters.Delta();
   result.spectral_distortion =

@@ -10,7 +10,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/par.h"
-#include "simd/simd.h"
 
 namespace sgnn::core {
 
@@ -108,7 +107,6 @@ PipelineReport Pipeline::Run(const Dataset& dataset,
   // deltas on exit. Sections and shards are pure functions of the workload
   // (deterministic gauges); the worker count is configuration (volatile).
   if (ctx.num_threads > 0) par::SetThreads(ctx.num_threads);
-  if (ctx.simd != 0) simd::SetEnabled(ctx.simd > 0);
   obs::Tracer* prev_par_tracer =
       (ctx.trace_parallel && ctx.tracer != nullptr) ? par::SetTracer(ctx.tracer)
                                                     : nullptr;
@@ -286,44 +284,41 @@ PipelineReport Pipeline::Run(const Dataset& dataset,
     return common::Status::OK();
   };
 
+  // Runs one edit or analytics stage (`apply` rewrites `graph` or
+  // `features`) unless a restored snapshot already holds it, then
+  // validates and checkpoints. Returns false when the run must stop, with
+  // the reason in `report.status`.
   int stage_index = 0;
-  for (const auto& stage : edits_) {
-    if (stage_index++ < start_stage) continue;
-    if (deadline_abort("stage " + stage->name())) return report;
+  auto run_stage = [&](const std::string& name,
+                       const std::function<void()>& apply) -> bool {
+    if (stage_index++ < start_stage) return true;
+    if (deadline_abort("stage " + name)) return false;
     {
-      obs::TraceSpan span = obs::StartSpan(ctx.tracer, stage->name(), "stage");
+      obs::TraceSpan span = obs::StartSpan(ctx.tracer, name, "stage");
       common::ScopedCounterDelta counters;
       common::WallTimer timer;
-      graph = stage->Edit(graph, features);
-      report.stages.push_back(
-          {stage->name(), timer.Seconds(), counters.Delta()});
+      apply();
+      report.stages.push_back({name, timer.Seconds(), counters.Delta()});
     }
     publish_stage(report.stages.back());
     if (ctx.validate_stages) {
-      report.status = validate(stage->name());
-      if (!report.status.ok()) return report;
+      report.status = validate(name);
+      if (!report.status.ok()) return false;
     }
     report.status = after_stage(stage_index - 1);
-    if (!report.status.ok()) return report;
+    return report.status.ok();
+  };
+  for (const auto& stage : edits_) {
+    if (!run_stage(stage->name(),
+                   [&] { graph = stage->Edit(graph, features); })) {
+      return report;
+    }
   }
   for (const auto& stage : analytics_) {
-    if (stage_index++ < start_stage) continue;
-    if (deadline_abort("stage " + stage->name())) return report;
-    {
-      obs::TraceSpan span = obs::StartSpan(ctx.tracer, stage->name(), "stage");
-      common::ScopedCounterDelta counters;
-      common::WallTimer timer;
-      features = stage->Augment(graph, features);
-      report.stages.push_back(
-          {stage->name(), timer.Seconds(), counters.Delta()});
+    if (!run_stage(stage->name(),
+                   [&] { features = stage->Augment(graph, features); })) {
+      return report;
     }
-    publish_stage(report.stages.back());
-    if (ctx.validate_stages) {
-      report.status = validate(stage->name());
-      if (!report.status.ok()) return report;
-    }
-    report.status = after_stage(stage_index - 1);
-    if (!report.status.ok()) return report;
   }
   report.edges_after = graph.num_edges();
   report.feature_cols_after = features.cols();

@@ -76,14 +76,6 @@ struct RunContext {
   /// Results are bit-identical for any value by the par determinism
   /// contract; only wall time changes.
   int num_threads = 0;
-  /// Backend override for the `sgnn::simd` microkernel substrate, applied
-  /// at run entry (process-wide — it outlives the run, like
-  /// `num_threads`): > 0 dispatches the vector backend when the CPU
-  /// supports it, < 0 forces the portable scalar backend, 0 leaves the
-  /// current setting (`SGNN_SIMD`, default auto) alone. Results are
-  /// bit-identical for any value by the simd bit-identity contract; only
-  /// wall time changes.
-  int simd = 0;
   /// When true (and `tracer` is set), parallel kernel sections emit
   /// `par:<label>` spans into `tracer` for the duration of the run.
   /// Off by default: hot kernels run thousands of sections per run, which

@@ -1,5 +1,7 @@
 #include "models/api.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "common/rng.h"
 
@@ -26,6 +28,11 @@ NodeSplits MakeSplits(graph::NodeId num_nodes, double train_frac,
   SGNN_CHECK(!splits.val.empty());
   SGNN_CHECK(!splits.test.empty());
   return splits;
+}
+
+int NumClasses(std::span<const int> labels) {
+  SGNN_CHECK(!labels.empty());
+  return 1 + *std::max_element(labels.begin(), labels.end());
 }
 
 }  // namespace sgnn::models

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,12 @@ struct NodeSplits {
 NodeSplits MakeSplits(graph::NodeId num_nodes, double train_frac,
                       double val_frac, uint64_t seed);
 
-/// Uniform result record for the model zoo: training metrics plus the
+/// Number of classes a trainer's output layer needs: 1 + the largest
+/// label. `labels` must be non-empty.
+int NumClasses(std::span<const int> labels);
+
+/// Uniform result record for the model zoo: training metrics (the report
+/// `nn::RunEpochs` fills, for every model with trained weights) plus the
 /// hardware-independent work counters accumulated during fit + final eval
 /// (the quantities E12/E13 compare across models).
 struct ModelResult {
@@ -37,33 +43,6 @@ struct ModelResult {
   /// forward pass is not a plain MLP over precomputed embeddings. This is
   /// the hook `serve::FrozenModel` freezes for online inference.
   std::shared_ptr<nn::Mlp> fitted_head;
-};
-
-/// Tracks the best validation accuracy and the test accuracy achieved at
-/// that point; signals early stop after `patience` non-improving updates.
-class EarlyStopTracker {
- public:
-  explicit EarlyStopTracker(int patience) : patience_(patience) {}
-
-  /// Returns true when training should stop.
-  bool Update(double val_accuracy, double test_accuracy) {
-    if (val_accuracy > best_val_) {
-      best_val_ = val_accuracy;
-      test_at_best_ = test_accuracy;
-      since_best_ = 0;
-      return false;
-    }
-    return ++since_best_ >= patience_;
-  }
-
-  double best_val() const { return best_val_; }
-  double test_at_best() const { return test_at_best_; }
-
- private:
-  int patience_;
-  int since_best_ = 0;
-  double best_val_ = 0.0;
-  double test_at_best_ = 0.0;
 };
 
 }  // namespace sgnn::models

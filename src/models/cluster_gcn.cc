@@ -1,12 +1,10 @@
 #include "models/cluster_gcn.h"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "common/timer.h"
 #include "graph/propagate.h"
 #include "models/gcn.h"
-#include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "partition/partition.h"
 
@@ -20,8 +18,6 @@ ModelResult TrainClusterGcn(const graph::CsrGraph& graph, const Matrix& x,
                             const NodeSplits& splits,
                             const nn::TrainConfig& config,
                             const ClusterGcnConfig& cluster) {
-  const int num_classes =
-      1 + *std::max_element(labels.begin(), labels.end());
   common::ScopedCounterDelta counters;
   common::WallTimer timer;
   common::Rng rng(config.seed);
@@ -30,17 +26,16 @@ ModelResult TrainClusterGcn(const graph::CsrGraph& graph, const Matrix& x,
   partition::Partition parts = partition::MultilevelPartition(
       graph, cluster.num_parts, partition::MultilevelConfig{}, config.seed);
 
-  Gcn model(x.cols(), config.hidden_dim, num_classes, config.dropout, &rng);
-  nn::Adam opt(model.Params(), config.lr, 0.9, 0.999, 1e-8,
-               config.weight_decay);
-  EarlyStopTracker tracker(config.patience);
+  Gcn model(x.cols(), config.hidden_dim, NumClasses(labels), config.dropout,
+            &rng);
+  nn::Adam opt(model.Params(), config.lr, config.weight_decay);
   std::unordered_set<NodeId> train_set(splits.train.begin(),
                                        splits.train.end());
   graph::Propagator full_prop(graph, graph::Normalization::kSymmetric, true);
 
-  ModelResult result;
-  result.name = "cluster_gcn";
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+  // An epoch whose batches hold no training node keeps the last loss.
+  double loss = 0.0;
+  auto train_epoch = [&] {
     auto batches = partition::ClusterBatches(parts, cluster.parts_per_batch,
                                              rng.engine()());
     double epoch_loss = 0.0;
@@ -73,18 +68,15 @@ ModelResult TrainClusterGcn(const graph::CsrGraph& graph, const Matrix& x,
       common::GlobalCounters().Release(resident);
       ++counted;
     }
-    if (counted > 0) {
-      result.report.final_train_loss = epoch_loss / counted;
-    }
-    result.report.epochs_run = epoch + 1;
+    if (counted > 0) loss = epoch_loss / counted;
+    return loss;
+  };
 
-    Matrix logits = model.Predict(full_prop, x);
-    const double val = nn::Accuracy(logits, labels, splits.val);
-    const double test = nn::Accuracy(logits, labels, splits.test);
-    if (tracker.Update(val, test)) break;
-  }
-  result.report.best_val_accuracy = tracker.best_val();
-  result.report.test_accuracy = tracker.test_at_best();
+  ModelResult result;
+  result.name = "cluster_gcn";
+  result.report =
+      nn::RunEpochs(config, labels, splits.val, splits.test, train_epoch,
+                    [&] { return model.Predict(full_prop, x); });
   result.report.train_seconds = timer.Seconds();
   result.ops = counters.Delta();
   return result;

@@ -21,10 +21,6 @@ using tensor::Matrix;
 
 namespace {
 
-int NumClasses(std::span<const int> labels) {
-  return 1 + *std::max_element(labels.begin(), labels.end());
-}
-
 /// Shared tail for precompute-style models: train an MLP head on fixed
 /// embeddings and package the result, keeping the fitted head so the run
 /// can be frozen into an inference artifact (`serve::FrozenModel`).
@@ -196,25 +192,20 @@ ModelResult TrainAppnp(const graph::CsrGraph& graph, const Matrix& x,
   nn::Mlp mlp({x.cols(), config.hidden_dim,
                static_cast<int64_t>(num_classes)},
               config.dropout, &rng);
-  nn::Adam opt(mlp.Params(), config.lr, 0.9, 0.999, 1e-8,
-               config.weight_decay);
-  EarlyStopTracker tracker(config.patience);
+  nn::Adam opt(mlp.Params(), config.lr, config.weight_decay);
 
-  ModelResult result;
-  result.name = "appnp";
   // APPNP trains full-batch: MLP activations plus propagated logits are
   // resident for every node (the memory profile that motivates PPRGo's
   // per-node sparse variant).
   const uint64_t resident = static_cast<uint64_t>(
       2 * x.rows() * (config.hidden_dim + num_classes));
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+  auto train_epoch = [&] {
     common::GlobalCounters().Acquire(resident);
     Matrix h;
     mlp.Forward(x, /*training=*/true, &rng, &h);
-    Matrix logits =
-        ppr::AppnpPropagate(prop, h, appnp.alpha, appnp.hops);
+    Matrix logits = ppr::AppnpPropagate(prop, h, appnp.alpha, appnp.hops);
     Matrix dlogits;
-    result.report.final_train_loss =
+    const double loss =
         nn::SoftmaxCrossEntropy(logits, labels, splits.train, &dlogits);
     // The propagation operator P = sum_k alpha(1-alpha)^k S^k is symmetric,
     // so dH = P dlogits is computed by the same routine.
@@ -223,18 +214,18 @@ ModelResult TrainAppnp(const graph::CsrGraph& graph, const Matrix& x,
     mlp.Backward(dh, nullptr);
     opt.Step();
     common::GlobalCounters().Release(resident);
-    result.report.epochs_run = epoch + 1;
-
+    return loss;
+  };
+  auto eval_logits = [&] {
     Matrix h_eval;
     mlp.Forward(x, /*training=*/false, nullptr, &h_eval);
-    Matrix eval_logits =
-        ppr::AppnpPropagate(prop, h_eval, appnp.alpha, appnp.hops);
-    const double val = nn::Accuracy(eval_logits, labels, splits.val);
-    const double test = nn::Accuracy(eval_logits, labels, splits.test);
-    if (tracker.Update(val, test)) break;
-  }
-  result.report.best_val_accuracy = tracker.best_val();
-  result.report.test_accuracy = tracker.test_at_best();
+    return ppr::AppnpPropagate(prop, h_eval, appnp.alpha, appnp.hops);
+  };
+
+  ModelResult result;
+  result.name = "appnp";
+  result.report = nn::RunEpochs(config, labels, splits.val, splits.test,
+                                train_epoch, eval_logits);
   result.report.train_seconds = timer.Seconds();
   result.ops = counters.Delta();
   return result;

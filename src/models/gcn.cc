@@ -1,7 +1,5 @@
 #include "models/gcn.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "common/timer.h"
 #include "nn/loss.h"
@@ -22,15 +20,7 @@ Gcn::Gcn(int64_t in_dim, int64_t hidden_dim, int64_t out_dim, double dropout,
 double Gcn::TrainStep(const Propagator& prop, const Matrix& x,
                       std::span<const int> labels,
                       std::span<const graph::NodeId> loss_rows,
-                      common::Rng* rng) {
-  return TrainStepWeighted(prop, x, labels, loss_rows, {}, rng);
-}
-
-double Gcn::TrainStepWeighted(const Propagator& prop, const Matrix& x,
-                              std::span<const int> labels,
-                              std::span<const graph::NodeId> loss_rows,
-                              std::span<const float> loss_weights,
-                              common::Rng* rng) {
+                      common::Rng* rng, std::span<const float> loss_weights) {
   // Resident-activation accounting for the E13 memory comparison: a
   // full-batch step materialises hidden and logit activations (and their
   // gradients) for every node of the graph passed in.
@@ -54,11 +44,8 @@ double Gcn::TrainStepWeighted(const Propagator& prop, const Matrix& x,
   prop.Apply(t1, &logits);
 
   Matrix dlogits;
-  const double loss =
-      loss_weights.empty()
-          ? nn::SoftmaxCrossEntropy(logits, labels, loss_rows, &dlogits)
-          : nn::SoftmaxCrossEntropyWeighted(logits, labels, loss_rows,
-                                            loss_weights, &dlogits);
+  const double loss = nn::SoftmaxCrossEntropy(logits, labels, loss_rows,
+                                              &dlogits, loss_weights);
 
   // Backward (S is symmetric, so S^T = S).
   Matrix dt1;
@@ -101,34 +88,27 @@ std::vector<nn::ParamRef> Gcn::Params() {
 ModelResult TrainGcn(const graph::CsrGraph& graph, const Matrix& x,
                      std::span<const int> labels, const NodeSplits& splits,
                      const nn::TrainConfig& config, const GcnConfig& gcn) {
-  const int num_classes =
-      1 + *std::max_element(labels.begin(), labels.end());
   common::Rng rng(config.seed);
   common::ScopedCounterDelta counters;
   common::WallTimer timer;
 
   Propagator prop(graph, graph::Normalization::kSymmetric, gcn.self_loops);
-  Gcn model(x.cols(), config.hidden_dim, num_classes, config.dropout, &rng);
-  nn::Adam opt(model.Params(), config.lr, 0.9, 0.999, 1e-8,
-               config.weight_decay);
-  EarlyStopTracker tracker(config.patience);
+  Gcn model(x.cols(), config.hidden_dim, NumClasses(labels), config.dropout,
+            &rng);
+  nn::Adam opt(model.Params(), config.lr, config.weight_decay);
+
+  auto train_epoch = [&] {
+    model.ZeroGrad();
+    const double loss = model.TrainStep(prop, x, labels, splits.train, &rng);
+    opt.Step();
+    return loss;
+  };
 
   ModelResult result;
   result.name = "gcn";
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    model.ZeroGrad();
-    result.report.final_train_loss =
-        model.TrainStep(prop, x, labels, splits.train, &rng);
-    opt.Step();
-    result.report.epochs_run = epoch + 1;
-
-    Matrix logits = model.Predict(prop, x);
-    const double val = nn::Accuracy(logits, labels, splits.val);
-    const double test = nn::Accuracy(logits, labels, splits.test);
-    if (tracker.Update(val, test)) break;
-  }
-  result.report.best_val_accuracy = tracker.best_val();
-  result.report.test_accuracy = tracker.test_at_best();
+  result.report =
+      nn::RunEpochs(config, labels, splits.val, splits.test, train_epoch,
+                    [&] { return model.Predict(prop, x); });
   result.report.train_seconds = timer.Seconds();
   result.ops = counters.Delta();
   return result;

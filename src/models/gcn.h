@@ -22,19 +22,14 @@ class Gcn {
   /// One full-batch training step (forward, masked CE on `loss_rows`,
   /// backward; gradients accumulate in the layers). Returns the loss.
   /// `prop` must be the kSymmetric operator of the training graph (any
-  /// graph whose node count matches `x`; Cluster-GCN passes subgraphs).
+  /// graph whose node count matches `x`; Cluster-GCN and GraphSAINT pass
+  /// subgraphs). `loss_weights`, if given, aligns with `loss_rows` and
+  /// weights each row's loss (GraphSAINT inclusion normalisation; see
+  /// `nn::SoftmaxCrossEntropy`).
   double TrainStep(const graph::Propagator& prop, const tensor::Matrix& x,
                    std::span<const int> labels,
-                   std::span<const graph::NodeId> loss_rows, common::Rng* rng);
-
-  /// As `TrainStep` but with per-row loss weights (GraphSAINT inclusion
-  /// normalisation). `loss_weights` aligns with `loss_rows`.
-  double TrainStepWeighted(const graph::Propagator& prop,
-                           const tensor::Matrix& x,
-                           std::span<const int> labels,
-                           std::span<const graph::NodeId> loss_rows,
-                           std::span<const float> loss_weights,
-                           common::Rng* rng);
+                   std::span<const graph::NodeId> loss_rows, common::Rng* rng,
+                   std::span<const float> loss_weights = {});
 
   /// Inference logits (no dropout).
   tensor::Matrix Predict(const graph::Propagator& prop,

@@ -43,8 +43,6 @@ ModelResult TrainGraphTransformer(const graph::CsrGraph& graph,
                                   const NodeSplits& splits,
                                   const nn::TrainConfig& config,
                                   const GraphTransformerConfig& gt) {
-  const int num_classes =
-      1 + *std::max_element(labels.begin(), labels.end());
   common::ScopedCounterDelta counters;
   common::WallTimer timer;
   common::Rng rng(config.seed);
@@ -97,12 +95,11 @@ ModelResult TrainGraphTransformer(const graph::CsrGraph& graph,
   // Model: anchor attention + skip, ReLU, linear head.
   nn::AnchorAttention attention(tokens.cols(), config.hidden_dim, &rng);
   nn::Linear skip(tokens.cols(), config.hidden_dim, &rng);
-  nn::Linear head(config.hidden_dim, num_classes, &rng);
+  nn::Linear head(config.hidden_dim, NumClasses(labels), &rng);
   std::vector<nn::ParamRef> params = attention.Params();
   for (const auto& p : skip.Params()) params.push_back(p);
   for (const auto& p : head.Params()) params.push_back(p);
-  nn::Adam opt(params, config.lr, 0.9, 0.999, 1e-8, config.weight_decay);
-  EarlyStopTracker tracker(config.patience);
+  nn::Adam opt(params, config.lr, config.weight_decay);
 
   auto forward = [&](bool training, Matrix* pre, Matrix* hidden,
                      Matrix* logits) {
@@ -117,14 +114,11 @@ ModelResult TrainGraphTransformer(const graph::CsrGraph& graph,
     head.Forward(attn_out, logits);
   };
 
-  ModelResult result;
-  result.name = gt.spd_beta != 0.0 ? "graph_transformer"
-                                   : "graph_transformer_nobias";
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+  auto train_epoch = [&] {
     Matrix pre, hidden, logits;
     forward(/*training=*/true, &pre, &hidden, &logits);
     Matrix dlogits;
-    result.report.final_train_loss =
+    const double loss =
         nn::SoftmaxCrossEntropy(logits, labels, splits.train, &dlogits);
 
     attention.ZeroGrad();
@@ -139,16 +133,19 @@ ModelResult TrainGraphTransformer(const graph::CsrGraph& graph,
     skip.Backward(tokens, dhidden, nullptr);
     attention.Backward(dhidden, nullptr, nullptr);
     opt.Step();
-    result.report.epochs_run = epoch + 1;
+    return loss;
+  };
+  auto eval_logits = [&] {
+    Matrix logits;
+    forward(/*training=*/false, nullptr, nullptr, &logits);
+    return logits;
+  };
 
-    Matrix eval_logits;
-    forward(/*training=*/false, nullptr, nullptr, &eval_logits);
-    const double val = nn::Accuracy(eval_logits, labels, splits.val);
-    const double test = nn::Accuracy(eval_logits, labels, splits.test);
-    if (tracker.Update(val, test)) break;
-  }
-  result.report.best_val_accuracy = tracker.best_val();
-  result.report.test_accuracy = tracker.test_at_best();
+  ModelResult result;
+  result.name = gt.spd_beta != 0.0 ? "graph_transformer"
+                                   : "graph_transformer_nobias";
+  result.report = nn::RunEpochs(config, labels, splits.val, splits.test,
+                                train_epoch, eval_logits);
   result.report.train_seconds = timer.Seconds();
   result.ops = counters.Delta();
   return result;

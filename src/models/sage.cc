@@ -158,8 +158,6 @@ ModelResult TrainSage(const graph::CsrGraph& graph, const Matrix& x,
                       std::span<const int> labels, const NodeSplits& splits,
                       const nn::TrainConfig& config, const SageConfig& sage) {
   SGNN_CHECK(!sage.fanouts.empty());
-  const int num_classes =
-      1 + *std::max_element(labels.begin(), labels.end());
   common::ScopedCounterDelta counters;
   common::WallTimer timer;
   common::Rng rng(config.seed);
@@ -169,7 +167,7 @@ ModelResult TrainSage(const graph::CsrGraph& graph, const Matrix& x,
   for (size_t l = 0; l + 1 < sage.fanouts.size(); ++l) {
     dims.push_back(config.hidden_dim);
   }
-  dims.push_back(num_classes);
+  dims.push_back(NumClasses(labels));
   SGNN_CHECK_EQ(dims.size(), sage.fanouts.size() + 1);
 
   SageModel model(dims, config.dropout, &rng);
@@ -177,17 +175,13 @@ ModelResult TrainSage(const graph::CsrGraph& graph, const Matrix& x,
   // loops, built once per run.
   const graph::Propagator mean_prop(graph, graph::Normalization::kRow,
                                     /*add_self_loops=*/false);
-  nn::Adam opt(model.Params(), config.lr, 0.9, 0.999, 1e-8,
-               config.weight_decay);
-  EarlyStopTracker tracker(config.patience);
+  nn::Adam opt(model.Params(), config.lr, config.weight_decay);
 
   const size_t batch_size =
       config.batch_size > 0 ? static_cast<size_t>(config.batch_size) : 64;
   std::vector<NodeId> order(splits.train.begin(), splits.train.end());
 
-  ModelResult result;
-  result.name = sage.use_labor ? "sage_labor" : "sage";
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+  auto train_epoch = [&] {
     rng.Shuffle(&order);
     double epoch_loss = 0.0;
     size_t num_batches = 0;
@@ -208,20 +202,19 @@ ModelResult TrainSage(const graph::CsrGraph& graph, const Matrix& x,
       opt.Step();
       ++num_batches;
     }
-    result.report.final_train_loss =
-        epoch_loss / static_cast<double>(num_batches);
-    result.report.epochs_run = epoch + 1;
-
+    return epoch_loss / static_cast<double>(num_batches);
+  };
+  auto eval_logits = [&] {
     // The workspace holds the epoch's largest block; free it before
     // inference allocates graph-sized activations.
     model.ReleaseWorkspace();
-    Matrix logits = model.Predict(mean_prop, x);
-    const double val = nn::Accuracy(logits, labels, splits.val);
-    const double test = nn::Accuracy(logits, labels, splits.test);
-    if (tracker.Update(val, test)) break;
-  }
-  result.report.best_val_accuracy = tracker.best_val();
-  result.report.test_accuracy = tracker.test_at_best();
+    return model.Predict(mean_prop, x);
+  };
+
+  ModelResult result;
+  result.name = sage.use_labor ? "sage_labor" : "sage";
+  result.report = nn::RunEpochs(config, labels, splits.val, splits.test,
+                                train_epoch, eval_logits);
   result.report.train_seconds = timer.Seconds();
   result.ops = counters.Delta();
   return result;

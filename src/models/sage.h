@@ -35,7 +35,7 @@ class SageModel {
                    std::span<const int> seed_labels, common::Rng* rng);
 
   /// Frees the `TrainStep` workspace. Call it when the steps stop for a
-  /// while: `TrainSage` does at the end of each epoch's batch loop, so the
+  /// while: `TrainSage` does before each epoch's `Predict`, so the
   /// workspace and `Predict`'s graph-sized activations are never resident
   /// together.
   void ReleaseWorkspace() { ws_ = {}; }

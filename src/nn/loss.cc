@@ -11,57 +11,26 @@ using tensor::Matrix;
 
 double SoftmaxCrossEntropy(const Matrix& logits, std::span<const int> labels,
                            std::span<const graph::NodeId> rows,
-                           Matrix* dlogits) {
+                           Matrix* dlogits, std::span<const float> weights) {
   SGNN_CHECK_EQ(labels.size(), static_cast<size_t>(logits.rows()));
   SGNN_CHECK(!rows.empty());
-  if (dlogits != nullptr) dlogits->Reset(logits.rows(), logits.cols());
   const double inv_count = 1.0 / static_cast<double>(rows.size());
-  double loss = 0.0;
-  std::vector<double> probs(static_cast<size_t>(logits.cols()));
-  for (graph::NodeId r : rows) {
-    SGNN_CHECK_LT(static_cast<int64_t>(r), logits.rows());
-    const int label = labels[r];
-    SGNN_CHECK(label >= 0 && label < logits.cols());
-    auto row = logits.Row(static_cast<int64_t>(r));
-    const float mx = *std::max_element(row.begin(), row.end());
-    double sum = 0.0;
-    for (int64_t c = 0; c < logits.cols(); ++c) {
-      probs[static_cast<size_t>(c)] = std::exp(static_cast<double>(row[c] - mx));
-      sum += probs[static_cast<size_t>(c)];
-    }
-    loss -= std::log(probs[static_cast<size_t>(label)] / sum) * inv_count;
-    if (dlogits != nullptr) {
-      auto drow = dlogits->Row(static_cast<int64_t>(r));
-      for (int64_t c = 0; c < logits.cols(); ++c) {
-        const double p = probs[static_cast<size_t>(c)] / sum;
-        drow[c] = static_cast<float>(
-            (p - (c == label ? 1.0 : 0.0)) * inv_count);
-      }
-    }
-  }
-  return loss;
-}
-
-double SoftmaxCrossEntropyWeighted(const Matrix& logits,
-                                   std::span<const int> labels,
-                                   std::span<const graph::NodeId> rows,
-                                   std::span<const float> weights,
-                                   Matrix* dlogits) {
-  SGNN_CHECK_EQ(labels.size(), static_cast<size_t>(logits.rows()));
-  SGNN_CHECK_EQ(rows.size(), weights.size());
-  SGNN_CHECK(!rows.empty());
   double total_weight = 0.0;
-  for (float w : weights) {
-    SGNN_CHECK_GE(w, 0.0f);
-    total_weight += w;
+  if (!weights.empty()) {
+    SGNN_CHECK_EQ(rows.size(), weights.size());
+    for (float w : weights) {
+      SGNN_CHECK_GE(w, 0.0f);
+      total_weight += w;
+    }
+    SGNN_CHECK_GT(total_weight, 0.0);
   }
-  SGNN_CHECK_GT(total_weight, 0.0);
   if (dlogits != nullptr) dlogits->Reset(logits.rows(), logits.cols());
   double loss = 0.0;
   std::vector<double> probs(static_cast<size_t>(logits.cols()));
   for (size_t i = 0; i < rows.size(); ++i) {
     const graph::NodeId r = rows[i];
-    const double w = weights[i] / total_weight;
+    const double w =
+        weights.empty() ? inv_count : weights[i] / total_weight;
     if (w == 0.0) continue;
     SGNN_CHECK_LT(static_cast<int64_t>(r), logits.rows());
     const int label = labels[r];

@@ -9,24 +9,19 @@
 
 namespace sgnn::nn {
 
-/// Masked softmax cross-entropy over the rows listed in `rows` (node ids
-/// into `logits`/`labels`). Returns the mean loss over those rows and
-/// writes d(loss)/d(logits) into `dlogits` (zero outside `rows`,
-/// already divided by |rows|). `dlogits` may be null for evaluation.
+/// Masked softmax cross-entropy over the rows listed in `rows` (distinct
+/// node ids into `logits`/`labels`). Row `rows[i]` has weight
+/// `weights[i] / sum(weights)` (GraphSAINT-style inclusion-probability
+/// normalisation), or 1/|rows| when `weights` is empty. Returns the
+/// weighted loss and writes d(loss)/d(logits) into `dlogits`, which is
+/// reset to the shape of `logits` (zero outside `rows`); `dlogits` may be
+/// null for evaluation. A non-empty `weights` must align with `rows`, be
+/// non-negative and hold at least one positive entry.
 double SoftmaxCrossEntropy(const tensor::Matrix& logits,
                            std::span<const int> labels,
                            std::span<const graph::NodeId> rows,
-                           tensor::Matrix* dlogits);
-
-/// Weighted variant: row `rows[i]` contributes with weight `weights[i]`
-/// (GraphSAINT-style inclusion-probability normalisation). The loss is
-/// sum_i w_i * CE_i / sum_i w_i and the gradient matches. `weights` must
-/// align with `rows` and contain at least one positive entry.
-double SoftmaxCrossEntropyWeighted(const tensor::Matrix& logits,
-                                   std::span<const int> labels,
-                                   std::span<const graph::NodeId> rows,
-                                   std::span<const float> weights,
-                                   tensor::Matrix* dlogits);
+                           tensor::Matrix* dlogits,
+                           std::span<const float> weights = {});
 
 /// Accuracy of argmax predictions over the listed rows.
 double Accuracy(const tensor::Matrix& logits, std::span<const int> labels,

@@ -7,25 +7,12 @@
 
 namespace sgnn::nn {
 
-/// Plain SGD with optional L2 weight decay: p -= lr * (g + decay * p).
-class Sgd {
- public:
-  Sgd(std::vector<ParamRef> params, double lr, double weight_decay = 0.0);
-
-  void Step();
-
- private:
-  std::vector<ParamRef> params_;
-  double lr_;
-  double weight_decay_;
-};
-
 /// Adam (Kingma & Ba) with bias correction and L2 weight decay applied to
-/// the gradient (the classic, non-decoupled variant).
+/// the gradient (the classic, non-decoupled variant). The moment settings
+/// are fixed at Kingma & Ba's defaults: beta1 0.9, beta2 0.999, eps 1e-8.
 class Adam {
  public:
-  Adam(std::vector<ParamRef> params, double lr, double beta1 = 0.9,
-       double beta2 = 0.999, double eps = 1e-8, double weight_decay = 0.0);
+  Adam(std::vector<ParamRef> params, double lr, double weight_decay = 0.0);
 
   void Step();
 
@@ -35,7 +22,7 @@ class Adam {
   std::vector<ParamRef> params_;
   std::vector<tensor::Matrix> m_;
   std::vector<tensor::Matrix> v_;
-  double lr_, beta1_, beta2_, eps_, weight_decay_;
+  double lr_, weight_decay_;
   int64_t t_ = 0;
 };
 

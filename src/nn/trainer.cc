@@ -1,6 +1,7 @@
 #include "nn/trainer.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/check.h"
 #include "common/counters.h"
@@ -13,6 +14,29 @@ namespace sgnn::nn {
 using graph::NodeId;
 using tensor::Matrix;
 
+TrainReport RunEpochs(const TrainConfig& config, std::span<const int> labels,
+                      std::span<const NodeId> val_rows,
+                      std::span<const NodeId> test_rows,
+                      const std::function<double()>& train_epoch,
+                      const std::function<Matrix()>& eval_logits) {
+  TrainReport report;
+  int since_best = 0;
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    report.final_train_loss = train_epoch();
+    report.epochs_run = epoch + 1;
+    const Matrix logits = eval_logits();
+    const double val_acc = Accuracy(logits, labels, val_rows);
+    if (val_acc > report.best_val_accuracy) {
+      report.best_val_accuracy = val_acc;
+      report.test_accuracy = Accuracy(logits, labels, test_rows);
+      since_best = 0;
+    } else if (++since_best >= config.patience) {
+      break;
+    }
+  }
+  return report;
+}
+
 TrainReport TrainMlpOnEmbeddings(Mlp* mlp, const Matrix& embeddings,
                                  std::span<const int> labels,
                                  std::span<const NodeId> train_nodes,
@@ -24,7 +48,7 @@ TrainReport TrainMlpOnEmbeddings(Mlp* mlp, const Matrix& embeddings,
   SGNN_CHECK(!val_nodes.empty());
   SGNN_CHECK(!test_nodes.empty());
   common::Rng rng(config.seed);
-  Adam opt(mlp->Params(), config.lr, 0.9, 0.999, 1e-8, config.weight_decay);
+  Adam opt(mlp->Params(), config.lr, config.weight_decay);
   common::WallTimer timer;
 
   std::vector<NodeId> order(train_nodes.begin(), train_nodes.end());
@@ -48,9 +72,7 @@ TrainReport TrainMlpOnEmbeddings(Mlp* mlp, const Matrix& embeddings,
   const std::span<const NodeId> test_rows =
       std::span<const NodeId>(eval_rows).subspan(val_nodes.size());
 
-  TrainReport report;
-  int since_best = 0;
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+  auto train_epoch = [&] {
     rng.Shuffle(&order);
     double epoch_loss = 0.0;
     size_t batches = 0;
@@ -82,22 +104,16 @@ TrainReport TrainMlpOnEmbeddings(Mlp* mlp, const Matrix& embeddings,
       opt.Step();
       common::GlobalCounters().Release(resident);
     }
-    report.final_train_loss = epoch_loss / static_cast<double>(batches);
-    report.epochs_run = epoch + 1;
-
-    // Validation (inference mode, val ∪ test rows only).
+    return epoch_loss / static_cast<double>(batches);
+  };
+  auto eval_logits = [&] {
     Matrix logits;
     mlp->Forward(embeddings.GatherRows(eval_nodes), /*training=*/false,
                  nullptr, &logits);
-    const double val_acc = Accuracy(logits, eval_labels, val_rows);
-    if (val_acc > report.best_val_accuracy) {
-      report.best_val_accuracy = val_acc;
-      report.test_accuracy = Accuracy(logits, eval_labels, test_rows);
-      since_best = 0;
-    } else if (++since_best >= config.patience) {
-      break;
-    }
-  }
+    return logits;
+  };
+  TrainReport report = RunEpochs(config, eval_labels, val_rows, test_rows,
+                                 train_epoch, eval_logits);
   report.train_seconds = timer.Seconds();
   return report;
 }

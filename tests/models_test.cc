@@ -66,16 +66,6 @@ TEST(MakeSplitsTest, PartitionsAllNodesDisjointly) {
   }
 }
 
-TEST(EarlyStopTrackerTest, TracksBestAndStops) {
-  EarlyStopTracker tracker(2);
-  EXPECT_FALSE(tracker.Update(0.5, 0.4));
-  EXPECT_FALSE(tracker.Update(0.7, 0.65));  // Improves.
-  EXPECT_FALSE(tracker.Update(0.6, 0.9));   // Worse (1/2).
-  EXPECT_TRUE(tracker.Update(0.6, 0.9));    // Worse (2/2): stop.
-  EXPECT_DOUBLE_EQ(tracker.best_val(), 0.7);
-  EXPECT_DOUBLE_EQ(tracker.test_at_best(), 0.65);
-}
-
 TEST(GcnTest, LearnsHomophilousSbm) {
   Dataset d = EasyDataset();
   ModelResult result =

@@ -158,7 +158,7 @@ TEST(LossTest, WeightedCeReducesToUniformWithEqualWeights) {
   Matrix da, db;
   const double uniform = SoftmaxCrossEntropy(logits, labels, rows, &da);
   const double weighted =
-      SoftmaxCrossEntropyWeighted(logits, labels, rows, weights, &db);
+      SoftmaxCrossEntropy(logits, labels, rows, &db, weights);
   EXPECT_NEAR(uniform, weighted, 1e-9);
   EXPECT_LT(MaxAbsDiff(da, db), 1e-6);
 }
@@ -170,8 +170,8 @@ TEST(LossTest, WeightedCeZeroWeightRowContributesNothing) {
   std::vector<NodeId> all_rows = {0, 1, 2};
   std::vector<float> weights = {1.0f, 0.0f, 1.0f};
   Matrix d_weighted;
-  const double weighted = SoftmaxCrossEntropyWeighted(
-      logits, labels, all_rows, weights, &d_weighted);
+  const double weighted = SoftmaxCrossEntropy(logits, labels, all_rows,
+                                              &d_weighted, weights);
   std::vector<NodeId> subset = {0, 2};
   Matrix d_subset;
   const double subset_loss =
@@ -189,14 +189,14 @@ TEST(LossTest, WeightedCeGradientMatchesFiniteDifference) {
   std::vector<NodeId> rows = {0, 1, 2};
   std::vector<float> weights = {0.5f, 2.0f, 1.0f};
   Matrix dlogits;
-  const double base = SoftmaxCrossEntropyWeighted(logits, labels, rows,
-                                                  weights, &dlogits);
+  const double base =
+      SoftmaxCrossEntropy(logits, labels, rows, &dlogits, weights);
   const double eps = 1e-3;
   for (auto [r, c] : std::vector<std::pair<int, int>>{{0, 2}, {1, 0}, {2, 2}}) {
     Matrix bumped = logits;
     bumped.at(r, c) += static_cast<float>(eps);
-    const double loss2 = SoftmaxCrossEntropyWeighted(bumped, labels, rows,
-                                                     weights, nullptr);
+    const double loss2 =
+        SoftmaxCrossEntropy(bumped, labels, rows, nullptr, weights);
     EXPECT_NEAR(dlogits.at(r, c), (loss2 - base) / eps, 1e-2);
   }
 }
@@ -217,28 +217,6 @@ TEST(LossTest, MacroF1PenalizesMissingClass) {
   EXPECT_DOUBLE_EQ(Accuracy(logits, labels, rows), 0.5);
   // Class 0: P=0.5, R=1 -> F1=2/3; class 1: 0. Macro = 1/3.
   EXPECT_NEAR(MacroF1(logits, labels, rows, 2), 1.0 / 3.0, 1e-9);
-}
-
-TEST(SgdTest, StepsDownhillOnQuadratic) {
-  // Minimise ||p||^2 with gradient 2p.
-  Matrix p = Matrix::FromRows({{4, -2}});
-  Matrix g(1, 2);
-  Sgd opt({{&p, &g}}, 0.1);
-  for (int i = 0; i < 100; ++i) {
-    g.at(0, 0) = 2 * p.at(0, 0);
-    g.at(0, 1) = 2 * p.at(0, 1);
-    opt.Step();
-  }
-  EXPECT_NEAR(p.at(0, 0), 0.0, 1e-6);
-  EXPECT_NEAR(p.at(0, 1), 0.0, 1e-6);
-}
-
-TEST(SgdTest, WeightDecayShrinksParameters) {
-  Matrix p = Matrix::FromRows({{1.0}});
-  Matrix g(1, 1, 0.0f);  // Zero gradient: only decay acts.
-  Sgd opt({{&p, &g}}, 0.1, 0.5);
-  opt.Step();
-  EXPECT_NEAR(p.at(0, 0), 1.0 - 0.1 * 0.5, 1e-6);
 }
 
 TEST(AdamTest, ConvergesOnQuadratic) {
@@ -378,6 +356,64 @@ TEST(MlpTest, LearnsXor) {
   Matrix logits;
   mlp.Forward(x, false, nullptr, &logits);
   EXPECT_DOUBLE_EQ(Accuracy(logits, labels, rows), 1.0);
+}
+
+// One scripted epoch: the loss `train_epoch` returns and how many of the
+// four val and four test rows the logits of `eval_logits` get right.
+struct ScriptedEpoch {
+  double loss;
+  int val_right;
+  int test_right;
+};
+
+TEST(RunEpochsTest, StopsOnPatienceAndReportsTheBestValidationEpoch) {
+  const std::vector<ScriptedEpoch> script = {
+      {1.0, 2, 1},     // val 0.50: improves.
+      {0.5, 3, 2},     // val 0.75: improves; its test 0.50 is reported.
+      {0.25, 2, 4},    // val 0.50: 1 epoch without improvement, test 1.0.
+      {0.125, 3, 4},   // val 0.75 only ties: 2 without, so the run stops.
+      {0.0625, 4, 4},  // val 1.00: never reached.
+  };
+  const std::vector<int> labels(8, 1);  // Rows 0-3 are val, 4-7 test.
+  const std::vector<NodeId> val = {0, 1, 2, 3};
+  const std::vector<NodeId> test = {4, 5, 6, 7};
+  size_t trained = 0;
+  size_t evaluated = 0;
+  auto train_epoch = [&] { return script[trained++].loss; };
+  auto eval_logits = [&] {
+    const ScriptedEpoch& epoch = script[evaluated++];
+    Matrix logits(8, 2);
+    for (int r = 0; r < 4; ++r) {
+      logits.at(r, r < epoch.val_right ? 1 : 0) = 1.0f;
+      logits.at(4 + r, r < epoch.test_right ? 1 : 0) = 1.0f;
+    }
+    return logits;
+  };
+
+  TrainConfig config;
+  config.epochs = static_cast<int>(script.size());
+  config.patience = 2;
+  TrainReport report =
+      RunEpochs(config, labels, val, test, train_epoch, eval_logits);
+  EXPECT_EQ(trained, 4u);
+  EXPECT_EQ(evaluated, 4u);
+  EXPECT_EQ(report.epochs_run, 4);
+  EXPECT_DOUBLE_EQ(report.best_val_accuracy, 0.75);
+  // The best-validation epoch's test accuracy, not epoch 3's better one.
+  EXPECT_DOUBLE_EQ(report.test_accuracy, 0.5);
+  EXPECT_DOUBLE_EQ(report.final_train_loss, 0.125);  // The last epoch's.
+  EXPECT_DOUBLE_EQ(report.train_seconds, 0.0);       // The caller's job.
+
+  // Without a stop it runs exactly `epochs` epochs.
+  config.epochs = 3;
+  config.patience = 10;
+  trained = evaluated = 0;
+  report = RunEpochs(config, labels, val, test, train_epoch, eval_logits);
+  EXPECT_EQ(trained, 3u);
+  EXPECT_EQ(report.epochs_run, 3);
+  EXPECT_DOUBLE_EQ(report.best_val_accuracy, 0.75);
+  EXPECT_DOUBLE_EQ(report.test_accuracy, 0.5);
+  EXPECT_DOUBLE_EQ(report.final_train_loss, 0.25);
 }
 
 TEST(TrainerTest, FitsLinearlySeparableEmbeddings) {
