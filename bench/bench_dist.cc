@@ -154,10 +154,10 @@ void BM_DistPropagateCheckpointed(benchmark::State& state) {
           .string();
   dist::DistOptions opts;
   opts.hops = kHops;
-  opts.checkpoint_path = path;
   sgnn::common::FaultInjector no_faults;
   core::RunContext ctx;
   ctx.faults = &no_faults;
+  ctx.checkpoint_path = path;
   ctx.resume = false;  // Always run all epochs; measure write cost only.
   for (auto _ : state) {
     auto out_or =

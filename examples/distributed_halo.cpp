@@ -129,19 +129,18 @@ int main() {
     std::filesystem::remove(path);
     dist::DistOptions half = opts;
     half.hops = 1;
-    half.checkpoint_path = path;
     core::RunContext ctx;
     ctx.metrics = &metrics;
     ctx.faults = &no_faults;
+    ctx.checkpoint_path = path;
     auto first_or = dist::RunDistributedPropagation(
         g, partition::LdgPartition(g, 2, 1.05, 31), x, half, ctx);
     if (!first_or.ok()) return 1;
 
-    dist::DistOptions full = opts;  // hops = 2.
-    full.checkpoint_path = path;
+    // opts.hops = 2: the one-hop snapshot covers the first epoch.
     dist::DistReport report;
     auto resumed_or = dist::RunDistributedPropagation(
-        g, partition::LdgPartition(g, 4, 1.05, 31), x, full, ctx, &report);
+        g, partition::LdgPartition(g, 4, 1.05, 31), x, opts, ctx, &report);
     if (!resumed_or.ok()) return 1;
     const bool identical =
         std::memcmp(want.data(), resumed_or.value().data(),

@@ -75,19 +75,6 @@ std::string OpCounters::ToString() const {
                   static_cast<unsigned long long>(bytes_written));
     out += buf;
   }
-  // Storage fields only appear when the out-of-core path ran, so reports
-  // from purely in-memory runs keep their historical shape.
-  if (shard_loads != 0 || shard_evictions != 0 ||
-      peak_resident_shard_bytes != 0) {
-    std::snprintf(buf, sizeof(buf),
-                  " shard_loads=%llu shard_evictions=%llu"
-                  " shard_bytes_loaded=%llu peak_resident_shard_bytes=%llu",
-                  static_cast<unsigned long long>(shard_loads),
-                  static_cast<unsigned long long>(shard_evictions),
-                  static_cast<unsigned long long>(shard_bytes_loaded),
-                  static_cast<unsigned long long>(peak_resident_shard_bytes));
-    out += buf;
-  }
   return out;
 }
 

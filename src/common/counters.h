@@ -32,17 +32,6 @@ struct OpCounters {
   uint64_t peak_resident_floats = 0;
   /// Currently materialised feature scalars (drives the peak).
   uint64_t resident_floats = 0;
-  /// Shard files faulted into memory by the out-of-core storage layer.
-  uint64_t shard_loads = 0;
-  /// Shards evicted to stay under the resident budget.
-  uint64_t shard_evictions = 0;
-  /// Total bytes mapped by shard loads (monotone; reloads count again).
-  uint64_t shard_bytes_loaded = 0;
-  /// Currently mapped shard bytes (drives the shard-byte peak).
-  uint64_t resident_shard_bytes = 0;
-  /// High-water mark of simultaneously mapped shard bytes; the quantity a
-  /// resident budget caps.
-  uint64_t peak_resident_shard_bytes = 0;
 
   void Reset() { *this = OpCounters(); }
 
@@ -67,29 +56,11 @@ struct OpCounters {
     resident_floats = (n > resident_floats) ? 0 : resident_floats - n;
   }
 
-  /// Registers `n` shard bytes mapped in by the storage layer.
-  void AcquireShardBytes(uint64_t n) {
-    resident_shard_bytes += n;
-    if (resident_shard_bytes > peak_resident_shard_bytes) {
-      peak_resident_shard_bytes = resident_shard_bytes;
-    }
-  }
-
-  /// Registers `n` shard bytes unmapped (eviction or close).
-  void ReleaseShardBytes(uint64_t n) {
-    resident_shard_bytes =
-        (n > resident_shard_bytes) ? 0 : resident_shard_bytes - n;
-  }
-
-  /// Re-bases the high-water marks to the current residency, making peaks
-  /// run-local: a run that pins this at entry reports the peak *it* caused,
-  /// not a ghost from an earlier, larger run on the same thread. The
-  /// pipeline does this at run start; out-of-core opens do the same so
-  /// per-budget peaks are reproducible in reports.
-  void RebasePeaks() {
-    peak_resident_floats = resident_floats;
-    peak_resident_shard_bytes = resident_shard_bytes;
-  }
+  /// Re-bases the high-water mark to the current residency, making the
+  /// peak run-local: a run that pins this at entry reports the peak *it*
+  /// caused, not a ghost from an earlier, larger run on the same thread.
+  /// The pipeline does this at run start.
+  void RebasePeaks() { peak_resident_floats = resident_floats; }
 
   /// Accumulates `other` into this counter set. Peaks add (the sum of
   /// per-thread peaks upper-bounds the true simultaneous peak).
@@ -100,11 +71,6 @@ struct OpCounters {
     bytes_written += other.bytes_written;
     peak_resident_floats += other.peak_resident_floats;
     resident_floats += other.resident_floats;
-    shard_loads += other.shard_loads;
-    shard_evictions += other.shard_evictions;
-    shard_bytes_loaded += other.shard_bytes_loaded;
-    resident_shard_bytes += other.resident_shard_bytes;
-    peak_resident_shard_bytes += other.peak_resident_shard_bytes;
   }
 
   /// Work done between two snapshots of the same counter instance. The
@@ -121,11 +87,6 @@ struct OpCounters {
     d.bytes_written = end.bytes_written - begin.bytes_written;
     d.peak_resident_floats = end.peak_resident_floats;
     d.resident_floats = end.resident_floats;
-    d.shard_loads = end.shard_loads - begin.shard_loads;
-    d.shard_evictions = end.shard_evictions - begin.shard_evictions;
-    d.shard_bytes_loaded = end.shard_bytes_loaded - begin.shard_bytes_loaded;
-    d.resident_shard_bytes = end.resident_shard_bytes;
-    d.peak_resident_shard_bytes = end.peak_resident_shard_bytes;
     return d;
   }
 

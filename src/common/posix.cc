@@ -43,25 +43,45 @@ Status StatusFromErrno(const std::string& prefix) {
   return StatusFromErrno(prefix, errno);
 }
 
-Status ReadFull(int fd, void* buf, std::size_t n, std::size_t* bytes_read) {
+Status ReadFull(int fd, void* buf, std::size_t n, const Deadline& deadline,
+                std::size_t* bytes_read) {
   char* p = static_cast<char*>(buf);
   std::size_t done = 0;
+  auto stop = [&done, bytes_read](Status status) {
+    if (bytes_read != nullptr) *bytes_read = done;
+    return status;
+  };
   while (done < n) {
-    ssize_t got = ::read(fd, p + done, n - done);
+    if (!deadline.infinite()) {
+      const int64_t remaining = deadline.remaining_micros();
+      if (remaining <= 0) {
+        return stop(Status::DeadlineExceeded(
+            "read deadline expired after " + std::to_string(done) + "/" +
+            std::to_string(n) + " bytes"));
+      }
+      pollfd pfd{fd, POLLIN, 0};
+      const int timeout_ms = static_cast<int>(
+          std::min<int64_t>((remaining + 999) / 1000, 60'000));
+      const int ready = ::poll(&pfd, 1, timeout_ms);
+      if (ready < 0) {
+        if (errno == EINTR) continue;
+        return stop(StatusFromErrno("poll failed"));
+      }
+      if (ready == 0) continue;  // Re-check the deadline, poll again.
+    }
+    const ssize_t got = ::read(fd, p + done, n - done);
     if (got < 0) {
       if (errno == EINTR) continue;
-      if (bytes_read != nullptr) *bytes_read = done;
-      return StatusFromErrno("read failed");
+      return stop(StatusFromErrno("read failed"));
     }
     if (got == 0) {
-      if (bytes_read != nullptr) *bytes_read = done;
-      return Status::DataLoss("unexpected EOF after " + std::to_string(done) +
-                              "/" + std::to_string(n) + " bytes");
+      return stop(Status::DataLoss("unexpected EOF after " +
+                                   std::to_string(done) + "/" +
+                                   std::to_string(n) + " bytes"));
     }
     done += static_cast<std::size_t>(got);
   }
-  if (bytes_read != nullptr) *bytes_read = done;
-  return Status::OK();
+  return stop(Status::OK());
 }
 
 Status WriteFullV(int fd, std::span<const ConstBuffer> bufs) {

@@ -5,6 +5,7 @@
 #include <span>
 #include <string>
 
+#include "common/fault.h"
 #include "common/status.h"
 
 namespace sgnn::common {
@@ -27,13 +28,16 @@ SGNN_NODISCARD Status StatusFromErrno(const std::string& prefix, int err);
 SGNN_NODISCARD Status StatusFromErrno(const std::string& prefix);
 
 /// Reads exactly `n` bytes from `fd` into `buf`, retrying on `EINTR` and
-/// continuing across short reads. On end-of-stream before `n` bytes the
+/// continuing across short reads. Unless `deadline` is infinite, each
+/// blocking wait is a `poll` bounded by what remains of it, and an expired
+/// deadline is `kDeadlineExceeded`. On end-of-stream before `n` bytes the
 /// status is `kDataLoss` ("unexpected EOF after X/N bytes"); other failures
 /// map through `StatusFromErrno`. If `bytes_read` is non-null it receives
 /// the number of bytes actually consumed (also on failure), which lets a
 /// framing layer distinguish a clean close (0 bytes) from a torn frame.
 SGNN_NODISCARD Status ReadFull(int fd, void* buf, std::size_t n,
-                std::size_t* bytes_read = nullptr);
+                               const Deadline& deadline,
+                               std::size_t* bytes_read = nullptr);
 
 /// One buffer of a gathering write; `data` may be null when `size` is 0.
 struct ConstBuffer {

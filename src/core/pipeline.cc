@@ -102,20 +102,13 @@ PipelineReport Pipeline::Run(const Dataset& dataset,
   // reproducible regardless of what ran on this thread before — the
   // property the byte-identical deterministic exports pin.
   common::GlobalCounters().RebasePeaks();
-  // Parallel substrate: apply the requested worker count, optionally
-  // mirror the run's tracer into par, and export the run's section/shard
-  // deltas on exit. Sections and shards are pure functions of the workload
-  // (deterministic gauges); the worker count is configuration (volatile).
-  if (ctx.num_threads > 0) par::SetThreads(ctx.num_threads);
-  obs::Tracer* prev_par_tracer =
-      (ctx.trace_parallel && ctx.tracer != nullptr) ? par::SetTracer(ctx.tracer)
-                                                    : nullptr;
+  // Parallel substrate: export the run's section/shard deltas on exit.
+  // Sections and shards are pure functions of the workload (deterministic
+  // gauges); the worker count, set process-wide by `par::SetThreads`, is
+  // configuration (volatile).
   const par::ParStats par_before = par::Stats();
   const common::OpCounters run_counters_before = common::GlobalCounters();
   ScopeExit par_scope{[&] {
-    if (ctx.trace_parallel && ctx.tracer != nullptr) {
-      par::SetTracer(prev_par_tracer);
-    }
     if (ctx.metrics != nullptr) {
       const par::ParStats par_after = par::Stats();
       ctx.metrics

@@ -70,17 +70,6 @@ struct RunContext {
   /// `analysis::ValidateStageOutput`. Only consulted when
   /// `validate_stages` is true.
   ValidationStage stage_validator;
-  /// Worker count for the `sgnn::par` kernel substrate: > 0 calls
-  /// `par::SetThreads` at run entry (process-wide — it outlives the run);
-  /// 0 leaves the current setting (`SGNN_THREADS`, default 1) alone.
-  /// Results are bit-identical for any value by the par determinism
-  /// contract; only wall time changes.
-  int num_threads = 0;
-  /// When true (and `tracer` is set), parallel kernel sections emit
-  /// `par:<label>` spans into `tracer` for the duration of the run.
-  /// Off by default: hot kernels run thousands of sections per run, which
-  /// drowns the stage-level trace.
-  bool trace_parallel = false;
   /// Hard cap, in bytes, on the shard bytes an out-of-core graph opened
   /// from this context (`storage::ShardedGraph`) may keep mapped at once.
   /// The shard cache evicts to stay under it and returns

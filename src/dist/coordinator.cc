@@ -81,11 +81,6 @@ class Coordinator {
   StatusOr<tensor::Matrix> Run(DistReport* report);
 
  private:
-  std::string CheckpointPath() const {
-    return opts_.checkpoint_path.empty() ? ctx_.checkpoint_path
-                                         : opts_.checkpoint_path;
-  }
-
   uint64_t Signature() const {
     // Hop count is deliberately NOT part of the signature: every epoch
     // applies the same operator, so a snapshot at epoch s is a valid
@@ -109,7 +104,7 @@ class Coordinator {
     });
   }
 
-  WorkerSpec SpecFor(int w) const;
+  WorkerSpec SpecFor(int w);
   Status SpawnWorker(int w);
   Status SendEpochInputs(int w, int epoch);
   Status Recover(int w, int epoch, const Status& cause);
@@ -120,8 +115,8 @@ class Coordinator {
   void FlushMetrics() const;
 
   common::Deadline EpochDeadline() const {
-    const int64_t micros = std::min(opts_.epoch_deadline_micros,
-                                    ctx_.deadline.remaining_micros());
+    const int64_t micros =
+        std::min(kEpochDeadlineMicros, ctx_.deadline.remaining_micros());
     return common::Deadline::After(micros);
   }
 
@@ -137,6 +132,9 @@ class Coordinator {
   common::FaultInjector* faults_ = nullptr;
   common::CircuitBreaker breaker_;
   HaloPlan plan_;
+  /// Value-store row of each node for the worker `SpecFor` last laid out;
+  /// entries of other workers' nodes are left stale (see `SpecFor`).
+  std::vector<NodeId> slot_;
   tensor::Matrix state_;  ///< Canonical H_e: input state of the next epoch.
   tensor::Matrix next_;   ///< H_{e+1} as it is gathered; swapped into state_.
   std::vector<WorkerHandle> workers_;
@@ -149,7 +147,7 @@ class Coordinator {
   WireStats gather_stats_;
 };
 
-WorkerSpec Coordinator::SpecFor(int w) const {
+WorkerSpec Coordinator::SpecFor(int w) {
   WorkerSpec spec;
   spec.worker_id = w;
   spec.num_workers = plan_.num_workers;
@@ -157,14 +155,24 @@ WorkerSpec Coordinator::SpecFor(int w) const {
   spec.cols = state_.cols();
   spec.owned = plan_.owned[static_cast<size_t>(w)];
   spec.halo = plan_.need[static_cast<size_t>(w)];
+  // The worker's value-store layout, which the scatter and halo frames
+  // follow: owned rows in `owned` order, then halo rows in `need` order.
+  // `BuildHaloPlan` puts every neighbour of an owned node in one of the
+  // two lists, so entries left by another worker are never read.
   const size_t rows = spec.owned.size();
+  for (size_t i = 0; i < rows; ++i) {
+    slot_[spec.owned[i]] = static_cast<NodeId>(i);
+  }
+  for (size_t j = 0; j < spec.halo.size(); ++j) {
+    slot_[spec.halo[j]] = static_cast<NodeId>(rows + j);
+  }
   spec.offsets.resize(rows + 1);
   spec.offsets[0] = 0;
   for (size_t i = 0; i < rows; ++i) {
     spec.offsets[i + 1] = spec.offsets[i] + graph_.OutDegree(spec.owned[i]);
   }
-  spec.neighbors.resize(static_cast<size_t>(spec.offsets[rows]));
-  spec.coefficients.resize(spec.neighbors.size());
+  spec.slots.resize(static_cast<size_t>(spec.offsets[rows]));
+  spec.coefficients.resize(spec.slots.size());
   spec.self_loop.resize(rows);
   // `Propagator`'s coefficient formula over the same factors, so the bits
   // equal its stored coefficients.
@@ -172,10 +180,10 @@ WorkerSpec Coordinator::SpecFor(int w) const {
     const NodeId u = spec.owned[i];
     const auto nbrs = graph_.Neighbors(u);
     const auto ws = graph_.Weights(u);
-    NodeId* out_nbrs = spec.neighbors.data() + spec.offsets[i];
+    NodeId* out_slots = spec.slots.data() + spec.offsets[i];
     float* out_coeffs = spec.coefficients.data() + spec.offsets[i];
     for (size_t e = 0; e < nbrs.size(); ++e) {
-      out_nbrs[e] = nbrs[e];
+      out_slots[e] = slot_[nbrs[e]];
       out_coeffs[e] = graph::EdgeCoefficient(opts_.norm, ws[e], factor_[u],
                                              factor_[nbrs[e]]);
     }
@@ -345,7 +353,7 @@ Status Coordinator::CollectWorker(int w, int epoch) {
 }
 
 Status Coordinator::CheckpointEpoch(int epoch) {
-  const std::string path = CheckpointPath();
+  const std::string& path = ctx_.checkpoint_path;
   if (path.empty()) return Status::OK();
   auto span = obs::StartSpan(ctx_.tracer,
                              "dist:checkpoint:" + std::to_string(epoch),
@@ -370,7 +378,7 @@ Status Coordinator::CheckpointEpoch(int epoch) {
 }
 
 void Coordinator::TryResume(int* start_epoch) {
-  const std::string path = CheckpointPath();
+  const std::string& path = ctx_.checkpoint_path;
   if (path.empty() || !ctx_.resume) return;
   auto snap_or = core::LoadSnapshot(path, Signature());
   if (!snap_or.ok()) return;  // Missing/corrupt/foreign: from scratch.
@@ -484,6 +492,7 @@ StatusOr<tensor::Matrix> Coordinator::Run(DistReport* report) {
   }
 
   plan_ = BuildHaloPlan(graph_, parts_);
+  slot_.resize(static_cast<size_t>(graph_.num_nodes()));
   graph::NodeFactors(graph_, opts_.norm, opts_.add_self_loops, &factor_,
                      &self_loop_);
   workers_.assign(static_cast<size_t>(parts_.k), WorkerHandle{});

@@ -2,7 +2,6 @@
 #define SGNN_DIST_COORDINATOR_H_
 
 #include <cstdint>
-#include <string>
 
 #include "common/fault.h"
 #include "common/status.h"
@@ -20,9 +19,6 @@ struct DistOptions {
   int hops = 2;
   graph::Normalization norm = graph::Normalization::kSymmetric;
   bool add_self_loops = true;
-  /// Budget for one full epoch (halo send -> all gathers done). A worker
-  /// that goes silent past this point is declared dead and respawned.
-  int64_t epoch_deadline_micros = 30'000'000;
   /// Respawn budget *per worker* (`max_attempts` spawns total each) with
   /// deterministic jittered backoff between respawns.
   common::RetryPolicy retry{.max_attempts = 4};
@@ -31,9 +27,6 @@ struct DistOptions {
   /// fails the run with `kUnavailable` instead of respawning forever.
   common::CircuitBreakerConfig breaker{.failure_threshold = 16,
                                        .probe_interval = 4};
-  /// Epoch snapshot file (`core::SaveSnapshot` format); empty = fall back
-  /// to `RunContext::checkpoint_path`, both empty = no checkpointing.
-  std::string checkpoint_path;
 };
 
 /// What the run did, for tests, benches, and the E23 comparison against
@@ -62,6 +55,9 @@ struct DistReport {
 /// forked worker processes with per-epoch halo exchange, returning
 /// `\hat{A}^hops x` bit-identical to `graph::PropagateKHops` on the same
 /// inputs — at any worker count and under any injected kill schedule.
+/// The coordinator lays out each worker's value store (owned rows, then
+/// halo rows) and ships every neighbour as a row of it (`WorkerSpec`), so
+/// a worker keeps no id lookup.
 ///
 /// Robustness: every worker read carries a deadline; a worker that dies
 /// (EOF/EPIPE), ships a torn or corrupt frame (`kDataLoss`), or goes
@@ -69,13 +65,15 @@ struct DistReport {
 /// (`opts.retry`), restored from the coordinator's canonical epoch state,
 /// and re-run — completed workers are never recomputed. Exhausting a
 /// worker's respawn budget or tripping the breaker fails the run with
-/// `kUnavailable`. With a checkpoint path, each completed epoch is
-/// persisted via `core::SaveSnapshot`, and a fresh run (`ctx.resume`)
-/// restarts after the last completed epoch.
+/// `kUnavailable`. With `ctx.checkpoint_path` set, each completed epoch
+/// is persisted there via `core::SaveSnapshot`, and a fresh run
+/// (`ctx.resume`) restarts after the last completed epoch.
 ///
 /// `ctx` supplies the observability sinks (`sgnn_dist_*` metrics, `dist:`
-/// spans), the run deadline, and the fault injector; when `ctx.faults` is
-/// null an injector armed from `SGNN_FAULTS` (see
+/// spans), the run deadline, the checkpoint path, and the fault injector.
+/// Each epoch's deadline is the sooner of the run's and
+/// `kEpochDeadlineMicros` (`dist/frame.h`) from the epoch's start. When
+/// `ctx.faults` is null an injector armed from `SGNN_FAULTS` (see
 /// `FaultInjector::ArmFromEnv`) is used, which is how CI injects a kill
 /// schedule into an unmodified binary.
 SGNN_NODISCARD common::StatusOr<tensor::Matrix> RunDistributedPropagation(

@@ -1,10 +1,6 @@
 #include "dist/frame.h"
 
-#include <poll.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 
 #include "common/bytes.h"
 #include "common/posix.h"
@@ -24,53 +20,6 @@ constexpr uint32_t kFrameMagic = 0x53444631;  // "SDF1"
 /// (a config or halo frame is a few MiB) is regrown at most three times.
 constexpr std::size_t kFirstPayloadChunk = std::size_t{1} << 16;
 constexpr std::size_t kPayloadGrowth = 8;
-
-/// `ReadFull` with the deadline honoured on every blocking wait: each
-/// iteration polls for readability with the remaining budget, then reads
-/// what is available. `bytes_read` counts bytes consumed even on failure.
-Status ReadWithDeadline(int fd, void* buf, std::size_t n,
-                        const common::Deadline& deadline,
-                        std::size_t* bytes_read) {
-  char* p = static_cast<char*>(buf);
-  std::size_t done = 0;
-  while (done < n) {
-    if (!deadline.infinite()) {
-      const int64_t remaining = deadline.remaining_micros();
-      if (remaining <= 0) {
-        if (bytes_read != nullptr) *bytes_read = done;
-        return Status::DeadlineExceeded("read deadline expired after " +
-                                        std::to_string(done) + "/" +
-                                        std::to_string(n) + " bytes");
-      }
-      struct pollfd pfd{};
-      pfd.fd = fd;
-      pfd.events = POLLIN;
-      const int timeout_ms = static_cast<int>(
-          std::min<int64_t>((remaining + 999) / 1000, 60'000));
-      const int ready = ::poll(&pfd, 1, timeout_ms);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        if (bytes_read != nullptr) *bytes_read = done;
-        return common::StatusFromErrno("poll failed");
-      }
-      if (ready == 0) continue;  // Re-check the deadline, poll again.
-    }
-    const ssize_t got = ::read(fd, p + done, n - done);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      if (bytes_read != nullptr) *bytes_read = done;
-      return common::StatusFromErrno("read failed");
-    }
-    if (got == 0) {
-      if (bytes_read != nullptr) *bytes_read = done;
-      return Status::DataLoss("unexpected EOF after " + std::to_string(done) +
-                              "/" + std::to_string(n) + " bytes");
-    }
-    done += static_cast<std::size_t>(got);
-  }
-  if (bytes_read != nullptr) *bytes_read = done;
-  return Status::OK();
-}
 
 /// The fault branch of `WriteFrame`, the one path that holds a frame in
 /// one buffer: `corrupt` flips the first payload byte after the CRC was
@@ -144,7 +93,7 @@ Status ReadFrame(int fd, Frame* frame, const common::Deadline& deadline,
   SGNN_CHECK(frame != nullptr);
   char header[kFrameHeaderBytes];
   std::size_t got = 0;
-  Status status = ReadWithDeadline(fd, header, sizeof(header), deadline, &got);
+  Status status = common::ReadFull(fd, header, sizeof(header), deadline, &got);
   if (!status.ok()) {
     if (status.code() == common::StatusCode::kDataLoss && got == 0) {
       // EOF on a frame boundary: the peer closed (or died) cleanly from
@@ -172,9 +121,8 @@ Status ReadFrame(int fd, Frame* frame, const common::Deadline& deadline,
     const std::size_t have = payload.size();
     payload.resize(std::min<std::size_t>(
         length, std::max(kFirstPayloadChunk, kPayloadGrowth * have)));
-    SGNN_RETURN_IF_ERROR(ReadWithDeadline(fd, payload.data() + have,
-                                          payload.size() - have, deadline,
-                                          nullptr));
+    SGNN_RETURN_IF_ERROR(common::ReadFull(fd, payload.data() + have,
+                                          payload.size() - have, deadline));
   }
   if (simd::Crc32(payload.data(), payload.size()) != payload_crc) {
     return Status::DataLoss("frame payload CRC mismatch");

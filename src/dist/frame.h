@@ -40,6 +40,14 @@ inline constexpr std::size_t kFrameHeaderBytes = 20;
 /// field fails fast instead of driving a giant allocation.
 inline constexpr uint32_t kMaxFramePayload = 1u << 30;
 
+/// The protocol's two read deadlines, constants rather than options. The
+/// coordinator gives each epoch (halo send to the last gather) this long;
+/// a worker still silent then is declared dead and respawned.
+inline constexpr int64_t kEpochDeadlineMicros = 30'000'000;
+/// A worker whose coordinator has been silent this long takes it to be
+/// gone and exits rather than linger as an orphan.
+inline constexpr int64_t kReadDeadlineMicros = 600'000'000;
+
 /// Fault-injection sites observed by the frame layer and the worker loop
 /// (token = `KillToken(worker, epoch, incarnation)`):
 ///  - `dist.worker.kill`: worker `_exit`s mid-epoch, after shipping some

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <functional>
 #include <span>
@@ -23,8 +22,8 @@ using graph::NodeId;
 
 namespace {
 
-// Strictly ascending and free of `kInvalidNode`, the slot table's free-bucket
-// marker (the largest id, so only the last element can be it).
+// Strictly ascending and free of `kInvalidNode`, which names no node (it is
+// the largest id, so only the last element can be it).
 bool StrictlyAscendingIds(const std::vector<NodeId>& ids) {
   return std::adjacent_find(ids.begin(), ids.end(),
                             std::greater_equal<>()) == ids.end() &&
@@ -46,14 +45,6 @@ bool Disjoint(const std::vector<NodeId>& a, const std::vector<NodeId>& b) {
   return true;
 }
 
-// Home bucket of `id` in a table of `mask + 1` (a power of two, at least
-// 2) buckets: Fibonacci hashing keeps the top log2(mask + 1) bits of
-// id * 2^64/phi, which spreads runs of consecutive ids evenly.
-size_t Bucket(uint64_t mask, NodeId id) {
-  return static_cast<size_t>((id * uint64_t{0x9E3779B97F4A7C15}) >>
-                             std::countl_zero(mask));
-}
-
 }  // namespace
 
 std::string WorkerSpec::Serialize() const {
@@ -63,7 +54,7 @@ std::string WorkerSpec::Serialize() const {
   };
   common::ByteWriter w(
       3 * sizeof(int32_t) + sizeof(int64_t) + vec_bytes(owned) +
-      vec_bytes(halo) + vec_bytes(offsets) + vec_bytes(neighbors) +
+      vec_bytes(halo) + vec_bytes(offsets) + vec_bytes(slots) +
       vec_bytes(coefficients) + vec_bytes(self_loop));
   w.Pod<int32_t>(worker_id);
   w.Pod<int32_t>(num_workers);
@@ -72,7 +63,7 @@ std::string WorkerSpec::Serialize() const {
   w.Vec(owned);
   w.Vec(halo);
   w.Vec(offsets);
-  w.Vec(neighbors);
+  w.Vec(slots);
   w.Vec(coefficients);
   w.Vec(self_loop);
   return w.Release();
@@ -88,7 +79,7 @@ StatusOr<WorkerSpec> WorkerSpec::Parse(const std::string& payload) {
   in.Vec(&spec.owned);
   in.Vec(&spec.halo);
   in.Vec(&spec.offsets);
-  in.Vec(&spec.neighbors);
+  in.Vec(&spec.slots);
   in.Vec(&spec.coefficients);
   in.Vec(&spec.self_loop);
   if (!in.ok() || in.left() != 0) {
@@ -99,8 +90,8 @@ StatusOr<WorkerSpec> WorkerSpec::Parse(const std::string& payload) {
       spec.offsets.size() != spec.owned.size() + 1 || spec.offsets[0] != 0 ||
       !std::is_sorted(spec.offsets.begin(), spec.offsets.end()) ||
       spec.self_loop.size() != spec.owned.size() ||
-      spec.coefficients.size() != spec.neighbors.size() ||
-      static_cast<uint64_t>(spec.offsets.back()) != spec.neighbors.size()) {
+      spec.coefficients.size() != spec.slots.size() ||
+      static_cast<uint64_t>(spec.offsets.back()) != spec.slots.size()) {
     return Status::DataLoss("inconsistent worker spec");
   }
   // The coordinator scatters the owned rows in one row-batch frame and the
@@ -113,48 +104,23 @@ StatusOr<WorkerSpec> WorkerSpec::Parse(const std::string& payload) {
                             std::to_string(spec.cols) +
                             " cols exceed one row-batch frame");
   }
+  // The coordinator's halo plan lists each remote neighbour once, in id
+  // order, and never an owned node; lists that break this did not come
+  // from it.
   if (!StrictlyAscendingIds(spec.owned) || !StrictlyAscendingIds(spec.halo) ||
       !Disjoint(spec.owned, spec.halo)) {
     return Status::DataLoss(
         "worker spec owned/halo ids must be strictly ascending, disjoint "
         "and not kInvalidNode");
   }
+  // Every slot must name a value-store row, which an epoch reads unchecked.
+  const size_t rows = spec.owned.size() + spec.halo.size();
+  if (std::any_of(spec.slots.begin(), spec.slots.end(),
+                  [rows](NodeId slot) { return slot >= rows; })) {
+    return Status::DataLoss("worker spec slot past its " +
+                            std::to_string(rows) + " owned and halo rows");
+  }
   return spec;
-}
-
-int64_t SlotTable::SlotOf(NodeId id) const {
-  const size_t mask = buckets.size() - 1;
-  for (size_t b = Bucket(mask, id);; b = (b + 1) & mask) {
-    const auto [key, slot] = buckets[b];
-    if (key == graph::kInvalidNode) return -1;
-    if (key == id) return slot;
-  }
-}
-
-StatusOr<SlotTable> SlotTable::Build(const WorkerSpec& spec) {
-  SlotTable table;
-  const size_t capacity = std::bit_ceil(
-      std::max<size_t>(2, 2 * (spec.owned.size() + spec.halo.size())));
-  table.buckets.assign(capacity, {graph::kInvalidNode, 0});
-  auto insert = [&table, mask = capacity - 1](NodeId id, size_t slot) {
-    size_t b = Bucket(mask, id);
-    while (table.buckets[b].first != graph::kInvalidNode) b = (b + 1) & mask;
-    table.buckets[b] = {id, static_cast<NodeId>(slot)};
-  };
-  for (size_t i = 0; i < spec.owned.size(); ++i) insert(spec.owned[i], i);
-  for (size_t i = 0; i < spec.halo.size(); ++i) {
-    insert(spec.halo[i], spec.owned.size() + i);
-  }
-  table.neighbor_slots.reserve(spec.neighbors.size());
-  for (const NodeId id : spec.neighbors) {
-    const int64_t slot = table.SlotOf(id);
-    if (slot < 0) {
-      return Status::DataLoss("neighbour " + std::to_string(id) +
-                              " is neither owned nor haloed");
-    }
-    table.neighbor_slots.push_back(static_cast<NodeId>(slot));
-  }
-  return table;
 }
 
 namespace {
@@ -162,46 +128,55 @@ namespace {
 /// Result rows per gather frame: the granularity of mid-epoch kill points.
 constexpr size_t kRowsPerFrame = 256;
 
-/// Deadline for each blocking read in the worker loop; a silent
-/// coordinator past this point means the parent is gone and the worker
-/// exits rather than lingering as an orphan.
-constexpr int64_t kReadDeadlineMicros = 600'000'000;
-
 /// Mutable per-process worker state between frames.
 struct WorkerState {
   WorkerSpec spec;
-  SlotTable table;
   tensor::Matrix local;  ///< Owned rows first, then halo rows.
   tensor::Matrix out;    ///< One row per owned node, epoch scratch.
 };
 
 /// One epoch of local aggregation: `Propagator::Apply`'s row kernel over
-/// every owned row, reading the local value store through the slot table.
+/// every owned row, reading the local value store at the spec's slots.
 /// Called directly rather than through `par`: the pool this process
 /// inherited across `fork` has no threads.
 void ComputeEpoch(WorkerState* state) {
   const WorkerSpec& spec = state->spec;
-  const graph::CoefficientRows rows{spec.offsets, state->table.neighbor_slots,
+  const graph::CoefficientRows rows{spec.offsets, spec.slots,
                                     spec.coefficients, spec.self_loop};
   state->out.Zero();
   graph::SpmmRows(rows, {0, static_cast<int64_t>(spec.owned.size())},
                   state->local, &state->out);
 }
 
-/// Stores a received row batch (scatter, restore, or halo) into the local
-/// value store; unknown ids are a protocol violation.
-Status StoreRows(WorkerState* state, const std::string& payload) {
-  return DecodeRows(
-      payload, state->spec.cols, [state](NodeId id, const float* row) {
-        const int64_t slot = state->table.SlotOf(id);
-        if (slot < 0) {
-          return Status::DataLoss("row for node " + std::to_string(id) +
-                                  " not owned or haloed here");
+/// Stores a received row batch into the value store: a scatter or restore
+/// (`kRows`) carries the owned rows in `spec.owned` order and fills rows
+/// [0, |owned|); a `kHalo` batch carries `spec.halo` in order and fills
+/// the rows after them. A record out of that order, or a batch of another
+/// size, is a protocol violation.
+Status StoreRows(WorkerState* state, FrameType type,
+                 const std::string& payload) {
+  const WorkerSpec& spec = state->spec;
+  const bool halo = type == FrameType::kHalo;
+  const std::vector<NodeId>& ids = halo ? spec.halo : spec.owned;
+  const int64_t first = halo ? static_cast<int64_t>(spec.owned.size()) : 0;
+  size_t i = 0;
+  SGNN_RETURN_IF_ERROR(
+      DecodeRows(payload, spec.cols, [&](NodeId id, const float* row) {
+        if (i == ids.size() || id != ids[i]) {
+          return Status::DataLoss("row record " + std::to_string(i) +
+                                  " carries node " + std::to_string(id) +
+                                  " out of place");
         }
-        std::memcpy(state->local.Row(slot).data(), row,
-                    static_cast<size_t>(state->spec.cols) * sizeof(float));
+        std::memcpy(state->local.Row(first + static_cast<int64_t>(i)).data(),
+                    row, static_cast<size_t>(spec.cols) * sizeof(float));
+        ++i;
         return Status::OK();
-      });
+      }));
+  if (i != ids.size()) {
+    return Status::DataLoss("row batch of " + std::to_string(i) + " rows for " +
+                            std::to_string(ids.size()) + " value-store rows");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -222,10 +197,7 @@ void WorkerMain(int fd, common::FaultInjector* faults) {
       case FrameType::kConfig: {
         auto spec_or = WorkerSpec::Parse(frame.payload);
         if (!spec_or.ok()) _exit(2);
-        auto table_or = SlotTable::Build(spec_or.value());
-        if (!table_or.ok()) _exit(2);
         state.spec = std::move(spec_or).value();
-        state.table = std::move(table_or).value();
         const int64_t rows = static_cast<int64_t>(state.spec.owned.size()) +
                              static_cast<int64_t>(state.spec.halo.size());
         state.local = tensor::Matrix(rows, state.spec.cols);
@@ -237,7 +209,7 @@ void WorkerMain(int fd, common::FaultInjector* faults) {
       case FrameType::kRows:
       case FrameType::kHalo: {
         if (!configured) _exit(2);
-        if (!StoreRows(&state, frame.payload).ok()) _exit(2);
+        if (!StoreRows(&state, frame.type, frame.payload).ok()) _exit(2);
         break;
       }
       case FrameType::kGo: {

@@ -8,7 +8,6 @@
 #include <fstream>
 #include <utility>
 
-#include "common/counters.h"
 #include "common/posix.h"
 #include "core/run_context.h"
 #include "obs/metrics.h"
@@ -114,11 +113,6 @@ void PinnedShard::Release() {
 
 StatusOr<std::unique_ptr<ShardedGraph>> ShardedGraph::Open(
     const std::string& dir, OpenOptions options) {
-  // Peaks are per-thread high-water marks; re-base them here (like
-  // `Pipeline::Run` does at run entry) so an out-of-core run's reported
-  // peak residency is its own, not a ghost of an earlier run.
-  common::GlobalCounters().RebasePeaks();
-
   auto manifest_or = ReadManifest(ManifestPath(dir));
   if (!manifest_or.ok()) return manifest_or.status();
 
@@ -350,10 +344,6 @@ Status ShardedGraph::MapLocked(int shard) {
   if (stats_.resident_bytes > stats_.peak_resident_bytes) {
     stats_.peak_resident_bytes = stats_.resident_bytes;
   }
-  common::OpCounters& counters = common::GlobalCounters();
-  counters.shard_loads += 1;
-  counters.shard_bytes_loaded += slot.entry.file_bytes;
-  counters.AcquireShardBytes(slot.entry.file_bytes);
   if (loads_metric_ != nullptr) {
     loads_metric_->Increment();
     bytes_loaded_metric_->Increment(slot.entry.file_bytes);
@@ -369,7 +359,6 @@ void ShardedGraph::EvictLocked(int shard) {
       tracer_, "storage:evict:" + std::to_string(shard), "storage");
   UnmapLocked(slot);
   stats_.evictions += 1;
-  common::GlobalCounters().shard_evictions += 1;
   if (evictions_metric_ != nullptr) evictions_metric_->Increment();
 }
 
@@ -382,7 +371,6 @@ void ShardedGraph::UnmapLocked(Slot& slot) {
   slot.weights = nullptr;
   slot.mapped = false;
   stats_.resident_bytes -= slot.entry.file_bytes;
-  common::GlobalCounters().ReleaseShardBytes(slot.entry.file_bytes);
   if (resident_metric_ != nullptr) {
     resident_metric_->Set(static_cast<double>(stats_.resident_bytes));
   }

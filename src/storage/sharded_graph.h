@@ -168,9 +168,8 @@ class ShardedGraph {
   /// Opens `dir`, verifying manifest + per-shard header/rows/offsets
   /// integrity and building the resident index arrays. O(num_nodes) work
   /// and I/O; adjacency sections are not read until a shard is pinned.
-  /// Re-bases the calling thread's residency peaks (`RebasePeaks`) so the
-  /// run's reported peaks are its own. Returns `kNotFound` when no
-  /// manifest exists, `kDataLoss` for corruption (first offender named).
+  /// Returns `kNotFound` when no manifest exists, `kDataLoss` for
+  /// corruption (first offender named).
   static common::StatusOr<std::unique_ptr<ShardedGraph>> Open(
       const std::string& dir, OpenOptions options = {});
 

@@ -521,7 +521,8 @@ TEST(PosixIoTest, WriteFullThenReadFullRoundTrips) {
   ASSERT_EQ(lseek(fd, 0, SEEK_SET), 0);
   std::string got(data.size(), '\0');
   size_t bytes_read = 0;
-  ASSERT_TRUE(ReadFull(fd, got.data(), got.size(), &bytes_read).ok());
+  ASSERT_TRUE(ReadFull(fd, got.data(), got.size(), Deadline::Infinite(),
+                       &bytes_read).ok());
   EXPECT_EQ(bytes_read, data.size());
   EXPECT_EQ(got, data);
   std::fclose(f);
@@ -541,10 +542,11 @@ TEST(PosixIoTest, GatheringWriteRoundTripsAroundAnEmptyBuffer) {
   ASSERT_TRUE(WriteFullV(fd, flipped).ok());
   ASSERT_EQ(lseek(fd, 0, SEEK_SET), 0);
   std::string got(2 * data.size(), '\0');
-  ASSERT_TRUE(ReadFull(fd, got.data(), got.size()).ok());
+  ASSERT_TRUE(ReadFull(fd, got.data(), got.size(), Deadline::Infinite()).ok());
   EXPECT_EQ(got, data + data);
   char extra = 0;
-  EXPECT_EQ(ReadFull(fd, &extra, 1).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(ReadFull(fd, &extra, 1, Deadline::Infinite()).code(),
+            StatusCode::kDataLoss);
   std::fclose(f);
 }
 
@@ -557,7 +559,8 @@ TEST(PosixIoTest, ShortStreamIsDataLossWithByteAccounting) {
   ASSERT_EQ(lseek(fd, 0, SEEK_SET), 0);
   char buf[16];
   size_t bytes_read = 0;
-  const Status s = ReadFull(fd, buf, sizeof(buf), &bytes_read);
+  const Status s =
+      ReadFull(fd, buf, sizeof(buf), Deadline::Infinite(), &bytes_read);
   EXPECT_EQ(s.code(), StatusCode::kDataLoss);
   EXPECT_EQ(bytes_read, 10u);  // The framing layer sees a *torn* frame.
   EXPECT_NE(s.ToString().find("10/16"), std::string::npos) << s.ToString();
@@ -569,15 +572,38 @@ TEST(PosixIoTest, CleanEofReadsZeroBytes) {
   ASSERT_NE(f, nullptr);
   char buf[8];
   size_t bytes_read = 99;
-  const Status s = ReadFull(fileno(f), buf, sizeof(buf), &bytes_read);
+  const Status s = ReadFull(fileno(f), buf, sizeof(buf),
+                            Deadline::Infinite(), &bytes_read);
   EXPECT_EQ(s.code(), StatusCode::kDataLoss);
   EXPECT_EQ(bytes_read, 0u);  // A peer that closed *between* frames.
   std::fclose(f);
 }
 
+// A finite deadline puts a poll before each read; one that has expired
+// stops the read before it consumes a byte.
+TEST(PosixIoTest, DeadlineBoundsTheRead) {
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  const int fd = fileno(f);
+  ASSERT_TRUE(WriteFull(fd, "abcd", 4).ok());
+  ASSERT_EQ(lseek(fd, 0, SEEK_SET), 0);
+  char buf[4];
+  size_t bytes_read = 99;
+  const Status s = ReadFull(fd, buf, sizeof(buf), Deadline::After(0),
+                            &bytes_read);
+  EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(bytes_read, 0u);
+  ASSERT_TRUE(ReadFull(fd, buf, sizeof(buf), Deadline::After(60'000'000),
+                       &bytes_read)
+                  .ok());
+  EXPECT_EQ(bytes_read, 4u);
+  EXPECT_EQ(std::string(buf, 4), "abcd");
+  std::fclose(f);
+}
+
 TEST(PosixIoTest, BadDescriptorMapsThroughErrno) {
   char buf[4] = {0};
-  EXPECT_EQ(ReadFull(-1, buf, sizeof(buf)).code(),
+  EXPECT_EQ(ReadFull(-1, buf, sizeof(buf), Deadline::Infinite()).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(WriteFull(-1, buf, sizeof(buf)).code(),
             StatusCode::kInvalidArgument);

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/posix.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/distributed_sim.h"
@@ -69,7 +71,7 @@ TEST(WorkerSpecTest, SerializeParseRoundTrip) {
   spec.owned = {10, 12, 19};
   spec.halo = {3, 40};
   spec.offsets = {0, 2, 2, 4};
-  spec.neighbors = {3, 12, 40, 10};
+  spec.slots = {3, 1, 4, 0};  // Nodes 3, 12, 40 and 10.
   spec.coefficients = {0.5f, 0.25f, 0.125f, 1.0f};
   spec.self_loop = {0.1f, 0.2f, 0.3f};
   auto parsed_or = WorkerSpec::Parse(spec.Serialize());
@@ -80,7 +82,7 @@ TEST(WorkerSpecTest, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed.owned, spec.owned);
   EXPECT_EQ(parsed.halo, spec.halo);
   EXPECT_EQ(parsed.offsets, spec.offsets);
-  EXPECT_EQ(parsed.neighbors, spec.neighbors);
+  EXPECT_EQ(parsed.slots, spec.slots);
   EXPECT_EQ(parsed.coefficients, spec.coefficients);
   EXPECT_EQ(parsed.self_loop, spec.self_loop);
 }
@@ -93,7 +95,7 @@ TEST(WorkerSpecTest, EveryTruncationIsDataLossNeverUB) {
   spec.owned = {0, 1};
   spec.halo = {5};
   spec.offsets = {0, 1, 2};
-  spec.neighbors = {5, 0};
+  spec.slots = {2, 0};
   spec.coefficients = {0.5f, 0.5f};
   spec.self_loop = {1.0f, 1.0f};
   const std::string full = spec.Serialize();
@@ -148,10 +150,9 @@ TEST(WorkerSpecTest, RowsWiderThanOneFrameAreDataLoss) {
 
 // Config-time rejection of specs an epoch would otherwise trip over: CSR
 // offsets that do not start at 0 or decrease (reads past the coefficient
-// array) and owned/halo lists that are unsorted, repeat or share an id
-// (two ids aliasing one value row) or name kInvalidNode (the slot table's
-// free-bucket marker) fail the parse, and a neighbour the worker holds no
-// row for fails the slot table build — all before any epoch runs.
+// array), owned/halo lists that are unsorted, repeat, share an id or name
+// kInvalidNode, and a slot past the owned + halo rows (a neighbour the
+// worker holds no row for) all fail the parse, before any epoch runs.
 TEST(WorkerSpecTest, BadOffsetsAndUnknownNeighborsAreDataLossAtConfig) {
   WorkerSpec spec;
   spec.num_workers = 1;
@@ -159,17 +160,10 @@ TEST(WorkerSpecTest, BadOffsetsAndUnknownNeighborsAreDataLossAtConfig) {
   spec.owned = {0, 1};
   spec.halo = {7};
   spec.offsets = {0, 1, 2};
-  spec.neighbors = {7, 0};
+  spec.slots = {2, 0};
   spec.coefficients = {0.5f, 0.5f};
   spec.self_loop = {1.0f, 1.0f};
-  auto table_or = SlotTable::Build(spec);
-  ASSERT_TRUE(table_or.ok()) << table_or.status().ToString();
-  const SlotTable& table = table_or.value();
-  EXPECT_EQ(table.neighbor_slots, (std::vector<graph::NodeId>{2, 0}));
-  EXPECT_EQ(table.SlotOf(0), 0);
-  EXPECT_EQ(table.SlotOf(1), 1);
-  EXPECT_EQ(table.SlotOf(7), 2);
-  EXPECT_EQ(table.SlotOf(3), -1);
+  ASSERT_TRUE(WorkerSpec::Parse(spec.Serialize()).ok());
 
   for (const std::vector<graph::EdgeIndex>& offsets :
        {std::vector<graph::EdgeIndex>{0, 5, 2},
@@ -196,40 +190,14 @@ TEST(WorkerSpecTest, BadOffsetsAndUnknownNeighborsAreDataLossAtConfig) {
     EXPECT_EQ(parsed_or.status().code(), StatusCode::kDataLoss);
   }
 
-  WorkerSpec stranger = spec;
-  stranger.neighbors = {7, 3};
-  auto parsed_or = WorkerSpec::Parse(stranger.Serialize());
-  ASSERT_TRUE(parsed_or.ok()) << parsed_or.status().ToString();
-  auto stranger_or = SlotTable::Build(parsed_or.value());
-  ASSERT_FALSE(stranger_or.ok());
-  EXPECT_EQ(stranger_or.status().code(), StatusCode::kDataLoss);
-}
-
-// The hashed slot table maps every owned id to its row and every halo id
-// to the row after the owned block, across enough ids that lookups probe
-// past collisions, up to the largest legal id; anything else is -1.
-TEST(WorkerSpecTest, SlotOfFindsEveryOwnedAndHaloIdAndNoStranger) {
-  WorkerSpec spec;
-  spec.num_workers = 1;
-  for (NodeId id = 0; id < 3000; id += 3) spec.owned.push_back(id);
-  for (NodeId id = 1; id < 3000; id += 6) spec.halo.push_back(id);
-  spec.halo.push_back(graph::kInvalidNode - 1);
-  spec.offsets.assign(spec.owned.size() + 1, 0);
-  spec.self_loop.assign(spec.owned.size(), 1.0f);
-  ASSERT_TRUE(WorkerSpec::Parse(spec.Serialize()).ok());
-  auto table_or = SlotTable::Build(spec);
-  ASSERT_TRUE(table_or.ok()) << table_or.status().ToString();
-  const SlotTable& table = table_or.value();
-  for (size_t i = 0; i < spec.owned.size(); ++i) {
-    EXPECT_EQ(table.SlotOf(spec.owned[i]), static_cast<int64_t>(i));
+  // Slot 2, the last halo row, is the largest legal one.
+  for (const NodeId slot : {NodeId{3}, NodeId{4}, kInvalid}) {
+    WorkerSpec stranger = spec;
+    stranger.slots = {2, slot};
+    auto parsed_or = WorkerSpec::Parse(stranger.Serialize());
+    ASSERT_FALSE(parsed_or.ok()) << "slot " << slot;
+    EXPECT_EQ(parsed_or.status().code(), StatusCode::kDataLoss);
   }
-  for (size_t i = 0; i < spec.halo.size(); ++i) {
-    EXPECT_EQ(table.SlotOf(spec.halo[i]),
-              static_cast<int64_t>(spec.owned.size() + i));
-  }
-  for (NodeId id = 2; id < 3000; id += 3) EXPECT_EQ(table.SlotOf(id), -1);
-  EXPECT_EQ(table.SlotOf(4), -1);
-  EXPECT_EQ(table.SlotOf(graph::kInvalidNode), -1);
 }
 
 TEST(HaloPlanTest, MatchesSimulatedCommunicationVolume) {
@@ -338,6 +306,179 @@ TEST(FrameTest, LargeAndEmptyPayloadsRoundTripOverASocketPair) {
   EXPECT_EQ(empty_stats.bytes, kFrameHeaderBytes);
   ::close(sv[0]);
   ::close(sv[1]);
+}
+
+// The three ways a frame read fails, which the coordinator and the worker
+// act on differently: a silent peer runs out the deadline, a peer that
+// closes between frames is retryable, and one that closes inside a header
+// has torn the frame.
+TEST(FrameTest, SilentClosedAndTornPeersAreToldApart) {
+  int torn[2];
+  int closed[2];
+  // sgnn-lint: allow(det/process-syscall): a connected stream pair is the
+  // frame layer's transport, and the test closes one end mid-frame.
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, torn), 0);
+  // sgnn-lint: allow(det/process-syscall): as above, closed between frames.
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, closed), 0);
+  Frame got;
+  EXPECT_EQ(ReadFrame(torn[1], &got, common::Deadline::After(20'000)).code(),
+            StatusCode::kDeadlineExceeded);
+  ASSERT_TRUE(common::WriteFull(torn[0], "SDF", 3).ok());
+  ::close(torn[0]);
+  EXPECT_EQ(ReadFrame(torn[1], &got, common::Deadline::After(60'000'000))
+                .code(),
+            StatusCode::kDataLoss);
+  ::close(closed[0]);
+  EXPECT_EQ(ReadFrame(closed[1], &got, common::Deadline::After(60'000'000))
+                .code(),
+            StatusCode::kUnavailable);
+  ::close(torn[1]);
+  ::close(closed[1]);
+}
+
+/// What a forked `WorkerMain` answered: the type of each frame it sent
+/// before closing its end, the (node, value) records of its one-column
+/// gather frames, and its exit code.
+struct WorkerAnswers {
+  std::vector<FrameType> types;
+  std::vector<std::pair<NodeId, float>> rows;
+  int exit_code = -1;
+};
+
+/// Writes `frames` into a socket pair before forking `WorkerMain` on its
+/// other end — so the test never writes to a worker that may already have
+/// exited — then reads the worker's answers until it closes the stream.
+WorkerAnswers RunWorker(const std::vector<Frame>& frames) {
+  WorkerAnswers answers;
+  int sv[2];
+  // sgnn-lint: allow(det/process-syscall): the worker loop speaks the frame
+  // protocol over one end of a stream pair, and the test holds the other.
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+    ADD_FAILURE() << "socketpair failed";
+    return answers;
+  }
+  for (const Frame& frame : frames) {
+    EXPECT_TRUE(WriteFrame(sv[0], frame).ok());
+  }
+  // sgnn-lint: allow(det/process-syscall): WorkerMain runs only as a forked
+  // child, which it ends with _exit.
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(sv[0]);
+    WorkerMain(sv[1], nullptr);
+  }
+  ::close(sv[1]);
+  if (pid < 0) {
+    ::close(sv[0]);
+    ADD_FAILURE() << "fork failed";
+    return answers;
+  }
+  Frame frame;
+  while (ReadFrame(sv[0], &frame, common::Deadline::After(60'000'000)).ok()) {
+    answers.types.push_back(frame.type);
+    if (frame.type != FrameType::kRows) continue;
+    EXPECT_TRUE(DecodeRows(frame.payload, 1,
+                           [&answers](NodeId id, const float* row) {
+                             answers.rows.emplace_back(id, row[0]);
+                             return common::Status::OK();
+                           })
+                    .ok());
+  }
+  ::close(sv[0]);
+  int wstatus = 0;
+  // sgnn-lint: allow(det/process-syscall): reaps the worker forked above.
+  EXPECT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  answers.exit_code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
+  return answers;
+}
+
+/// A one-column row batch of `ids` with the values `values`.
+std::string OneColumnRows(const std::vector<NodeId>& ids,
+                          const std::vector<float>& values) {
+  return EncodeRows(ids, 1, [&values](size_t i) { return &values[i]; });
+}
+
+// The worker stores each received record in the value-store row its
+// position names, so a record out of place must stop it before it answers:
+// a scatter with its two records swapped, or one short of the owned rows,
+// ends the worker with exit code 2 and no frame sent. In order, the same
+// frames give the two rows the spec's slots read.
+TEST(WorkerMainTest, ScatterRecordsOutOfPlaceAreRefusedBeforeAnswering) {
+  WorkerSpec spec;
+  spec.num_workers = 1;
+  spec.cols = 1;
+  spec.owned = {3, 5};
+  spec.halo = {4};
+  spec.offsets = {0, 1, 3};
+  spec.slots = {2, 0, 2};  // 3 <- 4; 5 <- 3, 4.
+  spec.coefficients = {1.0f, 1.0f, 1.0f};
+  spec.self_loop = {0.5f, 0.25f};
+  auto frames_with = [&spec](std::string scatter) {
+    return std::vector<Frame>{
+        {FrameType::kConfig, 0, spec.Serialize()},
+        {FrameType::kRows, 0, std::move(scatter)},
+        {FrameType::kHalo, 0, OneColumnRows({4}, {4.0f})},
+        {FrameType::kGo, 0, ""},
+        {FrameType::kShutdown, 0, ""}};
+  };
+
+  const WorkerAnswers in_order =
+      RunWorker(frames_with(OneColumnRows({3, 5}, {1.0f, 2.0f})));
+  EXPECT_EQ(in_order.exit_code, 0);
+  EXPECT_EQ(in_order.types,
+            (std::vector<FrameType>{FrameType::kHeartbeat, FrameType::kRows,
+                                    FrameType::kEpochDone}));
+  // 0.5 * 1 + 4 and 0.25 * 2 + 1 + 4.
+  EXPECT_EQ(in_order.rows, (std::vector<std::pair<NodeId, float>>{
+                               {3, 4.5f}, {5, 5.5f}}));
+
+  for (const std::string& scatter :
+       {OneColumnRows({5, 3}, {2.0f, 1.0f}), OneColumnRows({3}, {1.0f})}) {
+    const WorkerAnswers refused = RunWorker(frames_with(scatter));
+    EXPECT_EQ(refused.exit_code, 2);
+    EXPECT_TRUE(refused.types.empty());
+  }
+}
+
+// The halo rows go after the owned rows in `spec.halo` order, so a halo
+// batch with two records swapped, one short or one over is refused the
+// same way. In order, the slots past the owned rows read the halo values.
+TEST(WorkerMainTest, HaloRecordsOutOfPlaceAreRefusedBeforeAnswering) {
+  WorkerSpec spec;
+  spec.num_workers = 1;
+  spec.cols = 1;
+  spec.owned = {3, 5};
+  spec.halo = {4, 6};
+  spec.offsets = {0, 1, 3};
+  spec.slots = {3, 0, 2};  // 3 <- 6; 5 <- 3, 4.
+  spec.coefficients = {1.0f, 1.0f, 1.0f};
+  spec.self_loop = {0.5f, 0.25f};
+  auto frames_with = [&spec](std::string halo) {
+    return std::vector<Frame>{
+        {FrameType::kConfig, 0, spec.Serialize()},
+        {FrameType::kRows, 0, OneColumnRows({3, 5}, {1.0f, 2.0f})},
+        {FrameType::kHalo, 0, std::move(halo)},
+        {FrameType::kGo, 0, ""},
+        {FrameType::kShutdown, 0, ""}};
+  };
+
+  const WorkerAnswers in_order =
+      RunWorker(frames_with(OneColumnRows({4, 6}, {4.0f, 8.0f})));
+  EXPECT_EQ(in_order.exit_code, 0);
+  EXPECT_EQ(in_order.types,
+            (std::vector<FrameType>{FrameType::kHeartbeat, FrameType::kRows,
+                                    FrameType::kEpochDone}));
+  // 0.5 * 1 + 8 and 0.25 * 2 + 1 + 4.
+  EXPECT_EQ(in_order.rows, (std::vector<std::pair<NodeId, float>>{
+                               {3, 8.5f}, {5, 5.5f}}));
+
+  for (const std::string& halo :
+       {OneColumnRows({6, 4}, {8.0f, 4.0f}), OneColumnRows({4}, {4.0f}),
+        OneColumnRows({4, 6, 7}, {4.0f, 8.0f, 1.0f})}) {
+    const WorkerAnswers refused = RunWorker(frames_with(halo));
+    EXPECT_EQ(refused.exit_code, 2);
+    EXPECT_TRUE(refused.types.empty());
+  }
 }
 
 // The headline contract: the distributed result is bit-identical to the
@@ -580,9 +721,9 @@ TEST(DistRunTest, CheckpointedRunResumesAfterCompletedEpochs) {
   // First run: 2 epochs, checkpointing each.
   DistOptions first;
   first.hops = 2;
-  first.checkpoint_path = path;
   core::RunContext ctx;
   ctx.faults = &no_faults;
+  ctx.checkpoint_path = path;
   DistReport report1;
   auto first_or = RunDistributedPropagation(g, parts, x, first, ctx, &report1);
   ASSERT_TRUE(first_or.ok()) << first_or.status().ToString();
@@ -595,7 +736,6 @@ TEST(DistRunTest, CheckpointedRunResumesAfterCompletedEpochs) {
   const Partition parts4 = partition::LdgPartition(g, 4, 1.05, 31);
   DistOptions second;
   second.hops = 4;
-  second.checkpoint_path = path;
   DistReport report2;
   auto second_or =
       RunDistributedPropagation(g, parts4, x, second, ctx, &report2);
@@ -616,9 +756,9 @@ TEST(DistRunTest, ResumeOfFullyCompleteCheckpointRunsNoEpochs) {
   FaultInjector no_faults;
   DistOptions opts;
   opts.hops = 3;
-  opts.checkpoint_path = path;
   core::RunContext ctx;
   ctx.faults = &no_faults;
+  ctx.checkpoint_path = path;
   ASSERT_TRUE(RunDistributedPropagation(g, parts, x, opts, ctx).ok());
   DistReport report;
   auto again_or = RunDistributedPropagation(g, parts, x, opts, ctx, &report);

@@ -445,22 +445,26 @@ TEST(FuzzTest, ReadShardFile) {
 // ---- dist: worker specs, row batches and frames --------------------------
 
 /// A worker owning the even ids below 40 and receiving the odd ones; each
-/// owned node aggregates its two ring neighbours.
+/// owned node aggregates its two ring neighbours. Halo id 2j + 1 is
+/// value-store row 20 + j, so owned[i] = 2i reads rows 20 + i - 1 (row 39
+/// for i = 0) and 20 + i.
 dist::WorkerSpec RingSpec() {
+  constexpr NodeId kOwned = 20;
   dist::WorkerSpec spec;
   spec.worker_id = 1;
   spec.num_workers = 2;
   spec.incarnation = 3;
   spec.cols = 4;
   spec.offsets = {0};
-  for (NodeId u = 0; u < 40; u += 2) {
-    spec.owned.push_back(u);
-    spec.halo.push_back(u + 1);
-    for (const NodeId v : {u == 0 ? NodeId{39} : u - 1, u + 1}) {
-      spec.neighbors.push_back(v);
+  for (NodeId i = 0; i < kOwned; ++i) {
+    spec.owned.push_back(2 * i);
+    spec.halo.push_back(2 * i + 1);
+    for (const NodeId slot :
+         {i == 0 ? 2 * kOwned - 1 : kOwned + i - 1, kOwned + i}) {
+      spec.slots.push_back(slot);
       spec.coefficients.push_back(0.5f);
     }
-    spec.offsets.push_back(static_cast<graph::EdgeIndex>(spec.neighbors.size()));
+    spec.offsets.push_back(static_cast<graph::EdgeIndex>(spec.slots.size()));
     spec.self_loop.push_back(0.25f);
   }
   return spec;
@@ -472,7 +476,7 @@ std::vector<Field> SpecFields(const dist::WorkerSpec& spec) {
   size_t at = 20;
   for (const size_t bytes :
        {spec.owned.size() * 4, spec.halo.size() * 4, spec.offsets.size() * 8,
-        spec.neighbors.size() * 4, spec.coefficients.size() * 4,
+        spec.slots.size() * 4, spec.coefficients.size() * 4,
         spec.self_loop.size() * 4}) {
     fields.push_back({at, 8});
     at += 8 + bytes;
@@ -480,19 +484,18 @@ std::vector<Field> SpecFields(const dist::WorkerSpec& spec) {
   return fields;
 }
 
-TEST(FuzzTest, WorkerSpecParseAndSlotTableBuild) {
+TEST(FuzzTest, WorkerSpecParse) {
   dist::WorkerSpec minimal;
   minimal.num_workers = 1;
   minimal.offsets = {0};
   Target target;
   for (const dist::WorkerSpec& spec : {RingSpec(), minimal}) {
+    ASSERT_TRUE(dist::WorkerSpec::Parse(spec.Serialize()).ok());
     target.corpus.push_back(spec.Serialize());
     target.fields.push_back(SpecFields(spec));
   }
   target.decode = [](const std::string& input) {
-    auto spec = dist::WorkerSpec::Parse(input);
-    if (!spec.ok()) return spec.status();
-    return dist::SlotTable::Build(spec.value()).status();
+    return dist::WorkerSpec::Parse(input).status();
   };
   Fuzz(target, 5);
 }
@@ -573,7 +576,9 @@ TEST(FuzzTest, ReadFrame) {
     }
     std::string wire(at, '\0');
     ASSERT_EQ(::lseek(fd, 0, SEEK_SET), 0);
-    ASSERT_TRUE(common::ReadFull(fd, wire.data(), wire.size()).ok());
+    ASSERT_TRUE(common::ReadFull(fd, wire.data(), wire.size(),
+                                 common::Deadline::Infinite())
+                    .ok());
     target.corpus.push_back(wire);
     target.fields.push_back(fields);
   }

@@ -333,10 +333,11 @@ TEST(RunContextTest, ExportsAreByteIdenticalAcrossThreadCounts) {
     core::RunContext ctx;
     ctx.tracer = &tracer;
     ctx.metrics = &registry;
-    ctx.num_threads = threads;
-    ctx.trace_parallel = true;
+    sgnn::par::SetThreads(threads);
+    Tracer* const prev_par_tracer = sgnn::par::SetTracer(&tracer);
     core::Dataset d = SmallDataset(13);
     core::PipelineReport report = MakePipeline().Run(d, FastConfig(), ctx);
+    sgnn::par::SetTracer(prev_par_tracer);
     EXPECT_TRUE(report.status.ok());
     return Export{registry.PrometheusText(/*include_volatile=*/false),
                   registry.JsonText(/*include_volatile=*/false),
@@ -344,7 +345,7 @@ TEST(RunContextTest, ExportsAreByteIdenticalAcrossThreadCounts) {
   };
   const Export one = run_with(1);
   const Export eight = run_with(8);
-  sgnn::par::SetThreads(1);  // ctx.num_threads is process-wide; reset.
+  sgnn::par::SetThreads(1);  // The worker count is process-wide; reset.
   EXPECT_EQ(one.prometheus, eight.prometheus);
   EXPECT_EQ(one.json, eight.json);
   EXPECT_EQ(one.trace, eight.trace);

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "analysis/validate.h"
-#include "common/counters.h"
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "graph/generators.h"
@@ -594,46 +593,6 @@ TEST(BitIdentityTest, PipelineMatchesInMemoryAtAnyBudgetAndThreads) {
   }
   par::SetThreads(saved_threads);
   std::filesystem::remove_all(dir);
-}
-
-TEST(CountersTest, ShardCountersBillAndRebase) {
-  const CsrGraph g = graph::ErdosRenyi(150, 700, 31);
-  const std::string dir = NewDir("counters");
-  ASSERT_TRUE(WriteShardedGraph(g, ShardPlan::Contiguous(g, 3), dir).ok());
-  // Leave a ghost peak from "an earlier run"; Open must re-base it away so
-  // the peaks this run reports are its own.
-  common::GlobalCounters().AcquireShardBytes(1u << 30);
-  common::GlobalCounters().ReleaseShardBytes(1u << 30);
-  ASSERT_GE(common::GlobalCounters().peak_resident_shard_bytes, 1u << 30);
-  common::ScopedCounterDelta scope;
-  OpenOptions options;
-  options.budget_bytes = kUnlimitedBudget;
-  auto open_or = ShardedGraph::Open(dir, options);
-  ASSERT_TRUE(open_or.ok());
-  EXPECT_EQ(common::GlobalCounters().peak_resident_shard_bytes, 0u);
-  ShardedGraph& sg = *open_or.value();
-  for (int s = 0; s < sg.num_shards(); ++s) {
-    ASSERT_TRUE(sg.PinShard(s).ok());
-  }
-  const common::OpCounters delta = scope.Delta();
-  const StorageStats stats = sg.stats();
-  EXPECT_EQ(delta.shard_loads, stats.loads);
-  EXPECT_EQ(delta.shard_bytes_loaded, stats.bytes_loaded);
-  EXPECT_EQ(delta.peak_resident_shard_bytes, stats.peak_resident_bytes);
-  EXPECT_EQ(stats.resident_bytes, sg.total_shard_bytes());
-  std::filesystem::remove_all(dir);
-}
-
-TEST(CountersTest, ToStringAppendsShardFieldsOnlyWhenUsed) {
-  common::OpCounters c;
-  c.edges_touched = 10;
-  EXPECT_EQ(c.ToString().find("shard_loads"), std::string::npos);
-  c.shard_loads = 2;
-  c.shard_bytes_loaded = 4096;
-  c.peak_resident_shard_bytes = 2048;
-  const std::string s = c.ToString();
-  EXPECT_NE(s.find("shard_loads=2"), std::string::npos);
-  EXPECT_NE(s.find("peak_resident_shard_bytes=2048"), std::string::npos);
 }
 
 }  // namespace
