@@ -60,9 +60,9 @@ tensor::Matrix HeadInput(bool relu, uint64_t seed) {
   return m;
 }
 
-/// ~10^5-node scale-free graph for the SpMM rows (big enough that the
-/// gathered x rows fall out of L2 under skew, small enough for seconds-
-/// scale runs).
+/// 2^15-node, 2^18-edge R-MAT graph for the SpMM rows (skewed, so a few
+/// hub rows are gathered from many rows; small enough for seconds-scale
+/// runs).
 const CsrGraph& SpmmGraph() {
   static CsrGraph* graph = new CsrGraph(sgnn::graph::Rmat(
       NodeId(1) << 15, int64_t(1) << 18, sgnn::graph::RmatConfig{}, 7));
@@ -160,7 +160,8 @@ void BM_KernelSpmm(benchmark::State& state) {
   simd::SetEnabled(true);
 }
 BENCHMARK(BM_KernelSpmm)
-    ->Args({0, 32})->Args({1, 32})->Args({0, 256})->Args({1, 256})
+    ->Args({0, 16})->Args({1, 16})->Args({0, 32})->Args({1, 32})
+    ->Args({0, 64})->Args({1, 64})->Args({0, 256})->Args({1, 256})
     ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------------- json driver
@@ -335,7 +336,9 @@ int RunJson(const std::string& path) {
     const CsrGraph& g = SpmmGraph();
     sgnn::graph::Propagator prop(g, sgnn::graph::Normalization::kSymmetric,
                                  /*add_self_loops=*/true);
-    for (const int64_t cols : {32, 256}) {
+    // 16 and 64 columns are the feature widths of sgnn-bench's
+    // precompute_scaleout and train_decoupled.
+    for (const int64_t cols : {16, 32, 64, 256}) {
       const tensor::Matrix x = RandomMatrix(g.num_nodes(), cols, 6);
       tensor::Matrix out;
       results.push_back(Compare(

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -67,9 +68,11 @@ inline float EdgeCoefficient(Normalization norm, float weight, double factor_u,
 std::vector<par::Range> EdgeShards(std::span<const EdgeIndex> offsets);
 
 /// The SpMM bill, written once: `edges` edges (and `edges * cols` floats),
-/// each scanning a float coefficient and a NodeId index, and `applied` axpy
-/// rows of `cols` floats, each reading the gathered x slice plus the output
-/// row (RMW) and writing the output row.
+/// each scanning a float coefficient and a NodeId index, and `applied`
+/// scaled rows of `cols` floats (nonzero coefficients and self loops),
+/// each billed as reading the gathered x slice plus the output row (RMW)
+/// and writing the output row. The bill is logical: it does not follow the
+/// kernel's register blocking.
 void BillSpmm(uint64_t edges, uint64_t applied, int64_t cols);
 
 /// Rows with stored coefficients, the `SpmmRows` view of an in-memory
@@ -112,6 +115,11 @@ inline constexpr int64_t kSpmmColBlock = 64;  ///< Floats per column block.
 inline constexpr int64_t kSpmmColBlockEngage = 128;  ///< Engage above this.
 inline constexpr int64_t kSpmmPanelEdges = 4096;  ///< Edges per row panel.
 
+/// Edges per `spmm_row` call for views that compute their ids or
+/// coefficients per edge: `SpmmRows` gathers what they compute into a
+/// stack chunk of this many entries.
+inline constexpr int64_t kSpmmChunkEdges = 64;
+
 /// The SpMM row-range kernel every placement of \hat{A} x runs:
 /// out[OutRow(r)] += sum_i c_i x[n_i] + s x[OutRow(r)] for kernel rows r in
 /// `range`, where `rows` is a view offering, per row r:
@@ -122,32 +130,59 @@ inline constexpr int64_t kSpmmPanelEdges = 4096;  ///< Edges per row panel.
 ///   float SelfLoop(r)       — s, 0 for none
 ///   int64_t OutRow(r)       — the row of `out` (and of `x`, for s) r owns
 ///
-/// Rows accumulate through the axpy microkernel (simd contract #1), skip
-/// zero coefficients, and add edges in view order with the self loop last,
-/// so equal coefficient bits give equal output bits on any view, backend,
-/// schedule or range split. Accumulates into `out` (callers size and zero
-/// it) and bills `BillSpmm`. Touches no `par` state, so a forked process may
+/// Each row makes one `spmm_row` call (simd contract #1), which holds the
+/// output row in registers across the row's edges, then adds its self
+/// loop, the last term, with one `axpy`. Neighbors and Coefficients that
+/// are stored spans go to the kernel in place; a view that computes
+/// either per edge has it gathered into a stack chunk of kSpmmChunkEdges
+/// entries, and makes one call per chunk. Zero coefficients are skipped
+/// and edges are added in view order, so equal coefficient bits give
+/// equal output bits on any view, backend, schedule or range split.
+/// Accumulates into `out` (callers size and zero it; it must not be `x`)
+/// and bills `BillSpmm`. Touches no `par` state, so a forked process may
 /// call it.
 template <typename Rows>
 void SpmmRows(const Rows& rows, par::Range range, const tensor::Matrix& x,
               tensor::Matrix* out) {
+  SGNN_DCHECK(&x != out);
   const int64_t cols = x.cols();
   const simd::KernelTable& kt = simd::Active();
-  // Applied axpy rows (nonzero edge coefficients + engaged self-loops):
-  // the data-movement term of the byte bill.
+  constexpr bool kStoredIds =
+      std::is_same_v<decltype(rows.Neighbors(0)), std::span<const NodeId>>;
+  constexpr bool kStoredCoefficients =
+      std::is_same_v<decltype(rows.Coefficients(0)), std::span<const float>>;
+  // Applied rows (nonzero edge coefficients + engaged self-loops): the
+  // data-movement term of the byte bill.
   uint64_t applied = 0;
   auto row_block = [&](int64_t r, int64_t j0, int64_t bw) {
     const auto nbrs = rows.Neighbors(r);
     const auto cs = rows.Coefficients(r);
     const int64_t o = rows.OutRow(r);
+    const int64_t count = static_cast<int64_t>(nbrs.size());
+    const float* xb = x.data() + j0;
     float* orow = out->data() + o * cols + j0;
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      const float c = cs[i];
-      if (c == 0.0f) continue;
-      ++applied;
-      kt.axpy(c, x.data() + static_cast<int64_t>(nbrs[i]) * cols + j0, orow,
-              bw);
+    // A row read wholly in place is one call; otherwise one per chunk.
+    const int64_t chunk =
+        kStoredIds && kStoredCoefficients ? count : kSpmmChunkEdges;
+    [[maybe_unused]] NodeId ids[kSpmmChunkEdges];
+    [[maybe_unused]] float coeffs[kSpmmChunkEdges];
+    for (int64_t e0 = 0; e0 < count; e0 += chunk) {
+      const int64_t m = std::min(chunk, count - e0);
+      const NodeId* id = ids;
+      const float* c = coeffs;
+      if constexpr (kStoredIds) {
+        id = nbrs.data() + e0;
+      } else {
+        for (int64_t i = 0; i < m; ++i) ids[i] = nbrs[e0 + i];
+      }
+      if constexpr (kStoredCoefficients) {
+        c = cs.data() + e0;
+      } else {
+        for (int64_t i = 0; i < m; ++i) coeffs[i] = cs[e0 + i];
+      }
+      applied += kt.spmm_row(xb, cols, id, c, m, orow, bw);
     }
+    // The self loop is the row's last term.
     const float s = rows.SelfLoop(r);
     if (s != 0.0f) {
       ++applied;

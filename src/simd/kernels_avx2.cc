@@ -5,9 +5,12 @@
 // executes a vector instruction.
 //
 // Bit-identity with the scalar backend (the contract in simd.h) rests on
-// four facts encoded below:
+// five facts encoded below:
 //   * elementwise lanes use vmulps/vaddps — exactly rounded, never fused —
 //     so each lane is the identical IEEE operation the scalar loop does;
+//   * the spmm_row strips keep up to 64 floats of the output row in
+//     registers but still add each element's products in ascending edge
+//     order, skipping a zero coefficient by the scalar loop's own branch;
 //   * the gemm tile keeps a block of C in registers but still adds each
 //     element's products in ascending k, and replaces the scalar zero skip
 //     by masking the product to +0, which is exact because C never holds
@@ -46,9 +49,9 @@ bool CpuHasAvx2FmaPclmul() {
 namespace {
 
 void AxpyAvx2(float alpha, const float* x, float* y, int64_t n) {
-  // 4x unrolled: axpy is the SpMM row kernel, called once per edge. Every
-  // lane is independent (one unfused mul + add per element), so the unroll
-  // is bit-neutral.
+  // 4x unrolled for the long rows of tensor::Axpy. Every lane is
+  // independent (one unfused mul + add per element), so the unroll is
+  // bit-neutral.
   const __m256 va = _mm256_set1_ps(alpha);
   int64_t i = 0;
   for (; i + 32 <= n; i += 32) {
@@ -75,6 +78,84 @@ void AxpyAvx2(float alpha, const float* x, float* y, int64_t n) {
 __m256i TailMask(int64_t live) {
   return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(live)),
                             _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// One 8V-float strip of the SpMM output row held in registers across the
+/// whole gather: loaded once, then per nonzero c[i] the same strip of x row
+/// idx[i] is scaled and added unfused, in ascending i, then stored once.
+/// With kTail the last vector covers only the lanes of `tail`. Returns the
+/// number of nonzero c[i].
+template <int V, bool kTail>
+uint64_t SpmmStripAvx2(const float* x, int64_t ld, const uint32_t* idx,
+                       const float* c, int64_t count, float* y,
+                       __m256i tail) {
+  auto load = [tail](const float* src, int v) {
+    return (kTail && v == V - 1) ? _mm256_maskload_ps(src, tail)
+                                 : _mm256_loadu_ps(src);
+  };
+  __m256 acc[V];
+#pragma GCC unroll 8
+  for (int v = 0; v < V; ++v) acc[v] = load(y + 8 * v, v);
+  uint64_t applied = 0;
+  for (int64_t i = 0; i < count; ++i) {
+    if (c[i] == 0.0f) continue;
+    ++applied;
+    const __m256 cv = _mm256_broadcast_ss(c + i);
+    const float* xr = x + static_cast<int64_t>(idx[i]) * ld;
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(cv, load(xr + 8 * v, v)));
+    }
+  }
+#pragma GCC unroll 8
+  for (int v = 0; v < V; ++v) {
+    if (kTail && v == V - 1) {
+      _mm256_maskstore_ps(y + 8 * v, tail, acc[v]);
+    } else {
+      _mm256_storeu_ps(y + 8 * v, acc[v]);
+    }
+  }
+  return applied;
+}
+
+/// The last strip of a row: `rest` (1..64) floats in V = ceil(rest / 8)
+/// vectors, the last one masked when it is partial.
+template <int V>
+uint64_t SpmmLastStripAvx2(const float* x, int64_t ld, const uint32_t* idx,
+                           const float* c, int64_t count, float* y,
+                           int64_t rest) {
+  const int64_t live = rest - 8 * (V - 1);
+  return live == 8 ? SpmmStripAvx2<V, false>(x, ld, idx, c, count, y,
+                                             _mm256_set1_epi32(-1))
+                   : SpmmStripAvx2<V, true>(x, ld, idx, c, count, y,
+                                            TailMask(live));
+}
+
+/// SpmmLastStripAvx2<V> at index V - 1.
+constexpr uint64_t (*kSpmmLastStrip[8])(const float*, int64_t,
+                                        const uint32_t*, const float*,
+                                        int64_t, float*, int64_t) = {
+    SpmmLastStripAvx2<1>, SpmmLastStripAvx2<2>, SpmmLastStripAvx2<3>,
+    SpmmLastStripAvx2<4>, SpmmLastStripAvx2<5>, SpmmLastStripAvx2<6>,
+    SpmmLastStripAvx2<7>, SpmmLastStripAvx2<8>};
+
+uint64_t SpmmRowAvx2(const float* x, int64_t ld, const uint32_t* idx,
+                     const float* c, int64_t count, float* y, int64_t n) {
+  // Strips of 64 floats (eight registers), then one strip of the 1..8
+  // vectors left. Every strip sees the same coefficients, so the last
+  // strip's count is the row's.
+  if (n == 0) {
+    uint64_t applied = 0;
+    for (int64_t i = 0; i < count; ++i) applied += c[i] != 0.0f;
+    return applied;
+  }
+  int64_t j = 0;
+  for (; j + 64 < n; j += 64) {
+    SpmmStripAvx2<8, false>(x + j, ld, idx, c, count, y + j,
+                            _mm256_set1_epi32(-1));
+  }
+  return kSpmmLastStrip[(n - j - 1) / 8](x + j, ld, idx, c, count, y + j,
+                                          n - j);
 }
 
 /// One R x 8V block of C held in registers across the whole k panel. Per
@@ -352,8 +433,9 @@ uint32_t Crc32Avx2(const void* data, size_t n, uint32_t crc) {
 }
 
 constexpr KernelTable kAvx2Table = {
-    AxpyAvx2, GemmAvx2,         ScaleAvx2, MulAvx2, AddAvx2,   AddScalarAvx2,
-    ReluAvx2, ReluBackwardAvx2, MaxAvx2,   DotAvx2, Crc32Avx2, "avx2",
+    AxpyAvx2, SpmmRowAvx2,   GemmAvx2, ScaleAvx2,        MulAvx2,
+    AddAvx2,  AddScalarAvx2, ReluAvx2, ReluBackwardAvx2, MaxAvx2,
+    DotAvx2,  Crc32Avx2,     "avx2",
 };
 
 }  // namespace

@@ -17,6 +17,19 @@ void AxpyScalar(float alpha, const float* x, float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
+uint64_t SpmmRowScalar(const float* x, int64_t ld, const uint32_t* idx,
+                       const float* c, int64_t count, float* y, int64_t n) {
+  // The reference: one axpy per gathered row in ascending i, and a zero
+  // coefficient issues nothing.
+  uint64_t applied = 0;
+  for (int64_t i = 0; i < count; ++i) {
+    if (c[i] == 0.0f) continue;
+    ++applied;
+    AxpyScalar(c[i], x + static_cast<int64_t>(idx[i]) * ld, y, n);
+  }
+  return applied;
+}
+
 uint64_t GemmScalar(const float* a, int64_t a_row_stride, int64_t a_k_stride,
                     const float* b, float* c, int64_t rows, int64_t k,
                     int64_t n) {
@@ -115,9 +128,10 @@ double DotScalar(const float* a, const float* b, int64_t n) {
 
 // The table CRC is `common::Crc32` itself, the reference value.
 constexpr KernelTable kScalarTable = {
-    AxpyScalar, GemmScalar,         ScaleScalar, MulScalar, AddScalar,
-    AddScalarScalar, ReluScalar,    ReluBackwardScalar,     MaxScalar,
-    DotScalar,  common::Crc32,      "scalar",
+    AxpyScalar,         SpmmRowScalar, GemmScalar,      ScaleScalar,
+    MulScalar,          AddScalar,     AddScalarScalar, ReluScalar,
+    ReluBackwardScalar, MaxScalar,     DotScalar,       common::Crc32,
+    "scalar",
 };
 
 }  // namespace

@@ -7,8 +7,8 @@
 namespace sgnn::simd {
 
 /// `sgnn::simd` — the vectorized microkernel substrate under the hot
-/// kernels (`tensor::Gemm` and friends, the `Propagator`/`OocPropagator`
-/// SpMM inner loops, the row/elementwise ops, the shard-section and
+/// kernels (`tensor::Gemm` and friends, the `graph::SpmmRows` row
+/// accumulation, the row/elementwise ops, the shard-section and
 /// frame-payload checksums). Two backends implement one kernel table:
 ///
 ///   * `avx2`   — 8-lane single-precision AVX2 (FMA only where fusion is
@@ -26,7 +26,12 @@ namespace sgnn::simd {
 ///     rounded single-precision mul/add — never fused — so a vector lane
 ///     computes the identical operation the scalar loop does. The two
 ///     backends differ only in how many elements advance per iteration,
-///     which is unobservable. The `gemm` tile is elementwise in j: each
+///     which is unobservable. `spmm_row` is elementwise in j with the same
+///     per-element order: each y[j] takes its products in ascending i,
+///     one unfused multiply then add each, skipping c[i] == 0 as the
+///     scalar loop does, so it is bit-identical to the `axpy` chain it
+///     replaces however many columns the vector backend holds in
+///     registers. The `gemm` tile is elementwise in j: each
 ///     c[r][j] accumulates its products in ascending p with an unfused
 ///     multiply then add, exactly the scalar loop's order, whatever block
 ///     of C the vector backend holds in registers. The scalar loop skips
@@ -54,9 +59,8 @@ namespace sgnn::simd {
 ///
 /// Backend selection: the `SGNN_SIMD` environment variable is read once at
 /// first use (`off`/`0`/`false`/`scalar` force the scalar backend; unset or
-/// anything else = auto), and `SetEnabled()` / `core::RunContext::simd`
-/// override it at runtime so tests and CI can prove SIMD output == scalar
-/// output byte for byte. Intrinsics are confined to `src/simd/` by the
+/// anything else = auto), and `SetEnabled()` overrides it at runtime so
+/// tests and CI can prove SIMD output == scalar output byte for byte. Intrinsics are confined to `src/simd/` by the
 /// `det/simd-intrinsics` lint rule; every other module sees only this
 /// dispatch surface.
 
@@ -64,8 +68,16 @@ namespace sgnn::simd {
 /// `Active()` once per shard and call through the table, so the per-row
 /// cost is one indirect call, not a dispatch lookup.
 struct KernelTable {
-  /// y[i] += alpha * x[i] — the SpMM accumulation row.
+  /// y[i] += alpha * x[i] (`tensor::Axpy`, SpMM self loops, the
+  /// transposed SpMM's scatter).
   void (*axpy)(float alpha, const float* x, float* y, int64_t n);
+  /// The SpMM row: y[j] += c[i] * x[idx[i] * ld + j] for i < count in
+  /// ascending i, j < n — the `axpy` chain over one row's gathered input
+  /// rows, with y held in registers across the chain. Products of
+  /// c[i] == 0 (either sign) are skipped. y must not overlap x. Returns
+  /// the number of nonzero c[i].
+  uint64_t (*spmm_row)(const float* x, int64_t ld, const uint32_t* idx,
+                       const float* c, int64_t count, float* y, int64_t n);
   /// The GEMM tile: c[r][j] += A(r,p) * b[p][j] for r < rows, p < k,
   /// j < n, where A(r,p) = a[r * a_row_stride + p * a_k_stride], b is a
   /// row-major k x n panel and c a row-major rows x n block that holds no

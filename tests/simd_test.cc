@@ -6,12 +6,14 @@
 // backend sweep degenerates to scalar-vs-scalar and every comparison still
 // holds, so the suite is meaningful on every machine the CI matrix covers.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -497,6 +499,282 @@ TEST_F(SimdTest, BlockViewKernelsAreAdjoint) {
     EXPECT_NE(lhs, 0.0);
     EXPECT_NEAR(lhs, rhs, 1e-5 * (1.0 + std::abs(lhs))) << cols;
   }
+}
+
+// The SpMM row kernel against the `axpy` chain it replaces, byte for byte,
+// on both backends: every column count around the 8-float vector, the
+// 64-float register strip and the multi-strip rows, read at the row's own
+// width and as a column block of a wider matrix; edge counts around the
+// 64-edge chunk; coefficients of +0 and -0 whose rows hold inf and NaN,
+// which only a skipped product keeps out of y; repeated ids, the output
+// row's own id among them; and a y that starts nonzero, with a -0 that an
+// added +0 product would flip. The return value is the nonzero count.
+TEST_F(SimdTest, SpmmRowMatchesAxpyChain) {
+  simd::SetEnabled(false);
+  const simd::KernelTable scalar = simd::Active();
+  simd::SetEnabled(true);
+  const simd::KernelTable vec = simd::Active();
+  constexpr int64_t kLiveRows = 40;  // Rows [0, 40) are finite.
+  constexpr NodeId kOwnRow = 7;      // The output row's own id.
+  const float kSpecials[] = {std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<float>::quiet_NaN()};
+  common::Rng rng(81);
+  const int64_t widths[] = {1,  2,  3,  4,  5,  6,   7,   8,   9,  15, 16,
+                            17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 257};
+  for (const int64_t n : widths) {
+    for (const int64_t pad : {0L, 5L}) {
+      const int64_t ld = n + pad;
+      // Rows [40, 43) hold inf, -inf and NaN and are read only at zero
+      // coefficients.
+      std::vector<float> x(static_cast<size_t>((kLiveRows + 3) * ld));
+      for (int64_t r = 0; r < kLiveRows + 3; ++r) {
+        for (int64_t j = 0; j < ld; ++j) {
+          x[static_cast<size_t>(r * ld + j)] =
+              r < kLiveRows ? static_cast<float>(rng.Uniform(-1.0, 1.0))
+                            : kSpecials[r - kLiveRows];
+        }
+      }
+      for (const int64_t count : {0L, 1L, 2L, 63L, 64L, 65L, 200L}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " ld=" + std::to_string(ld) +
+                     " count=" + std::to_string(count));
+        std::vector<uint32_t> idx(static_cast<size_t>(count));
+        std::vector<float> c(static_cast<size_t>(count));
+        uint64_t nonzero = 0;
+        for (int64_t i = 0; i < count; ++i) {
+          const bool zero = i % 4 == 1;
+          c[i] = zero ? (i % 8 == 1 ? 0.0f : -0.0f)
+                      : static_cast<float>(rng.Uniform(-1.0, 1.0));
+          nonzero += !zero;
+          idx[i] = static_cast<uint32_t>(
+              zero         ? kLiveRows + i % 3
+              : i % 5 == 0 ? kOwnRow
+                           : static_cast<int64_t>(rng.UniformInt(kLiveRows)));
+        }
+        std::vector<float> y0(static_cast<size_t>(n));
+        for (float& v : y0) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+        y0[static_cast<size_t>(n / 2)] = -0.0f;
+
+        std::vector<float> want = y0;
+        for (int64_t i = 0; i < count; ++i) {
+          if (c[i] == 0.0f) continue;
+          scalar.axpy(c[i], x.data() + idx[i] * ld, want.data(), n);
+        }
+        for (const simd::KernelTable* kt : {&scalar, &vec}) {
+          SCOPED_TRACE(kt->name);
+          std::vector<float> y = y0;
+          EXPECT_EQ(kt->spmm_row(x.data(), ld, idx.data(), c.data(), count,
+                                 y.data(), n),
+                    nonzero);
+          EXPECT_TRUE(BytesEqual(want, y));
+        }
+      }
+    }
+  }
+}
+
+/// One output row of the naive SpMM: out[row] += c * x[id] for each
+/// (id, c) in order, the self loop (when any) the last term.
+struct NaiveRow {
+  int64_t row;
+  std::vector<std::pair<NodeId, float>> terms;
+};
+
+/// The per-edge reference for `SpmmRows`: one unfused multiply then add
+/// per element, a zero coefficient skipped.
+Matrix NaiveSpmm(const std::vector<NaiveRow>& rows, const Matrix& x,
+                 int64_t out_rows) {
+  Matrix out(out_rows, x.cols());
+  for (const NaiveRow& r : rows) {
+    for (const auto& [id, c] : r.terms) {
+      if (c == 0.0f) continue;
+      for (int64_t j = 0; j < x.cols(); ++j) {
+        // volatile: GCC fuses a named product with the add under -mfma.
+        volatile float prod = c * x.at(id, j);
+        out.at(r.row, j) += prod;
+      }
+    }
+  }
+  return out;
+}
+
+/// A graph for the view tests: node 0 is a hub of 150 edges (longer than
+/// the 64-edge stack chunk), node 5 is isolated, node 9 has a self edge
+/// and a repeated neighbour, and some weights are +0 or -0.
+CsrGraph ViewTestGraph() {
+  constexpr NodeId kNodes = 300;
+  std::vector<graph::Edge> edges;
+  common::Rng rng(83);
+  for (NodeId v = 10; v < 160; ++v) {
+    edges.push_back({0, v, 1.0f});
+    edges.push_back({v, 0, 1.0f});
+  }
+  for (int e = 0; e < 900; ++e) {
+    const NodeId u = 6 + static_cast<NodeId>(rng.UniformInt(kNodes - 6));
+    const NodeId v = 6 + static_cast<NodeId>(rng.UniformInt(kNodes - 6));
+    const float w = e % 17 == 0   ? 0.0f
+                    : e % 19 == 0 ? -0.0f
+                                  : static_cast<float>(rng.Uniform(0.5, 2.0));
+    edges.push_back({u, v, w});
+  }
+  edges.push_back({9, 9, 1.5f});
+  edges.push_back({9, 12, 1.0f});
+  edges.push_back({9, 12, 0.5f});
+  return CsrGraph::FromEdges(kNodes, edges);
+}
+
+// `SpmmRows` over the in-memory operator's view against the naive loop on
+// both backends, narrow, at the register strip's width and through the
+// column-blocked panel schedule. The view carries per-edge coefficients
+// of both zero signs and a self loop per row.
+TEST_F(SimdTest, SpmmRowsOverCoefficientRowsMatchesNaiveLoop) {
+  const CsrGraph g = ViewTestGraph();
+  const int64_t n = g.num_nodes();
+  common::Rng rng(84);
+  std::vector<float> coeffs(static_cast<size_t>(g.num_edges()));
+  for (size_t e = 0; e < coeffs.size(); ++e) {
+    coeffs[e] = e % 11 == 3   ? 0.0f
+                : e % 13 == 4 ? -0.0f
+                              : static_cast<float>(rng.Uniform(-1.0, 1.0));
+  }
+  std::vector<float> self_loop(static_cast<size_t>(n));
+  for (float& s : self_loop) s = static_cast<float>(rng.Uniform(-1.0, 1.0));
+  self_loop[3] = 0.0f;
+  const graph::CoefficientRows rows{g.offsets(), g.neighbors(), coeffs,
+                                    self_loop};
+  std::vector<NaiveRow> naive;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    NaiveRow row{u, {}};
+    for (graph::EdgeIndex e = g.offsets()[u]; e < g.offsets()[u + 1]; ++e) {
+      row.terms.push_back({g.neighbors()[e], coeffs[e]});
+    }
+    row.terms.push_back({u, self_loop[u]});
+    naive.push_back(row);
+  }
+  for (const int64_t cols : {16L, 64L, 160L}) {
+    const Matrix x = RandomMatrix(n, cols, 85);
+    const Matrix want = NaiveSpmm(naive, x, n);
+    for (const bool simd_on : {false, true}) {
+      SCOPED_TRACE("cols=" + std::to_string(cols) +
+                   " simd=" + (simd_on ? "on" : "off"));
+      simd::SetEnabled(simd_on);
+      Matrix out(n, cols);
+      graph::SpmmRows(rows, {0, n}, x, &out);
+      EXPECT_TRUE(BytesEqual(want, out));
+    }
+  }
+}
+
+// Both views of a sampled block against the naive loop: `LayerSample`
+// over the gathered src rows (spans handed over in place) and
+// `GlobalSourceRows` over the full feature matrix (ids read through
+// src_local, so its terms go through the stack chunk). A fanout of 100
+// keeps more than 64 of the hub's edges.
+TEST_F(SimdTest, SpmmRowsOverBlockViewsMatchesNaiveLoop) {
+  const CsrGraph g = ViewTestGraph();
+  const std::vector<NodeId> seeds = {0, 5, 9, 12, 40, 41, 200};
+  const std::vector<int> fanouts = {100};
+  common::Rng rng(86);
+  const sampling::MiniBatch batch =
+      sampling::SampleNodeWise(g, seeds, fanouts, &rng);
+  const sampling::LayerSample& layer = batch.layers.front();
+  const int64_t num_dst = static_cast<int64_t>(layer.dst.size());
+  ASSERT_GT(layer.offsets[1] - layer.offsets[0], 64);  // dst 0 is the hub.
+  ASSERT_EQ(layer.offsets[2], layer.offsets[1]);       // dst 1 is isolated.
+  std::vector<NaiveRow> local, global;
+  for (int64_t r = 0; r < num_dst; ++r) {
+    NaiveRow lrow{r, {}}, grow{r, {}};
+    for (graph::EdgeIndex e = layer.offsets[r]; e < layer.offsets[r + 1];
+         ++e) {
+      lrow.terms.push_back({layer.src_local[e], layer.weights[e]});
+      grow.terms.push_back(
+          {layer.src[layer.src_local[e]], layer.weights[e]});
+    }
+    local.push_back(lrow);
+    global.push_back(grow);
+  }
+  for (const int64_t cols : {16L, 64L, 160L}) {
+    const Matrix features = RandomMatrix(g.num_nodes(), cols, 87);
+    Matrix gathered(static_cast<int64_t>(layer.src.size()), cols);
+    for (size_t i = 0; i < layer.src.size(); ++i) {
+      const auto row = features.Row(layer.src[i]);
+      std::copy(row.begin(), row.end(),
+                gathered.Row(static_cast<int64_t>(i)).begin());
+    }
+    const Matrix want_local = NaiveSpmm(local, gathered, num_dst);
+    const Matrix want_global = NaiveSpmm(global, features, num_dst);
+    EXPECT_TRUE(BytesEqual(want_local, want_global));
+    for (const bool simd_on : {false, true}) {
+      SCOPED_TRACE("cols=" + std::to_string(cols) +
+                   " simd=" + (simd_on ? "on" : "off"));
+      simd::SetEnabled(simd_on);
+      Matrix out_local(num_dst, cols), out_global(num_dst, cols);
+      graph::SpmmRows(layer, {0, num_dst}, gathered, &out_local);
+      graph::SpmmRows(
+          sampling::GlobalSourceRows(layer, features.rows()), {0, num_dst},
+          features, &out_global);
+      EXPECT_TRUE(BytesEqual(want_local, out_local));
+      EXPECT_TRUE(BytesEqual(want_global, out_global));
+    }
+  }
+}
+
+// The out-of-core shard view computes each coefficient from the per-node
+// factors and goes through the stack chunk; its S x must be the naive
+// loop over the same formula, byte for byte, on both backends, at 1 and 8
+// threads, with zero-weight edges, the hub split across chunks and the
+// column-blocked schedule.
+TEST_F(SimdTest, OocShardViewMatchesNaiveLoop) {
+  const CsrGraph g = ViewTestGraph();
+  const int64_t n = g.num_nodes();
+  const std::string dir = ::testing::TempDir() + "/sgnn_simd_ooc_view";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(storage::WriteShardedGraph(
+                  g, storage::ShardPlan::Contiguous(g, 4), dir)
+                  .ok());
+  for (const Normalization norm :
+       {Normalization::kRow, Normalization::kSymmetric}) {
+    std::vector<double> factor;
+    std::vector<float> self_loop;
+    graph::NodeFactors(g, norm, /*add_self_loops=*/true, &factor,
+                       &self_loop);
+    std::vector<NaiveRow> naive;
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      NaiveRow row{u, {}};
+      const auto nbrs = g.Neighbors(u);
+      const auto ws = g.Weights(u);
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        row.terms.push_back({nbrs[i], graph::EdgeCoefficient(
+                                          norm, ws[i], factor[u],
+                                          factor[nbrs[i]])});
+      }
+      row.terms.push_back({u, self_loop[u]});
+      naive.push_back(row);
+    }
+    for (const int64_t cols : {16L, 160L}) {
+      const Matrix x = RandomMatrix(n, cols, 88);
+      const Matrix want = NaiveSpmm(naive, x, n);
+      for (const bool simd_on : {false, true}) {
+        for (const int threads : {1, 8}) {
+          SCOPED_TRACE("norm=" + std::to_string(static_cast<int>(norm)) +
+                       " cols=" + std::to_string(cols) +
+                       " simd=" + (simd_on ? "on" : "off") +
+                       " threads=" + std::to_string(threads));
+          simd::SetEnabled(simd_on);
+          par::SetThreads(threads);
+          auto open_or = storage::ShardedGraph::Open(dir);
+          ASSERT_TRUE(open_or.ok()) << open_or.status().message();
+          auto prop_or = storage::OocPropagator::Create(
+              open_or.value().get(), norm, /*add_self_loops=*/true);
+          ASSERT_TRUE(prop_or.ok()) << prop_or.status().message();
+          Matrix out;
+          ASSERT_TRUE(prop_or.value().Apply(x, &out).ok());
+          EXPECT_TRUE(BytesEqual(want, out));
+        }
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // Empty rows (isolated nodes) and single-edge rows through the blocked
