@@ -297,7 +297,6 @@ Status Coordinator::CollectWorker(int w, int epoch) {
     Frame frame;
     Status status =
         ReadFrame(handle.fd, &frame, epoch_deadline_, &gather_stats_);
-    if (status.ok() && frame.type == FrameType::kHeartbeat) continue;
     if (status.ok() && frame.type == FrameType::kRows &&
         frame.epoch == static_cast<uint32_t>(epoch)) {
       status = DecodeRows(

@@ -42,7 +42,7 @@ struct DistReport {
   uint64_t halo_bytes = 0;     ///< Boundary rows, the E15-comparable flow.
   uint64_t scatter_bytes = 0;  ///< Initial/restore owned-row shipments.
   uint64_t control_bytes = 0;  ///< Config, go, shutdown frames.
-  /// Worker->coordinator wire bytes (result rows, heartbeats, done).
+  /// Worker->coordinator wire bytes (result rows, done).
   uint64_t gather_bytes = 0;
   uint64_t frames_sent = 0;
   uint64_t frames_received = 0;

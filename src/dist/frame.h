@@ -23,13 +23,14 @@ enum class FrameType : uint32_t {
   kRows = 2,       ///< Either direction: a batch of (node id, float row).
   kHalo = 3,       ///< Coordinator -> worker: boundary rows for an epoch.
   kGo = 4,         ///< Coordinator -> worker: compute epoch `epoch`.
-  kHeartbeat = 5,  ///< Worker -> coordinator: alive and computing.
+  // No type 5: the numbers are on the wire, so the gap stays and a type-5
+  // frame is unexpected.
   kEpochDone = 6,  ///< Worker -> coordinator: all result rows sent.
   kShutdown = 7,   ///< Coordinator -> worker: exit cleanly.
 };
 
 struct Frame {
-  FrameType type = FrameType::kHeartbeat;
+  FrameType type = FrameType::kConfig;
   uint32_t epoch = 0;
   std::string payload;
 };

@@ -218,11 +218,6 @@ void WorkerMain(int fd, common::FaultInjector* faults) {
             KillToken(state.spec.worker_id, static_cast<int>(frame.epoch),
                       state.spec.incarnation);
         const FrameFaults send_faults{faults, token};
-        Frame heartbeat;
-        heartbeat.type = FrameType::kHeartbeat;
-        heartbeat.epoch = frame.epoch;
-        if (!WriteFrame(fd, heartbeat, nullptr, send_faults).ok()) _exit(4);
-
         ComputeEpoch(&state);
 
         const size_t total = state.spec.owned.size();

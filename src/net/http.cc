@@ -145,6 +145,32 @@ common::Status SplitStartLine(const std::string& line, std::string* a,
   return common::Status::OK();
 }
 
+/// The request line: method, target, version.
+common::Status ParseStartLine(const std::string& line, HttpRequest* request) {
+  SGNN_RETURN_IF_ERROR(SplitStartLine(line, &request->method,
+                                      &request->target, &request->version));
+  if (request->version != "HTTP/1.1" && request->version != "HTTP/1.0") {
+    return common::Status::InvalidArgument("unsupported version '" +
+                                           request->version + "'");
+  }
+  return common::Status::OK();
+}
+
+/// The status line: version, code, reason.
+common::Status ParseStartLine(const std::string& line,
+                              HttpResponse* response) {
+  std::string version, code;
+  SGNN_RETURN_IF_ERROR(SplitStartLine(line, &version, &code,
+                                      &response->reason));
+  const auto [ptr, ec] = std::from_chars(
+      code.data(), code.data() + code.size(), response->status_code);
+  if (ec != std::errc() || ptr != code.data() + code.size()) {
+    return common::Status::InvalidArgument("unparseable status code '" +
+                                           code + "'");
+  }
+  return common::Status::OK();
+}
+
 }  // namespace
 
 const std::string* FindHeader(const HttpHeaders& headers,
@@ -155,103 +181,50 @@ const std::string* FindHeader(const HttpHeaders& headers,
   return nullptr;
 }
 
-HttpRequestParser::HttpRequestParser(const HttpLimits& limits)
-    : limits_(limits) {}
-
-common::Status HttpRequestParser::Feed(std::string_view data) {
+template <typename Message>
+common::Status HttpParser<Message>::Feed(std::string_view data) {
   if (!error_.ok()) return error_;
   buffer_.append(data.data(), data.size());
   error_ = ParseBuffered();
   return error_;
 }
 
-common::Status HttpRequestParser::ParseBuffered() {
+template <typename Message>
+common::Status HttpParser<Message>::ParseBuffered() {
   for (;;) {
     MessageHead head;
-    common::Status s = ParseHead(buffer_, limits_, &head);
-    if (!s.ok()) return s;
+    SGNN_RETURN_IF_ERROR(ParseHead(buffer_, limits_, &head));
     if (head.head_bytes == 0) return common::Status::OK();  // Need more.
     if (buffer_.size() < head.head_bytes + head.body_length) {
       return common::Status::OK();  // Head complete, body still arriving.
     }
-    HttpRequest request;
-    SGNN_RETURN_IF_ERROR(SplitStartLine(head.start_line, &request.method,
-                                        &request.target, &request.version));
-    if (request.version != "HTTP/1.1" && request.version != "HTTP/1.0") {
-      return common::Status::InvalidArgument("unsupported version '" +
-                                             request.version + "'");
-    }
-    request.headers = std::move(head.headers);
-    request.body = buffer_.substr(head.head_bytes, head.body_length);
+    Message message;
+    SGNN_RETURN_IF_ERROR(ParseStartLine(head.start_line, &message));
+    message.headers = std::move(head.headers);
+    message.body = buffer_.substr(head.head_bytes, head.body_length);
     buffer_.erase(0, head.head_bytes + head.body_length);
-    ready_.push_back(std::move(request));
+    ready_.push_back(std::move(message));
   }
 }
 
-bool HttpRequestParser::TakeRequest(HttpRequest* out) {
+template <typename Message>
+bool HttpParser<Message>::Take(Message* out) {
   if (ready_.empty()) return false;
   *out = std::move(ready_.front());
   ready_.pop_front();
   return true;
 }
 
-common::Status HttpRequestParser::OnEof() const {
+template <typename Message>
+common::Status HttpParser<Message>::OnEof() const {
   if (buffer_.empty()) return common::Status::OK();
-  return common::Status::DataLoss("peer closed mid-request after " +
+  return common::Status::DataLoss("peer closed mid-message after " +
                                   std::to_string(buffer_.size()) +
                                   " unparsed bytes");
 }
 
-HttpResponseParser::HttpResponseParser(const HttpLimits& limits)
-    : limits_(limits) {}
-
-common::Status HttpResponseParser::Feed(std::string_view data) {
-  if (!error_.ok()) return error_;
-  buffer_.append(data.data(), data.size());
-  error_ = ParseBuffered();
-  return error_;
-}
-
-common::Status HttpResponseParser::ParseBuffered() {
-  for (;;) {
-    MessageHead head;
-    common::Status s = ParseHead(buffer_, limits_, &head);
-    if (!s.ok()) return s;
-    if (head.head_bytes == 0) return common::Status::OK();
-    if (buffer_.size() < head.head_bytes + head.body_length) {
-      return common::Status::OK();
-    }
-    HttpResponse response;
-    std::string version, code;
-    SGNN_RETURN_IF_ERROR(
-        SplitStartLine(head.start_line, &version, &code, &response.reason));
-    const auto [ptr, ec] =
-        std::from_chars(code.data(), code.data() + code.size(),
-                        response.status_code);
-    if (ec != std::errc() || ptr != code.data() + code.size()) {
-      return common::Status::InvalidArgument("unparseable status code '" +
-                                             code + "'");
-    }
-    response.headers = std::move(head.headers);
-    response.body = buffer_.substr(head.head_bytes, head.body_length);
-    buffer_.erase(0, head.head_bytes + head.body_length);
-    ready_.push_back(std::move(response));
-  }
-}
-
-bool HttpResponseParser::TakeResponse(HttpResponse* out) {
-  if (ready_.empty()) return false;
-  *out = std::move(ready_.front());
-  ready_.pop_front();
-  return true;
-}
-
-common::Status HttpResponseParser::OnEof() const {
-  if (buffer_.empty()) return common::Status::OK();
-  return common::Status::DataLoss("peer closed mid-response after " +
-                                  std::to_string(buffer_.size()) +
-                                  " unparsed bytes");
-}
+template class HttpParser<HttpRequest>;
+template class HttpParser<HttpResponse>;
 
 const char* ReasonPhrase(int status_code) {
   switch (status_code) {

@@ -53,27 +53,27 @@ struct HttpLimits {
   size_t max_body_bytes = 1 << 20;
 };
 
-/// Incremental HTTP/1.1 request parser. Feed it raw socket bytes; take
-/// complete requests out as they form (several per feed under pipelining).
-/// A parse error is sticky — the connection's framing is gone, so the
-/// owner must close after reporting it.
+/// Incremental HTTP/1.1 parser, one per direction: `HttpRequestParser`
+/// on the server side, `HttpResponseParser` on the client side. Feed it raw
+/// socket bytes; take complete messages out as they form (several per feed
+/// under pipelining). Only the start line differs between the directions.
+/// A parse error is sticky — the connection's framing is gone, so the owner
+/// must close after reporting it.
 ///
 /// End-of-stream semantics mirror `dist/frame.h`: a peer that closes at a
 /// message boundary is a clean goodbye (`kUnavailable`), one that closes
 /// mid-message tore the stream (`kDataLoss`). The front door counts the
 /// latter against `/healthz`.
-class HttpRequestParser {
+template <typename Message>
+class HttpParser {
  public:
-  explicit HttpRequestParser(const HttpLimits& limits = HttpLimits());
+  explicit HttpParser(const HttpLimits& limits = HttpLimits())
+      : limits_(limits) {}
 
   /// Appends bytes and parses as far as possible. Errors:
   /// `kInvalidArgument` (malformed line / unsupported framing),
   /// `kResourceExhausted` (a limit exceeded). Sticky on error.
   SGNN_NODISCARD common::Status Feed(std::string_view data);
-
-  /// Moves the oldest complete request into `*out`; false when none is
-  /// ready yet.
-  bool TakeRequest(HttpRequest* out);
 
   /// Classifies end-of-stream: OK when nothing was buffered (the peer
   /// finished cleanly between messages), `kDataLoss` when it died
@@ -83,33 +83,33 @@ class HttpRequestParser {
   /// True while no partial message is buffered.
   bool at_boundary() const { return buffer_.empty(); }
 
+ protected:
+  /// Moves the oldest complete message into `*out`; false when none is
+  /// ready yet. Each direction names it for its message.
+  bool Take(Message* out);
+
  private:
   SGNN_NODISCARD common::Status ParseBuffered();
 
   HttpLimits limits_;
   std::string buffer_;
-  std::deque<HttpRequest> ready_;
+  std::deque<Message> ready_;
   common::Status error_ = common::Status::OK();
 };
 
-/// Incremental HTTP/1.1 response parser (the client side); same feeding
-/// discipline and EOF semantics as the request parser.
-class HttpResponseParser {
+extern template class HttpParser<HttpRequest>;
+extern template class HttpParser<HttpResponse>;
+
+class HttpRequestParser : public HttpParser<HttpRequest> {
  public:
-  explicit HttpResponseParser(const HttpLimits& limits = HttpLimits());
+  using HttpParser::HttpParser;
+  bool TakeRequest(HttpRequest* out) { return Take(out); }
+};
 
-  SGNN_NODISCARD common::Status Feed(std::string_view data);
-  bool TakeResponse(HttpResponse* out);
-  SGNN_NODISCARD common::Status OnEof() const;
-  bool at_boundary() const { return buffer_.empty(); }
-
- private:
-  SGNN_NODISCARD common::Status ParseBuffered();
-
-  HttpLimits limits_;
-  std::string buffer_;
-  std::deque<HttpResponse> ready_;
-  common::Status error_ = common::Status::OK();
+class HttpResponseParser : public HttpParser<HttpResponse> {
+ public:
+  using HttpParser::HttpParser;
+  bool TakeResponse(HttpResponse* out) { return Take(out); }
 };
 
 /// Serializes one response with `Content-Length` and the given content

@@ -17,7 +17,7 @@ namespace sgnn::net {
 
 /// Parsed body of `POST /v1/infer`:
 ///   {"node": 7, "tenant": "team-a", "deadline_micros": 5000}
-/// `tenant` and `deadline_micros` are optional (default tenant, inherited
+/// `tenant` and `deadline_micros` are optional (default tenant, no
 /// deadline).
 struct InferRequestBody {
   int64_t node = 0;

@@ -26,10 +26,10 @@ constexpr uint64_t MakeCookie(uint64_t conn_id, uint64_t seq) {
   return (conn_id << kSeqBits) | (seq & kSeqMask);
 }
 
-/// epoll wait granularity. `Shutdown` and the last answer after it wake the
-/// loop through its wake fd; a resumed admission queue (`Resume`, which
-/// only tests and `bench_net` call) still waits for the next pass when no
-/// socket is ready.
+/// epoll wait granularity. `Shutdown` and the first answer into an empty
+/// answer list wake the loop through its wake fd; a resumed admission queue
+/// (`Resume`, which only tests and `bench_net` call) still waits for the
+/// next pass when no socket is ready.
 constexpr int kPollMillis = 20;
 
 /// A connection holding more answered-but-unsent bytes than this is closed,
@@ -133,16 +133,11 @@ common::Status HttpFrontDoor::Start() {
 void HttpFrontDoor::Shutdown() {
   if (!started_.load() || stop_.exchange(true)) return;
   // New infers are refused from here on; the loop keeps dispatching what
-  // admission holds and writing answers until every one is in its slot.
+  // admission holds and placing answers until every one is in its slot.
   admission_.Close();
   Wake(wake_fd_.fd());
   event_thread_.join();
-  {
-    // No worker holds a connection any more: clearing the registry drops
-    // the last owners, and each Conn's OwnedFd closes.
-    common::MutexLock lock(conns_.mu);
-    conns_.map.clear();
-  }
+  conns_.clear();  // Each Conn's OwnedFd closes.
   open_connections_->Set(0.0);
   listen_fd_.Close();
   epoll_fd_.Close();
@@ -158,7 +153,8 @@ bool HttpFrontDoor::Healthy() const {
 
 void HttpFrontDoor::EventLoop() {
   std::vector<ReadyEvent> events;
-  while (!stop_.load() || unanswered_.load() > 0) {
+  std::vector<Answer> taken;
+  while (!stop_.load() || unanswered_ > 0) {
     auto n = WaitEvents(epoll_fd_.fd(), &events, 64, kPollMillis);
     if (!n.ok()) break;  // Only fails when the epoll fd itself is gone.
     for (const ReadyEvent& ev : events) {
@@ -167,31 +163,25 @@ void HttpFrontDoor::EventLoop() {
         continue;
       }
       if (ev.data == kWakeCookie) {
+        // Drained before the list is taken below, so an answer appended
+        // after that take finds the list empty and wakes the loop again.
         DrainWake(wake_fd_.fd());
         continue;
       }
-      std::shared_ptr<Conn> conn;
-      {
-        common::MutexLock lock(conns_.mu);
-        auto it = conns_.map.find(ev.data);
-        if (it == conns_.map.end()) continue;  // Closed while queued.
-        conn = it->second;
+      Conn* conn = FindConn(ev.data);
+      if (conn == nullptr) continue;  // Closed earlier in this pass.
+      if ((ev.events & ~uint32_t{EPOLLOUT}) != 0 && !HandleReadable(*conn)) {
+        continue;
       }
-      if ((ev.events & ~uint32_t{EPOLLOUT}) != 0) HandleReadable(conn);
-      if ((ev.events & EPOLLOUT) != 0 && conn->fd.valid()) {
-        HandleWritable(conn);
-      }
+      if ((ev.events & EPOLLOUT) != 0) Flush(*conn);
     }
+    PlaceAnswers(&taken);
     Dispatch();
   }
   // Last pass: every admitted request is answered by now; write what each
-  // socket takes without blocking.
-  std::vector<std::shared_ptr<Conn>> open;
-  {
-    common::MutexLock lock(conns_.mu);
-    for (const auto& [id, conn] : conns_.map) open.push_back(conn);
-  }
-  for (const std::shared_ptr<Conn>& conn : open) HandleWritable(conn);
+  // socket takes without blocking. The iterator moves on before `Flush`,
+  // which may close (erase) the connection it is given.
+  for (auto it = conns_.begin(); it != conns_.end();) Flush((it++)->second);
 }
 
 void HttpFrontDoor::Dispatch() {
@@ -205,131 +195,151 @@ void HttpFrontDoor::Dispatch() {
           const int code = response.status.ok()
                                ? 200
                                : HttpStatusForCode(response.status.code());
-          Answer(cookie, code, RenderInferResponse(response), kJson);
-          // Once Shutdown began, each answer wakes the loop to recount;
-          // waking before the decrement keeps the wake fd open for it.
-          if (stop_.load()) Wake(wake_fd_.fd());
-          unanswered_.fetch_sub(1);  // The last touch of *this.
+          std::string bytes =
+              Render(code, RenderInferResponse(response), kJson);
+          common::MutexLock lock(answer_list_.mu);
+          // Waking under the lock keeps the wake fd open for it: the loop
+          // takes this answer only once the lock is released, and
+          // `Shutdown` closes the fd only after the loop took every answer.
+          if (answer_list_.answers.empty()) Wake(wake_fd_.fd());
+          answer_list_.answers.push_back(Answer{cookie, std::move(bytes)});
         });
     if (!submitted.ok()) {
-      Answer(cookie, HttpStatusForCode(submitted.code()),
-             RenderError(submitted), kJson);
-      unanswered_.fetch_sub(1);
+      --unanswered_;
+      if (Conn* conn = FindConn(cookie >> kSeqBits)) {
+        Respond(*conn, cookie, HttpStatusForCode(submitted.code()),
+                RenderError(submitted), kJson);
+        Flush(*conn);
+      }
     }
   }
+}
+
+void HttpFrontDoor::PlaceAnswers(std::vector<Answer>* taken) {
+  {
+    common::MutexLock lock(answer_list_.mu);
+    taken->swap(answer_list_.answers);
+  }
+  unanswered_ -= static_cast<int64_t>(taken->size());
+  for (Answer& answer : *taken) {
+    if (Conn* conn = FindConn(answer.cookie >> kSeqBits)) {
+      Fill(*conn, answer.cookie, std::move(answer.bytes));
+    }
+  }
+  // The first flush of a connection sends every answer it has ready; a
+  // later one for the same connection finds nothing new.
+  for (const Answer& answer : *taken) {
+    if (Conn* conn = FindConn(answer.cookie >> kSeqBits)) Flush(*conn);
+  }
+  taken->clear();
 }
 
 void HttpFrontDoor::HandleAcceptable() {
   for (;;) {
     auto accepted = AcceptConn(listen_fd_.fd());
     if (!accepted.ok()) return;  // kUnavailable: drained the backlog.
-    const uint64_t accept_index = accepts_.fetch_add(1);
+    const uint64_t accept_index = accepts_++;
     accepted_total_->Increment();
     if (faults_ != nullptr &&
         faults_->ShouldFail(kSiteAcceptFail, accept_index)) {
       accept_faults_total_->Increment();
       continue;  // The OwnedFd closes; the client sees a reset.
     }
-    auto conn = std::make_shared<Conn>(next_conn_id_.fetch_add(1),
-                                       config_.http_limits);
-    conn->fd = std::move(accepted).value();
-    size_t open = 0;
-    {
-      common::MutexLock lock(conns_.mu);
-      conns_.map.emplace(conn->id, conn);
-      open = conns_.map.size();
-    }
-    common::Status added =
-        EpollAdd(epoll_fd_.fd(), conn->fd.fd(), EPOLLIN, conn->id);
-    if (!added.ok()) {
-      CloseConn(conn, false);
+    const uint64_t id = next_conn_id_++;
+    Conn& conn = conns_.try_emplace(id, id).first->second;
+    conn.fd = std::move(accepted).value();
+    if (!EpollAdd(epoll_fd_.fd(), conn.fd.fd(), EPOLLIN, id).ok()) {
+      conns_.erase(id);
       continue;
     }
-    open_connections_->Set(static_cast<double>(open));
+    open_connections_->Set(static_cast<double>(conns_.size()));
   }
 }
 
-void HttpFrontDoor::HandleReadable(const std::shared_ptr<Conn>& conn) {
+bool HttpFrontDoor::HandleReadable(Conn& conn) {
   char buf[16384];
   for (;;) {
-    auto n = RecvSome(conn->fd.fd(), buf, sizeof(buf));
+    auto n = RecvSome(conn.fd.fd(), buf, sizeof(buf));
     if (!n.ok()) {
-      if (n.status().code() == common::StatusCode::kUnavailable) return;
-      CloseConn(conn, !conn->parser.at_boundary());
-      return;
+      if (n.status().code() == common::StatusCode::kUnavailable) return true;
+      CloseConn(conn, !conn.parser.at_boundary());
+      return false;
     }
     if (n.value() == 0) {  // EOF: clean at a boundary, torn otherwise.
-      CloseConn(conn, !conn->parser.OnEof().ok());
-      return;
+      CloseConn(conn, !conn.parser.OnEof().ok());
+      return false;
     }
-    const uint64_t read_seq = conn->reads++;
+    const uint64_t read_seq = conn.reads++;
     std::string_view data(buf, n.value());
     if (faults_ != nullptr &&
-        faults_->ShouldFail(kSiteReadTrunc, ReadToken(conn->id, read_seq))) {
+        faults_->ShouldFail(kSiteReadTrunc, ReadToken(conn.id, read_seq))) {
       // Deliver half the bytes, then tear the stream as a mid-read peer
       // death would. The parse outcome is irrelevant: the connection dies
       // either way, and OnEof() below classifies the tear.
       // sgnn-lint: allow(status/void-cast): injected tear discards the
       // half-fed parse result by design; OnEof() is the observed verdict.
-      (void)conn->parser.Feed(data.substr(0, data.size() / 2));
-      CloseConn(conn, !conn->parser.OnEof().ok());
-      return;
+      (void)conn.parser.Feed(data.substr(0, data.size() / 2));
+      CloseConn(conn, !conn.parser.OnEof().ok());
+      return false;
     }
-    common::Status fed = conn->parser.Feed(data);
+    common::Status fed = conn.parser.Feed(data);
     if (!fed.ok()) {
       const int code =
           fed.code() == common::StatusCode::kResourceExhausted ? 431 : 400;
-      Answer(ReserveSlot(conn), code, RenderError(fed), kJson);
-      // Framing is gone; the loop writes what the socket takes, then closes.
-      HandleWritable(conn);
-      CloseConn(conn, false);
-      return;
+      Respond(conn, ReserveSlot(conn), code, RenderError(fed), kJson);
+      // Framing is gone; write what the socket takes, then close.
+      if (Flush(conn)) CloseConn(conn, false);
+      return false;
     }
     HttpRequest request;
-    while (conn->parser.TakeRequest(&request)) {
+    while (conn.parser.TakeRequest(&request)) {
       HandleRequest(conn, std::move(request));
       request = HttpRequest();
     }
-    if (conn->unsent.load() > kMaxUnsentBytes) {
+    if (!Flush(conn)) return false;
+    if (conn.unsent > kMaxUnsentBytes) {
       CloseConn(conn, false);  // The peer stopped reading its answers.
-      return;
+      return false;
     }
-    if (n.value() < sizeof(buf)) return;  // Drained what was ready.
+    if (n.value() < sizeof(buf)) return true;  // Drained what was ready.
   }
 }
 
-void HttpFrontDoor::HandleWritable(const std::shared_ptr<Conn>& conn) {
-  {
-    common::MutexLock lock(conn->mu);
-    while (!conn->slots.empty() && conn->slots.front().ready) {
-      conn->out += conn->slots.front().bytes;
-      conn->slots.pop_front();
+bool HttpFrontDoor::Flush(Conn& conn) {
+  const bool armed = !conn.out.empty();
+  while (!conn.slots.empty() && conn.slots.front().has_value()) {
+    if (conn.out.empty()) {
+      conn.out = std::move(*conn.slots.front());
+    } else {
+      conn.out += *conn.slots.front();
     }
+    conn.slots.pop_front();
   }
   size_t sent = 0;
-  while (sent < conn->out.size()) {
-    auto n = SendSome(conn->fd.fd(), conn->out.data() + sent,
-                      conn->out.size() - sent);
+  while (sent < conn.out.size()) {
+    auto n = SendSome(conn.fd.fd(), conn.out.data() + sent,
+                      conn.out.size() - sent);
     if (!n.ok()) {
       CloseConn(conn, false);  // The peer is gone.
-      return;
+      return false;
     }
     if (n.value() == 0) break;  // Send buffer full: wait for EPOLLOUT.
     sent += n.value();
   }
-  conn->out.erase(0, sent);
-  conn->unsent.fetch_sub(sent);
-  common::MutexLock lock(conn->mu);
-  const bool more = !conn->out.empty() ||
-                    (!conn->slots.empty() && conn->slots.front().ready);
-  if (conn->out_armed && !more) {
-    conn->out_armed =
-        !EpollMod(epoll_fd_.fd(), conn->fd.fd(), EPOLLIN, conn->id).ok();
+  conn.out.erase(0, sent);
+  conn.unsent -= sent;
+  const bool blocked = !conn.out.empty();
+  if (blocked != armed &&
+      !EpollMod(epoll_fd_.fd(), conn.fd.fd(),
+                blocked ? EPOLLIN | EPOLLOUT : EPOLLIN, conn.id)
+           .ok()) {
+    CloseConn(conn, false);  // A socket the loop cannot watch is lost.
+    return false;
   }
+  return true;
 }
 
-void HttpFrontDoor::HandleRequest(const std::shared_ptr<Conn>& conn,
-                                  HttpRequest request) {
+void HttpFrontDoor::HandleRequest(Conn& conn, HttpRequest request) {
   obs::TraceSpan span = obs::StartSpan(tracer_, "net:request", "net");
   requests_total_->Increment();
   // A successfully parsed request proves the stream is healthy again;
@@ -338,7 +348,7 @@ void HttpFrontDoor::HandleRequest(const std::shared_ptr<Conn>& conn,
   const uint64_t cookie = ReserveSlot(conn);
 
   auto refuse = [&](int code, const common::Status& status) {
-    Answer(cookie, code, RenderError(status), kJson);
+    Respond(conn, cookie, code, RenderError(status), kJson);
   };
   auto wrong_method = [&](const char* only) {
     refuse(405, common::Status::InvalidArgument(request.target + " accepts " +
@@ -349,27 +359,28 @@ void HttpFrontDoor::HandleRequest(const std::shared_ptr<Conn>& conn,
     if (request.method != "GET") return wrong_method("GET");
     int code = 200;
     const std::string body = HealthzBody(&code);
-    Answer(cookie, code, body, kText);
+    Respond(conn, cookie, code, body, kText);
     return;
   }
   if (request.target == "/metrics") {
     if (request.method != "GET") return wrong_method("GET");
-    Answer(cookie, 200, MetricsBody(), kText);
+    Respond(conn, cookie, 200, MetricsBody(), kText);
     return;
   }
   if (request.target == "/v1/infer") {
     if (request.method != "POST") return wrong_method("POST");
-    HandleInfer(cookie, request);
+    HandleInfer(conn, cookie, request);
     return;
   }
   refuse(404, common::Status::NotFound("no route for '" + request.target +
                                        "'"));
 }
 
-void HttpFrontDoor::HandleInfer(uint64_t cookie, const HttpRequest& request) {
+void HttpFrontDoor::HandleInfer(Conn& conn, uint64_t cookie,
+                                const HttpRequest& request) {
   auto fail = [&](const common::Status& status) {
-    Answer(cookie, HttpStatusForCode(status.code()), RenderError(status),
-           kJson);
+    Respond(conn, cookie, HttpStatusForCode(status.code()),
+            RenderError(status), kJson);
   };
 
   auto parsed = ParseInferRequest(request.body);
@@ -389,8 +400,6 @@ void HttpFrontDoor::HandleInfer(uint64_t cookie, const HttpRequest& request) {
   infer.tenant_id = body.tenant;
   infer.deadline_micros = body.deadline_micros;
 
-  // Counted before the offer, so Shutdown cannot miss an admitted one.
-  unanswered_.fetch_add(1);
   auto admitted =
       admission_.Offer(std::move(infer), cookie, server_->breaker_state());
   if (!admitted.ok()) {
@@ -401,9 +410,9 @@ void HttpFrontDoor::HandleInfer(uint64_t cookie, const HttpRequest& request) {
       shed_rejected_total_->Increment();
     }
     fail(admitted.status());
-    unanswered_.fetch_sub(1);
     return;
   }
+  ++unanswered_;
   shed_tier_->Set(static_cast<double>(admitted.value()));
   admitted_total_->Increment();
   if (admitted.value() == serve::ShedTier::kStale) {
@@ -434,71 +443,49 @@ std::string HttpFrontDoor::HealthzBody(int* http_status) {
   return body;
 }
 
-uint64_t HttpFrontDoor::ReserveSlot(const std::shared_ptr<Conn>& conn) {
-  common::MutexLock lock(conn->mu);
-  const uint64_t seq = conn->next_seq++;
-  conn->slots.push_back(Slot{seq, false, std::string()});
-  return MakeCookie(conn->id, seq);
+HttpFrontDoor::Conn* HttpFrontDoor::FindConn(uint64_t id) {
+  auto it = conns_.find(id);
+  return it == conns_.end() ? nullptr : &it->second;
 }
 
-void HttpFrontDoor::Answer(uint64_t cookie, int code, std::string_view body,
-                           std::string_view content_type) {
+uint64_t HttpFrontDoor::ReserveSlot(Conn& conn) {
+  conn.slots.emplace_back();
+  return MakeCookie(conn.id, conn.next_seq++);
+}
+
+std::string HttpFrontDoor::Render(int code, std::string_view body,
+                                  std::string_view content_type) {
   if (code >= 400) http_errors_total_->Increment();
-  FillSlot(cookie,
-           SerializeResponse(code, ReasonPhrase(code), body, content_type));
+  return SerializeResponse(code, ReasonPhrase(code), body, content_type);
 }
 
-void HttpFrontDoor::FillSlot(uint64_t cookie, std::string bytes) {
-  const uint64_t conn_id = cookie >> kSeqBits;
-  const uint64_t seq = cookie & kSeqMask;
-  std::shared_ptr<Conn> conn;
-  {
-    common::MutexLock lock(conns_.mu);
-    auto it = conns_.map.find(conn_id);
-    if (it == conns_.map.end()) return;  // Conn died; response dropped.
-    conn = it->second;
-  }
+void HttpFrontDoor::Fill(Conn& conn, uint64_t cookie, std::string bytes) {
+  // The slots hold sequence numbers next_seq - size .. next_seq - 1.
+  const uint64_t oldest = conn.next_seq - conn.slots.size();
+  const uint64_t index = ((cookie & kSeqMask) - oldest) & kSeqMask;
+  SGNN_CHECK_LT(index, conn.slots.size());
   responses_total_->Increment();
-  common::MutexLock lock(conn->mu);
-  for (Slot& slot : conn->slots) {
-    if ((slot.seq & kSeqMask) == seq) {
-      conn->unsent.fetch_add(bytes.size());
-      slot.ready = true;
-      slot.bytes = std::move(bytes);
-      break;
-    }
-  }
-  // The loop closes the fd under this lock, so a valid fd here is still
-  // this connection's.
-  if (!conn->out_armed && conn->fd.valid() && !conn->slots.empty() &&
-      conn->slots.front().ready) {
-    conn->out_armed = EpollMod(epoll_fd_.fd(), conn->fd.fd(),
-                               EPOLLIN | EPOLLOUT, conn->id)
-                          .ok();
-  }
+  conn.unsent += bytes.size();
+  conn.slots[index] = std::move(bytes);
 }
 
-void HttpFrontDoor::CloseConn(const std::shared_ptr<Conn>& conn, bool torn) {
-  size_t open = 0;
-  {
-    common::MutexLock lock(conns_.mu);
-    conns_.map.erase(conn->id);
-    open = conns_.map.size();
-  }
-  {
-    common::MutexLock lock(conn->mu);
-    if (conn->fd.valid()) {
-      // sgnn-lint: allow(status/void-cast): best-effort deregistration on
-      // the close path; the fd is closed next, which detaches it anyway.
-      (void)EpollDel(epoll_fd_.fd(), conn->fd.fd());
-      conn->fd.Close();
-    }
-  }
+void HttpFrontDoor::Respond(Conn& conn, uint64_t cookie, int code,
+                            std::string_view body,
+                            std::string_view content_type) {
+  Fill(conn, cookie, Render(code, body, content_type));
+}
+
+void HttpFrontDoor::CloseConn(Conn& conn, bool torn) {
+  // sgnn-lint: allow(status/void-cast): best-effort deregistration on the
+  // close path; the fd is closed next, which detaches it anyway.
+  (void)EpollDel(epoll_fd_.fd(), conn.fd.fd());
+  const uint64_t id = conn.id;
+  conns_.erase(id);  // Closes the socket.
   if (torn) {
     torn_reads_total_->Increment();
     torn_streak_.fetch_add(1);
   }
-  open_connections_->Set(static_cast<double>(open));
+  open_connections_->Set(static_cast<double>(conns_.size()));
 }
 
 }  // namespace sgnn::net

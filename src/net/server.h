@@ -6,9 +6,11 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <vector>
 
 #include "common/fault.h"
 #include "common/status.h"
@@ -48,7 +50,6 @@ struct HttpFrontDoorConfig {
   uint16_t port = 0;
   /// Multi-tenant admission: quotas, DWRR weights, shed policy.
   serve::AdmissionConfig admission;
-  HttpLimits http_limits;
   /// `/healthz` turns 503 after this many consecutive torn reads
   /// (`kDataLoss` stream endings); any successfully parsed request resets
   /// the streak.
@@ -61,16 +62,18 @@ struct HttpFrontDoorConfig {
 ///   GET  /metrics    Prometheus text exposition of the shared registry
 ///   GET  /healthz    "ok" (200) or the reason it is not (503)
 ///
-/// One event-loop thread is the tier's only I/O thread: it accepts, reads,
-/// parses, `Offer`s each infer to the `serve::AdmissionQueue` (token-bucket
-/// quota, shed tier), and at the end of every iteration drains admission
+/// One event-loop thread is the tier's only I/O thread, and the only thread
+/// that touches connection state: it accepts, reads, parses, `Offer`s each
+/// infer to the `serve::AdmissionQueue` (token-bucket quota, shed tier),
+/// and at the end of every iteration drains admission
 /// deficit-weighted-fair into `BatchingServer::Submit`. The serving worker
-/// that resolves a request renders its JSON into the connection's response
-/// slot and, when that slot is the connection's oldest, arms EPOLLOUT. The
-/// loop then writes the ready slots *in request order per connection*
-/// (HTTP/1.1 pipelining) with non-blocking sends, so a slow infer holds
-/// back only the slots behind it on its own connection, and a peer that
-/// stops reading is closed once 4 MiB of answers wait for it.
+/// that resolves a request renders its HTTP answer and appends it to one
+/// answer list; the loop takes the whole list each iteration, places every
+/// answer in its connection's response slot and writes the ready slots
+/// *in request order per connection* (HTTP/1.1 pipelining) with
+/// non-blocking sends, so a slow infer holds back only the slots behind it
+/// on its own connection, and a peer that stops reading is closed once
+/// 4 MiB of answers wait for it.
 /// Load shedding degrades exact → stale → reject as the serving breaker
 /// opens and the admission queues fill.
 ///
@@ -113,80 +116,75 @@ class HttpFrontDoor {
   bool Healthy() const;
 
  private:
-  /// One pipelined response slot; responses are written strictly in
-  /// request order per connection.
-  struct Slot {
-    uint64_t seq = 0;
-    bool ready = false;
+  /// One accepted connection. Only the event loop touches it.
+  struct Conn {
+    explicit Conn(uint64_t id_in) : id(id_in) {}
+    const uint64_t id;
+    OwnedFd fd;
+    HttpRequestParser parser;
+    /// Read counter feeding `ReadToken`.
+    uint64_t reads = 0;
+    /// One response slot per request whose answer has not moved to `out`,
+    /// in request order; empty until its answer arrives.
+    std::deque<std::optional<std::string>> slots;
+    /// Sequence number of the next request's slot.
+    uint64_t next_seq = 0;
+    /// Ready answers taken from `slots` that the socket has not taken yet.
+    /// EPOLLOUT is armed on `fd` exactly while it is non-empty.
+    std::string out;
+    /// Bytes of filled slots and of `out` not yet sent.
+    size_t unsent = 0;
+  };
+
+  /// An answer a serving worker rendered for the slot `cookie` names.
+  struct Answer {
+    uint64_t cookie = 0;
     std::string bytes;
   };
 
-  struct Conn {
-    Conn(uint64_t id_in, const HttpLimits& limits)
-        : id(id_in), parser(limits) {}
-    const uint64_t id;
-    /// The socket. Only the event loop reads, writes or closes it (it
-    /// closes it under `mu`; `Shutdown` closes what is left once the loop
-    /// has stopped). `FillSlot` arms EPOLLOUT under `mu` only while it is
-    /// still open, so a late answer never arms an fd number that a newer
-    /// connection now holds.
-    // sgnn-lint: allow(lock/unannotated-field): closed only by the event
-    // loop, under mu; other threads touch it only under mu.
-    OwnedFd fd;
-    // sgnn-lint: allow(lock/unannotated-field): fed and drained only by
-    // the event-loop thread.
-    HttpRequestParser parser;
-    /// Per-conn read counter feeding `ReadToken`.
-    // sgnn-lint: allow(lock/unannotated-field): event-loop thread only.
-    uint64_t reads = 0;
-    /// Ready answers taken from `slots` that the socket has not taken yet.
-    // sgnn-lint: allow(lock/unannotated-field): event-loop thread only.
-    std::string out;
+  /// Answers from serving workers, in the order they were rendered; the
+  /// event loop takes the whole list at once. The first answer into an
+  /// empty list writes the wake fd.
+  struct AnswerList {
     common::Mutex mu;
-    std::deque<Slot> slots SGNN_GUARDED_BY(mu);
-    uint64_t next_seq SGNN_GUARDED_BY(mu) = 0;
-    /// Bytes of filled slots and of `out` not yet sent.
-    std::atomic<size_t> unsent{0};
-    /// Whether EPOLLOUT is armed on `fd`.
-    bool out_armed SGNN_GUARDED_BY(mu) = false;
-  };
-
-  /// The connection registry; its own lock scope so lookups from serving
-  /// workers never contend with anything but accept/close.
-  struct ConnTable {
-    mutable common::Mutex mu;
-    std::map<uint64_t, std::shared_ptr<Conn>> map SGNN_GUARDED_BY(mu);
+    std::vector<Answer> answers SGNN_GUARDED_BY(mu);
   };
 
   void EventLoop();
   /// Drains admission into `BatchingServer::Submit`, deficit-weighted-fair.
   void Dispatch();
+  /// Swaps the answer list into `*taken`, places every answer and sends
+  /// what each connection can send.
+  void PlaceAnswers(std::vector<Answer>* taken);
 
   void HandleAcceptable();
-  void HandleReadable(const std::shared_ptr<Conn>& conn);
-  /// Moves the ready in-order prefix of `conn->slots` into `conn->out`,
-  /// sends what the socket takes, and disarms EPOLLOUT once nothing is
-  /// left.
-  void HandleWritable(const std::shared_ptr<Conn>& conn);
-  void HandleRequest(const std::shared_ptr<Conn>& conn, HttpRequest request);
-  void HandleInfer(uint64_t cookie, const HttpRequest& request);
+  /// Reads and answers what `conn` sent. False once it closed `conn`.
+  bool HandleReadable(Conn& conn);
+  /// Moves the ready in-order prefix of `conn.slots` into `conn.out`, sends
+  /// what the socket takes, and arms EPOLLOUT only while a send would
+  /// block. False once it closed `conn`.
+  bool Flush(Conn& conn);
+  void HandleRequest(Conn& conn, HttpRequest request);
+  void HandleInfer(Conn& conn, uint64_t cookie, const HttpRequest& request);
   std::string MetricsBody();
   std::string HealthzBody(int* http_status);
 
+  /// The open connection with this id, or null once it closed.
+  Conn* FindConn(uint64_t id);
   /// Reserves the next in-order response slot on `conn`; returns the
   /// cookie that routes the response back to it.
-  uint64_t ReserveSlot(const std::shared_ptr<Conn>& conn);
-  /// Serialises one answer into the slot `cookie` names, counting codes
-  /// >= 400 in `sgnn_net_http_errors_total`. Safe from any thread.
-  void Answer(uint64_t cookie, int code, std::string_view body,
-              std::string_view content_type);
-  /// Fills the slot `cookie` names and, when that makes the connection's
-  /// oldest slot ready, arms EPOLLOUT. Safe from any thread; a vanished
-  /// connection drops the bytes.
-  void FillSlot(uint64_t cookie, std::string bytes);
+  static uint64_t ReserveSlot(Conn& conn);
+  /// Serialises one answer, counting codes >= 400 in
+  /// `sgnn_net_http_errors_total`. Safe from any thread.
+  std::string Render(int code, std::string_view body,
+                     std::string_view content_type);
+  /// Fills the slot `cookie` names on `conn`.
+  void Fill(Conn& conn, uint64_t cookie, std::string bytes);
+  /// Renders an answer of the event loop's own into its slot.
+  void Respond(Conn& conn, uint64_t cookie, int code, std::string_view body,
+               std::string_view content_type);
   /// Closes and forgets a connection; `torn` feeds the healthz streak.
-  /// Event-loop thread only.
-  void CloseConn(const std::shared_ptr<Conn>& conn, bool torn);
+  void CloseConn(Conn& conn, bool torn);
 
   serve::BatchingServer* const server_;
   const HttpFrontDoorConfig config_;
@@ -199,19 +197,23 @@ class HttpFrontDoor {
 
   OwnedFd listen_fd_;
   OwnedFd epoll_fd_;
-  /// In the epoll set; written by `Shutdown` and by answers after it.
+  /// In the epoll set; written by `Shutdown` and by the answer that makes
+  /// the answer list non-empty.
   OwnedFd wake_fd_;
   uint16_t port_ = 0;
 
-  ConnTable conns_;
-  std::atomic<uint64_t> next_conn_id_{0};
+  AnswerList answer_list_;
 
-  /// Infers counted in before their `Offer` and out once their slot is
-  /// filled or the offer is refused. Once `Shutdown` begins, the loop runs
-  /// until it reads zero here.
-  std::atomic<int64_t> unanswered_{0};
+  /// Event-loop state: the open connections by id (ids are never reused,
+  /// so an answer for a closed connection finds nothing), the accept and
+  /// connection counters, and the infers counted in once admitted and out
+  /// once their answer is taken or their submit fails. Once `Shutdown`
+  /// begins, the loop runs until `unanswered_` reads zero.
+  std::map<uint64_t, Conn> conns_;
+  uint64_t next_conn_id_ = 0;
+  uint64_t accepts_ = 0;
+  int64_t unanswered_ = 0;
 
-  std::atomic<uint64_t> accepts_{0};
   std::atomic<int> torn_streak_{0};
   std::atomic<bool> started_{false};
   std::atomic<bool> stop_{false};
@@ -230,8 +232,6 @@ class HttpFrontDoor {
   obs::Gauge* open_connections_;
   obs::Gauge* shed_tier_;
 
-  // sgnn-lint: allow(lock/unannotated-field): started in Start() before
-  // any concurrent access, joined in Shutdown(); not touched in between.
   std::thread event_thread_;
 };
 

@@ -42,8 +42,7 @@ AdmissionQueue::AdmissionQueue(const AdmissionConfig& config)
 AdmissionQueue::Tenant& AdmissionQueue::TenantFor(const std::string& id) {
   auto it = tenants_.find(id);
   if (it == tenants_.end()) {
-    it = tenants_.emplace(id, std::make_unique<Tenant>(config_.default_quota))
-             .first;
+    it = tenants_.emplace(id, std::make_unique<Tenant>(TenantQuota{})).first;
   }
   return *it->second;
 }
@@ -95,7 +94,7 @@ bool AdmissionQueue::TryDwrrPop(Queued* out) {
   // At most two sweeps over the tenant map: the first may spend visits
   // resetting deficits of empty queues; if any queue is non-empty, its
   // tenant accrues at least one grant within two sweeps (weights are
-  // checked positive) unless quantum * weight < 1, in which case servicing
+  // checked positive) unless weight < 1, in which case servicing
   // legitimately waits for enough full rounds — bounded here by giving
   // every non-empty tenant one grant per sweep and bailing once a full
   // double sweep produced nothing.
@@ -117,7 +116,7 @@ bool AdmissionQueue::TryDwrrPop(Queued* out) {
       // Classic DRR: an idle tenant's deficit resets so it cannot hoard
       // service credit while it has nothing to send.
       if (nonempty) {
-        tenant.deficit += config_.quantum * std::max(tenant.quota.weight, 0.0);
+        tenant.deficit += std::max(tenant.quota.weight, 0.0);
       } else {
         tenant.deficit = 0.0;
       }
@@ -143,7 +142,7 @@ bool AdmissionQueue::TryDwrrPop(Queued* out) {
     cursor_ = it->first;
     cursor_granted_ = false;
   }
-  // quantum * weight < 1 for every backlogged tenant: deficits accrued this
+  // weight < 1 for every backlogged tenant: deficits accrued this
   // call; the next call continues accruing until one crosses 1.
   return false;
 }

@@ -37,7 +37,8 @@ const char* ShedTierName(ShedTier tier);
 /// Per-tenant admission parameters.
 struct TenantQuota {
   /// Relative fair share under saturation: a tenant with weight 2 drains
-  /// twice as fast as one with weight 1 while both are backlogged.
+  /// twice as fast as one with weight 1 while both are backlogged. Each
+  /// DWRR visit grants `weight` of deficit; one unit buys one request.
   double weight = 1.0;
   /// Token-bucket burst size; each admitted request spends one token and
   /// an empty bucket rejects with `kResourceExhausted` (HTTP 429). The
@@ -67,16 +68,12 @@ struct ShedPolicy {
 
 struct AdmissionConfig {
   /// Known tenants and their quotas; tenants not listed here are created
-  /// on first use with `default_quota`.
+  /// on first use with a default `TenantQuota`.
   std::map<std::string, TenantQuota> tenants;
-  TenantQuota default_quota;
   /// Bound of each tenant's FIFO; `Offer` rejects `kUnavailable` beyond it
   /// (per-tenant backpressure — one flooding tenant fills its own queue,
   /// not its neighbours').
   size_t per_tenant_capacity = 256;
-  /// DWRR quantum: deficit granted per visit is `quantum * weight`. One
-  /// unit of deficit buys one request.
-  double quantum = 1.0;
   ShedPolicy shed;
   /// Record the tenant-id sequence of every dispatch (test/bench hook for
   /// exact fairness assertions; unbounded, so off by default).

@@ -30,7 +30,6 @@ BatchingServer::BatchingServer(FrozenModel model, EmbeddingFn embed_fn,
   SGNN_CHECK_GE(config.max_delay_micros, 0);
   SGNN_CHECK_GE(config.num_workers, 1);
   SGNN_CHECK_GE(config.max_staleness, 0);
-  SGNN_CHECK_GE(config.deadline_micros, 0);
   SGNN_CHECK_GE(config.embed_retry.max_attempts, 1);
   SGNN_CHECK(embed_fn_ != nullptr);
   base_ops_ = common::AggregateThreadCounters();
@@ -57,9 +56,7 @@ common::Status BatchingServer::Submit(
     metrics_.RecordRejected();
     return common::Status::Unavailable("injected admission fault");
   }
-  const int64_t deadline_micros = inference_request.deadline_micros > 0
-                                      ? inference_request.deadline_micros
-                                      : config_.deadline_micros;
+  const int64_t deadline_micros = inference_request.deadline_micros;
   Request request;
   request.node = node;
   request.tenant_id = inference_request.tenant_id;

@@ -47,11 +47,6 @@ struct ServeConfig {
   int64_t max_staleness = std::numeric_limits<int64_t>::max();
   /// Write freshly computed embeddings back into the cache.
   bool update_cache = true;
-  /// Per-request time budget from enqueue, in microseconds; 0 = none.
-  /// Checked when a worker dequeues the request (expired requests skip all
-  /// embedding work) and again after the batch forward (late results are
-  /// not delivered as successes). Both resolve to `kDeadlineExceeded`.
-  int64_t deadline_micros = 0;
   /// Transient embedder failures (`kUnavailable`/`kAborted`) are retried
   /// under this policy; the backoff never sleeps past the request deadline.
   common::RetryPolicy embed_retry;
@@ -72,7 +67,7 @@ struct ServeConfig {
 /// scheduling, and shedding reason about one shape.
 struct InferenceRequest {
   InferenceRequest() = default;
-  /// Bare single-node request: default tenant, inherited deadline.
+  /// Bare single-node request: default tenant, no deadline.
   explicit InferenceRequest(graph::NodeId node_in) : node(node_in) {}
 
   graph::NodeId node = 0;
@@ -80,8 +75,10 @@ struct InferenceRequest {
   /// dequeue key on it. Empty = the anonymous default tenant. The server
   /// itself only echoes it into the response.
   std::string tenant_id;
-  /// Per-request time budget in microseconds from submission; 0 = inherit
-  /// `ServeConfig::deadline_micros`.
+  /// Time budget in microseconds from submission; 0 = none. Checked when
+  /// a worker dequeues the request (expired requests skip all embedding
+  /// work) and again after the batch forward (late results are not
+  /// delivered as successes). Both resolve to `kDeadlineExceeded`.
   int64_t deadline_micros = 0;
   /// Degraded-tier request (set by the load shedder's stale tier): serve
   /// the node's cached row at *any* staleness and never call the embedder;

@@ -426,8 +426,7 @@ TEST(WorkerMainTest, ScatterRecordsOutOfPlaceAreRefusedBeforeAnswering) {
       RunWorker(frames_with(OneColumnRows({3, 5}, {1.0f, 2.0f})));
   EXPECT_EQ(in_order.exit_code, 0);
   EXPECT_EQ(in_order.types,
-            (std::vector<FrameType>{FrameType::kHeartbeat, FrameType::kRows,
-                                    FrameType::kEpochDone}));
+            (std::vector<FrameType>{FrameType::kRows, FrameType::kEpochDone}));
   // 0.5 * 1 + 4 and 0.25 * 2 + 1 + 4.
   EXPECT_EQ(in_order.rows, (std::vector<std::pair<NodeId, float>>{
                                {3, 4.5f}, {5, 5.5f}}));
@@ -466,8 +465,7 @@ TEST(WorkerMainTest, HaloRecordsOutOfPlaceAreRefusedBeforeAnswering) {
       RunWorker(frames_with(OneColumnRows({4, 6}, {4.0f, 8.0f})));
   EXPECT_EQ(in_order.exit_code, 0);
   EXPECT_EQ(in_order.types,
-            (std::vector<FrameType>{FrameType::kHeartbeat, FrameType::kRows,
-                                    FrameType::kEpochDone}));
+            (std::vector<FrameType>{FrameType::kRows, FrameType::kEpochDone}));
   // 0.5 * 1 + 8 and 0.25 * 2 + 1 + 4.
   EXPECT_EQ(in_order.rows, (std::vector<std::pair<NodeId, float>>{
                                {3, 8.5f}, {5, 5.5f}}));

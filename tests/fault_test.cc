@@ -563,7 +563,6 @@ TEST(FaultServingTest, ExpiredRequestsResolveDeadlineExceeded) {
   // The batcher waits 20 ms for more requests; the deadline is 1 ms, so
   // the request expires while the batch is still forming.
   config.max_delay_micros = 20'000;
-  config.deadline_micros = 1'000;
 
   std::atomic<int> embed_calls{0};
   BatchingServer server(
@@ -575,8 +574,9 @@ TEST(FaultServingTest, ExpiredRequestsResolveDeadlineExceeded) {
       },
       16, config);
 
-  InferenceResponse response =
-      server.Submit(InferenceRequest(3)).value().get();
+  InferenceRequest request(3);
+  request.deadline_micros = 1'000;
+  InferenceResponse response = server.Submit(request).value().get();
   EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(response.logits.empty());
   EXPECT_EQ(embed_calls.load(), 0);  // Expired at dequeue: no work wasted.
@@ -643,7 +643,6 @@ TEST(FaultServingTest, EveryAdmittedRequestIsTerminalUnderStress) {
   config.max_delay_micros = 200;
   config.queue_capacity = 256;  // Small: exercise backpressure rejects.
   config.num_workers = 3;
-  config.deadline_micros = 50'000;
   config.embed_retry.max_attempts = 2;
   config.embed_retry.base_backoff_micros = 10;
   config.degraded_serving = true;
@@ -668,8 +667,10 @@ TEST(FaultServingTest, EveryAdmittedRequestIsTerminalUnderStress) {
     clients.emplace_back([&, c] {
       common::Rng rng(static_cast<uint64_t>(c) + 1);
       for (int i = 0; i < kPerClient; ++i) {
-        auto future = server.Submit(InferenceRequest(
-            static_cast<NodeId>(rng.UniformInt(kNodes))));
+        InferenceRequest request(
+            static_cast<NodeId>(rng.UniformInt(kNodes)));
+        request.deadline_micros = 50'000;
+        auto future = server.Submit(request);
         if (future.ok()) {
           std::lock_guard<std::mutex> lock(mu);
           admitted.push_back(std::move(future).value());

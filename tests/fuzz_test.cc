@@ -556,13 +556,13 @@ TEST(FuzzTest, ReadFrame) {
   ASSERT_NE(file, nullptr);
   const int fd = fileno(file);
 
-  // A spawn's config and scatter frames then a go, and a lone heartbeat,
+  // A spawn's config and scatter frames then a go, and a lone epoch-done,
   // as WriteFrame puts them on the wire.
   std::vector<std::vector<dist::Frame>> streams(2);
   streams[0].push_back({dist::FrameType::kConfig, 0, RingSpec().Serialize()});
   streams[0].push_back({dist::FrameType::kRows, 0, RowBatch({0, 2, 4})});
   streams[0].push_back({dist::FrameType::kGo, 1, ""});
-  streams[1].push_back({dist::FrameType::kHeartbeat, 2, ""});
+  streams[1].push_back({dist::FrameType::kEpochDone, 2, ""});
   Target target;
   for (const auto& frames : streams) {
     ASSERT_TRUE(Refill(fd, "").ok());

@@ -884,6 +884,67 @@ TEST(HttpFrontDoorTest, StalledBatchHoldsNoOtherConnection) {
   }
 }
 
+// An answer is routed to its connection by id, never by socket: a peer
+// that closes while its infer stalls in the embedder must cost the next
+// connection nothing, even when that connection's accept reuses the
+// closed fd number (the kernel hands out the lowest free one).
+TEST(HttpFrontDoorTest, AnswerForAClosedConnectionReachesNoOther) {
+  obs::MetricsRegistry registry;
+  core::RunContext ctx;
+  ctx.metrics = &registry;
+  std::promise<void> latch;
+  std::shared_future<void> opened = latch.get_future().share();
+  std::atomic<int> stalled{0};
+  BatchingServer server(
+      TestModel(),
+      [opened, &stalled](NodeId node, std::span<float> out) {
+        if (node == 7) {
+          stalled.fetch_add(1);
+          opened.wait();
+        }
+        FillEmbedding(node, out);
+        return Status::OK();
+      },
+      kNodes, QuickServeConfig());  // One worker.
+  HttpFrontDoor door(&server, HttpFrontDoorConfig{}, ctx);
+  ASSERT_TRUE(door.Start().ok());
+  const obs::Gauge* open_connections = registry.GetGauge(
+      "sgnn_net_open_connections", "", {}, obs::kVolatile);
+
+  {
+    HttpClient peer = Dial(door.port());
+    ASSERT_TRUE(
+        peer.SendRequest("POST", "/v1/infer", InferBody(7), "application/json")
+            .ok());
+    ASSERT_TRUE(WaitFor([&] { return stalled.load() == 1; }));
+  }  // The peer closes while its answer is in flight.
+  ASSERT_TRUE(WaitFor([&] { return open_connections->value() == 0.0; }));
+
+  HttpClient next = Dial(door.port());
+  ASSERT_TRUE(next.SendRequest("GET", "/healthz", "", "text/plain").ok());
+  ASSERT_TRUE(
+      next.SendRequest("POST", "/v1/infer", InferBody(3), "application/json")
+          .ok());
+  auto health = next.ReadResponse();  // The loop answers it at once.
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health.value().status_code, 200);
+  EXPECT_EQ(health.value().body, "ok\n");
+  latch.set_value();  // Node 7 answers the dead peer, then node 3 runs.
+
+  auto infer = next.ReadResponse();
+  ASSERT_TRUE(infer.ok()) << infer.status().ToString();
+  EXPECT_EQ(infer.value().status_code, 200);
+  EXPECT_NE(infer.value().body.find("\"node\":3,"), std::string::npos)
+      << infer.value().body;
+  // Nothing of the dead peer's follows, and the door keeps serving: the
+  // next answer on this connection is the next request's.
+  auto again = next.Post("/v1/infer", InferBody(5));
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again.value().status_code, 200);
+  EXPECT_NE(again.value().body.find("\"node\":5,"), std::string::npos)
+      << again.value().body;
+}
+
 TEST(HttpFrontDoorTest, ReaderThatStopsReadingStallsNoOne) {
   BatchingServer server(
       TestModel(),
