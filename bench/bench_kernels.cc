@@ -20,11 +20,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/counters.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -349,16 +349,13 @@ int RunJson(const std::string& path) {
     }
   }
 
-  std::string json = "{\n  \"experiment\": \"E25\",\n  \"backend\": \"";
-  json += simd::Supported() ? "avx2" : "scalar-only";
-  json += "\",\n  \"results\": [\n";
+  std::vector<std::string> rows;
   std::printf("%-22s %12s %12s %8s %9s %9s %11s %10s %6s\n", "kernel",
               "scalar_ms", "simd_ms", "speedup", "GF/s", "GB/s", "edges/s",
               "bytes/edge", "bits");
   char buf[512];
   int mismatches = 0;
-  for (size_t i = 0; i < results.size(); ++i) {
-    const KernelResult& r = results[i];
+  for (const KernelResult& r : results) {
     const double gflops =
         r.flops > 0.0 && r.simd_seconds > 0.0
             ? r.flops / r.simd_seconds / 1e9
@@ -373,19 +370,18 @@ int RunJson(const std::string& path) {
                     : 0.0;
     std::snprintf(
         buf, sizeof(buf),
-        "    {\"name\": \"%s\", \"scalar_seconds\": %.6e, "
+        "{\"name\": \"%s\", \"scalar_seconds\": %.6e, "
         "\"simd_seconds\": %.6e, \"speedup\": %.3f, \"gflops\": %.3f, "
         "\"scalar_gbps\": %.3f, \"simd_gbps\": %.3f, "
         "\"bytes\": %llu, \"edges\": %llu, \"edges_per_s\": %.3e, "
-        "\"bytes_per_edge\": %.1f, \"bit_identical\": %s}%s\n",
+        "\"bytes_per_edge\": %.1f, \"bit_identical\": %s}",
         r.name.c_str(), r.scalar_seconds, r.simd_seconds, r.Speedup(),
         gflops, r.Gbps(r.scalar_seconds), r.Gbps(r.simd_seconds),
         static_cast<unsigned long long>(r.bytes),
         static_cast<unsigned long long>(r.edges), edges_per_s,
         bytes_per_edge,
-        !r.identical ? "null" : (*r.identical ? "true" : "false"),
-        i + 1 < results.size() ? "," : "");
-    json += buf;
+        !r.identical ? "null" : (*r.identical ? "true" : "false"));
+    rows.push_back(buf);
     std::printf("%-22s %12.3f %12.3f %8.2f %9.2f %9.2f %11.3e %10.1f %6s\n",
                 r.name.c_str(), r.scalar_seconds * 1e3,
                 r.simd_seconds * 1e3, r.Speedup(), gflops,
@@ -393,16 +389,13 @@ int RunJson(const std::string& path) {
                 !r.identical ? "-" : (*r.identical ? "same" : "DIFF"));
     if (r.identical && !*r.identical) ++mismatches;
   }
-  json += "  ]\n}\n";
-
-  std::ofstream out(path, std::ios::binary);
-  if (!out.good()) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  if (!sgnn::bench::WriteJson(
+          path,
+          {{"experiment", "E25"},
+           {"backend", simd::Supported() ? "avx2" : "scalar-only"}},
+          rows)) {
     return 1;
   }
-  out << json;
-  out.close();
-  std::printf("wrote %s\n", path.c_str());
   if (mismatches > 0) {
     std::fprintf(stderr,
                  "%d kernel(s) differ between the scalar and vector "
@@ -416,10 +409,9 @@ int RunJson(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") return RunJson("BENCH_kernels.json");
-    if (arg.rfind("--json=", 0) == 0) return RunJson(arg.substr(7));
+  if (const auto path =
+          sgnn::bench::JsonPathArg(argc, argv, "BENCH_kernels.json")) {
+    return RunJson(*path);
   }
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -17,10 +17,10 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/counters.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -247,9 +247,8 @@ int RunJson(const std::string& path) {
   const tensor::Matrix b = RandomMatrix(256, 256, 3);
   tensor::Matrix out;
 
-  std::string json = "{\n  \"experiment\": \"E21\",\n  \"results\": [\n";
+  std::vector<std::string> rows;
   char buf[384];
-  bool first = true;
   for (const int threads : {1, 2, 4, 8}) {
     par::SetThreads(threads);
 
@@ -263,47 +262,37 @@ int RunJson(const std::string& path) {
         static_cast<double>(g.num_edges());
     std::snprintf(
         buf, sizeof(buf),
-        "%s    {\"name\": \"spmm\", \"threads\": %d, \"seconds\": %.6e, "
+        "{\"name\": \"spmm\", \"threads\": %d, \"seconds\": %.6e, "
         "\"edges_per_s\": %.3e, \"bytes_per_edge\": %.1f}",
-        first ? "" : ",\n", threads,
-        spmm_s, static_cast<double>(g.num_edges()) / spmm_s, spmm_bpe);
-    json += buf;
-    first = false;
+        threads, spmm_s, static_cast<double>(g.num_edges()) / spmm_s,
+        spmm_bpe);
+    rows.push_back(buf);
 
     const double gemm_s = TimeBest([&] { tensor::Gemm(a, b, &out); });
     const double gemm_flops =
         2.0 * static_cast<double>(a.rows()) * a.cols() * b.cols();
     std::snprintf(
         buf, sizeof(buf),
-        ",\n    {\"name\": \"gemm\", \"threads\": %d, \"seconds\": %.6e, "
+        "{\"name\": \"gemm\", \"threads\": %d, \"seconds\": %.6e, "
         "\"gflops\": %.3f}",
         threads, gemm_s, gemm_flops / gemm_s / 1e9);
-    json += buf;
+    rows.push_back(buf);
     std::printf("threads=%d spmm %.3fms (%.1f bytes/edge)  gemm %.3fms\n",
                 threads, spmm_s * 1e3, spmm_bpe, gemm_s * 1e3);
   }
   par::SetThreads(1);
-  json += "\n  ]\n}\n";
-
-  std::ofstream file(path, std::ios::binary);
-  if (!file.good()) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  file << json;
-  file.close();
-  std::printf("wrote %s\n", path.c_str());
-  return 0;
+  return sgnn::bench::WriteJson(path, {{"experiment", "E21"}}, rows) ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") return RunSmoke();
-    if (arg == "--json") return RunJson("BENCH_parallel.json");
-    if (arg.rfind("--json=", 0) == 0) return RunJson(arg.substr(7));
+    if (std::string(argv[i]) == "--smoke") return RunSmoke();
+  }
+  if (const auto path =
+          sgnn::bench::JsonPathArg(argc, argv, "BENCH_parallel.json")) {
+    return RunJson(*path);
   }
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -2,6 +2,12 @@
 #define SGNN_BENCH_BENCH_UTIL_H_
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/dataset.h"
 #include "nn/trainer.h"
@@ -29,6 +35,46 @@ inline nn::TrainConfig BenchTrainConfig() {
   config.patience = 15;
   config.lr = 0.02;
   return config;
+}
+
+/// The path a `--json` or `--json=<path>` argument asks for
+/// (`default_path` for the bare flag); nullopt when neither is given.
+inline std::optional<std::string> JsonPathArg(
+    int argc, char** argv, const std::string& default_path) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--json") return default_path;
+    if (arg.rfind("--json=", 0) == 0) return arg.substr(7);
+  }
+  return std::nullopt;
+}
+
+/// Writes a bench's `--json` file: the `header` string members, then a
+/// "results" array holding each of `rows` (a complete json object) on its
+/// own line, then prints "wrote <path>". False, after printing why, when
+/// the file cannot be written.
+inline bool WriteJson(
+    const std::string& path,
+    const std::vector<std::pair<std::string, std::string>>& header,
+    const std::vector<std::string>& rows) {
+  std::string json = "{\n";
+  for (const auto& [key, value] : header) {
+    json += "  \"" + key + "\": \"" + value + "\",\n";
+  }
+  json += "  \"results\": [\n";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    json += "    " + rows[i] + (i + 1 < rows.size() ? ",\n" : "\n");
+  }
+  json += "  ]\n}\n";
+  std::ofstream out(path, std::ios::binary);
+  if (!out.good()) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  out << json;
+  out.close();
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace sgnn::bench

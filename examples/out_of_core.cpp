@@ -21,9 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/validate.h"
 #include "common/rng.h"
-#include "core/run_context.h"
 #include "graph/generators.h"
 #include "graph/propagate.h"
 #include "ppr/ppr.h"
@@ -76,11 +74,6 @@ int main(int argc, char** argv) {
   const std::vector<NodeId> seeds = {1, 17, 42, 99};
   const auto ppr_reference = ppr::PushBatch(g, seeds, 0.15, 1e-4);
 
-  // Validate-every-stage debug mode deep-checks the shard files at open,
-  // exactly like checkpoint validation.
-  core::RunContext ctx;
-  ctx.validate_stages = true;
-
   int failures = 0;
   uint64_t total = 0;
   // The minimum feasible budget is one whole shard: kernels pin a shard at
@@ -88,8 +81,7 @@ int main(int argc, char** argv) {
   // by contract. Clamp the sweep to stay within feasible territory.
   uint64_t max_shard = 0;
   {
-    auto open_or =
-        storage::ShardedGraph::Open(dir, analysis::ShardOpenOptions(ctx));
+    auto open_or = storage::ShardedGraph::Open(dir);
     if (open_or.ok()) {
       total = open_or.value()->total_shard_bytes();
       for (const auto& entry : open_or.value()->manifest().shards) {
@@ -100,9 +92,9 @@ int main(int argc, char** argv) {
   std::printf("\n%-14s %-12s %-10s %-10s %-12s %s\n", "budget", "resident%",
               "loads", "evictions", "peak_bytes", "identical");
   for (const uint64_t divisor : {uint64_t{1}, uint64_t{3}, uint64_t{8}}) {
-    ctx.resident_budget_bytes = std::max(total / divisor, max_shard);
-    auto open_or =
-        storage::ShardedGraph::Open(dir, analysis::ShardOpenOptions(ctx));
+    storage::OpenOptions options;
+    options.budget_bytes = std::max(total / divisor, max_shard);
+    auto open_or = storage::ShardedGraph::Open(dir, options);
     if (!open_or.ok()) {
       std::fprintf(stderr, "open failed: %s\n",
                    open_or.status().message().c_str());
@@ -123,9 +115,9 @@ int main(int argc, char** argv) {
     }
     if (!ok) ++failures;
     const storage::StorageStats stats = sg.stats();
-    if (stats.peak_resident_bytes > ctx.resident_budget_bytes) ++failures;
+    if (stats.peak_resident_bytes > options.budget_bytes) ++failures;
     std::printf("%-14llu %-12.0f %-10llu %-10llu %-12llu %s\n",
-                static_cast<unsigned long long>(ctx.resident_budget_bytes),
+                static_cast<unsigned long long>(options.budget_bytes),
                 100.0 * static_cast<double>(stats.peak_resident_bytes) /
                     static_cast<double>(total),
                 static_cast<unsigned long long>(stats.loads),

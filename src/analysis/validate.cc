@@ -198,261 +198,6 @@ Status Validate(const partition::Partition& partition,
   return Status::OK();
 }
 
-Status ValidateCheckpoint(const core::PipelineSnapshot& snapshot,
-                          uint64_t expected_signature) {
-  if (snapshot.signature != expected_signature) {
-    return Status::FailedPrecondition(
-        "checkpoint belongs to a different pipeline (signature mismatch)");
-  }
-  if (snapshot.stages_done < 0 ||
-      static_cast<size_t>(snapshot.stages_done) != snapshot.stages.size()) {
-    return Invalid("checkpoint stage bookkeeping inconsistent: stages_done "
-                   "%d vs %zu recorded stages",
-                   snapshot.stages_done, snapshot.stages.size());
-  }
-  for (size_t i = 0; i < snapshot.stages.size(); ++i) {
-    const double s = snapshot.stages[i].seconds;
-    if (!std::isfinite(s) || s < 0.0) {
-      return Invalid("checkpoint stage %zu timing invalid: %f", i, s);
-    }
-  }
-  if (snapshot.edges_before < 0) {
-    return Invalid("checkpoint edges_before negative: %lld",
-                   static_cast<long long>(snapshot.edges_before));
-  }
-  if (snapshot.feature_cols_before < 0) {
-    return Invalid("checkpoint feature_cols_before negative: %lld",
-                   static_cast<long long>(snapshot.feature_cols_before));
-  }
-  SGNN_RETURN_IF_ERROR(Validate(snapshot.graph));
-  if (snapshot.features.rows() !=
-      static_cast<int64_t>(snapshot.graph.num_nodes())) {
-    return Invalid("checkpoint features rows != graph nodes: %lld vs %llu",
-                   static_cast<long long>(snapshot.features.rows()),
-                   static_cast<unsigned long long>(snapshot.graph.num_nodes()));
-  }
-  return ValidateFeatures(snapshot.features);
-}
-
-Status ValidateShardManifest(const storage::ShardManifest& manifest) {
-  if (manifest.version != storage::kFormatVersion) {
-    return Invalid("shard manifest version unsupported: %u (expected %u)",
-                   manifest.version, storage::kFormatVersion);
-  }
-  if (manifest.shards.empty() && manifest.num_nodes > 0) {
-    return Invalid("shard manifest has no shards for %llu nodes",
-                   static_cast<unsigned long long>(manifest.num_nodes));
-  }
-  if (manifest.shard_of.size() != static_cast<size_t>(manifest.num_nodes)) {
-    return Invalid("shard assignment does not cover node universe: %zu "
-                   "entries for %llu nodes",
-                   manifest.shard_of.size(),
-                   static_cast<unsigned long long>(manifest.num_nodes));
-  }
-  const int num_shards = static_cast<int>(manifest.shards.size());
-  // One counting pass over the assignment recovers each shard's row count
-  // and node range; any disagreement with the shard table means the table
-  // describes overlapping or gapped shard ranges.
-  std::vector<uint64_t> counts(manifest.shards.size(), 0);
-  std::vector<NodeId> lo(manifest.shards.size(), 0);
-  std::vector<NodeId> hi(manifest.shards.size(), 0);
-  for (size_t u = 0; u < manifest.shard_of.size(); ++u) {
-    const uint32_t s = manifest.shard_of[u];
-    if (s >= static_cast<uint32_t>(num_shards)) {
-      return Invalid("shard assignment out of range at node %zu: shard %u "
-                     "(num_shards %d)",
-                     u, s, num_shards);
-    }
-    const NodeId node = static_cast<NodeId>(u);
-    if (counts[s] == 0) {
-      lo[s] = node;
-    }
-    hi[s] = node;
-    ++counts[s];
-  }
-  uint64_t total_edges = 0;
-  for (int s = 0; s < num_shards; ++s) {
-    const storage::ShardEntry& entry = manifest.shards[static_cast<size_t>(s)];
-    if (counts[static_cast<size_t>(s)] != entry.num_rows) {
-      return Invalid("shard %d row count disagrees with assignment: table "
-                     "says %u, assignment gives %llu (overlapping or missing "
-                     "shard ranges)",
-                     s, entry.num_rows,
-                     static_cast<unsigned long long>(
-                         counts[static_cast<size_t>(s)]));
-    }
-    if (entry.num_rows > 0 &&
-        (entry.min_node != lo[static_cast<size_t>(s)] ||
-         entry.max_node != hi[static_cast<size_t>(s)])) {
-      return Invalid("shard %d node range [%llu, %llu] disagrees with "
-                     "assignment range [%llu, %llu] (overlapping shard "
-                     "ranges)",
-                     s, static_cast<unsigned long long>(entry.min_node),
-                     static_cast<unsigned long long>(entry.max_node),
-                     static_cast<unsigned long long>(lo[static_cast<size_t>(s)]),
-                     static_cast<unsigned long long>(hi[static_cast<size_t>(s)]));
-    }
-    const storage::ShardLayout layout =
-        storage::LayoutFor(entry.num_rows, entry.num_edges);
-    if (entry.file_bytes != layout.file_bytes) {
-      return Invalid("shard %d file size inconsistent with its counts: %llu "
-                     "bytes for %u rows / %llu edges (layout needs %llu — "
-                     "truncated shard file)",
-                     s, static_cast<unsigned long long>(entry.file_bytes),
-                     entry.num_rows,
-                     static_cast<unsigned long long>(entry.num_edges),
-                     static_cast<unsigned long long>(layout.file_bytes));
-    }
-    total_edges += entry.num_edges;
-  }
-  if (total_edges != manifest.num_edges) {
-    return Invalid("shard edge totals do not sum to the graph: %llu vs %llu",
-                   static_cast<unsigned long long>(total_edges),
-                   static_cast<unsigned long long>(manifest.num_edges));
-  }
-  return Status::OK();
-}
-
-Status ValidateShardData(const storage::ShardManifest& manifest, int shard_id,
-                         const storage::ShardData& shard) {
-  if (shard_id < 0 ||
-      static_cast<size_t>(shard_id) >= manifest.shards.size()) {
-    return Invalid("shard id out of range: %d (num_shards %zu)", shard_id,
-                   manifest.shards.size());
-  }
-  const storage::ShardEntry& entry =
-      manifest.shards[static_cast<size_t>(shard_id)];
-  if (shard.shard_id != static_cast<uint32_t>(shard_id)) {
-    return Invalid("shard file claims id %u but the manifest places it at "
-                   "%d",
-                   shard.shard_id, shard_id);
-  }
-  if (shard.rows.size() != entry.num_rows) {
-    return Invalid("shard %d row count mismatch: file has %zu rows, "
-                   "manifest says %u",
-                   shard_id, shard.rows.size(), entry.num_rows);
-  }
-  if (shard.offsets.size() != shard.rows.size() + 1) {
-    return Invalid("shard %d offsets size mismatch: %zu entries for %zu "
-                   "rows",
-                   shard_id, shard.offsets.size(), shard.rows.size());
-  }
-  if (!shard.offsets.empty() && shard.offsets.front() != 0) {
-    return Invalid("shard %d offsets[0] != 0: %llu", shard_id,
-                   static_cast<unsigned long long>(shard.offsets.front()));
-  }
-  if (shard.neighbors.size() != entry.num_edges ||
-      (!shard.offsets.empty() &&
-       shard.offsets.back() != shard.neighbors.size())) {
-    return Invalid("shard %d edge count mismatch: offsets end at %llu, "
-                   "%zu neighbours stored, manifest says %llu",
-                   shard_id,
-                   static_cast<unsigned long long>(
-                       shard.offsets.empty() ? 0 : shard.offsets.back()),
-                   shard.neighbors.size(),
-                   static_cast<unsigned long long>(entry.num_edges));
-  }
-  if (shard.weights.size() != shard.neighbors.size()) {
-    return Invalid("shard %d weights misaligned with neighbours: %zu vs %zu",
-                   shard_id, shard.weights.size(), shard.neighbors.size());
-  }
-  for (size_t r = 0; r < shard.rows.size(); ++r) {
-    const NodeId u = shard.rows[r];
-    if (u >= manifest.num_nodes) {
-      return Invalid("shard %d row id out of bounds at position %zu: %llu "
-                     "(num_nodes %llu)",
-                     shard_id, r, static_cast<unsigned long long>(u),
-                     static_cast<unsigned long long>(manifest.num_nodes));
-    }
-    if (r > 0 && shard.rows[r - 1] >= u) {
-      return Invalid("shard %d rows not strictly ascending at position %zu: "
-                     "%llu then %llu",
-                     shard_id, r,
-                     static_cast<unsigned long long>(shard.rows[r - 1]),
-                     static_cast<unsigned long long>(u));
-    }
-    if (manifest.shard_of[u] != static_cast<uint32_t>(shard_id)) {
-      return Invalid("node %llu stored in shard %d but assigned to shard %u "
-                     "(overlapping shard ranges)",
-                     static_cast<unsigned long long>(u), shard_id,
-                     manifest.shard_of[u]);
-    }
-    if (shard.offsets[r + 1] < shard.offsets[r]) {
-      return Invalid("shard %d offsets not monotone at row %zu: %llu > %llu",
-                     shard_id, r,
-                     static_cast<unsigned long long>(shard.offsets[r]),
-                     static_cast<unsigned long long>(shard.offsets[r + 1]));
-    }
-    for (uint64_t e = shard.offsets[r]; e < shard.offsets[r + 1]; ++e) {
-      const NodeId v = shard.neighbors[static_cast<size_t>(e)];
-      if (v >= manifest.num_nodes) {
-        return Invalid("shard %d neighbour id out of range: row %zu (node "
-                       "%llu) edge %llu -> %llu (num_nodes %llu)",
-                       shard_id, r, static_cast<unsigned long long>(u),
-                       static_cast<unsigned long long>(e),
-                       static_cast<unsigned long long>(v),
-                       static_cast<unsigned long long>(manifest.num_nodes));
-      }
-      if (e > shard.offsets[r] &&
-          shard.neighbors[static_cast<size_t>(e - 1)] >= v) {
-        return Invalid("shard %d adjacency not sorted strictly increasing: "
-                       "node %llu has %llu then %llu",
-                       shard_id, static_cast<unsigned long long>(u),
-                       static_cast<unsigned long long>(
-                           shard.neighbors[static_cast<size_t>(e - 1)]),
-                       static_cast<unsigned long long>(v));
-      }
-      if (!std::isfinite(shard.weights[static_cast<size_t>(e)])) {
-        return Invalid("shard %d weight not finite: node %llu edge %llu",
-                       shard_id, static_cast<unsigned long long>(u),
-                       static_cast<unsigned long long>(e));
-      }
-    }
-  }
-  if (!shard.rows.empty() && (shard.rows.front() != entry.min_node ||
-                              shard.rows.back() != entry.max_node)) {
-    return Invalid("shard %d node range [%llu, %llu] disagrees with its "
-                   "manifest entry [%llu, %llu]",
-                   shard_id,
-                   static_cast<unsigned long long>(shard.rows.front()),
-                   static_cast<unsigned long long>(shard.rows.back()),
-                   static_cast<unsigned long long>(entry.min_node),
-                   static_cast<unsigned long long>(entry.max_node));
-  }
-  auto& counters = common::GlobalCounters();
-  counters.edges_touched += static_cast<uint64_t>(shard.neighbors.size());
-  counters.floats_moved += static_cast<uint64_t>(shard.weights.size());
-  return Status::OK();
-}
-
-Status ValidateShardFile(const storage::ShardManifest& manifest, int shard_id,
-                         const std::string& path) {
-  auto shard_or = storage::ReadShardFile(path);
-  if (!shard_or.ok()) return shard_or.status();
-  return ValidateShardData(manifest, shard_id, shard_or.value());
-}
-
-Status ValidateShardedGraph(const std::string& dir) {
-  auto manifest_or = storage::ReadManifest(storage::ManifestPath(dir));
-  if (!manifest_or.ok()) return manifest_or.status();
-  const storage::ShardManifest& manifest = manifest_or.value();
-  SGNN_RETURN_IF_ERROR(ValidateShardManifest(manifest));
-  for (size_t s = 0; s < manifest.shards.size(); ++s) {
-    SGNN_RETURN_IF_ERROR(ValidateShardFile(
-        manifest, static_cast<int>(s),
-        storage::ShardPath(dir, static_cast<int>(s))));
-  }
-  return Status::OK();
-}
-
-storage::OpenOptions ShardOpenOptions(const core::RunContext& ctx) {
-  storage::OpenOptions options = storage::OptionsFromRunContext(ctx);
-  if (ctx.validate_stages) {
-    options.deep_validator = ValidateShardedGraph;
-  }
-  return options;
-}
-
 Status ValidateStageOutput(const std::string& stage_name,
                            const graph::CsrGraph& graph,
                            const tensor::Matrix& features) {

@@ -5,14 +5,10 @@
 #include <string>
 
 #include "common/status.h"
-#include "core/checkpoint.h"
 #include "core/dataset.h"
-#include "core/run_context.h"
 #include "graph/coo.h"
 #include "graph/csr_graph.h"
 #include "partition/partition.h"
-#include "storage/format.h"
-#include "storage/sharded_graph.h"
 #include "tensor/matrix.h"
 
 namespace sgnn::analysis {
@@ -21,13 +17,15 @@ namespace sgnn::analysis {
 ///
 /// Every stage of the pipeline silently assumes structural invariants of
 /// the data it consumes — sorted CSR adjacency, in-bounds node ids,
-/// weight/neighbour alignment, partition covers, checkpoint integrity.
+/// weight/neighbour alignment, partition covers, finite features.
 /// The GNN-systems evaluation literature traces wrong-result and crash
 /// bugs to exactly these data-management invariants being violated
 /// *between* stages. These validators make each invariant checkable: they
 /// return `Status::OK()` or a rich diagnostic naming the violated
 /// invariant and the first offending node/edge, and never mutate their
-/// input.
+/// input. They check in-memory structures only: each on-disk format is
+/// checked by the code that reads it (`core::LoadSnapshot`,
+/// `storage::ReadManifest` and `storage::ShardedGraph`).
 ///
 /// Cost model: each validator is a single linear scan and instruments
 /// `common::GlobalCounters()` with the edges/floats it touches, so a
@@ -79,62 +77,12 @@ common::Status Validate(const core::Dataset& dataset);
 common::Status Validate(const partition::Partition& partition,
                         const graph::CsrGraph& graph);
 
-/// Validates an in-memory pipeline snapshot: signature match against the
-/// owning pipeline (`kFailedPrecondition` on mismatch, the same contract
-/// as `core::LoadSnapshot`), stage bookkeeping consistency, and full
-/// graph/feature validation of the payload. File-level integrity (CRC,
-/// framing) is `core::LoadSnapshot`'s job; use
-/// `core::ValidateCheckpointFile` for the end-to-end check.
-common::Status ValidateCheckpoint(const core::PipelineSnapshot& snapshot,
-                                  uint64_t expected_signature);
-
 /// The pipeline's between-stage hook (`core::RunContext::validate_stages`):
 /// validates a stage's output graph + features and their alignment,
 /// prefixing diagnostics with the stage name.
 common::Status ValidateStageOutput(const std::string& stage_name,
                                    const graph::CsrGraph& graph,
                                    const tensor::Matrix& features);
-
-/// Deep semantic validation of a decoded shard manifest. File-level
-/// integrity (framing, CRCs) is `storage::ReadManifest`'s job; this layer
-/// checks what the CRCs cannot — that the manifest is *consistent*:
-/// supported version, every assignment entry in `[0, num_shards)`, each
-/// shard's row count and `[min_node, max_node]` range agreeing with the
-/// assignment (a disagreement means overlapping or missing shard ranges),
-/// edge totals summing to `num_edges`, and each recorded `file_bytes`
-/// matching the layout its counts imply (a short record means a truncated
-/// shard file).
-common::Status ValidateShardManifest(const storage::ShardManifest& manifest);
-
-/// Deep validation of one decoded shard against its manifest: the shard id
-/// and row/edge counts match the manifest entry, rows are strictly
-/// ascending global ids that the assignment really maps to this shard
-/// (overlap detection), local offsets are monotone and span the edge
-/// array, every neighbour id is in `[0, num_nodes)`, adjacency is sorted
-/// strictly increasing per row, and weights are finite. This is the
-/// testable core: corruption-injection tests mutate a decoded `ShardData`
-/// and assert the specific first-offender diagnostic.
-common::Status ValidateShardData(const storage::ShardManifest& manifest,
-                                 int shard_id,
-                                 const storage::ShardData& shard);
-
-/// Reads one shard file (surfacing `storage::ReadShardFile`'s truncation /
-/// CRC-mismatch diagnostics) and deep-validates it via `ValidateShardData`.
-common::Status ValidateShardFile(const storage::ShardManifest& manifest,
-                                 int shard_id, const std::string& path);
-
-/// End-to-end validation of an on-disk sharded graph directory: manifest
-/// read + `ValidateShardManifest`, then every shard file through
-/// `ValidateShardFile`. This is the hook `storage::OpenOptions::
-/// deep_validator` expects; it reports the first offending file/section.
-common::Status ValidateShardedGraph(const std::string& dir);
-
-/// `storage::OptionsFromRunContext` plus the validate-every-stage wiring:
-/// when `ctx.validate_stages` is set, the returned options carry
-/// `ValidateShardedGraph` as the deep validator, so debug-mode runs
-/// deep-check shard files at open exactly like `ValidateCheckpointFile`
-/// deep-checks snapshots.
-storage::OpenOptions ShardOpenOptions(const core::RunContext& ctx);
 
 }  // namespace sgnn::analysis
 

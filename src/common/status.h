@@ -85,7 +85,7 @@ class SGNN_NODISCARD Status {
   static Status Aborted(std::string msg) {
     return Status(StatusCode::kAborted, std::move(msg));
   }
-  /// A hard resource cap (e.g. `RunContext::resident_budget_bytes`) cannot
+  /// A hard resource cap (e.g. `storage::OpenOptions::budget_bytes`) cannot
   /// admit the operation's working set. Retrying at the same budget fails
   /// the same way; the caller must raise the budget or shrink the shards.
   static Status ResourceExhausted(std::string msg) {

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "analysis/validate.h"
 #include "common/bytes.h"
 
 namespace sgnn::core {
@@ -168,13 +167,6 @@ StatusOr<PipelineSnapshot> LoadSnapshot(const std::string& path,
     return Corrupt(path, "inconsistent stage count");
   }
   return snap;
-}
-
-Status ValidateCheckpointFile(const std::string& path,
-                              uint64_t expected_signature) {
-  auto snapshot = LoadSnapshot(path, expected_signature);
-  if (!snapshot.ok()) return snapshot.status();
-  return analysis::ValidateCheckpoint(snapshot.value(), expected_signature);
 }
 
 }  // namespace sgnn::core

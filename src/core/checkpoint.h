@@ -56,13 +56,6 @@ SGNN_NODISCARD common::Status SaveSnapshot(const PipelineSnapshot& snapshot,
 SGNN_NODISCARD common::StatusOr<PipelineSnapshot> LoadSnapshot(const std::string& path,
                                                 uint64_t expected_signature);
 
-/// Deep-checks a snapshot file beyond the CRC: loads it, then runs the
-/// `sgnn::analysis` checkpoint validators (stage bookkeeping, payload graph
-/// invariants, feature alignment/finiteness). Use before trusting a
-/// snapshot produced by an earlier — possibly crashed — run.
-SGNN_NODISCARD common::Status ValidateCheckpointFile(const std::string& path,
-                                      uint64_t expected_signature);
-
 }  // namespace sgnn::core
 
 #endif  // SGNN_CORE_CHECKPOINT_H_

@@ -70,14 +70,6 @@ struct RunContext {
   /// `analysis::ValidateStageOutput`. Only consulted when
   /// `validate_stages` is true.
   ValidationStage stage_validator;
-  /// Hard cap, in bytes, on the shard bytes an out-of-core graph opened
-  /// from this context (`storage::ShardedGraph`) may keep mapped at once.
-  /// The shard cache evicts to stay under it and returns
-  /// `kResourceExhausted` when a single working set cannot fit. 0 = consult
-  /// the `SGNN_RESIDENT_BUDGET` environment variable (decimal bytes with an
-  /// optional K/M/G suffix, 1024-based); unset there too = unlimited.
-  /// Results are bit-identical at any budget; only faults/evictions change.
-  uint64_t resident_budget_bytes = 0;
 };
 
 }  // namespace sgnn::core

@@ -1,9 +1,11 @@
 #ifndef SGNN_PPR_PPR_H_
 #define SGNN_PPR_PPR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <queue>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -33,8 +35,9 @@ struct PushResult {
 /// Andersen-Chung-Lang forward push. Pushes node u while its residual
 /// exceeds `r_max * degree(u)`; the returned estimate satisfies
 /// |pi_s(v) - p(v)| <= r_max * degree(v) for all v.
-/// Requires 0 < alpha < 1 and r_max > 0. Zero-degree sources return all
-/// mass on the source.
+/// Requires 0 < alpha < 1, r_max > 0, and non-negative weights with a
+/// positive sum on every row it pushes (see `ForwardPushOn`). Zero-degree
+/// sources return all mass on the source.
 PushResult ForwardPush(const graph::CsrGraph& graph, graph::NodeId source,
                        double alpha, double r_max);
 
@@ -46,7 +49,11 @@ PushResult ForwardPush(const graph::CsrGraph& graph, graph::NodeId source,
 /// pushes, not queue churn. An in-memory graph's pin scope pins nothing;
 /// the out-of-core `storage::ShardedGraph` pins u's shard. The arithmetic
 /// and queue order are the same for every source, so equal adjacency
-/// gives a bit-identical result. Fails with the first failed pin's status.
+/// gives a bit-identical result. Fails with the first failed pin's status,
+/// or `kInvalidArgument` at the first pushed row with a negative weight or
+/// a weight sum that is not positive: such a row is not a random-walk
+/// step, its spread can grow the residual mass, and the queue would never
+/// drain.
 template <typename Graph>
 common::StatusOr<PushResult> ForwardPushOn(Graph& g, graph::NodeId source,
                                            double alpha, double r_max) {
@@ -84,9 +91,17 @@ common::StatusOr<PushResult> ForwardPushOn(Graph& g, graph::NodeId source,
     auto pin = g.Pin(u);
     if (!pin.ok()) return pin.status();
     const auto& rows = pin.value();
-    const double spread = (1.0 - alpha) * ru / rows.WeightedDegree(u);
     auto nbrs = rows.Neighbors(u);
     auto ws = rows.Weights(u);
+    const double w_deg = rows.WeightedDegree(u);
+    if (!(w_deg > 0.0) ||
+        std::ranges::any_of(ws, [](float w) { return w < 0.0f; })) {
+      return common::Status::InvalidArgument(
+          "forward push needs non-negative weights with a positive sum: "
+          "node " +
+          std::to_string(u) + " has weighted degree " + std::to_string(w_deg));
+    }
+    const double spread = (1.0 - alpha) * ru / w_deg;
     for (size_t i = 0; i < nbrs.size(); ++i) {
       const graph::NodeId v = nbrs[i];
       r[v] += spread * ws[i];

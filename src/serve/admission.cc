@@ -1,6 +1,7 @@
 #include "serve/admission.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -35,6 +36,10 @@ AdmissionQueue::AdmissionQueue(const AdmissionConfig& config)
   SGNN_CHECK_GT(config_.per_tenant_capacity, 0u);
   common::MutexLock lock(mu_);
   for (const auto& [id, quota] : config_.tenants) {
+    // DWRR grants `weight` per visit: a zero, negative or NaN weight never
+    // earns a dispatch for the requests `Offer` admits, and an infinite
+    // one starves every other tenant.
+    SGNN_CHECK(std::isfinite(quota.weight) && quota.weight > 0.0);
     tenants_.emplace(id, std::make_unique<Tenant>(quota));
   }
 }
@@ -116,7 +121,7 @@ bool AdmissionQueue::TryDwrrPop(Queued* out) {
       // Classic DRR: an idle tenant's deficit resets so it cannot hoard
       // service credit while it has nothing to send.
       if (nonempty) {
-        tenant.deficit += std::max(tenant.quota.weight, 0.0);
+        tenant.deficit += tenant.quota.weight;
       } else {
         tenant.deficit = 0.0;
       }

@@ -39,6 +39,7 @@ struct TenantQuota {
   /// Relative fair share under saturation: a tenant with weight 2 drains
   /// twice as fast as one with weight 1 while both are backlogged. Each
   /// DWRR visit grants `weight` of deficit; one unit buys one request.
+  /// Must be finite and positive; `AdmissionQueue`'s constructor checks.
   double weight = 1.0;
   /// Token-bucket burst size; each admitted request spends one token and
   /// an empty bucket rejects with `kResourceExhausted` (HTTP 429). The

@@ -153,6 +153,54 @@ StatusOr<ShardManifest> ReadManifest(const std::string& path) {
       assignment_crc) {
     return Corrupt(path, "assignment section CRC mismatch");
   }
+
+  // The shard table must describe the assignment exactly: one counting
+  // pass recovers each shard's row count and node range, and any
+  // disagreement means overlapping, missing or misplaced ownership.
+  std::vector<uint32_t> rows_seen(num_shards, 0);
+  std::vector<graph::NodeId> lo(num_shards, 0);
+  std::vector<graph::NodeId> hi(num_shards, 0);
+  for (graph::NodeId u = 0; u < manifest.num_nodes; ++u) {
+    const uint32_t s = manifest.shard_of[u];
+    if (s >= num_shards) {
+      return Corrupt(path, "node " + std::to_string(u) + " assigned to shard " +
+                               std::to_string(s) + " of " +
+                               std::to_string(num_shards));
+    }
+    if (rows_seen[s]++ == 0) lo[s] = u;
+    hi[s] = u;
+  }
+  uint64_t total_edges = 0;
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    const ShardEntry& entry = manifest.shards[s];
+    const std::string shard = "shard " + std::to_string(s);
+    if (entry.num_rows != rows_seen[s]) {
+      return Corrupt(path, shard + " claims " +
+                               std::to_string(entry.num_rows) +
+                               " rows but the assignment yields " +
+                               std::to_string(rows_seen[s]) +
+                               " (overlapping or missing ownership)");
+    }
+    if (entry.num_rows > 0 &&
+        (entry.min_node != lo[s] || entry.max_node != hi[s])) {
+      return Corrupt(path, shard + " node range [" +
+                               std::to_string(entry.min_node) + ", " +
+                               std::to_string(entry.max_node) +
+                               "] disagrees with the assignment's [" +
+                               std::to_string(lo[s]) + ", " +
+                               std::to_string(hi[s]) + "]");
+    }
+    if (entry.num_edges > manifest.num_edges - total_edges) {
+      return Corrupt(path, "shard edge counts exceed the manifest's " +
+                               std::to_string(manifest.num_edges) + " edges");
+    }
+    total_edges += entry.num_edges;
+  }
+  if (total_edges != manifest.num_edges) {
+    return Corrupt(path, "shard edge counts sum to " +
+                             std::to_string(total_edges) + ", manifest says " +
+                             std::to_string(manifest.num_edges));
+  }
   return manifest;
 }
 
@@ -228,35 +276,6 @@ Status VerifyShardSections(const void* bytes, const ShardHeader& header,
     }
   }
   return Status::OK();
-}
-
-StatusOr<ShardData> ReadShardFile(const std::string& path) {
-  auto bytes_or = common::ReadFile(path);
-  if (!bytes_or.ok()) return bytes_or.status();
-  const std::string& bytes = bytes_or.value();
-
-  auto header_or = ParseShardHeader(bytes.data(), bytes.size(), path);
-  if (!header_or.ok()) return header_or.status();
-  const ShardHeader& header = header_or.value();
-  SGNN_RETURN_IF_ERROR(VerifyShardSections(bytes.data(), header, path));
-
-  const ShardLayout layout = LayoutFor(header.num_rows, header.num_edges);
-  auto read_section = [&bytes](uint64_t off, uint64_t count, auto* out) {
-    common::ByteReader in(bytes);
-    in.Skip(off);
-    return in.Vec(count, out);
-  };
-  ShardData shard;
-  shard.shard_id = header.shard_id;
-  if (!read_section(layout.rows_off, header.num_rows, &shard.rows) ||
-      !read_section(layout.offsets_off, uint64_t{header.num_rows} + 1,
-                    &shard.offsets) ||
-      !read_section(layout.neighbors_off, header.num_edges,
-                    &shard.neighbors) ||
-      !read_section(layout.weights_off, header.num_edges, &shard.weights)) {
-    return Corrupt(path, "truncated shard file");
-  }
-  return shard;
 }
 
 uint64_t ParseBudget(const char* text, uint64_t fallback) {

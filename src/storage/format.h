@@ -51,8 +51,8 @@ inline constexpr char kShardMagic[8] = {'S', 'G', 'N', 'N', 'S', 'H', 'R', 'D'};
 inline constexpr uint32_t kFormatVersion = 1;
 inline constexpr uint64_t kShardHeaderBytes = 48;
 
-/// Environment variable consulted when `RunContext::resident_budget_bytes`
-/// is 0: decimal bytes with an optional K/M/G suffix (1024-based).
+/// Environment variable consulted when `OpenOptions::budget_bytes` is 0:
+/// decimal bytes with an optional K/M/G suffix (1024-based).
 inline constexpr char kResidentBudgetEnv[] = "SGNN_RESIDENT_BUDGET";
 
 /// Per-shard summary recorded in the manifest. `min_node`/`max_node` bound
@@ -76,8 +76,8 @@ struct ShardManifest {
   std::vector<uint32_t> shard_of;  // size num_nodes
 };
 
-/// Fully decoded shard file (validators and tests; the hot path maps the
-/// file instead of decoding it).
+/// One shard file's contents in memory: what `SerializeShard` lays out.
+/// Readers never decode a shard into this; `ShardedGraph` maps the file.
 struct ShardData {
   uint32_t shard_id = 0;
   std::vector<graph::NodeId> rows;       // sorted global ids
@@ -116,16 +116,15 @@ std::string ShardPath(const std::string& dir, int shard);
 std::string SerializeManifest(const ShardManifest& manifest);
 std::string SerializeShard(const ShardData& shard);
 
-/// Decodes + integrity-checks a manifest file. Framing errors (truncation,
-/// bad magic/version) and CRC mismatches return `kDataLoss` naming the first
-/// offending section; a missing file returns `kNotFound`. Semantic checks
-/// (assignment consistency, overlap) live in `analysis::ValidateShardManifest`.
+/// Decodes and checks a manifest file: its framing (truncation, bad
+/// magic/version), both CRCs, and that the shard table describes the
+/// assignment exactly — every assignment entry below the shard count, each
+/// shard's row count and `[min_node, max_node]` those of the nodes
+/// assigned to it, and the shard edge counts summing to `num_edges`. Any
+/// violation is `kDataLoss` naming the first offender; a missing file is
+/// `kNotFound`. Each shard's `file_bytes` is checked against its counts by
+/// `ShardedGraph::Open`, which parses the shard header with it.
 SGNN_NODISCARD common::StatusOr<ShardManifest> ReadManifest(const std::string& path);
-
-/// Decodes + integrity-checks one shard file (magic, version, exact size,
-/// header CRC, all four section CRCs), same status contract as
-/// `ReadManifest`.
-SGNN_NODISCARD common::StatusOr<ShardData> ReadShardFile(const std::string& path);
 
 /// Verifies magic/version/header-CRC and that `file_bytes` matches the
 /// layout implied by the header counts, without touching the sections.

@@ -5,11 +5,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cmath>
+#include <cstring>
 #include <fstream>
 #include <utility>
 
 #include "common/posix.h"
-#include "core/run_context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "simd/simd.h"
@@ -29,26 +30,28 @@ Status Corrupt(const std::string& where, const std::string& why) {
 /// Open-time read of one shard's header + rows + offsets sections through
 /// buffered streams (these feed the resident index arrays; they are not
 /// cache loads and are not billed as such). The adjacency sections stay on
-/// disk until the shard is pinned.
-Status ReadShardIndex(const std::string& path, const ShardEntry& entry,
-                      int shard, std::vector<NodeId>* rows,
-                      std::vector<uint64_t>* offsets) {
+/// disk until the shard is pinned. Copies the raw header to
+/// `header_bytes` and returns it parsed.
+StatusOr<ShardHeader> ReadShardIndex(const std::string& path,
+                                     const ShardEntry& entry, int shard,
+                                     char* header_bytes,
+                                     std::vector<NodeId>* rows,
+                                     std::vector<uint64_t>* offsets) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("no such file: " + path);
-  char header[kShardHeaderBytes];
-  in.read(header, sizeof(header));
+  in.read(header_bytes, kShardHeaderBytes);
   if (!in) return Corrupt(path, "truncated shard file (smaller than header)");
 
-  auto header_or = ParseShardHeader(header, entry.file_bytes, path);
+  auto header_or = ParseShardHeader(header_bytes, entry.file_bytes, path);
   if (!header_or.ok()) return header_or.status();
-  const ShardHeader& parsed = header_or.value();
-  if (parsed.shard_id != static_cast<uint32_t>(shard)) {
-    return Corrupt(path, "shard id " + std::to_string(parsed.shard_id) +
+  const ShardHeader& header = header_or.value();
+  if (header.shard_id != static_cast<uint32_t>(shard)) {
+    return Corrupt(path, "shard id " + std::to_string(header.shard_id) +
                              " does not match manifest position " +
                              std::to_string(shard));
   }
-  if (parsed.num_rows != entry.num_rows ||
-      parsed.num_edges != entry.num_edges) {
+  if (header.num_rows != entry.num_rows ||
+      header.num_edges != entry.num_edges) {
     return Corrupt(path, "shard header counts disagree with manifest");
   }
 
@@ -63,25 +66,56 @@ Status ReadShardIndex(const std::string& path, const ShardEntry& entry,
           static_cast<std::streamsize>(offsets->size() * sizeof(uint64_t)));
   if (!in) return Corrupt(path, "truncated shard file (index sections)");
   if (simd::Crc32(rows->data(), rows->size() * sizeof(NodeId)) !=
-      parsed.crc_rows) {
+      header.crc_rows) {
     return Corrupt(path, "CRC mismatch in rows section");
   }
   if (simd::Crc32(offsets->data(), offsets->size() * sizeof(uint64_t)) !=
-      parsed.crc_offsets) {
+      header.crc_offsets) {
     return Corrupt(path, "CRC mismatch in offsets section");
+  }
+  return header_or;
+}
+
+/// A shard's adjacency rules over its mapped sections: every neighbour id
+/// below `num_nodes` (kernels index per-node tables with it), each row's
+/// neighbours ascending, every weight finite. A row may repeat a neighbour:
+/// `CsrGraph::FromEdges` keeps parallel edges and the writer stores them.
+/// `offsets` are the ones `Open` checked, which the header's CRC vouches
+/// for.
+Status CheckAdjacency(const std::string& path, NodeId num_nodes,
+                      uint32_t num_rows, const NodeId* rows,
+                      const uint64_t* offsets, const NodeId* neighbors,
+                      const float* weights) {
+  for (uint32_t r = 0; r < num_rows; ++r) {
+    NodeId previous = 0;
+    for (uint64_t e = offsets[r]; e < offsets[r + 1]; ++e) {
+      // sgnn-lint: allow(billing/unbilled-kernel-loop): an integrity check
+      // of the bytes just mapped, not kernel work; it bills nothing so a
+      // run's OpCounters do not depend on which maps were first.
+      const NodeId v = neighbors[e];
+      const char* broken = nullptr;
+      if (v >= num_nodes) {
+        broken = "neighbour id out of range";
+      } else if (v < previous) {
+        broken = "adjacency not sorted";
+      } else if (!std::isfinite(weights[e])) {
+        broken = "weight not finite";
+      }
+      previous = v;
+      if (broken != nullptr) {
+        return Corrupt(path, std::string(broken) + " at row " +
+                                 std::to_string(r) + " (node " +
+                                 std::to_string(rows[r]) + ") edge " +
+                                 std::to_string(e) + " -> " +
+                                 std::to_string(v) + " (num_nodes " +
+                                 std::to_string(num_nodes) + ")");
+      }
+    }
   }
   return Status::OK();
 }
 
 }  // namespace
-
-OpenOptions OptionsFromRunContext(const core::RunContext& ctx) {
-  OpenOptions options;
-  options.budget_bytes = ctx.resident_budget_bytes;
-  options.metrics = ctx.metrics;
-  options.tracer = ctx.tracer;
-  return options;
-}
 
 // ---- PinnedShard --------------------------------------------------------
 
@@ -124,71 +158,47 @@ StatusOr<std::unique_ptr<ShardedGraph>> ShardedGraph::Open(
   g->tracer_ = options.tracer;
 
   const ShardManifest& manifest = g->manifest_;
-  const std::string manifest_path = ManifestPath(dir);
   const auto num_shards = static_cast<uint32_t>(manifest.shards.size());
 
   // Resident index arrays from the assignment: local row = rank of u
   // within its shard in ascending node order, which is exactly the row
   // order the writer laid down.
   g->local_row_.resize(manifest.num_nodes);
-  std::vector<uint64_t> rows_seen(num_shards, 0);
+  std::vector<uint32_t> rows_seen(num_shards, 0);
   for (NodeId u = 0; u < manifest.num_nodes; ++u) {
-    const uint32_t s = manifest.shard_of[u];
-    if (s >= num_shards) {
-      return Corrupt(manifest_path,
-                     "node " + std::to_string(u) + " assigned to shard " +
-                         std::to_string(s) + " of " +
-                         std::to_string(num_shards));
-    }
-    g->local_row_[u] = static_cast<uint32_t>(rows_seen[s]++);
-  }
-  uint64_t total_edges = 0;
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    const ShardEntry& entry = manifest.shards[s];
-    if (rows_seen[s] != entry.num_rows) {
-      return Corrupt(manifest_path,
-                     "shard " + std::to_string(s) + " claims " +
-                         std::to_string(entry.num_rows) +
-                         " rows but the assignment yields " +
-                         std::to_string(rows_seen[s]) +
-                         " (overlapping or missing ownership)");
-    }
-    total_edges += entry.num_edges;
-  }
-  if (total_edges != manifest.num_edges) {
-    return Corrupt(manifest_path, "shard edge counts sum to " +
-                                      std::to_string(total_edges) +
-                                      ", manifest says " +
-                                      std::to_string(manifest.num_edges));
+    g->local_row_[u] = rows_seen[manifest.shard_of[u]]++;
   }
 
-  // Per-shard index read: verifies header + rows/offsets CRCs and fills
-  // the resident degree array the kernels consult without pinning.
+  // Per-shard index read: checks the header, the rows and offsets, and
+  // fills the resident degree array the kernels consult without pinning.
   g->degrees_.assign(manifest.num_nodes, 0);
   g->slots_.resize(num_shards);
   std::vector<NodeId> rows;
   std::vector<uint64_t> offsets;
   for (uint32_t s = 0; s < num_shards; ++s) {
-    const ShardEntry& entry = manifest.shards[s];
+    Slot& slot = g->slots_[s];
+    slot.entry = manifest.shards[s];
     const std::string path = ShardPath(dir, static_cast<int>(s));
-    SGNN_RETURN_IF_ERROR(
-        ReadShardIndex(path, entry, static_cast<int>(s), &rows, &offsets));
-    if (offsets[0] != 0 || offsets[entry.num_rows] != entry.num_edges) {
+    auto header_or =
+        ReadShardIndex(path, slot.entry, static_cast<int>(s),
+                       slot.header_bytes.data(), &rows, &offsets);
+    if (!header_or.ok()) return header_or.status();
+    slot.header = header_or.value();
+    if (offsets[0] != 0 ||
+        offsets[slot.entry.num_rows] != slot.entry.num_edges) {
       return Corrupt(path, "offsets do not span the edge section");
     }
-    NodeId prev = 0;
-    for (uint32_t r = 0; r < entry.num_rows; ++r) {
+    for (uint32_t r = 0; r < slot.entry.num_rows; ++r) {
       const NodeId u = rows[r];
       if (u >= manifest.num_nodes) {
         return Corrupt(path, "row node id " + std::to_string(u) +
                                  " out of range");
       }
-      if (r > 0 && u <= prev) {
+      if (r > 0 && u <= rows[r - 1]) {
         return Corrupt(path, "row ids not strictly ascending at row " +
                                  std::to_string(r));
       }
-      prev = u;
-      if (manifest.shard_of[u] != s || g->local_row_[u] != r) {
+      if (manifest.shard_of[u] != s) {
         return Corrupt(path, "node " + std::to_string(u) +
                                  " listed in shard " + std::to_string(s) +
                                  " but assigned to shard " +
@@ -201,8 +211,7 @@ StatusOr<std::unique_ptr<ShardedGraph>> ShardedGraph::Open(
       g->degrees_[u] =
           static_cast<graph::EdgeIndex>(offsets[r + 1] - offsets[r]);
     }
-    g->slots_[s].entry = entry;
-    g->total_shard_bytes_ += entry.file_bytes;
+    g->total_shard_bytes_ += slot.entry.file_bytes;
   }
 
   if (options.metrics != nullptr) {
@@ -225,10 +234,6 @@ StatusOr<std::unique_ptr<ShardedGraph>> ShardedGraph::Open(
         .GetGauge("sgnn_storage_budget_bytes",
                   "Resolved resident budget (0 = unlimited)")
         ->Set(static_cast<double>(g->budget_bytes_));
-  }
-
-  if (options.deep_validator) {
-    SGNN_RETURN_IF_ERROR(options.deep_validator(dir));
   }
   return g;
 }
@@ -315,27 +320,38 @@ Status ShardedGraph::MapLocked(int shard) {
     ::munmap(base, slot.entry.file_bytes);
     return status;
   };
-  auto header_or = ParseShardHeader(base, slot.entry.file_bytes, path);
-  if (!header_or.ok()) return fail(header_or.status());
-  const ShardHeader& header = header_or.value();
-  if (header.shard_id != static_cast<uint32_t>(shard) ||
-      header.num_rows != slot.entry.num_rows ||
-      header.num_edges != slot.entry.num_edges) {
-    return fail(Corrupt(path, "shard header disagrees with manifest"));
+  // The header must be the one Open checked: its counts sized the index
+  // arrays, and its CRCs now vouch for every section of this map.
+  if (std::memcmp(base, slot.header_bytes.data(), kShardHeaderBytes) != 0) {
+    return fail(Corrupt(path, "shard header changed since open"));
   }
-  Status section_status = VerifyShardSections(base, header, path);
+  Status section_status = VerifyShardSections(base, slot.header, path);
   if (!section_status.ok()) return fail(section_status);
 
   const ShardLayout layout =
       LayoutFor(slot.entry.num_rows, slot.entry.num_edges);
   const char* bytes = static_cast<const char*>(base);
-  slot.base = base;
-  slot.rows = reinterpret_cast<const NodeId*>(bytes + layout.rows_off);
-  slot.offsets =
+  const auto* rows = reinterpret_cast<const NodeId*>(bytes + layout.rows_off);
+  const auto* offsets =
       reinterpret_cast<const uint64_t*>(bytes + layout.offsets_off);
-  slot.neighbors =
+  const auto* neighbors =
       reinterpret_cast<const NodeId*>(bytes + layout.neighbors_off);
-  slot.weights = reinterpret_cast<const float*>(bytes + layout.weights_off);
+  const auto* weights =
+      reinterpret_cast<const float*>(bytes + layout.weights_off);
+  // Reloads find the same sections (same header, same CRCs), so the
+  // adjacency scan runs once per shard per opened graph.
+  if (!slot.adjacency_checked) {
+    Status adjacency_status =
+        CheckAdjacency(path, num_nodes(), slot.entry.num_rows, rows, offsets,
+                       neighbors, weights);
+    if (!adjacency_status.ok()) return fail(adjacency_status);
+    slot.adjacency_checked = true;
+  }
+  slot.base = base;
+  slot.rows = rows;
+  slot.offsets = offsets;
+  slot.neighbors = neighbors;
+  slot.weights = weights;
   slot.mapped = true;
 
   stats_.loads += 1;

@@ -1,8 +1,8 @@
 #ifndef SGNN_STORAGE_SHARDED_GRAPH_H_
 #define SGNN_STORAGE_SHARDED_GRAPH_H_
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -21,10 +21,6 @@ class Counter;
 class Gauge;
 }  // namespace sgnn::obs
 
-namespace sgnn::core {
-struct RunContext;
-}
-
 namespace sgnn::storage {
 
 class ShardedGraph;
@@ -42,9 +38,8 @@ struct StorageStats {
 
 /// How to open a sharded graph. The default options reproduce the plain
 /// case: budget from `SGNN_RESIDENT_BUDGET` (unlimited when unset), no
-/// observability sinks. Every section CRC is verified each time a shard is
-/// mapped (loads and reloads), so a file corrupted mid-run surfaces as a
-/// status instead of wrong numbers; that is not optional.
+/// observability sinks. Checking is not optional: see `ShardedGraph::Open`
+/// and `ShardedGraph::PinShard` for what each read verifies.
 struct OpenOptions {
   /// Resident cap for mapped shard bytes. 0 = consult
   /// `SGNN_RESIDENT_BUDGET`, unlimited when that is unset too. Pass
@@ -54,21 +49,10 @@ struct OpenOptions {
   obs::MetricsRegistry* metrics = nullptr;
   /// Span sink for `storage:load`/`storage:evict`. Null = tracing off.
   obs::Tracer* tracer = nullptr;
-  /// Deep semantic validation hook run once after the structural open
-  /// succeeds (validate-every-stage debug mode wires
-  /// `analysis::ValidateShardedGraph` here); a non-OK return fails `Open`.
-  std::function<common::Status(const std::string& dir)> deep_validator;
 };
 
 /// Explicitly unlimited budget (a real cap larger than any file set).
 inline constexpr uint64_t kUnlimitedBudget = ~uint64_t{0};
-
-/// Open options derived from a run's context: its budget, metrics and
-/// tracer, plus `analysis`-style deep validation when the context has
-/// `validate_stages` set (the caller supplies that hook — see
-/// `analysis::ValidateShardedGraph` — to keep `storage` below `analysis`
-/// in the layering).
-OpenOptions OptionsFromRunContext(const core::RunContext& ctx);
 
 /// RAII pin over one mapped shard. While any pin on a shard is live the
 /// mapping is excluded from eviction and its section pointers are stable,
@@ -165,11 +149,15 @@ class PinnedShard {
 /// within a pinned shard).
 class ShardedGraph {
  public:
-  /// Opens `dir`, verifying manifest + per-shard header/rows/offsets
-  /// integrity and building the resident index arrays. O(num_nodes) work
-  /// and I/O; adjacency sections are not read until a shard is pinned.
-  /// Returns `kNotFound` when no manifest exists, `kDataLoss` for
-  /// corruption (first offender named).
+  /// Opens `dir`: reads the manifest through `ReadManifest`, then each
+  /// shard's header, rows and offsets, checking the header against the
+  /// manifest entry (equal counts, and the entry's `file_bytes` equal to
+  /// the layout they imply), both sections' CRCs, rows strictly ascending
+  /// and assigned to that shard, and offsets running from 0 to the edge
+  /// count without decreasing. Builds the resident index arrays and keeps
+  /// each header. O(num_nodes) work and I/O; adjacency sections are not
+  /// read until a shard is pinned. Returns `kNotFound` when no manifest
+  /// exists, `kDataLoss` for corruption (first offender named).
   static common::StatusOr<std::unique_ptr<ShardedGraph>> Open(
       const std::string& dir, OpenOptions options = {});
 
@@ -200,9 +188,14 @@ class ShardedGraph {
   }
 
   /// Maps (if needed) and pins shard `shard`, evicting least-recently-used
-  /// unpinned shards to respect the budget. `kResourceExhausted` when the
-  /// working set (this shard plus currently pinned ones) cannot fit;
-  /// `kDataLoss` when the shard file fails integrity checks.
+  /// unpinned shards to respect the budget. Every map, load or reload,
+  /// requires the file's header to equal the one `Open` kept, byte for
+  /// byte, and all four section CRCs to match it; the first map of each
+  /// shard also checks its adjacency (neighbour ids below `num_nodes`,
+  /// each row ascending, finite weights) before any pin of it is
+  /// handed out. `kResourceExhausted` when the working set (this shard
+  /// plus currently pinned ones) cannot fit; `kDataLoss` when the shard
+  /// file fails a check.
   SGNN_NODISCARD common::StatusOr<PinnedShard> PinShard(int shard) SGNN_EXCLUDES(mu_);
 
   /// Pins the shard owning node `u`.
@@ -217,6 +210,10 @@ class ShardedGraph {
 
   struct Slot {
     ShardEntry entry;
+    /// The header `Open` read and checked, raw and parsed. Its CRCs vouch
+    /// for every section of every later map.
+    std::array<char, kShardHeaderBytes> header_bytes{};
+    ShardHeader header;
     void* base = nullptr;
     const graph::NodeId* rows = nullptr;
     const uint64_t* offsets = nullptr;
@@ -225,6 +222,7 @@ class ShardedGraph {
     int pins = 0;
     uint64_t last_use = 0;
     bool mapped = false;
+    bool adjacency_checked = false;
   };
 
   ShardedGraph() = default;

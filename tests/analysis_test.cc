@@ -3,12 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "core/dataset.h"
 #include "core/pipeline.h"
 #include "core/stages.h"
@@ -266,83 +263,6 @@ TEST(ValidatePartitionTest, DetectsIncompleteCover) {
   Status s = Validate(p, g);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("does not cover"), std::string::npos);
-}
-
-// ---------------------------------------------------------- checkpoint --
-
-core::PipelineSnapshot MakeSnapshot(uint64_t signature) {
-  core::PipelineSnapshot snap;
-  snap.signature = signature;
-  snap.stages_done = 1;
-  snap.stages.push_back({"edit:test", 0.25, {}});
-  snap.edges_before = 10;
-  snap.feature_cols_before = 3;
-  snap.graph = RingGraph();
-  snap.features = Matrix(5, 3, 0.5f);
-  return snap;
-}
-
-TEST(ValidateCheckpointTest, ConsistentSnapshotPasses) {
-  EXPECT_TRUE(ValidateCheckpoint(MakeSnapshot(77), 77).ok());
-}
-
-TEST(ValidateCheckpointTest, DetectsSignatureMismatch) {
-  Status s = ValidateCheckpoint(MakeSnapshot(77), 78);
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(ValidateCheckpointTest, DetectsStageBookkeepingMismatch) {
-  core::PipelineSnapshot snap = MakeSnapshot(77);
-  snap.stages_done = 2;  // Claims more stages than it records.
-  Status s = ValidateCheckpoint(snap, 77);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("stage bookkeeping"), std::string::npos);
-}
-
-TEST(ValidateCheckpointTest, DetectsCorruptPayloadFeatures) {
-  core::PipelineSnapshot snap = MakeSnapshot(77);
-  snap.features.data()[7] = std::numeric_limits<float>::quiet_NaN();
-  Status s = ValidateCheckpoint(snap, 77);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("not finite"), std::string::npos);
-}
-
-TEST(ValidateCheckpointTest, DetectsMisalignedPayload) {
-  core::PipelineSnapshot snap = MakeSnapshot(77);
-  snap.features = Matrix(4, 3, 0.5f);  // Graph has 5 nodes.
-  Status s = ValidateCheckpoint(snap, 77);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("features rows != graph nodes"),
-            std::string::npos);
-}
-
-TEST(ValidateCheckpointFileTest, RoundTripsAndRejectsCorruption) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "sgnn_analysis_ckpt.bin")
-          .string();
-  core::PipelineSnapshot snap = MakeSnapshot(91);
-  ASSERT_TRUE(core::SaveSnapshot(snap, path).ok());
-
-  EXPECT_TRUE(core::ValidateCheckpointFile(path, 91).ok());
-  EXPECT_EQ(core::ValidateCheckpointFile(path, 92).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(core::ValidateCheckpointFile(path + ".missing", 91).code(),
-            StatusCode::kNotFound);
-
-  // Flip a payload byte: the CRC layer must report corruption.
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(40);
-    char byte = 0;
-    f.seekg(40);
-    f.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x5a);
-    f.seekp(40);
-    f.write(&byte, 1);
-  }
-  EXPECT_EQ(core::ValidateCheckpointFile(path, 91).code(),
-            StatusCode::kIOError);
-  std::filesystem::remove(path);
 }
 
 // ------------------------------------------------- pipeline debug mode --

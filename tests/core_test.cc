@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <set>
 
 #include "common/crc32.h"
@@ -470,6 +471,54 @@ TEST(CheckpointTest, NodeCountBeyondFeatureRowsIsCorrupt) {
   std::filesystem::remove(path);
 }
 
+// A snapshot that claims more completed stages than it records (or fewer
+// than none) would resume past work it never kept: it is corrupt.
+TEST(CheckpointTest, StagesDoneBeyondRecordedStagesIsCorrupt) {
+  Dataset d = SmallDataset(61);
+  PipelineSnapshot snap;
+  snap.signature = 7;
+  snap.stages.push_back({"edit:a", 0.25, {}});
+  snap.graph = d.graph;
+  snap.features = d.features;
+  const std::string path = ::testing::TempDir() + "/sgnn_snap_stages.bin";
+  for (const int32_t stages_done : {2, -1}) {
+    snap.stages_done = stages_done;
+    ASSERT_TRUE(SaveSnapshot(snap, path).ok());
+    auto loaded = LoadSnapshot(path, 7);
+    ASSERT_FALSE(loaded.ok()) << stages_done << " stages done";
+    EXPECT_EQ(loaded.status().code(), common::StatusCode::kIOError);
+    EXPECT_NE(loaded.status().message().find("inconsistent stage count"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+  snap.stages_done = 1;
+  ASSERT_TRUE(SaveSnapshot(snap, path).ok());
+  EXPECT_TRUE(LoadSnapshot(path, 7).ok());
+  std::filesystem::remove(path);
+}
+
+// A snapshot whose features carry one row fewer than its graph has nodes
+// saves, and is refused where it is read.
+TEST(CheckpointTest, FeatureRowsMisalignedWithGraphAreCorrupt) {
+  Dataset d = SmallDataset(67);
+  PipelineSnapshot snap;
+  snap.signature = 7;
+  snap.graph = d.graph;
+  snap.features = tensor::Matrix(d.graph.num_nodes() - 1, d.features.cols());
+  const std::string path = ::testing::TempDir() + "/sgnn_snap_misaligned.bin";
+  ASSERT_TRUE(SaveSnapshot(snap, path).ok());
+  auto loaded = LoadSnapshot(path, 7);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), common::StatusCode::kIOError);
+  EXPECT_NE(loaded.status().message().find(
+                "node count " + std::to_string(d.graph.num_nodes()) +
+                " does not match " + std::to_string(d.graph.num_nodes() - 1) +
+                " feature rows"),
+            std::string::npos)
+      << loaded.status().ToString();
+  std::filesystem::remove(path);
+}
+
 TEST(CheckpointTest, ForeignPipelineSnapshotIsRejected) {
   Dataset d = SmallDataset(43);
   PipelineSnapshot snap;
@@ -525,6 +574,65 @@ TEST(PipelineTest, CrashAfterStageThenResumeIsBitwiseIdentical) {
   EXPECT_DOUBLE_EQ(resumed.model.report.test_accuracy,
                    full.model.report.test_accuracy);
   ExpectIdenticalHeads(resumed.model, full.model);
+  std::filesystem::remove(path);
+}
+
+// A validated run checkpoints validation rows next to its stages, so its
+// snapshot records more stages than it has done; it must still resume,
+// and the stage validator then checks the restored state.
+TEST(PipelineTest, ValidatedRunResumesFromItsOwnSnapshot) {
+  Dataset d = SmallDataset(59);
+  const std::string path =
+      ::testing::TempDir() + "/sgnn_pipeline_validated.bin";
+  std::filesystem::remove(path);
+  RunContext ctx;
+  ctx.validate_stages = true;
+  PipelineReport full = MakeCheckpointedPipeline().Run(d, FastConfig(), ctx);
+  ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+
+  common::FaultInjector faults(7);
+  faults.ArmAt("pipeline.after_stage", 0);
+  ctx.checkpoint_path = path;
+  ctx.faults = &faults;
+  PipelineReport crashed =
+      MakeCheckpointedPipeline().Run(d, FastConfig(), ctx);
+  EXPECT_EQ(crashed.status.code(), common::StatusCode::kAborted);
+  auto snapshot =
+      LoadSnapshot(path, MakeCheckpointedPipeline().Signature());
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ(snapshot.value().stages_done, 1);
+  // validate:input, the edit and its validation.
+  const size_t restored = snapshot.value().stages.size();
+  EXPECT_EQ(restored, 3u);
+
+  // The resumed report holds the restored rows, then `validate:resume`,
+  // then the rest of an uninterrupted validated run.
+  ctx.faults = nullptr;
+  PipelineReport resumed =
+      MakeCheckpointedPipeline().Run(d, FastConfig(), ctx);
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+  EXPECT_EQ(resumed.resumed_stages, 1);
+  std::vector<std::string> expected;
+  for (const StageTiming& stage : full.stages) expected.push_back(stage.name);
+  expected.insert(expected.begin() + static_cast<std::ptrdiff_t>(restored),
+                  "validate:resume");
+  std::vector<std::string> names;
+  for (const StageTiming& stage : resumed.stages) names.push_back(stage.name);
+  EXPECT_EQ(names, expected);
+  ExpectIdenticalHeads(resumed.model, full.model);
+
+  // A snapshot whose features went non-finite is resumed, and the stage
+  // validator stops the run on the restored state.
+  PipelineSnapshot poisoned = std::move(snapshot).value();
+  poisoned.features.data()[0] = std::numeric_limits<float>::quiet_NaN();
+  ASSERT_TRUE(SaveSnapshot(poisoned, path).ok());
+  PipelineReport refused =
+      MakeCheckpointedPipeline().Run(d, FastConfig(), ctx);
+  EXPECT_FALSE(refused.status.ok());
+  EXPECT_NE(refused.status.message().find("not finite"), std::string::npos)
+      << refused.status.ToString();
+  ASSERT_FALSE(refused.stages.empty());
+  EXPECT_EQ(refused.stages.back().name, "validate:resume");
   std::filesystem::remove(path);
 }
 

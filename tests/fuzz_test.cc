@@ -1,5 +1,5 @@
 // Deterministic mutation fuzzer over every decoder at a trust boundary:
-// checkpoints, shard manifests and shard files, worker specs, row batches,
+// checkpoints, shard manifests and sharded graphs, worker specs, row batches,
 // dist frames, HTTP requests, infer request bodies, edge lists and the
 // dataset text files. The corpus is what the library's own writers
 // produce; mutations come from a fixed-seed SplitMix64 stream with a fixed
@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "alloc_tracker.h"
+#include "shard_reseal.h"
 #include "common/crc32.h"
 #include "common/fault.h"
 #include "common/posix.h"
@@ -45,7 +46,9 @@
 #include "net/http.h"
 #include "net/json.h"
 #include "storage/format.h"
+#include "storage/ooc.h"
 #include "storage/shard_writer.h"
+#include "storage/sharded_graph.h"
 #include "tensor/matrix.h"
 
 namespace sgnn {
@@ -264,14 +267,6 @@ std::string ReadBytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// Recomputes the CRC-32 trailer over everything before it.
-void ResealTrailer(std::string* bytes) {
-  if (bytes->size() < sizeof(uint32_t)) return;
-  const size_t payload = bytes->size() - sizeof(uint32_t);
-  Poke(bytes, payload, sizeof(uint32_t),
-       common::Crc32(bytes->data(), payload));
-}
-
 tensor::Matrix Features(int64_t rows, int64_t cols, uint64_t seed) {
   common::Rng rng(seed);
   return tensor::Matrix::Gaussian(rows, cols, 0.0f, 1.0f, &rng);
@@ -353,24 +348,28 @@ void ShardCorpus(const std::string& dir, std::vector<std::string>* manifests,
   std::filesystem::remove_all(dir);
 }
 
+/// A manifest's count fields: version | num_shards | num_nodes |
+/// num_edges, then each 28-byte entry's num_rows, num_edges and file_bytes.
+std::vector<Field> ManifestFields(const std::string& bytes) {
+  std::vector<Field> fields = {{8, 4}, {12, 4}, {16, 4}, {20, 8}};
+  uint32_t num_shards = 0;
+  std::memcpy(&num_shards, bytes.data() + 12, sizeof(num_shards));
+  for (size_t at = 28; num_shards > 0; --num_shards, at += 28) {
+    fields.push_back({at, 4});
+    fields.push_back({at + 12, 8});
+    fields.push_back({at + 20, 8});
+  }
+  return fields;
+}
+
 TEST(FuzzTest, ReadManifest) {
   Target target;
   std::vector<std::string> shards;
   ShardCorpus(TempPath("manifest_dir"), &target.corpus, &shards);
   for (const std::string& bytes : target.corpus) {
-    // version | num_shards | num_nodes | num_edges, then 28-byte entries
-    // holding num_rows, num_edges and file_bytes.
-    std::vector<Field> fields = {{8, 4}, {12, 4}, {16, 4}, {20, 8}};
-    uint32_t num_shards = 0;
-    std::memcpy(&num_shards, bytes.data() + 12, sizeof(num_shards));
-    for (size_t at = 28; num_shards > 0; --num_shards, at += 28) {
-      fields.push_back({at, 4});
-      fields.push_back({at + 12, 8});
-      fields.push_back({at + 20, 8});
-    }
-    target.fields.push_back(fields);
+    target.fields.push_back(ManifestFields(bytes));
   }
-  target.reseal = ResealTrailer;
+  target.reseal = ResealManifest;
   const std::string path = TempPath("manifest.sgnn");
   target.decode = [&path](const std::string& input) {
     WriteBytes(path, input);
@@ -378,37 +377,6 @@ TEST(FuzzTest, ReadManifest) {
   };
   Fuzz(target, 2);
   std::filesystem::remove(path);
-}
-
-/// Reseals a shard file: when the header's counts imply the file's exact
-/// size, the four section CRCs; then the header CRC.
-void ResealShard(std::string* bytes) {
-  if (bytes->size() < storage::kShardHeaderBytes) return;
-  uint32_t num_rows = 0;
-  uint64_t num_edges = 0;
-  std::memcpy(&num_rows, bytes->data() + 16, sizeof(num_rows));
-  std::memcpy(&num_edges, bytes->data() + 24, sizeof(num_edges));
-  if (num_edges <= bytes->size() / 8) {
-    const storage::ShardLayout layout =
-        storage::LayoutFor(num_rows, num_edges);
-    if (layout.file_bytes == bytes->size()) {
-      const struct {
-        size_t crc_at;
-        uint64_t off;
-        uint64_t size;
-      } sections[] = {
-          {20, layout.rows_off, uint64_t{num_rows} * 4},
-          {32, layout.offsets_off, (uint64_t{num_rows} + 1) * 8},
-          {36, layout.neighbors_off, num_edges * 4},
-          {40, layout.weights_off, num_edges * 4},
-      };
-      for (const auto& s : sections) {
-        Poke(bytes, s.crc_at, 4, common::Crc32(bytes->data() + s.off, s.size));
-      }
-    }
-  }
-  Poke(bytes, storage::kShardHeaderBytes - 4, 4,
-       common::Crc32(bytes->data(), storage::kShardHeaderBytes - 4));
 }
 
 /// Shard files with their header counts (num_rows, num_edges) as fields.
@@ -431,15 +399,90 @@ TEST(FuzzTest, ParseShardHeaderAndVerifyShardSections) {
   Fuzz(target, 3);
 }
 
-TEST(FuzzTest, ReadShardFile) {
-  Target target = ShardTarget(TempPath("shard_dir"));
-  const std::string path = TempPath("shard.sgnn");
-  target.decode = [&path](const std::string& input) {
-    WriteBytes(path, input);
-    return storage::ReadShardFile(path).status();
+/// Opens the sharded graph in `dir` under `budget`, pins every shard, and
+/// runs the out-of-core propagator and a PPR push batch over it: whatever
+/// `Open` and `PinShard` accept, the kernels must be able to use.
+Status OpenPinAndRun(const std::string& dir, uint64_t budget) {
+  storage::OpenOptions options;
+  options.budget_bytes = budget;
+  auto open_or = storage::ShardedGraph::Open(dir, options);
+  if (!open_or.ok()) return open_or.status();
+  storage::ShardedGraph& sg = *open_or.value();
+  for (int s = 0; s < sg.num_shards(); ++s) {
+    SGNN_RETURN_IF_ERROR(sg.PinShard(s).status());
+  }
+  auto prop_or = storage::OocPropagator::Create(
+      &sg, graph::Normalization::kSymmetric, /*add_self_loops=*/true);
+  if (!prop_or.ok()) return prop_or.status();
+  const tensor::Matrix x(static_cast<int64_t>(sg.num_nodes()), 4, 1.0f);
+  tensor::Matrix out;
+  SGNN_RETURN_IF_ERROR(prop_or.value().Apply(x, &out));
+  if (sg.num_nodes() == 0) return Status::OK();
+  const NodeId seeds[] = {0, sg.num_nodes() / 2, sg.num_nodes() - 1};
+  return storage::PushBatch(&sg, seeds, 0.15, 1e-3).status();
+}
+
+// The path the program runs: each case replaces the manifest or one shard
+// file of a 3-shard graph — the one its magic and header shard id name —
+// then opens the graph under a one-shard budget, so every pin evicts and
+// reloads, and runs the kernels over it. Shard images carry their first
+// neighbour id as a field next to the header counts.
+TEST(FuzzTest, OpenAndPinShardedGraph) {
+  constexpr int kShards = 3;
+  const std::string dir = TempPath("graph_dir");
+  std::filesystem::remove_all(dir);
+  const graph::CsrGraph g = graph::ErdosRenyi(60, 200, 11);
+  ASSERT_TRUE(storage::WriteShardedGraph(
+                  g, storage::ShardPlan::Contiguous(g, kShards), dir)
+                  .ok());
+  std::vector<std::string> paths = {storage::ManifestPath(dir)};
+  for (int s = 0; s < kShards; ++s) paths.push_back(storage::ShardPath(dir, s));
+
+  Target target;
+  uint64_t budget = 0;
+  for (const std::string& path : paths) {
+    const std::string bytes = ReadBytes(path);
+    target.corpus.push_back(bytes);
+    if (target.corpus.size() == 1) {
+      target.fields.push_back(ManifestFields(bytes));
+      continue;
+    }
+    uint32_t num_rows = 0;
+    std::memcpy(&num_rows, bytes.data() + 16, sizeof(num_rows));
+    const storage::ShardLayout layout = storage::LayoutFor(num_rows, 0);
+    target.fields.push_back(
+        {{16, 4}, {24, 8}, {static_cast<size_t>(layout.neighbors_off), 4}});
+    budget = std::max<uint64_t>(budget, bytes.size());
+  }
+  auto is_manifest = [](const std::string& bytes) {
+    return bytes.compare(0, sizeof(storage::kManifestMagic),
+                         storage::kManifestMagic,
+                         sizeof(storage::kManifestMagic)) == 0;
+  };
+  target.reseal = [&is_manifest](std::string* bytes) {
+    if (is_manifest(*bytes)) {
+      ResealManifest(bytes);
+    } else {
+      ResealShard(bytes);
+    }
+  };
+  const std::vector<std::string> originals = target.corpus;
+  target.decode = [&](const std::string& input) {
+    size_t file = 0;
+    if (!is_manifest(input)) {
+      uint32_t shard = 0;
+      if (input.size() >= 16) {
+        std::memcpy(&shard, input.data() + 12, sizeof(shard));
+      }
+      file = 1 + (shard < kShards ? shard : 0);
+    }
+    WriteBytes(paths[file], input);
+    const Status status = OpenPinAndRun(dir, budget);
+    WriteBytes(paths[file], originals[file]);
+    return status;
   };
   Fuzz(target, 4);
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(dir);
 }
 
 // ---- dist: worker specs, row batches and frames --------------------------

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <functional>
 #include <future>
+#include <limits>
 #include <map>
 #include <span>
 #include <string>
@@ -348,6 +349,19 @@ TEST(AdmissionQueueTest, StaleTierMarksRequestsAndRejectTierRefuses) {
   uint64_t cookie = 0;
   ASSERT_TRUE(queue.PopDispatch(&request, &cookie));
   EXPECT_TRUE(request.stale_only);  // The stale tier marked it.
+}
+
+// A weight DWRR can never serve would leave admitted requests queued
+// forever (and a front door's shutdown waiting on them), so the
+// constructor refuses it.
+TEST(AdmissionQueueDeathTest, WeightThatCanNeverDispatchIsRefused) {
+  for (const double weight :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    AdmissionConfig config;
+    config.tenants["t"] = TenantQuota{weight, 1e18, 0.0};
+    EXPECT_DEATH(AdmissionQueue queue(config), "quota.weight")
+        << "weight " << weight;
+  }
 }
 
 TEST(AdmissionQueueTest, CloseDrainsQueuedRequestsThenStops) {

@@ -50,6 +50,21 @@ TEST(ForwardPushTest, IsolatedSourceKeepsAllMass) {
   EXPECT_NEAR(result.estimate[0].second, 1.0, 1e-12);
 }
 
+// A row with a negative weight or a zero weight sum is not a random-walk
+// step: its spread can grow the residual mass, so the queue would never
+// drain. The push stops at its contract check instead of spinning.
+TEST(ForwardPushDeathTest, RowThatIsNotAWalkStepAborts) {
+  const struct {
+    float to_1;
+    float to_2;
+  } rows_of_0[] = {{1.0f, -1.0f}, {2.0f, -1.0f}, {0.0f, 0.0f}};
+  for (const auto& w : rows_of_0) {
+    const CsrGraph g = CsrGraph::FromEdges(
+        3, {{0, 1, w.to_1}, {0, 2, w.to_2}, {1, 0, 1.0f}, {2, 0, 1.0f}});
+    EXPECT_DEATH(ForwardPush(g, 0, 0.15, 1e-4), "SGNN_CHECK");
+  }
+}
+
 TEST(ForwardPushTest, ErrorBoundedByRmaxTimesDegree) {
   CsrGraph g = graph::ErdosRenyi(100, 400, 3);
   const double alpha = 0.2, r_max = 1e-4;

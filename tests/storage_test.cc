@@ -5,11 +5,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "analysis/validate.h"
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "graph/generators.h"
@@ -18,6 +19,7 @@
 #include "partition/partition.h"
 #include "ppr/ppr.h"
 #include "sampling/neighbor_sampler.h"
+#include "shard_reseal.h"
 #include "storage/format.h"
 #include "storage/ooc.h"
 #include "storage/shard_writer.h"
@@ -63,32 +65,67 @@ void ExpectStatusContains(const common::Status& status,
       << "status message: " << status.message();
 }
 
-/// Rebuilds the full adjacency of `u` from the shard set and checks it is
-/// byte-identical to the in-memory graph's.
+/// A pinned shard's sections gathered back into the writer's `ShardData`.
+ShardData Gather(const PinnedShard& pin) {
+  ShardData shard;
+  shard.shard_id = static_cast<uint32_t>(pin.shard());
+  shard.rows.assign(pin.rows().begin(), pin.rows().end());
+  shard.offsets.assign(pin.local_offsets().begin(), pin.local_offsets().end());
+  for (int64_t r = 0; r < pin.num_rows(); ++r) {
+    const auto nbrs = pin.NeighborsLocal(r);
+    const auto ws = pin.WeightsLocal(r);
+    shard.neighbors.insert(shard.neighbors.end(), nbrs.begin(), nbrs.end());
+    shard.weights.insert(shard.weights.end(), ws.begin(), ws.end());
+  }
+  return shard;
+}
+
+std::unique_ptr<ShardedGraph> OpenUnlimited(const std::string& dir) {
+  OpenOptions options;
+  options.budget_bytes = kUnlimitedBudget;
+  auto open_or = ShardedGraph::Open(dir, options);
+  EXPECT_TRUE(open_or.ok()) << open_or.status().message();
+  return open_or.ok() ? std::move(open_or).value() : nullptr;
+}
+
+/// Opens `dir` and pins every shard through the checking reader, so each
+/// row's adjacency is read back and compared byte for byte with the
+/// in-memory graph's.
 void ExpectShardsMatchGraph(const CsrGraph& g, const std::string& dir) {
-  auto manifest_or = ReadManifest(ManifestPath(dir));
-  ASSERT_TRUE(manifest_or.ok()) << manifest_or.status().message();
-  const ShardManifest& manifest = manifest_or.value();
-  ASSERT_EQ(manifest.num_nodes, g.num_nodes());
-  ASSERT_EQ(manifest.num_edges, static_cast<uint64_t>(g.num_edges()));
-  for (size_t s = 0; s < manifest.shards.size(); ++s) {
-    auto shard_or = ReadShardFile(ShardPath(dir, static_cast<int>(s)));
-    ASSERT_TRUE(shard_or.ok()) << shard_or.status().message();
-    const ShardData& shard = shard_or.value();
-    for (size_t r = 0; r < shard.rows.size(); ++r) {
-      const NodeId u = shard.rows[r];
+  const std::unique_ptr<ShardedGraph> sg = OpenUnlimited(dir);
+  ASSERT_NE(sg, nullptr);
+  ASSERT_EQ(sg->num_nodes(), g.num_nodes());
+  ASSERT_EQ(sg->num_edges(), g.num_edges());
+  for (int s = 0; s < sg->num_shards(); ++s) {
+    auto pin_or = sg->PinShard(s);
+    ASSERT_TRUE(pin_or.ok()) << pin_or.status().message();
+    const PinnedShard& pin = pin_or.value();
+    for (int64_t r = 0; r < pin.num_rows(); ++r) {
+      const NodeId u = pin.rows()[r];
       auto nbrs = g.Neighbors(u);
       auto ws = g.Weights(u);
-      const uint64_t begin = shard.offsets[r];
-      const uint64_t count = shard.offsets[r + 1] - begin;
-      ASSERT_EQ(count, nbrs.size()) << "node " << u;
-      if (count == 0) continue;  // An empty section's data() may be null.
-      ASSERT_EQ(0, std::memcmp(shard.neighbors.data() + begin, nbrs.data(),
+      ASSERT_EQ(pin.NeighborsLocal(r).size(), nbrs.size()) << "node " << u;
+      if (nbrs.empty()) continue;  // An empty span's data() may be null.
+      ASSERT_EQ(0, std::memcmp(pin.NeighborsLocal(r).data(), nbrs.data(),
                                nbrs.size() * sizeof(NodeId)));
-      ASSERT_EQ(0, std::memcmp(shard.weights.data() + begin, ws.data(),
+      ASSERT_EQ(0, std::memcmp(pin.WeightsLocal(r).data(), ws.data(),
                                ws.size() * sizeof(float)));
     }
   }
+}
+
+/// Opens `dir` under an unlimited budget and pins every shard; the first
+/// failure, or OK.
+common::Status OpenAndPinAll(const std::string& dir) {
+  OpenOptions options;
+  options.budget_bytes = kUnlimitedBudget;
+  auto open_or = ShardedGraph::Open(dir, options);
+  if (!open_or.ok()) return open_or.status();
+  for (int s = 0; s < open_or.value()->num_shards(); ++s) {
+    auto pin_or = open_or.value()->PinShard(s);
+    if (!pin_or.ok()) return pin_or.status();
+  }
+  return common::Status::OK();
 }
 
 TEST(FormatTest, ParseBudget) {
@@ -122,17 +159,18 @@ TEST(WriterTest, RoundTripContiguousPlan) {
   const ShardPlan plan = ShardPlan::Contiguous(g, 4);
   ASSERT_TRUE(WriteShardedGraph(g, plan, dir).ok());
   ExpectShardsMatchGraph(g, dir);
-  EXPECT_TRUE(analysis::ValidateShardedGraph(dir).ok());
-  // Decode -> re-serialize reproduces the on-disk bytes exactly, and a
+  // Map -> re-serialize reproduces the on-disk bytes exactly, and a
   // second conversion of the same graph is byte-identical file for file.
   const std::string dir2 = NewDir("roundtrip_contig2");
   ASSERT_TRUE(WriteShardedGraph(g, plan, dir2).ok());
   EXPECT_EQ(ReadAll(ManifestPath(dir)), ReadAll(ManifestPath(dir2)));
+  const std::unique_ptr<ShardedGraph> sg = OpenUnlimited(dir);
+  ASSERT_NE(sg, nullptr);
   for (int s = 0; s < plan.num_shards; ++s) {
     const std::string bytes = ReadAll(ShardPath(dir, s));
-    auto shard_or = ReadShardFile(ShardPath(dir, s));
-    ASSERT_TRUE(shard_or.ok());
-    EXPECT_EQ(SerializeShard(shard_or.value()), bytes) << "shard " << s;
+    auto pin_or = sg->PinShard(s);
+    ASSERT_TRUE(pin_or.ok());
+    EXPECT_EQ(SerializeShard(Gather(pin_or.value())), bytes) << "shard " << s;
     EXPECT_EQ(ReadAll(ShardPath(dir2, s)), bytes) << "shard " << s;
   }
   std::filesystem::remove_all(dir);
@@ -146,7 +184,6 @@ TEST(WriterTest, EdgelessShardRoundTrips) {
   const std::string dir = NewDir("edgeless_shard");
   ASSERT_TRUE(WriteShardedGraph(g, ShardPlan::Contiguous(g, 2), dir).ok());
   ExpectShardsMatchGraph(g, dir);
-  EXPECT_TRUE(analysis::ValidateShardedGraph(dir).ok());
   std::filesystem::remove_all(dir);
 }
 
@@ -156,7 +193,6 @@ TEST(WriterTest, RoundTripPartitionPlan) {
   const std::string dir = NewDir("roundtrip_ldg");
   ASSERT_TRUE(WriteShardedGraph(g, ShardPlan::FromPartition(part), dir).ok());
   ExpectShardsMatchGraph(g, dir);
-  EXPECT_TRUE(analysis::ValidateShardedGraph(dir).ok());
   std::filesystem::remove_all(dir);
 }
 
@@ -219,19 +255,19 @@ TEST(CorruptionTest, EveryShardSectionIsCovered) {
   };
   for (const auto& c : cases) {
     FlipByte(shard0, c.offset);
-    ExpectStatusContains(ReadShardFile(shard0).status(), c.diagnostic);
-    ExpectStatusContains(analysis::ValidateShardedGraph(dir), c.diagnostic);
+    ExpectStatusContains(OpenAndPinAll(dir), c.diagnostic);
     FlipByte(shard0, c.offset);  // restore
-    ASSERT_TRUE(ReadShardFile(shard0).ok()) << "offset " << c.offset;
+    ASSERT_TRUE(OpenAndPinAll(dir).ok()) << "offset " << c.offset;
   }
 
-  // Truncation: dropping the tail is caught before any section parse.
+  // Truncation: a file shorter than its manifest entry is refused before
+  // it is mapped.
   const std::string bytes = ReadAll(shard0);
   {
     std::ofstream out(shard0, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamoff>(bytes.size() - 8));
   }
-  ExpectStatusContains(ReadShardFile(shard0).status(), "truncated");
+  ExpectStatusContains(OpenAndPinAll(dir), "truncated");
   {
     std::ofstream out(shard0, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamoff>(bytes.size()));
@@ -327,14 +363,9 @@ TEST(CorruptionTest, ForgedCountsAreDataLossBeforeAllocating) {
                   manifest.shards[0].num_edges + (uint64_t{1} << 62),
                   kShardHeaderBytes - sizeof(uint32_t));
   WriteAll(shard0, shard_bytes);
-  for (const common::Status& status :
-       {ReadShardFile(shard0).status(),
-        analysis::ValidateShardFile(manifest, 0, shard0)}) {
-    EXPECT_EQ(status.code(), common::StatusCode::kDataLoss);
-    ExpectStatusContains(status, "exceeds the file size");
-  }
-  EXPECT_EQ(ShardedGraph::Open(dir).status().code(),
-            common::StatusCode::kDataLoss);
+  const common::Status open_status = ShardedGraph::Open(dir).status();
+  EXPECT_EQ(open_status.code(), common::StatusCode::kDataLoss);
+  ExpectStatusContains(open_status, "exceeds the file size");
 
   // Manifest: num_nodes is the u32 at byte 16; the trailing CRC covers the
   // rest of the file.
@@ -348,72 +379,231 @@ TEST(CorruptionTest, ForgedCountsAreDataLossBeforeAllocating) {
   std::filesystem::remove_all(dir);
 }
 
+template <typename T>
+void Put(std::string* bytes, size_t offset, T value) {
+  std::memcpy(bytes->data() + offset, &value, sizeof(value));
+}
+
+template <typename T>
+T Get(const std::string& bytes, size_t offset) {
+  T value;
+  std::memcpy(&value, bytes.data() + offset, sizeof(value));
+  return value;
+}
+
+// Forged files with resealed CRCs pass every integrity check, so only the
+// readers' own rules stand between them and the kernels. Each forgery is
+// kDataLoss naming its first offender, from the first read that holds the
+// rule: ReadManifest for the shard table, Open for a shard's header, rows
+// and offsets, and a shard's first map for its adjacency.
 TEST(ValidatorTest, SemanticFirstOffenderDiagnostics) {
   const CsrGraph g = graph::ErdosRenyi(80, 300, 4);
   const std::string dir = NewDir("semantic");
   ASSERT_TRUE(WriteShardedGraph(g, ShardPlan::Contiguous(g, 2), dir).ok());
-  auto manifest_or = ReadManifest(ManifestPath(dir));
-  ASSERT_TRUE(manifest_or.ok());
-  ShardManifest manifest = manifest_or.value();
-  auto shard_or = ReadShardFile(ShardPath(dir, 0));
-  ASSERT_TRUE(shard_or.ok());
-  ShardData shard = shard_or.value();
-  ASSERT_TRUE(analysis::ValidateShardManifest(manifest).ok());
-  ASSERT_TRUE(analysis::ValidateShardData(manifest, 0, shard).ok());
+  const std::string manifest_path = ManifestPath(dir);
+  const std::string manifest_bytes = ReadAll(manifest_path);
+  const std::string shard0 = ShardPath(dir, 0);
+  const std::string shard_bytes = ReadAll(shard0);
 
-  {  // Out-of-range neighbour id.
-    ShardData bad = shard;
-    bad.neighbors[0] = manifest.num_nodes + 5;
-    ExpectStatusContains(analysis::ValidateShardData(manifest, 0, bad),
-                         "neighbour id out of range");
+  // Manifest: u64 num_edges at 20, then 28-byte entries from 28 (u32
+  // num_rows | u32 min_node | u32 max_node | u64 num_edges | u64
+  // file_bytes), a u32, then one u32 shard id per node.
+  auto manifest_or = ReadManifest(manifest_path);
+  ASSERT_TRUE(manifest_or.ok());
+  const std::vector<ShardEntry> shards = manifest_or.value().shards;
+  ASSERT_GE(shards[0].num_rows, 3u);
+  ASSERT_GE(shards[1].num_rows, 3u);
+  ASSERT_LT(shards[0].max_node, shards[1].min_node);
+  auto entry = [](uint32_t s, size_t field) { return 28 + 28 * s + field; };
+  auto assignment = [](NodeId u) { return 28 + 2 * 28 + 4 + 4 * size_t{u}; };
+
+  // Shard 0 holds nodes 0.. in order, so its local edge indices are the
+  // graph's; edges e and e + 1 share the first row with two neighbours.
+  const uint32_t num_rows = Get<uint32_t>(shard_bytes, 16);
+  const uint64_t edges = Get<uint64_t>(shard_bytes, 24);
+  const ShardLayout layout = LayoutFor(num_rows, edges);
+  auto row = [&](uint32_t r) { return layout.rows_off + 4 * size_t{r}; };
+  auto offset = [&](uint32_t r) { return layout.offsets_off + 8 * size_t{r}; };
+  NodeId u = 0;
+  while (g.OutDegree(u) < 2) ++u;
+  const auto e = static_cast<size_t>(g.offsets()[u]);
+  const size_t neighbour = layout.neighbors_off + 4 * e;
+  const size_t weight = layout.weights_off + 4 * e;
+  // The first row with an edge; the row after it then starts above 0.
+  uint32_t r0 = 0;
+  while (Get<uint64_t>(shard_bytes, offset(r0 + 1)) == 0) ++r0;
+  ASSERT_LT(r0 + 2, num_rows);
+  // An inner node of each shard, swapped between them in the assignment.
+  const NodeId moved0 = shards[0].min_node + 1;
+  const NodeId moved1 = shards[1].min_node + 1;
+
+  enum class Reader { kReadManifest, kOpen, kFirstMap };
+  const struct {
+    const char* what;
+    bool in_manifest;  // Forges the manifest, else shard 0.
+    std::function<void(std::string*)> forge;
+    Reader refused_by;
+    std::string diagnostic;
+  } cases[] = {
+      {"node assigned past the shard count", true,
+       [&](std::string* b) { Put<uint32_t>(b, assignment(79), 2); },
+       Reader::kReadManifest, "node 79 assigned to shard 2 of 2"},
+      {"node stored in shard 0 but assigned to shard 1", true,
+       [&](std::string* b) { Put<uint32_t>(b, assignment(0), 1); },
+       Reader::kReadManifest, "overlapping or missing ownership"},
+      {"node range that disagrees with the assignment", true,
+       [&](std::string* b) {
+         Put(b, entry(0, 4), Get<uint32_t>(*b, entry(0, 4)) + 1);
+       },
+       Reader::kReadManifest, "disagrees with the assignment's"},
+      {"shard edge counts past the total", true,
+       [&](std::string* b) { Put(b, 20, Get<uint64_t>(*b, 20) - 1); },
+       Reader::kReadManifest, "shard edge counts exceed the manifest's"},
+      {"shard edge counts short of the total", true,
+       [&](std::string* b) { Put(b, 20, Get<uint64_t>(*b, 20) + 1); },
+       Reader::kReadManifest, "shard edge counts sum to"},
+      {"file size that disagrees with its counts", true,
+       [&](std::string* b) {
+         Put(b, entry(0, 20), Get<uint64_t>(*b, entry(0, 20)) - 16);
+       },
+       Reader::kOpen, "header implies"},
+      // A self-consistent table: the swap's two range ends move with it.
+      {"node listed by shard 0 but assigned to shard 1", true,
+       [&](std::string* b) {
+         Put<uint32_t>(b, assignment(moved0), 1);
+         Put<uint32_t>(b, assignment(moved1), 0);
+         Put<uint32_t>(b, entry(0, 8), moved1);
+         Put<uint32_t>(b, entry(1, 4), moved0);
+       },
+       Reader::kOpen,
+       "node " + std::to_string(moved0) +
+           " listed in shard 0 but assigned to shard 1"},
+      {"another shard's id", false,
+       [&](std::string* b) { Put<uint32_t>(b, 12, 1); }, Reader::kOpen,
+       "shard id 1 does not match manifest position 0"},
+      {"row id past num_nodes", false,
+       [&](std::string* b) {
+         Put<uint32_t>(b, row(num_rows - 1), g.num_nodes() + 1);
+       },
+       Reader::kOpen, "row node id 81 out of range"},
+      {"rows out of order", false,
+       [&](std::string* b) {
+         const auto first = Get<uint32_t>(*b, row(0));
+         Put(b, row(0), Get<uint32_t>(*b, row(1)));
+         Put(b, row(1), first);
+       },
+       Reader::kOpen, "row ids not strictly ascending at row 1"},
+      {"offsets that fall back", false,
+       [&](std::string* b) { Put<uint64_t>(b, offset(r0 + 2), 0); },
+       Reader::kOpen, "offsets decrease at row"},
+      {"offsets that stop short of the edges", false,
+       [&](std::string* b) { Put<uint64_t>(b, offset(num_rows), edges - 1); },
+       Reader::kOpen, "offsets do not span the edge section"},
+      {"out-of-range neighbour", false,
+       [&](std::string* b) { Put<uint32_t>(b, neighbour, g.num_nodes() + 5); },
+       Reader::kFirstMap, "neighbour id out of range"},
+      {"unsorted row", false,
+       [&](std::string* b) {
+         const auto first = Get<uint32_t>(*b, neighbour);
+         Put(b, neighbour, Get<uint32_t>(*b, neighbour + 4));
+         Put(b, neighbour + 4, first);
+       },
+       Reader::kFirstMap, "adjacency not sorted"},
+      {"NaN weight", false,
+       [&](std::string* b) {
+         Put(b, weight, std::numeric_limits<float>::quiet_NaN());
+       },
+       Reader::kFirstMap, "weight not finite"},
+  };
+  OpenOptions options;
+  options.budget_bytes = kUnlimitedBudget;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    const std::string& path = c.in_manifest ? manifest_path : shard0;
+    const std::string& original = c.in_manifest ? manifest_bytes : shard_bytes;
+    std::string forged = original;
+    c.forge(&forged);
+    if (c.in_manifest) {
+      ResealManifest(&forged);
+    } else {
+      ResealShard(&forged);
+    }
+    WriteAll(path, forged);
+    EXPECT_EQ(ReadManifest(manifest_path).ok(),
+              c.refused_by != Reader::kReadManifest);
+    auto open_or = ShardedGraph::Open(dir, options);
+    EXPECT_EQ(open_or.ok(), c.refused_by == Reader::kFirstMap);
+    // A refused map is undone before it is counted as a load.
+    const common::Status status =
+        open_or.ok() ? open_or.value()->PinShard(0).status()
+                     : open_or.status();
+    if (open_or.ok()) {
+      EXPECT_EQ(open_or.value()->stats().loads, 0u);
+    }
+    EXPECT_EQ(status.code(), common::StatusCode::kDataLoss);
+    ExpectStatusContains(status, c.diagnostic);
+    WriteAll(path, original);
   }
-  {  // A node stored in a shard the assignment gives to another.
-    ShardManifest bad = manifest;
-    bad.shard_of[shard.rows[0]] = 1;
-    ExpectStatusContains(analysis::ValidateShardData(bad, 0, shard),
-                         "overlapping shard ranges");
-    // The manifest-level counting pass sees the same overlap.
-    ExpectStatusContains(analysis::ValidateShardManifest(bad),
-                         "overlapping or missing shard ranges");
-  }
-  {  // Recorded file size inconsistent with the recorded counts.
-    ShardManifest bad = manifest;
-    bad.shards[0].file_bytes -= 16;
-    ExpectStatusContains(analysis::ValidateShardManifest(bad),
-                         "truncated shard file");
-  }
-  {  // Non-finite weight.
-    ShardData bad = shard;
-    bad.weights[0] = std::numeric_limits<float>::quiet_NaN();
-    ExpectStatusContains(analysis::ValidateShardData(manifest, 0, bad),
-                         "not finite");
-  }
+  EXPECT_TRUE(OpenAndPinAll(dir).ok());
   std::filesystem::remove_all(dir);
 }
 
-TEST(ValidatorTest, RunContextWiring) {
-  core::RunContext ctx;
-  ctx.resident_budget_bytes = 4096;
-  EXPECT_FALSE(analysis::ShardOpenOptions(ctx).deep_validator);
-  ctx.validate_stages = true;
-  OpenOptions options = analysis::ShardOpenOptions(ctx);
-  EXPECT_EQ(options.budget_bytes, 4096u);
-  ASSERT_TRUE(options.deep_validator);
-  // The wired hook is the real end-to-end validator.
-  const CsrGraph g = graph::ErdosRenyi(60, 200, 2);
-  const std::string dir = NewDir("wiring");
+// A reload trusts the sections because the header is the one Open kept:
+// a shard rewritten with another valid header while evicted is refused.
+TEST(ValidatorTest, ReloadRefusesAShardRewrittenWhileEvicted) {
+  const CsrGraph g = graph::ErdosRenyi(80, 300, 6);
+  const std::string dir = NewDir("rewritten");
   ASSERT_TRUE(WriteShardedGraph(g, ShardPlan::Contiguous(g, 2), dir).ok());
-  EXPECT_TRUE(options.deep_validator(dir).ok());
+  const std::string shard0 = ShardPath(dir, 0);
+  std::string rewritten = ReadAll(shard0);
+  const ShardLayout layout = LayoutFor(Get<uint32_t>(rewritten, 16),
+                                       Get<uint64_t>(rewritten, 24));
+  Put(&rewritten, layout.weights_off,
+      Get<float>(rewritten, layout.weights_off) + 1.0f);
+  ResealShard(&rewritten);
+
   auto manifest_or = ReadManifest(ManifestPath(dir));
   ASSERT_TRUE(manifest_or.ok());
-  const ShardLayout layout = LayoutFor(manifest_or.value().shards[0].num_rows,
-                                       manifest_or.value().shards[0].num_edges);
-  FlipByte(ShardPath(dir, 0), layout.weights_off);
-  // A deep-validated Open refuses the corrupt directory outright.
-  options.budget_bytes = kUnlimitedBudget;
+  const std::vector<ShardEntry>& shards = manifest_or.value().shards;
+  OpenOptions options;  // One shard's budget: pinning shard 1 evicts 0.
+  options.budget_bytes = std::max(shards[0].file_bytes, shards[1].file_bytes);
   auto open_or = ShardedGraph::Open(dir, options);
-  ASSERT_FALSE(open_or.ok());
-  ExpectStatusContains(open_or.status(), "weights section");
+  ASSERT_TRUE(open_or.ok()) << open_or.status().message();
+  ShardedGraph& sg = *open_or.value();
+  ASSERT_TRUE(sg.PinShard(0).ok());
+  ASSERT_TRUE(sg.PinShard(1).ok());  // Evicts shard 0.
+  EXPECT_EQ(sg.stats().evictions, 1u);
+  WriteAll(shard0, rewritten);
+  const common::Status status = sg.PinShard(0).status();
+  EXPECT_EQ(status.code(), common::StatusCode::kDataLoss);
+  ExpectStatusContains(status, "shard header changed since open");
+  // The rewritten file is itself valid: a fresh open accepts it.
+  EXPECT_TRUE(OpenAndPinAll(dir).ok());
+  std::filesystem::remove_all(dir);
+}
+
+// The reader accepts any finite weight, but a row with a negative weight
+// or a zero weight sum is not a random-walk step: its spread can grow the
+// residual mass, so the out-of-core push refuses it instead of spinning.
+TEST(OocPprTest, RowThatIsNotAWalkStepIsInvalidArgument) {
+  const struct {
+    float to_1;
+    float to_2;
+  } rows_of_0[] = {{1.0f, -1.0f}, {2.0f, -1.0f}, {0.0f, 0.0f}};
+  const std::string dir = NewDir("not_a_walk");
+  for (const auto& w : rows_of_0) {
+    SCOPED_TRACE(std::to_string(w.to_1) + ", " + std::to_string(w.to_2));
+    const CsrGraph g = CsrGraph::FromEdges(
+        3, {{0, 1, w.to_1}, {0, 2, w.to_2}, {1, 0, 1.0f}, {2, 0, 1.0f}});
+    std::filesystem::remove_all(dir);
+    ASSERT_TRUE(WriteShardedGraph(g, ShardPlan::Contiguous(g, 1), dir).ok());
+    const std::unique_ptr<ShardedGraph> sg = OpenUnlimited(dir);
+    ASSERT_NE(sg, nullptr);
+    const std::vector<NodeId> seeds = {0};
+    const common::Status status = PushBatch(sg.get(), seeds, 0.15, 1e-4).status();
+    EXPECT_EQ(status.code(), common::StatusCode::kInvalidArgument);
+    ExpectStatusContains(status, "node 0 has weighted degree");
+  }
   std::filesystem::remove_all(dir);
 }
 
