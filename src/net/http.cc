@@ -4,6 +4,8 @@
 #include <cctype>
 #include <charconv>
 
+#include "obs/json.h"
+
 namespace sgnn::net {
 
 namespace {
@@ -51,21 +53,20 @@ common::Status ParseHead(const std::string& buffer, const HttpLimits& limits,
     const size_t line_end = buffer.find("\r\n");
     if (line_end == std::string::npos &&
         buffer.size() > limits.max_start_line_bytes) {
-      return common::Status::ResourceExhausted("start line exceeds " +
-                                               std::to_string(
-                                                   limits.max_start_line_bytes) +
-                                               " bytes");
+      return common::Status::ResourceExhausted(
+          "start line exceeds " + obs::NumberText(limits.max_start_line_bytes) +
+          " bytes");
     }
     if (buffer.size() > limits.max_header_bytes) {
       return common::Status::ResourceExhausted(
-          "header block exceeds " + std::to_string(limits.max_header_bytes) +
+          "header block exceeds " + obs::NumberText(limits.max_header_bytes) +
           " bytes");
     }
     return common::Status::OK();
   }
   if (end + 4 > limits.max_header_bytes) {
     return common::Status::ResourceExhausted(
-        "header block exceeds " + std::to_string(limits.max_header_bytes) +
+        "header block exceeds " + obs::NumberText(limits.max_header_bytes) +
         " bytes");
   }
   const std::string_view block(buffer.data(), end);
@@ -74,7 +75,7 @@ common::Status ParseHead(const std::string& buffer, const HttpLimits& limits,
   head->start_line = std::string(block.substr(0, pos));
   if (head->start_line.size() > limits.max_start_line_bytes) {
     return common::Status::ResourceExhausted(
-        "start line exceeds " + std::to_string(limits.max_start_line_bytes) +
+        "start line exceeds " + obs::NumberText(limits.max_start_line_bytes) +
         " bytes");
   }
   if (head->start_line.empty()) {
@@ -116,8 +117,8 @@ common::Status ParseHead(const std::string& buffer, const HttpLimits& limits,
     }
     if (n > limits.max_body_bytes) {
       return common::Status::ResourceExhausted(
-          "body of " + std::to_string(n) + " bytes exceeds limit " +
-          std::to_string(limits.max_body_bytes));
+          "body of " + obs::NumberText(n) + " bytes exceeds limit " +
+          obs::NumberText(limits.max_body_bytes));
     }
     head->body_length = static_cast<size_t>(n);
   }
@@ -219,7 +220,7 @@ template <typename Message>
 common::Status HttpParser<Message>::OnEof() const {
   if (buffer_.empty()) return common::Status::OK();
   return common::Status::DataLoss("peer closed mid-message after " +
-                                  std::to_string(buffer_.size()) +
+                                  obs::NumberText(buffer_.size()) +
                                   " unparsed bytes");
 }
 
@@ -242,42 +243,53 @@ const char* ReasonPhrase(int status_code) {
   }
 }
 
+namespace {
+
+/// Appends "Content-Type: <type>\r\nContent-Length: <n>\r\n".
+void AppendContentHeaders(std::string* out, std::string_view content_type,
+                          size_t content_length) {
+  *out += "Content-Type: ";
+  *out += content_type;
+  *out += "\r\nContent-Length: ";
+  obs::AppendNumber(out, content_length);
+  *out += "\r\n";
+}
+
+/// Bytes of a head besides its strings: the literal parts of the start
+/// line, the headers and the blank line (under 64), and two numbers.
+constexpr size_t kHeadBytes = 64 + 2 * obs::kMaxNumberBytes;
+
+}  // namespace
+
 std::string SerializeResponse(int status_code, std::string_view reason,
                               std::string_view body,
-                              std::string_view content_type,
-                              const HttpHeaders& extra_headers) {
-  std::string out = "HTTP/1.1 " + std::to_string(status_code) + " ";
-  out.append(reason);
-  out += "\r\nContent-Type: ";
-  out.append(content_type);
-  out += "\r\nContent-Length: " + std::to_string(body.size()) + "\r\n";
-  for (const auto& [key, value] : extra_headers) {
-    out += key + ": " + value + "\r\n";
-  }
+                              std::string_view content_type) {
+  std::string out;
+  out.reserve(kHeadBytes + reason.size() + content_type.size() + body.size());
+  out += "HTTP/1.1 ";
+  obs::AppendNumber(&out, status_code);
+  out += ' ';
+  out += reason;
   out += "\r\n";
-  out.append(body);
+  AppendContentHeaders(&out, content_type, body.size());
+  out += "\r\n";
+  out += body;
   return out;
 }
 
 std::string SerializeRequest(std::string_view method, std::string_view target,
                              std::string_view body,
-                             std::string_view content_type,
-                             const HttpHeaders& extra_headers) {
+                             std::string_view content_type) {
   std::string out;
-  out.append(method);
+  out.reserve(kHeadBytes + method.size() + target.size() +
+              content_type.size() + body.size());
+  out += method;
   out += ' ';
-  out.append(target);
+  out += target;
   out += " HTTP/1.1\r\nHost: sgnn\r\n";
-  if (!body.empty()) {
-    out += "Content-Type: ";
-    out.append(content_type);
-    out += "\r\nContent-Length: " + std::to_string(body.size()) + "\r\n";
-  }
-  for (const auto& [key, value] : extra_headers) {
-    out += key + ": " + value + "\r\n";
-  }
+  if (!body.empty()) AppendContentHeaders(&out, content_type, body.size());
   out += "\r\n";
-  out.append(body);
+  out += body;
   return out;
 }
 

@@ -113,18 +113,16 @@ class HttpResponseParser : public HttpParser<HttpResponse> {
 };
 
 /// Serializes one response with `Content-Length` and the given content
-/// type; `extra_headers` land between the standard ones and the body.
+/// type, appended into one string reserved once.
 std::string SerializeResponse(int status_code, std::string_view reason,
                               std::string_view body,
-                              std::string_view content_type,
-                              const HttpHeaders& extra_headers = {});
+                              std::string_view content_type);
 
-/// Serializes one request (`Content-Length` added when `body` is
-/// non-empty).
+/// Serializes one request (`Content-Type` and `Content-Length` added when
+/// `body` is non-empty), appended into one string reserved once.
 std::string SerializeRequest(std::string_view method, std::string_view target,
                              std::string_view body,
-                             std::string_view content_type,
-                             const HttpHeaders& extra_headers = {});
+                             std::string_view content_type);
 
 /// Canonical reason phrase for the status codes the front door emits;
 /// "Unknown" otherwise.

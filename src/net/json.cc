@@ -2,13 +2,11 @@
 
 #include <cctype>
 #include <charconv>
-#include <cstdio>
+#include <optional>
 
 #include "obs/json.h"
 
 namespace sgnn::net {
-
-using obs::JsonEscape;
 
 namespace {
 
@@ -44,7 +42,7 @@ class JsonCursor {
     SkipWs();
     if (pos_ >= s_.size() || s_[pos_] != '"') {
       return common::Status::InvalidArgument("expected '\"' at offset " +
-                                             std::to_string(pos_));
+                                             obs::NumberText(pos_));
     }
     ++pos_;
     out->clear();
@@ -81,7 +79,7 @@ class JsonCursor {
     const auto [ptr, ec] = std::from_chars(begin, end, *out);
     if (ec != std::errc() || ptr == begin) {
       return common::Status::InvalidArgument("expected integer at offset " +
-                                             std::to_string(pos_));
+                                             obs::NumberText(pos_));
     }
     pos_ += static_cast<size_t>(ptr - begin);
     return common::Status::OK();
@@ -171,37 +169,62 @@ int HttpStatusForCode(common::StatusCode code) {
   }
 }
 
+namespace {
+
+/// Bytes of an ok body besides its tenant and logits: 101 literal bytes, a
+/// node id and a class (10 and 11 characters at most).
+constexpr size_t kOkBodyBytes = 128;
+/// Bytes of an error body besides its message: 32 literal bytes, a status
+/// name (19 at most) and a node id.
+constexpr size_t kErrorBodyBytes = 64;
+
+/// {"status":"<code name>"[,"node":<node>],"error":"<message>"}.
+std::string RenderErrorBody(const common::Status& status,
+                            std::optional<graph::NodeId> node) {
+  std::string out;
+  out.reserve(kErrorBodyBytes +
+              obs::kMaxEscapedBytes * status.message().size());
+  out += "{\"status\":\"";
+  out += StatusCodeJsonName(status.code());
+  out += '"';
+  if (node.has_value()) {
+    out += ",\"node\":";
+    obs::AppendNumber(&out, *node);
+  }
+  out += ",\"error\":\"";
+  obs::AppendJsonEscaped(&out, status.message());
+  out += "\"}";
+  return out;
+}
+
+}  // namespace
+
 std::string RenderInferResponse(const serve::InferenceResponse& response) {
   if (!response.status.ok()) {
-    std::string out = "{\"status\":\"";
-    out += StatusCodeJsonName(response.status.code());
-    out += "\",\"node\":" + std::to_string(response.node);
-    out += ",\"error\":\"" + JsonEscape(response.status.message()) + "\"}";
-    return out;
+    return RenderErrorBody(response.status, response.node);
   }
-  std::string out = "{\"status\":\"ok\",\"node\":" +
-                    std::to_string(response.node);
-  out += ",\"tenant\":\"" + JsonEscape(response.tenant_id) + "\"";
-  out += ",\"predicted_class\":" + std::to_string(response.predicted_class);
+  std::string out;
+  out.reserve(kOkBodyBytes + obs::kMaxEscapedBytes * response.tenant_id.size() +
+              (obs::kMaxNumberBytes + 1) * response.logits.size());
+  out += "{\"status\":\"ok\",\"node\":";
+  obs::AppendNumber(&out, response.node);
+  out += ",\"tenant\":\"";
+  obs::AppendJsonEscaped(&out, response.tenant_id);
+  out += "\",\"predicted_class\":";
+  obs::AppendNumber(&out, response.predicted_class);
   out += response.cache_hit ? ",\"cache_hit\":true" : ",\"cache_hit\":false";
   out += response.degraded ? ",\"degraded\":true" : ",\"degraded\":false";
   out += ",\"logits\":[";
-  char buf[40];
   for (size_t i = 0; i < response.logits.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%.9g",
-                  static_cast<double>(response.logits[i]));
     if (i > 0) out += ',';
-    out += buf;
+    obs::AppendNumber(&out, response.logits[i]);
   }
   out += "]}";
   return out;
 }
 
 std::string RenderError(const common::Status& status) {
-  std::string out = "{\"status\":\"";
-  out += StatusCodeJsonName(status.code());
-  out += "\",\"error\":\"" + JsonEscape(status.message()) + "\"}";
-  return out;
+  return RenderErrorBody(status, std::nullopt);
 }
 
 }  // namespace sgnn::net

@@ -11,9 +11,10 @@
 namespace sgnn::net {
 
 /// JSON bodies of the inference API. One serializer is shared by the
-/// server, the client, and the tests, with stable float formatting
-/// (`%.9g`) — which is what makes the "HTTP response is bit-identical to
-/// the in-process response" guarantee checkable byte-for-byte.
+/// server, the client, and the tests. Numbers go through `obs::AppendNumber`
+/// (the `%.9g` bytes of a float, read from no locale), which is what makes
+/// the "HTTP response is bit-identical to the in-process response"
+/// guarantee checkable byte-for-byte.
 
 /// Parsed body of `POST /v1/infer`:
 ///   {"node": 7, "tenant": "team-a", "deadline_micros": 5000}
@@ -36,7 +37,8 @@ SGNN_NODISCARD common::StatusOr<InferRequestBody> ParseInferRequest(
 ///    "cache_hit":true,"degraded":false,"logits":[...]}
 /// Failure: {"status":"<code name>","node":7,"error":"<message>"}.
 /// Latency is deliberately absent: it is the one volatile field, and
-/// excluding it keeps HTTP bodies bit-comparable across transports.
+/// excluding it keeps HTTP bodies bit-comparable across transports. The
+/// body is appended into one string reserved once.
 std::string RenderInferResponse(const serve::InferenceResponse& response);
 
 /// Renders a bare error body: {"status":"<code name>","error":"<message>"}.

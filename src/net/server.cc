@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "net/json.h"
+#include "obs/json.h"
 
 namespace sgnn::net {
 
@@ -439,7 +440,9 @@ std::string HttpFrontDoor::HealthzBody(int* http_status) {
   body += serve::ShedTierName(tier);
   body += " breaker=";
   body += common::CircuitBreaker::StateName(server_->breaker_state());
-  body += " torn_streak=" + std::to_string(torn_streak_.load()) + "\n";
+  body += " torn_streak=";
+  obs::AppendNumber(&body, torn_streak_.load());
+  body += "\n";
   return body;
 }
 

@@ -14,6 +14,7 @@
 
 #include "common/check.h"
 #include "common/posix.h"
+#include "obs/json.h"
 
 namespace sgnn::net {
 
@@ -129,7 +130,7 @@ common::StatusOr<OwnedFd> ConnectTcp(const std::string& host, uint16_t port) {
   } while (rc < 0 && errno == EINTR);
   if (rc < 0) {
     return common::StatusFromErrno("connect " + host + ":" +
-                                   std::to_string(port));
+                                   obs::NumberText(port));
   }
   common::Status nodelay = SetNoDelay(fd.fd());
   if (!nodelay.ok()) return nodelay;

@@ -2,30 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/check.h"
+#include "obs/json.h"
 
 namespace sgnn::obs {
 
 namespace {
 
 /// Shortest exact-looking rendering that is still deterministic: integers
-/// print without a fraction, everything else with 9 significant digits.
+/// print without a fraction (the bytes of `%.0f`, so -0 keeps its sign),
+/// everything else with 9 significant digits (`%.9g`).
 std::string FormatNumber(double v) {
-  char buf[64];
+  std::string out;
   if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 9.0e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
+    if (std::signbit(v)) out.push_back('-');
+    AppendNumber(&out, static_cast<uint64_t>(std::abs(v)));
   } else {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
+    AppendNumber(&out, v);
   }
-  return buf;
-}
-
-std::string FormatCount(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  return buf;
+  return out;
 }
 
 /// Prometheus label-value / help escaping (backslash, quote, newline).
@@ -303,7 +299,7 @@ std::string MetricsRegistry::PrometheusText(bool include_volatile) const {
         out += "# TYPE " + name + " counter\n";
         for (const auto& [labels, counter] : family.counters) {
           out += SampleName(name, labels) + " " +
-                 FormatCount(counter->value()) + "\n";
+                 NumberText(counter->value()) + "\n";
         }
         break;
       }
@@ -326,14 +322,14 @@ std::string MetricsRegistry::PrometheusText(bool include_volatile) const {
             out += SampleName(name + "_bucket", labels,
                               "le=\"" + FormatNumber(snap.upper_bounds[b]) +
                                   "\"") +
-                   " " + FormatCount(cumulative) + "\n";
+                   " " + NumberText(cumulative) + "\n";
           }
           out += SampleName(name + "_bucket", labels, "le=\"+Inf\"") + " " +
-                 FormatCount(snap.count) + "\n";
+                 NumberText(snap.count) + "\n";
           out += SampleName(name + "_sum", labels) + " " +
                  FormatNumber(snap.sum) + "\n";
           out += SampleName(name + "_count", labels) + " " +
-                 FormatCount(snap.count) + "\n";
+                 NumberText(snap.count) + "\n";
         }
         break;
       }
@@ -358,7 +354,7 @@ std::string MetricsRegistry::JsonText(bool include_volatile) const {
         for (const auto& [labels, counter] : family.counters) {
           append(&counters, "{\"name\":\"" + name + "\",\"labels\":{" +
                                 PromLabelsToJson(labels) + "},\"value\":" +
-                                FormatCount(counter->value()) + "}");
+                                NumberText(counter->value()) + "}");
         }
         break;
       case Type::kGauge:
@@ -376,15 +372,15 @@ std::string MetricsRegistry::JsonText(bool include_volatile) const {
           for (size_t b = 0; b < snap.upper_bounds.size(); ++b) {
             cumulative += snap.counts[b];
             append(&buckets, "{\"le\":" + FormatNumber(snap.upper_bounds[b]) +
-                                 ",\"count\":" + FormatCount(cumulative) +
+                                 ",\"count\":" + NumberText(cumulative) +
                                  "}");
           }
           append(&buckets, "{\"le\":\"+Inf\",\"count\":" +
-                               FormatCount(snap.count) + "}");
+                               NumberText(snap.count) + "}");
           append(&histograms,
                  "{\"name\":\"" + name + "\",\"labels\":{" +
                      PromLabelsToJson(labels) +
-                     "},\"count\":" + FormatCount(snap.count) +
+                     "},\"count\":" + NumberText(snap.count) +
                      ",\"sum\":" + FormatNumber(snap.sum) +
                      ",\"buckets\":[" + buckets + "]}");
         }

@@ -101,13 +101,19 @@ std::string Tracer::ChromeTraceJson() const {
   for (const TraceEvent& event : events) {
     if (!first) out.push_back(',');
     first = false;
-    out += "\n{\"name\":\"" + JsonEscape(event.name) + "\",\"cat\":\"" +
-           JsonEscape(event.category.empty() ? "default" : event.category) +
-           "\",\"ph\":\"X\",\"pid\":0,\"tid\":" +
-           std::to_string(event.track) +
-           ",\"ts\":" + std::to_string(event.begin_tick) +
-           ",\"dur\":" + std::to_string(event.end_tick - event.begin_tick) +
-           "}";
+    out += "\n{\"name\":\"";
+    AppendJsonEscaped(&out, event.name);
+    out += "\",\"cat\":\"";
+    AppendJsonEscaped(&out, event.category.empty()
+                                ? std::string_view("default")
+                                : std::string_view(event.category));
+    out += "\",\"ph\":\"X\",\"pid\":0,\"tid\":";
+    AppendNumber(&out, event.track);
+    out += ",\"ts\":";
+    AppendNumber(&out, event.begin_tick);
+    out += ",\"dur\":";
+    AppendNumber(&out, event.end_tick - event.begin_tick);
+    out += '}';
   }
   out += "\n],\"displayTimeUnit\":\"ms\"}\n";
   return out;

@@ -128,14 +128,20 @@ tensor::Matrix FeaturePush(const graph::CsrGraph& graph,
         continue;
       }
       if (std::fabs(r[u]) <= r_max * static_cast<double>(deg)) continue;
+      auto nbrs = graph.Neighbors(u);
+      auto ws = graph.Weights(u);
+      const double w_deg = graph.WeightedDegree(u);
+      // `ForwardPushOn`'s rule: a row with a negative weight or a weight
+      // sum that is not positive is not a random-walk step, its spread can
+      // grow the residual mass, and the queue would never drain.
+      SGNN_CHECK(w_deg > 0.0 &&
+                 std::ranges::none_of(ws, [](float w) { return w < 0.0f; }));
       const double ru = r[u];
       p[u] += alpha * ru;
       r[u] = 0.0;
       ++local.pushes;
       local.edges_touched += deg;
-      const double spread = (1.0 - alpha) * ru / graph.WeightedDegree(u);
-      auto nbrs = graph.Neighbors(u);
-      auto ws = graph.Weights(u);
+      const double spread = (1.0 - alpha) * ru / w_deg;
       for (size_t i = 0; i < nbrs.size(); ++i) {
         const graph::NodeId v = nbrs[i];
         r[v] += spread * ws[i];

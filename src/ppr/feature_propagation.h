@@ -45,7 +45,9 @@ tensor::Matrix ThresholdedPropagate(const graph::Propagator& prop,
 ///   Z = alpha * sum_k (1-alpha)^k M^k X,   M = A D^-1 (column-stochastic)
 /// to per-entry tolerance r_max * degree (same bound as single-source
 /// push). Equivalent to running `AppnpPropagate` with a kColumn
-/// propagator to convergence, but touches only active entries.
+/// propagator to convergence, but touches only active entries. Requires
+/// non-negative weights with a positive sum on every row it pushes, as
+/// `ForwardPushOn` does, and aborts at the first pushed row without them.
 struct FeaturePushStats {
   int64_t pushes = 0;
   int64_t edges_touched = 0;

@@ -215,6 +215,50 @@ TEST(JsonTest, RenderedResponsesAreByteStable) {
   EXPECT_EQ(RenderInferResponse(failed),
             "{\"status\":\"unavailable\",\"node\":3,"
             "\"error\":\"embedder down\"}");
+
+  // Logits that print in exponent form, a -0 logit, the float extremes,
+  // and strings holding quotes and control characters; each expected
+  // string is what the printf-based renderer wrote.
+  InferenceResponse edge;
+  edge.status = Status::OK();
+  edge.node = 4294967295u;
+  edge.tenant_id = std::string("q\"t\x01") + "\x1f";
+  edge.predicted_class = -1;
+  edge.cache_hit = false;
+  edge.degraded = true;
+  edge.logits = {1e-8f, 1e20f,           -0.0f,    0.1f, -3.4028235e38f,
+                 1.17549435e-38f, 1.4e-45f, 123456789.0f};
+  EXPECT_EQ(RenderInferResponse(edge),
+            "{\"status\":\"ok\",\"node\":4294967295,"
+            "\"tenant\":\"q\\\"t\\u0001\\u001f\",\"predicted_class\":-1,"
+            "\"cache_hit\":false,\"degraded\":true,"
+            "\"logits\":[9.99999994e-09,1.00000002e+20,-0,0.100000001,"
+            "-3.40282347e+38,1.17549435e-38,1.40129846e-45,123456792]}");
+
+  InferenceResponse late;
+  late.status = Status::DeadlineExceeded("late \"x\"\n\t\x02");
+  late.node = 0;
+  EXPECT_EQ(RenderInferResponse(late),
+            "{\"status\":\"deadline_exceeded\",\"node\":0,"
+            "\"error\":\"late \\\"x\\\"\\n\\t\\u0002\"}");
+  EXPECT_EQ(RenderError(Status::InvalidArgument("bad\x7f\\")),
+            "{\"status\":\"invalid_argument\",\"error\":\"bad\x7f\\\\\"}");
+}
+
+TEST(HttpSerializeTest, ResponseAndRequestBytesAreStable) {
+  EXPECT_EQ(SerializeResponse(200, "OK", "{}", "application/json"),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            "Content-Length: 2\r\n\r\n{}");
+  EXPECT_EQ(SerializeResponse(503, "Service Unavailable", "", "text/plain"),
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\n"
+            "Content-Length: 0\r\n\r\n");
+  EXPECT_EQ(SerializeRequest("POST", "/v1/infer", "{\"node\":1}",
+                             "application/json"),
+            "POST /v1/infer HTTP/1.1\r\nHost: sgnn\r\n"
+            "Content-Type: application/json\r\nContent-Length: 10\r\n"
+            "\r\n{\"node\":1}");
+  EXPECT_EQ(SerializeRequest("GET", "/metrics", "", "application/json"),
+            "GET /metrics HTTP/1.1\r\nHost: sgnn\r\n\r\n");
 }
 
 // -------------------------------------------------------------- admission

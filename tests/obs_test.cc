@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -12,6 +16,7 @@
 #include "core/stages.h"
 #include "models/gcn.h"
 #include "nn/mlp.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/par.h"
@@ -170,6 +175,145 @@ TEST(MetricsRegistryTest, VolatileSeriesExcludedFromDeterministicExport) {
   EXPECT_EQ(det.find("wall_seconds"), std::string::npos);
   EXPECT_NE(det.find("stable_total"), std::string::npos);
   EXPECT_EQ(registry.JsonText(false).find("wall_seconds"), std::string::npos);
+}
+
+// ----------------------------------------------------------- number writer
+
+/// What the C library prints for `v` under `format`; the reference bytes
+/// the writer must reproduce.
+std::string Printf(const char* format, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), format, v);
+  return buf;
+}
+
+std::string Written(double v) {
+  std::string out;
+  AppendNumber(&out, v);
+  return out;
+}
+
+TEST(NumberWriterTest, FloatsPrintAsPercentNineG) {
+  // Every 4099th float bit pattern (4099 is prime, so the sweep crosses
+  // every exponent with varied mantissas, NaN payloads and both signs),
+  // then the edges.
+  std::vector<float> values;
+  for (uint64_t bits = 0; bits < (uint64_t{1} << 32); bits += 4099) {
+    values.push_back(std::bit_cast<float>(static_cast<uint32_t>(bits)));
+  }
+  using Limits = std::numeric_limits<float>;
+  for (const float v :
+       {0.0f, -0.0f, Limits::denorm_min(), -Limits::denorm_min(),
+        Limits::min(), Limits::max(), -Limits::max(), Limits::infinity(),
+        -Limits::infinity(), Limits::quiet_NaN(),
+        std::copysign(Limits::quiet_NaN(), -1.0f)}) {
+    values.push_back(v);
+  }
+  int mismatches = 0;
+  for (const float f : values) {
+    std::string got;
+    AppendNumber(&got, f);
+    const std::string want = Printf("%.9g", static_cast<double>(f));
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits " << std::bit_cast<uint32_t>(f) << ": got "
+                    << got << ", printf wrote " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(NumberWriterTest, DoublesPrintAsPercentNineG) {
+  // The exposition writes doubles; sweep their bit patterns too.
+  int mismatches = 0;
+  for (uint64_t i = 0; i < (uint64_t{1} << 18); ++i) {
+    const double v = std::bit_cast<double>(i * 0x0000400000000FFFull);
+    const std::string got = Written(v);
+    const std::string want = Printf("%.9g", v);
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << v << ": got " << got << ", printf wrote " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(NumberWriterTest, IntegersPrintAsToString) {
+  std::vector<int64_t> values = {0, -1, std::numeric_limits<int64_t>::min(),
+                                 std::numeric_limits<int64_t>::max()};
+  for (int k = 0; k < 63; ++k) {
+    const int64_t p = int64_t{1} << k;
+    for (const int64_t v : {p, p - 1, p + 1, -p, 1 - p, -p - 1}) {
+      values.push_back(v);
+    }
+  }
+  for (const int64_t v : values) {
+    std::string got;
+    AppendNumber(&got, v);
+    EXPECT_EQ(got, std::to_string(v));
+  }
+  std::string got;
+  AppendNumber(&got, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(got, std::to_string(std::numeric_limits<uint64_t>::max()));
+  EXPECT_EQ(NumberText(std::numeric_limits<int32_t>::min()),
+            std::to_string(std::numeric_limits<int32_t>::min()));
+  EXPECT_EQ(NumberText(uint16_t{65535}), "65535");
+}
+
+/// The sample value the Prometheus exposition prints for a gauge at `v`.
+std::string ExposedGauge(double v) {
+  MetricsRegistry registry;
+  registry.GetGauge("g", "G.")->Set(v);
+  const std::string text = registry.PrometheusText();
+  const size_t start = text.rfind("\ng ") + 3;
+  return text.substr(start, text.size() - start - 1);
+}
+
+TEST(NumberWriterTest, ExpositionPrintsIntegralValuesAsPercentZeroF) {
+  std::vector<double> integral = {0.0, -0.0, 8999999999999999.0,
+                                  -8999999999999999.0};
+  for (int k = 0; k < 53; ++k) {
+    const double p = std::ldexp(1.0, k);
+    for (const double v : {p, p - 1, p + 1, -p, 1 - p}) integral.push_back(v);
+  }
+  for (double p = 1; p < 9e15; p *= 10) {
+    integral.push_back(p);
+    integral.push_back(-p - 7);
+  }
+  common::Rng rng(31);
+  for (int i = 0; i < 2000; ++i) {
+    integral.push_back(std::floor(rng.Uniform() * 9e15) *
+                       (i % 2 == 0 ? 1.0 : -1.0));
+  }
+  for (const double v : integral) {
+    ASSERT_EQ(ExposedGauge(v), Printf("%.0f", v)) << v;
+  }
+  // From 9e15 up, and off the integers, it is %.9g.
+  for (const double v : {9e15, -9e15, 1e16, 0.5, -2.25, 1e-7, 41.5,
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(ExposedGauge(v), Printf("%.9g", v)) << v;
+  }
+}
+
+TEST(NumberWriterTest, JsonEscapeNamesFiveBytesAndHexesOtherControls) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    std::string got;
+    AppendJsonEscaped(&got, std::string_view(&c, 1));
+    std::string want(1, c);
+    if (c == '"' || c == '\\') {
+      want = std::string("\\") + c;
+    } else if (c == '\n') {
+      want = "\\n";
+    } else if (c == '\r') {
+      want = "\\r";
+    } else if (c == '\t') {
+      want = "\\t";
+    } else if (b < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(b));
+      want = buf;
+    }
+    EXPECT_EQ(got, want) << "byte " << b;
+  }
 }
 
 // ------------------------------------------------------------------ tracer

@@ -287,6 +287,23 @@ TEST(FeaturePushTest, SparserColumnsCostFewerPushes) {
   EXPECT_LT(sparse_stats.edges_touched, dense_stats.edges_touched / 2);
 }
 
+// The signed feature push keeps `ForwardPushOn`'s rule on the rows it
+// pushes: without it the spread of a zero-sum row is infinite and the
+// infinite residual is queued again forever.
+TEST(FeaturePushDeathTest, RowThatIsNotAWalkStepAborts) {
+  const struct {
+    float to_1;
+    float to_2;
+  } rows_of_0[] = {{1.0f, -1.0f}, {2.0f, -1.0f}, {0.0f, 0.0f}};
+  for (const auto& w : rows_of_0) {
+    const CsrGraph g = CsrGraph::FromEdges(
+        3, {{0, 1, w.to_1}, {0, 2, w.to_2}, {1, 0, 1.0f}, {2, 0, 1.0f}});
+    Matrix x(3, 1, 0.0f);
+    x.at(0, 0) = 1.0f;
+    EXPECT_DEATH(FeaturePush(g, x, 0.15, 1e-4), "SGNN_CHECK");
+  }
+}
+
 TEST(ThresholdedPropagateTest, HigherThresholdSkipsMore) {
   CsrGraph g = graph::ErdosRenyi(200, 1000, 37);
   graph::Propagator prop(g, graph::Normalization::kSymmetric, true);

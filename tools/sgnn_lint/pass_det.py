@@ -9,8 +9,10 @@ Absorbs and supersedes the former tools/lint_determinism.py:
     engines only inside the common/rng wrapper, so neither a per-item
     engine nor a library-defined distribution returns to a hot path;
   * scoped bans whose prefix has a stronger contract (det/obs-wallclock:
-    sgnn::obs is logical-tick only; det/par-raw-thread: sgnn::par must
-    schedule through common::ThreadPool);
+    sgnn::obs is logical-tick only; det/printf-format: sgnn::net and
+    sgnn::obs write numbers through obs::AppendNumber, which reads no
+    locale; det/par-raw-thread: sgnn::par must schedule through
+    common::ThreadPool);
   * confined bans, the inverse: raw I/O only under src/storage/
     (det/raw-io), process/signal syscalls only under src/dist/
     (det/process-syscall), TCP socket/epoll syscalls only under src/net/
@@ -71,6 +73,16 @@ RULES = [
         "any clock -- even steady ones -- is forbidden there",
         fixture="det-obs-wallclock.cc.fixture",
         fixture_rel="src/obs/fixture.cc"),
+    registry.Rule(
+        "det/printf-format",
+        "sgnn::net and sgnn::obs promise byte-stable answers and exports, "
+        "but printf's %g and %f take their decimal point from LC_NUMERIC, "
+        "so a setlocale call in an embedding program would change those "
+        "bytes (std::to_string formats a double with %f, and a "
+        "stringstream with the global locale); write numbers with "
+        "obs::AppendNumber",
+        fixture="det-printf-format.cc.fixture",
+        fixture_rel="src/net/fixture.cc"),
     registry.Rule(
         "det/par-raw-thread",
         "sgnn::par promises bit-identical results for any worker count, "
@@ -134,12 +146,24 @@ FORBIDDEN = [
      re.compile(r"std::mt19937")),
 ]
 
+# Number formatting that reads the locale; banned where bytes are promised.
+PRINTF_FORMAT = [
+    (_R["det/printf-format"], "printf(",
+     re.compile(r"(?<![_\w])v?(?:f|s|sn|as|d)?printf\s*\(")),
+    (_R["det/printf-format"], "std::*stringstream",
+     re.compile(r"std::\w*stringstream\b")),
+    (_R["det/printf-format"], "std::to_string",
+     re.compile(r"std::to_string\b")),
+]
+
 # Stricter rules for path prefixes whose contract is stronger.
 SCOPED_FORBIDDEN = {
     "src/obs/": [
         (_R["det/obs-wallclock"], "std::chrono",
          re.compile(r"std::chrono|steady_clock|high_resolution_clock")),
+        *PRINTF_FORMAT,
     ],
+    "src/net/": PRINTF_FORMAT,
     "src/par/": [
         (_R["det/par-raw-thread"], "std::thread",
          re.compile(r"std::(thread|jthread|async)\b")),

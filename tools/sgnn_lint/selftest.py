@@ -30,6 +30,7 @@ COUNTER_PATHS = {
     "det/simd-intrinsics": "src/simd/fixture.cc",
     "det/std-distribution": "src/common/rng.cc",
     "det/obs-wallclock": "src/graph/fixture.cc",
+    "det/printf-format": "src/graph/fixture.cc",
     "det/par-raw-thread": "src/graph/fixture.cc",
     "billing/unbilled-kernel-loop": "src/models/fixture.cc",
 }
