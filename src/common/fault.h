@@ -87,7 +87,8 @@ class FaultInjector {
 };
 
 /// An absolute time budget carried by a request. `Infinite()` never
-/// expires; `After(micros)` expires that far from now.
+/// expires; `After(micros)` expires that far from now, or never when that
+/// is past the clock's range.
 class Deadline {
  public:
   using Clock = std::chrono::steady_clock;
@@ -96,10 +97,15 @@ class Deadline {
 
   static Deadline Infinite() { return Deadline(); }
   static Deadline After(int64_t micros) {
-    Deadline d;
-    d.infinite_ = false;
-    d.at_ = Clock::now() + std::chrono::microseconds(micros);
-    return d;
+    const Clock::time_point now = Clock::now();
+    // Any int64 may arrive from a request body; converting one past the
+    // clock's range to its ticks would overflow.
+    if (micros >= std::chrono::duration_cast<std::chrono::microseconds>(
+                      Clock::time_point::max() - now)
+                      .count()) {
+      return Infinite();
+    }
+    return At(now + std::chrono::microseconds(micros));
   }
   static Deadline At(Clock::time_point at) {
     Deadline d;

@@ -37,6 +37,11 @@ constexpr int kPollMillis = 20;
 /// so a peer that stops reading costs bounded memory.
 constexpr size_t kMaxUnsentBytes = size_t{4} << 20;
 
+/// Admission fill fraction at or above which an open breaker sheds new
+/// infers: the backlog cannot drain through a dead embedder. A half-open
+/// breaker sheds nothing, so its probe can reach the embedder.
+constexpr double kShedFill = 0.5;
+
 constexpr std::string_view kJson = "application/json";
 constexpr std::string_view kText = "text/plain; version=0.0.4";
 
@@ -76,14 +81,10 @@ HttpFrontDoor::HttpFrontDoor(serve::BatchingServer* server,
   admitted_total_ = r.GetCounter(
       "sgnn_net_infer_admitted_total",
       "Infer requests admitted past quota and shedding.", {}, obs::kVolatile);
-  admitted_stale_total_ =
-      r.GetCounter("sgnn_net_infer_admitted_stale_total",
-                   "Infer requests admitted into the stale tier.", {},
-                   obs::kVolatile);
   shed_rejected_total_ = r.GetCounter(
       "sgnn_net_infer_shed_total",
-      "Infer requests rejected by the shed policy or a full tenant queue.",
-      {}, obs::kVolatile);
+      "Infer requests rejected by load shedding or a full tenant queue.", {},
+      obs::kVolatile);
   quota_rejected_total_ =
       r.GetCounter("sgnn_net_infer_quota_rejected_total",
                    "Infer requests rejected by a tenant token bucket.", {},
@@ -99,10 +100,6 @@ HttpFrontDoor::HttpFrontDoor(serve::BatchingServer* server,
   open_connections_ =
       r.GetGauge("sgnn_net_open_connections", "Currently open connections.",
                  {}, obs::kVolatile);
-  shed_tier_ = r.GetGauge(
-      "sgnn_net_shed_tier",
-      "Shed tier at the last admission decision (0 exact, 1 stale, 2 reject).",
-      {}, obs::kVolatile);
 }
 
 HttpFrontDoor::~HttpFrontDoor() { Shutdown(); }
@@ -146,9 +143,7 @@ void HttpFrontDoor::Shutdown() {
 }
 
 bool HttpFrontDoor::Healthy() const {
-  const serve::ShedTier tier = config_.admission.shed.Decide(
-      server_->breaker_state(), admission_.FillFraction());
-  return tier == serve::ShedTier::kExact &&
+  return server_->breaker_state() == common::CircuitBreaker::State::kClosed &&
          torn_streak_.load() < config_.torn_read_threshold;
 }
 
@@ -401,24 +396,24 @@ void HttpFrontDoor::HandleInfer(Conn& conn, uint64_t cookie,
   infer.tenant_id = body.tenant;
   infer.deadline_micros = body.deadline_micros;
 
-  auto admitted =
-      admission_.Offer(std::move(infer), cookie, server_->breaker_state());
+  const bool shed =
+      server_->breaker_state() == common::CircuitBreaker::State::kOpen &&
+      admission_.FillFraction() >= kShedFill;
+  const common::Status admitted =
+      shed ? common::Status::Unavailable(
+                 "load shed: breaker open and admission queues saturated")
+           : admission_.Offer(std::move(infer), cookie);
   if (!admitted.ok()) {
-    shed_tier_->Set(static_cast<double>(serve::ShedTier::kReject));
-    if (admitted.status().code() == common::StatusCode::kResourceExhausted) {
+    if (admitted.code() == common::StatusCode::kResourceExhausted) {
       quota_rejected_total_->Increment();
     } else {
       shed_rejected_total_->Increment();
     }
-    fail(admitted.status());
+    fail(admitted);
     return;
   }
   ++unanswered_;
-  shed_tier_->Set(static_cast<double>(admitted.value()));
   admitted_total_->Increment();
-  if (admitted.value() == serve::ShedTier::kStale) {
-    admitted_stale_total_->Increment();
-  }
 }
 
 std::string HttpFrontDoor::MetricsBody() {
@@ -434,11 +429,7 @@ std::string HttpFrontDoor::HealthzBody(int* http_status) {
     return "ok\n";
   }
   *http_status = 503;
-  const serve::ShedTier tier = config_.admission.shed.Decide(
-      server_->breaker_state(), admission_.FillFraction());
-  std::string body = "unhealthy: shed_tier=";
-  body += serve::ShedTierName(tier);
-  body += " breaker=";
+  std::string body = "unhealthy: breaker=";
   body += common::CircuitBreaker::StateName(server_->breaker_state());
   body += " torn_streak=";
   obs::AppendNumber(&body, torn_streak_.load());

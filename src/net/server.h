@@ -48,7 +48,7 @@ struct HttpFrontDoorConfig {
   std::string host = "127.0.0.1";
   /// 0 = ephemeral; `Start` writes the chosen port into `port()`.
   uint16_t port = 0;
-  /// Multi-tenant admission: quotas, DWRR weights, shed policy.
+  /// Multi-tenant admission: quotas, DWRR weights, per-tenant bounds.
   serve::AdmissionConfig admission;
   /// `/healthz` turns 503 after this many consecutive torn reads
   /// (`kDataLoss` stream endings); any successfully parsed request resets
@@ -64,8 +64,8 @@ struct HttpFrontDoorConfig {
 ///
 /// One event-loop thread is the tier's only I/O thread, and the only thread
 /// that touches connection state: it accepts, reads, parses, `Offer`s each
-/// infer to the `serve::AdmissionQueue` (token-bucket quota, shed tier),
-/// and at the end of every iteration drains admission
+/// infer to the `serve::AdmissionQueue` (token-bucket quota, per-tenant
+/// bound), and at the end of every iteration drains admission
 /// deficit-weighted-fair into `BatchingServer::Submit`. The serving worker
 /// that resolves a request renders its HTTP answer and appends it to one
 /// answer list; the loop takes the whole list each iteration, places every
@@ -74,8 +74,11 @@ struct HttpFrontDoorConfig {
 /// non-blocking sends, so a slow infer holds back only the slots behind it
 /// on its own connection, and a peer that stops reading is closed once
 /// 4 MiB of answers wait for it.
-/// Load shedding degrades exact → stale → reject as the serving breaker
-/// opens and the admission queues fill.
+/// While the serving breaker is open and admission is at least half full,
+/// new infers are shed with a 503 (the backlog cannot drain through a dead
+/// embedder); every other infer is admitted, and the `BatchingServer`
+/// answers a miss under an open breaker from its cached row, flagged
+/// degraded, while its probes find out whether the embedder is back.
 ///
 /// The front door owns only the sockets; the model, cache, and breaker
 /// stay in the `BatchingServer` it fronts. Shut down the front door
@@ -111,8 +114,8 @@ class HttpFrontDoor {
   /// dispatch log).
   serve::AdmissionQueue& admission() { return admission_; }
 
-  /// The `/healthz` verdict: true while the shed tier is `kExact` and the
-  /// torn-read streak is under threshold.
+  /// The `/healthz` verdict: true while the serving breaker is closed and
+  /// the torn-read streak is under threshold.
   bool Healthy() const;
 
  private:
@@ -224,13 +227,11 @@ class HttpFrontDoor {
   obs::Counter* responses_total_;
   obs::Counter* http_errors_total_;
   obs::Counter* admitted_total_;
-  obs::Counter* admitted_stale_total_;
   obs::Counter* shed_rejected_total_;
   obs::Counter* quota_rejected_total_;
   obs::Counter* torn_reads_total_;
   obs::Counter* dispatches_total_;
   obs::Gauge* open_connections_;
-  obs::Gauge* shed_tier_;
 
   std::thread event_thread_;
 };

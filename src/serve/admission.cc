@@ -2,34 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "common/check.h"
 
 namespace sgnn::serve {
-
-const char* ShedTierName(ShedTier tier) {
-  switch (tier) {
-    case ShedTier::kExact:
-      return "exact";
-    case ShedTier::kStale:
-      return "stale";
-    case ShedTier::kReject:
-      return "reject";
-  }
-  return "unknown";
-}
-
-ShedTier ShedPolicy::Decide(common::CircuitBreaker::State breaker,
-                            double fill) const {
-  if (breaker == common::CircuitBreaker::State::kClosed) {
-    return ShedTier::kExact;
-  }
-  if (breaker == common::CircuitBreaker::State::kOpen && fill >= reject_fill) {
-    return ShedTier::kReject;
-  }
-  return ShedTier::kStale;
-}
 
 AdmissionQueue::AdmissionQueue(const AdmissionConfig& config)
     : config_(config) {
@@ -40,29 +18,20 @@ AdmissionQueue::AdmissionQueue(const AdmissionConfig& config)
     // earns a dispatch for the requests `Offer` admits, and an infinite
     // one starves every other tenant.
     SGNN_CHECK(std::isfinite(quota.weight) && quota.weight > 0.0);
-    tenants_.emplace(id, std::make_unique<Tenant>(quota));
+    tenants_.try_emplace(id, quota, /*listed_in=*/true);
   }
 }
 
 AdmissionQueue::Tenant& AdmissionQueue::TenantFor(const std::string& id) {
-  auto it = tenants_.find(id);
-  if (it == tenants_.end()) {
-    it = tenants_.emplace(id, std::make_unique<Tenant>(TenantQuota{})).first;
-  }
-  return *it->second;
+  return tenants_.try_emplace(id, TenantQuota{}, /*listed_in=*/false)
+      .first->second;
 }
 
-common::StatusOr<ShedTier> AdmissionQueue::Offer(
-    InferenceRequest request, uint64_t cookie,
-    common::CircuitBreaker::State breaker) {
+common::Status AdmissionQueue::Offer(InferenceRequest request,
+                                     uint64_t cookie) {
   common::MutexLock lock(mu_);
   if (closed_) {
     return common::Status::FailedPrecondition("admission queue is closed");
-  }
-  const ShedTier tier = config_.shed.Decide(breaker, FillFractionLocked());
-  if (tier == ShedTier::kReject) {
-    return common::Status::Unavailable(
-        "load shed: breaker open and admission queues saturated");
   }
   Tenant& tenant = TenantFor(request.tenant_id);
   if (tenant.tokens < 1.0) {
@@ -73,10 +42,9 @@ common::StatusOr<ShedTier> AdmissionQueue::Offer(
     // Per-tenant backpressure: a flooding tenant fills only its own FIFO.
     return common::Status::Unavailable("queue is full");
   }
-  if (tier == ShedTier::kStale) request.stale_only = true;
   tenant.queue.push_back(Queued{std::move(request), cookie});
   tenant.tokens -= 1.0;
-  return tier;
+  return common::Status::OK();
 }
 
 bool AdmissionQueue::PopDispatch(InferenceRequest* request, uint64_t* cookie) {
@@ -106,7 +74,7 @@ bool AdmissionQueue::TryDwrrPop(Queued* out) {
   const size_t max_visits = 2 * tenants_.size() + 2;
   bool any_nonempty = false;
   for (const auto& [id, tenant] : tenants_) {
-    if (!tenant->queue.empty()) {
+    if (!tenant.queue.empty()) {
       any_nonempty = true;
       break;
     }
@@ -115,7 +83,7 @@ bool AdmissionQueue::TryDwrrPop(Queued* out) {
   auto it = tenants_.lower_bound(cursor_);
   if (it == tenants_.end()) it = tenants_.begin();
   for (size_t visits = 0; visits < max_visits; ++visits) {
-    Tenant& tenant = *it->second;
+    Tenant& tenant = it->second;
     const bool nonempty = !tenant.queue.empty();
     if (!cursor_granted_) {
       // Classic DRR: an idle tenant's deficit resets so it cannot hoard
@@ -133,10 +101,14 @@ bool AdmissionQueue::TryDwrrPop(Queued* out) {
       tenant.deficit -= 1.0;
       if (tenant.queue.empty()) {
         tenant.deficit = 0.0;
-        ++it;
-        if (it == tenants_.end()) it = tenants_.begin();
-        cursor_ = it->first;
+        auto next = std::next(it);
+        if (next == tenants_.end()) next = tenants_.begin();
+        cursor_ = next->first;
         cursor_granted_ = false;
+        // An unlisted tenant with nothing queued is a default bucket with a
+        // reset deficit, the same as one created on its next offer, so it
+        // is forgotten rather than walked on every dispatch.
+        if (!tenant.listed) tenants_.erase(it);
       } else {
         cursor_ = it->first;
       }
@@ -154,8 +126,8 @@ bool AdmissionQueue::TryDwrrPop(Queued* out) {
 
 void AdmissionQueue::RefillAll() {
   for (auto& [id, tenant] : tenants_) {
-    tenant->tokens = std::min(tenant->quota.bucket_capacity,
-                              tenant->tokens + tenant->quota.refill_per_dispatch);
+    tenant.tokens = std::min(tenant.quota.bucket_capacity,
+                             tenant.tokens + tenant.quota.refill_per_dispatch);
   }
 }
 
@@ -177,7 +149,7 @@ void AdmissionQueue::Close() {
 size_t AdmissionQueue::TotalQueued() const {
   common::MutexLock lock(mu_);
   size_t total = 0;
-  for (const auto& [id, tenant] : tenants_) total += tenant->queue.size();
+  for (const auto& [id, tenant] : tenants_) total += tenant.queue.size();
   return total;
 }
 
@@ -189,7 +161,7 @@ double AdmissionQueue::FillFraction() const {
 double AdmissionQueue::FillFractionLocked() const {
   if (tenants_.empty()) return 0.0;
   size_t total = 0;
-  for (const auto& [id, tenant] : tenants_) total += tenant->queue.size();
+  for (const auto& [id, tenant] : tenants_) total += tenant.queue.size();
   const size_t capacity = tenants_.size() * config_.per_tenant_capacity;
   return static_cast<double>(total) / static_cast<double>(capacity);
 }

@@ -4,11 +4,9 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/fault.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "serve/batching_server.h"
@@ -18,21 +16,13 @@ namespace sgnn::serve {
 /// Multi-tenant admission stage between a front door (in-process caller or
 /// the `sgnn::net` HTTP server) and the `BatchingServer`: per-tenant
 /// token-bucket quotas, deficit-weighted-fair dequeue over bounded
-/// per-tenant FIFOs, and tiered load shedding driven by the server's
-/// `CircuitBreaker` state.
+/// per-tenant FIFOs. It decides only who goes next; how a request is
+/// served when the embedder fails is the server's business.
 ///
 /// Everything is counting-based — token buckets refill per *dispatch
-/// event*, the shed policy reads breaker state and queue fill, and DWRR
-/// deficits advance per pop — so the whole stage is deterministic given
-/// the offer/dispatch sequence (no wall clock), which is what makes the
-/// fairness and shedding tests exact instead of statistical.
-
-/// Degradation ladder applied to an admitted request, in order of
-/// increasing desperation: serve exactly, serve the cached row at any
-/// staleness (`InferenceRequest::stale_only`), or reject outright.
-enum class ShedTier { kExact = 0, kStale = 1, kReject = 2 };
-
-const char* ShedTierName(ShedTier tier);
+/// event* and DWRR deficits advance per pop — so the whole stage is
+/// deterministic given the offer/dispatch sequence (no wall clock), which
+/// is what makes the fairness tests exact instead of statistical.
 
 /// Per-tenant admission parameters.
 struct TenantQuota {
@@ -52,37 +42,22 @@ struct TenantQuota {
   double refill_per_dispatch = 0.0;
 };
 
-/// Maps (breaker state, queue fill) to the shed tier. Counting-based and
-/// pure, so the exact → stale → reject walk is reproducible in tests.
-struct ShedPolicy {
-  /// Queue fill fraction at or above which an open breaker escalates from
-  /// stale serving to outright rejection.
-  double reject_fill = 0.5;
-
-  /// Breaker closed → `kExact`. Open or half-open (the embedder is
-  /// presumed down) → `kStale`, so cached rows keep flowing without
-  /// burning worker time. Open *and* the admission queues at least
-  /// `reject_fill` full → `kReject`: the backlog cannot drain through a
-  /// dead embedder, so new work is turned away at the door.
-  ShedTier Decide(common::CircuitBreaker::State breaker, double fill) const;
-};
-
 struct AdmissionConfig {
-  /// Known tenants and their quotas; tenants not listed here are created
-  /// on first use with a default `TenantQuota`.
+  /// Known tenants and their quotas. A tenant not listed here is created
+  /// on first use with a default `TenantQuota` and forgotten once its queue
+  /// drains, so a client inventing tenant ids costs no lasting state.
   std::map<std::string, TenantQuota> tenants;
   /// Bound of each tenant's FIFO; `Offer` rejects `kUnavailable` beyond it
   /// (per-tenant backpressure — one flooding tenant fills its own queue,
   /// not its neighbours').
   size_t per_tenant_capacity = 256;
-  ShedPolicy shed;
   /// Record the tenant-id sequence of every dispatch (test/bench hook for
   /// exact fairness assertions; unbounded, so off by default).
   bool record_dispatch_log = false;
 };
 
-/// The admission queue itself. `Offer` applies shedding and quota, then
-/// enqueues into the tenant's bounded queue; `PopDispatch` dequeues
+/// The admission queue itself. `Offer` applies the quota, then enqueues
+/// into the tenant's bounded queue; `PopDispatch` dequeues
 /// deficit-weighted-fair across tenants without waiting. Both are
 /// thread-safe; the HTTP front door calls both from its event loop.
 /// The `cookie` travels with the request so a front door can route the
@@ -94,15 +69,11 @@ class AdmissionQueue {
   AdmissionQueue(const AdmissionQueue&) = delete;
   AdmissionQueue& operator=(const AdmissionQueue&) = delete;
 
-  /// Admission decision for one request. On success returns the tier that
-  /// was applied — `kExact`, or `kStale` (the request's `stale_only` flag
-  /// is then set) — and the request is queued. Failures:
-  /// `kUnavailable` (shed tier `kReject`, or the tenant queue is full),
-  /// `kResourceExhausted` (token bucket empty), `kFailedPrecondition`
-  /// (after `Close`). `breaker` is the serving breaker's current state,
-  /// the shedding signal.
-  common::StatusOr<ShedTier> Offer(InferenceRequest request, uint64_t cookie,
-                                   common::CircuitBreaker::State breaker);
+  /// Admission decision for one request; on OK it is queued. Failures:
+  /// `kUnavailable` (the tenant queue is full), `kResourceExhausted`
+  /// (token bucket empty), `kFailedPrecondition` (after `Close`).
+  SGNN_NODISCARD common::Status Offer(InferenceRequest request,
+                                      uint64_t cookie);
 
   /// Dequeues the next request by deficit-weighted round-robin over the
   /// backlogged tenants. False, without waiting, when paused or when no
@@ -120,7 +91,8 @@ class AdmissionQueue {
   void Close();
 
   size_t TotalQueued() const;
-  /// Queue fill fraction over all currently known tenants, in [0, 1].
+  /// Queue fill fraction over the listed tenants and the unlisted ones
+  /// with a backlog, in [0, 1].
   double FillFraction() const;
 
   /// Tenant-id sequence of every dispatch so far (empty unless
@@ -134,9 +106,11 @@ class AdmissionQueue {
   };
 
   struct Tenant {
-    explicit Tenant(const TenantQuota& q)
-        : quota(q), tokens(q.bucket_capacity) {}
+    Tenant(const TenantQuota& q, bool listed_in)
+        : quota(q), listed(listed_in), tokens(q.bucket_capacity) {}
     const TenantQuota quota;
+    /// Named in `AdmissionConfig::tenants`; only these outlive a drain.
+    const bool listed;
     // sgnn-lint: allow(lock/unannotated-field): guarded by the owning
     // AdmissionQueue's mu_; the annotation cannot name an outer mutex.
     double tokens;
@@ -150,7 +124,7 @@ class AdmissionQueue {
 
   Tenant& TenantFor(const std::string& id) SGNN_REQUIRES(mu_);
   /// One DWRR pop attempt over the current tenant map; false when every
-  /// queue is empty.
+  /// queue is empty. Erases an unlisted tenant whose queue it drains.
   bool TryDwrrPop(Queued* out) SGNN_REQUIRES(mu_);
   void RefillAll() SGNN_REQUIRES(mu_);
   double FillFractionLocked() const SGNN_REQUIRES(mu_);
@@ -159,8 +133,10 @@ class AdmissionQueue {
 
   mutable common::Mutex mu_;
   /// Sorted by tenant id: DWRR visits tenants in deterministic key order.
-  std::map<std::string, std::unique_ptr<Tenant>> tenants_ SGNN_GUARDED_BY(mu_);
-  /// DWRR cursor: id of the tenant the next visit starts at ("" = first).
+  std::map<std::string, Tenant> tenants_ SGNN_GUARDED_BY(mu_);
+  /// DWRR cursor: the next visit starts at the first tenant whose id is not
+  /// below it, wrapping to the first ("" = first). It may name a tenant
+  /// that has since been forgotten.
   std::string cursor_ SGNN_GUARDED_BY(mu_);
   /// Whether the cursor's tenant already received its per-visit deficit
   /// grant (a grant happens once per arrival, not once per pop).

@@ -60,7 +60,6 @@ common::Status BatchingServer::Submit(
   Request request;
   request.node = node;
   request.tenant_id = inference_request.tenant_id;
-  request.stale_only = inference_request.stale_only;
   request.done = std::move(done);
   request.enqueue_tick = latency_clock_.Next();
   request.deadline = deadline_micros > 0
@@ -101,8 +100,7 @@ ServeMetricsSnapshot BatchingServer::Metrics() const {
   snap.health.breaker_state = common::CircuitBreaker::StateName(
       breaker_.state());
   snap.health.breaker_trips = static_cast<uint64_t>(breaker_.trips());
-  // The breaker's own count is authoritative: it includes fast-failed
-  // calls later rescued by a degraded serve.
+  // The one count of fast-fails, including those a degraded serve rescued.
   snap.health.breaker_fast_fails = static_cast<uint64_t>(breaker_.fast_fails());
 
   // Refresh the registry-side gauges that mirror server-owned state, so a
@@ -171,10 +169,8 @@ common::Status BatchingServer::ResolveMiss(graph::NodeId node,
                                            std::span<float> out, int64_t step,
                                            bool* degraded) {
   common::Status status;
-  bool breaker_fast_fail = false;
   if (!breaker_.Allow()) {
     // Fast-fail without touching the (presumed dead) embedder.
-    breaker_fast_fail = true;
     status = common::Status::Unavailable("embedder circuit breaker open");
   } else {
     for (int attempt = 1;; ++attempt) {
@@ -194,7 +190,6 @@ common::Status BatchingServer::ResolveMiss(graph::NodeId node,
       metrics_.RecordRetry();
       std::this_thread::sleep_for(std::chrono::microseconds(backoff));
       if (!breaker_.Allow()) {
-        breaker_fast_fail = true;
         status = common::Status::Unavailable(
             "embedder circuit breaker opened during retries");
         break;
@@ -221,7 +216,7 @@ common::Status BatchingServer::ResolveMiss(graph::NodeId node,
       return common::Status::OK();
     }
   }
-  metrics_.RecordTerminalFailure(status.code(), breaker_fast_fail);
+  metrics_.RecordTerminalFailure(status.code());
   return status;
 }
 
@@ -243,7 +238,7 @@ void BatchingServer::ProcessBatch(std::vector<Request>* batch) {
     if (request.deadline.expired()) {
       row_status[s] = common::Status::DeadlineExceeded(
           "request expired before processing");
-      metrics_.RecordTerminalFailure(row_status[s].code(), false);
+      metrics_.RecordTerminalFailure(row_status[s].code());
       continue;
     }
     const graph::NodeId node = request.node;
@@ -254,28 +249,13 @@ void BatchingServer::ProcessBatch(std::vector<Request>* batch) {
         auto row = cache_.Get(node);
         std::copy(row.begin(), row.end(), embeddings.Row(i).begin());
         hit[s] = true;
-      } else if (request.stale_only && staleness >= 0) {
-        // Stale-tier serve: the shed controller asked for the cached row
-        // at any staleness, embedder untouched. Flagged degraded so the
-        // client can tell it got yesterday's embedding.
-        auto row = cache_.Get(node);
-        std::copy(row.begin(), row.end(), embeddings.Row(i).begin());
-        degraded[s] = true;
       }
     }
-    if (!hit[s] && !degraded[s]) {
-      if (request.stale_only) {
-        // Stale-only miss: shedding forbids the embedder and there is no
-        // row to fall back on — reject rather than do exact work.
-        row_status[s] = common::Status::Unavailable(
-            "stale-only request has no cached row");
-        metrics_.RecordTerminalFailure(row_status[s].code(), false);
-      } else {
-        bool row_degraded = false;
-        row_status[s] = ResolveMiss(node, request.deadline, embeddings.Row(i),
-                                    step, &row_degraded);
-        degraded[s] = row_degraded;
-      }
+    if (!hit[s]) {
+      bool row_degraded = false;
+      row_status[s] = ResolveMiss(node, request.deadline, embeddings.Row(i),
+                                  step, &row_degraded);
+      degraded[s] = row_degraded;
     }
   }
 
@@ -296,7 +276,7 @@ void BatchingServer::ProcessBatch(std::vector<Request>* batch) {
       // Post-batch check: the result arrived too late to count.
       row_status[s] = common::Status::DeadlineExceeded(
           "request completed after its deadline");
-      metrics_.RecordTerminalFailure(row_status[s].code(), false);
+      metrics_.RecordTerminalFailure(row_status[s].code());
     }
     response.status = row_status[s];
     if (response.status.ok()) {

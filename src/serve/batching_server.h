@@ -80,18 +80,14 @@ struct InferenceRequest {
   /// work) and again after the batch forward (late results are not
   /// delivered as successes). Both resolve to `kDeadlineExceeded`.
   int64_t deadline_micros = 0;
-  /// Degraded-tier request (set by the load shedder's stale tier): serve
-  /// the node's cached row at *any* staleness and never call the embedder;
-  /// resolves `kUnavailable` when no cached row exists.
-  bool stale_only = false;
 };
 
 /// Answer to a single-node classification request. Every admitted request
 /// receives exactly one response; `status` says whether `logits` is
 /// meaningful. Terminal statuses: OK (fresh or degraded serve),
 /// `kDeadlineExceeded` (time budget blown), `kUnavailable` (breaker open /
-/// embedder down with no fallback row / stale-only miss), or the
-/// embedder's own permanent error.
+/// embedder down with no fallback row), or the embedder's own permanent
+/// error.
 struct InferenceResponse {
   common::Status status;
   graph::NodeId node = 0;
@@ -100,8 +96,7 @@ struct InferenceResponse {
   int predicted_class = 0;
   bool cache_hit = false;           ///< Embedding came from the cache fresh.
   bool degraded = false;            ///< Served from a stale cache row after
-                                    ///< the fresh path failed, or because
-                                    ///< the request was stale-only.
+                                    ///< the fresh path failed.
   /// Enqueue-to-fulfilment latency in logical ticks of the server's
   /// `common::TickClock` (one tick per admission/fulfilment event, no wall
   /// time), so the serve latency series honour the obs determinism tags.
@@ -186,9 +181,9 @@ class BatchingServer {
   /// call it before scraping. Thread-safe.
   ServeMetricsSnapshot Metrics() const;
 
-  /// Current circuit-breaker state. This is the load shedder's input
-  /// signal (`serve::ShedPolicy::Decide`), cheap enough for the admission
-  /// hot path — unlike `Metrics()`, which aggregates every counter.
+  /// Current circuit-breaker state: what the HTTP front door's load-shed
+  /// check and `/healthz` read, cheap enough for the admission hot path —
+  /// unlike `Metrics()`, which aggregates every counter.
   common::CircuitBreaker::State breaker_state() const {
     return breaker_.state();
   }
@@ -203,7 +198,6 @@ class BatchingServer {
   struct Request {
     graph::NodeId node = 0;
     std::string tenant_id;
-    bool stale_only = false;
     ResponseCallback done;
     uint64_t enqueue_tick = 0;  ///< `latency_clock_` tick at admission.
     common::Deadline deadline;  ///< Infinite when no deadline applies.

@@ -60,10 +60,6 @@ ServeMetrics::ServeMetrics(obs::MetricsRegistry* registry)
       r.GetCounter("sgnn_serve_failed_requests_total",
                    "Requests resolved with a terminal non-OK status.", {},
                    obs::kVolatile);
-  breaker_fast_fails_ = r.GetCounter(
-      "sgnn_serve_breaker_fast_fails_total",
-      "Misses fast-failed by the open circuit breaker (metrics-side count).",
-      {}, obs::kVolatile);
   latency_ticks_ = r.GetHistogram(
       "sgnn_serve_latency_ticks",
       "End-to-end latency of successful serves in logical ticks "
@@ -99,13 +95,11 @@ void ServeMetrics::RecordRequest(int64_t latency_ticks, bool cache_hit,
 
 void ServeMetrics::RecordRejected() { requests_rejected_->Increment(); }
 
-void ServeMetrics::RecordTerminalFailure(common::StatusCode code,
-                                         bool breaker_fast_fail) {
+void ServeMetrics::RecordTerminalFailure(common::StatusCode code) {
   failed_requests_->Increment();
   if (code == common::StatusCode::kDeadlineExceeded) {
     deadline_misses_->Increment();
   }
-  if (breaker_fast_fail) breaker_fast_fails_->Increment();
 }
 
 void ServeMetrics::RecordRetry() { retries_->Increment(); }
@@ -139,7 +133,6 @@ ServeMetricsSnapshot ServeMetrics::Snapshot() const {
   snap.health.embed_failures = embed_failures_->value();
   snap.health.degraded_serves = degraded_serves_->value();
   snap.health.failed_requests = failed_requests_->value();
-  snap.health.breaker_fast_fails = breaker_fast_fails_->value();
   return snap;
 }
 

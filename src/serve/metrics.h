@@ -21,7 +21,9 @@ struct ServeHealth {
   uint64_t embed_failures = 0;     ///< Individual failed embedder calls.
   uint64_t degraded_serves = 0;    ///< Stale-cache fallbacks (degraded=true).
   uint64_t failed_requests = 0;    ///< Terminal non-OK responses.
-  uint64_t breaker_fast_fails = 0; ///< Calls rejected by the open breaker.
+  uint64_t breaker_fast_fails = 0; ///< Calls rejected by the open breaker,
+                                   ///< including those a degraded serve
+                                   ///< rescued.
   uint64_t breaker_trips = 0;      ///< Closed/half-open -> open transitions.
   const char* breaker_state = "closed";
 
@@ -97,9 +99,8 @@ class ServeMetrics {
 
   /// Records a request resolved with a terminal non-OK status. The latency
   /// histogram tracks successful serves only; failures are counted here
-  /// (`kDeadlineExceeded` also bumps `deadline_misses`, `kUnavailable`
-  /// from an open breaker bumps `breaker_fast_fails`).
-  void RecordTerminalFailure(common::StatusCode code, bool breaker_fast_fail);
+  /// (`kDeadlineExceeded` also bumps `deadline_misses`).
+  void RecordTerminalFailure(common::StatusCode code);
 
   /// Records one embedder retry (a backoff was taken).
   void RecordRetry();
@@ -131,7 +132,6 @@ class ServeMetrics {
   obs::Counter* embed_failures_;
   obs::Counter* degraded_serves_;
   obs::Counter* failed_requests_;
-  obs::Counter* breaker_fast_fails_;
   obs::Histogram* latency_ticks_;
   obs::Histogram* batch_size_;
   obs::Gauge* max_batch_size_;

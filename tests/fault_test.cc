@@ -110,6 +110,23 @@ TEST(DeadlineTest, AfterExpiresOnSchedule) {
   EXPECT_LE(later.remaining_micros(), 60'000'000);
 }
 
+// A budget past the clock's range saturates to no deadline instead of
+// overflowing the conversion to clock ticks (which UBSan rejects, and which
+// otherwise wraps to a deadline long expired).
+TEST(DeadlineTest, AfterPastTheClockRangeIsInfinite) {
+  for (const int64_t micros : {int64_t{10'000'000'000'000'000},
+                               std::numeric_limits<int64_t>::max()}) {
+    const Deadline d = Deadline::After(micros);
+    EXPECT_FALSE(d.expired()) << micros;
+    EXPECT_TRUE(d.infinite()) << micros;
+  }
+  // Just inside the range it is still a finite deadline.
+  const Deadline far = Deadline::After(9'000'000'000'000'000);
+  EXPECT_FALSE(far.infinite());
+  EXPECT_FALSE(far.expired());
+  EXPECT_GT(far.remaining_micros(), 8'999'000'000'000'000);
+}
+
 // ------------------------------------------------------------------ retry
 
 TEST(RetryPolicyTest, BackoffGrowsExponentiallyAndCaps) {

@@ -40,8 +40,6 @@ using serve::FrozenModel;
 using serve::InferenceRequest;
 using serve::InferenceResponse;
 using serve::ServeConfig;
-using serve::ShedPolicy;
-using serve::ShedTier;
 using serve::TenantQuota;
 
 // ----------------------------------------------------------- HTTP parsing
@@ -263,22 +261,6 @@ TEST(HttpSerializeTest, ResponseAndRequestBytesAreStable) {
 
 // -------------------------------------------------------------- admission
 
-TEST(ShedPolicyTest, TierWalksExactStaleReject) {
-  ShedPolicy policy;
-  policy.reject_fill = 0.5;
-  using BreakerState = common::CircuitBreaker::State;
-  // Closed breaker: always exact, regardless of fill.
-  EXPECT_EQ(policy.Decide(BreakerState::kClosed, 0.0), ShedTier::kExact);
-  EXPECT_EQ(policy.Decide(BreakerState::kClosed, 1.0), ShedTier::kExact);
-  // Open breaker: stale while the queues have room, reject once full.
-  EXPECT_EQ(policy.Decide(BreakerState::kOpen, 0.0), ShedTier::kStale);
-  EXPECT_EQ(policy.Decide(BreakerState::kOpen, 0.49), ShedTier::kStale);
-  EXPECT_EQ(policy.Decide(BreakerState::kOpen, 0.5), ShedTier::kReject);
-  EXPECT_EQ(policy.Decide(BreakerState::kOpen, 1.0), ShedTier::kReject);
-  // Half-open (probing): keep serving stale, never reject outright.
-  EXPECT_EQ(policy.Decide(BreakerState::kHalfOpen, 1.0), ShedTier::kStale);
-}
-
 TEST(AdmissionQueueTest, DwrrDispatchSharesMatchWeightsExactly) {
   AdmissionConfig config;
   config.tenants["a"] = TenantQuota{1.0, 1e18, 0.0};
@@ -293,10 +275,7 @@ TEST(AdmissionQueueTest, DwrrDispatchSharesMatchWeightsExactly) {
     for (int i = 0; i < kPerTenant; ++i) {
       InferenceRequest request(static_cast<NodeId>(i));
       request.tenant_id = tenant;
-      auto tier = queue.Offer(std::move(request), /*cookie=*/0,
-                              common::CircuitBreaker::State::kClosed);
-      ASSERT_TRUE(tier.ok());
-      EXPECT_EQ(tier.value(), ShedTier::kExact);
+      ASSERT_TRUE(queue.Offer(std::move(request), /*cookie=*/0).ok());
     }
   }
   ASSERT_EQ(queue.TotalQueued(), 3u * kPerTenant);
@@ -329,12 +308,11 @@ TEST(AdmissionQueueTest, TokenBucketRejectsWhenEmptyAndRefillsPerDispatch) {
   auto offer = [&] {
     InferenceRequest request(0);
     request.tenant_id = "capped";
-    return queue.Offer(std::move(request), 0,
-                       common::CircuitBreaker::State::kClosed);
+    return queue.Offer(std::move(request), 0);
   };
   EXPECT_TRUE(offer().ok());
   EXPECT_TRUE(offer().ok());
-  EXPECT_EQ(offer().status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(offer().code(), StatusCode::kResourceExhausted);
 
   // One dispatch event grants refill_per_dispatch tokens back — the
   // bucket clock counts dispatches, not wall time.
@@ -342,7 +320,7 @@ TEST(AdmissionQueueTest, TokenBucketRejectsWhenEmptyAndRefillsPerDispatch) {
   uint64_t cookie = 0;
   ASSERT_TRUE(queue.PopDispatch(&request, &cookie));
   EXPECT_TRUE(offer().ok());
-  EXPECT_EQ(offer().status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(offer().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(AdmissionQueueTest, PerTenantQueueBoundIsolatesNeighbours) {
@@ -354,45 +332,57 @@ TEST(AdmissionQueueTest, PerTenantQueueBoundIsolatesNeighbours) {
   auto offer = [&](const std::string& tenant) {
     InferenceRequest request(0);
     request.tenant_id = tenant;
-    return queue.Offer(std::move(request), 0,
-                       common::CircuitBreaker::State::kClosed);
+    return queue.Offer(std::move(request), 0);
   };
   EXPECT_TRUE(offer("flood").ok());
   EXPECT_TRUE(offer("flood").ok());
   // The flooding tenant fills its own bounded FIFO...
-  EXPECT_EQ(offer("flood").status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(offer("flood").code(), StatusCode::kUnavailable);
   // ...without consuming its neighbour's admission capacity.
   EXPECT_TRUE(offer("quiet").ok());
 }
 
-TEST(AdmissionQueueTest, StaleTierMarksRequestsAndRejectTierRefuses) {
+// An unlisted tenant is forgotten once its queue drains, so ids a client
+// made up cost neither memory nor a longer walk on every dispatch, and
+// they do not dilute the fill fraction the load-shed check reads.
+TEST(AdmissionQueueTest, DrainedUnlistedTenantsLeaveNoTrace) {
   AdmissionConfig config;
   config.per_tenant_capacity = 4;
-  config.shed.reject_fill = 0.5;
   AdmissionQueue queue(config);
-  queue.Pause();
-
-  auto offer = [&](common::CircuitBreaker::State breaker) {
-    return queue.Offer(InferenceRequest(1), 0, breaker);
-  };
-  // Open breaker, empty queues: stale tier.
-  auto stale = offer(common::CircuitBreaker::State::kOpen);
-  ASSERT_TRUE(stale.ok());
-  EXPECT_EQ(stale.value(), ShedTier::kStale);
-  ASSERT_TRUE(offer(common::CircuitBreaker::State::kOpen).ok());
-  // Fill is now 2/4 = reject_fill: an open breaker escalates to reject.
-  EXPECT_EQ(offer(common::CircuitBreaker::State::kOpen).status().code(),
-            StatusCode::kUnavailable);
-  // A closed breaker at the same fill still admits exactly.
-  auto exact = offer(common::CircuitBreaker::State::kClosed);
-  ASSERT_TRUE(exact.ok());
-  EXPECT_EQ(exact.value(), ShedTier::kExact);
-
-  queue.Resume();
-  InferenceRequest request;
+  constexpr int kTenants = 1000;
+  InferenceRequest popped;
   uint64_t cookie = 0;
-  ASSERT_TRUE(queue.PopDispatch(&request, &cookie));
-  EXPECT_TRUE(request.stale_only);  // The stale tier marked it.
+  for (int t = 0; t < kTenants; ++t) {
+    InferenceRequest request(1);
+    request.tenant_id = "drive-by-" + std::to_string(t);
+    ASSERT_TRUE(queue.Offer(std::move(request), 0).ok());
+    ASSERT_TRUE(queue.PopDispatch(&popped, &cookie));
+  }
+  EXPECT_EQ(queue.FillFraction(), 0.0);
+
+  queue.Pause();
+  for (int i = 0; i < 2; ++i) {
+    InferenceRequest request(1);
+    request.tenant_id = "held";
+    ASSERT_TRUE(queue.Offer(std::move(request), 0).ok());
+  }
+  // Half of the one backlogged tenant's capacity, not 2 / (4 * 1001).
+  EXPECT_EQ(queue.FillFraction(), 0.5);
+
+  // A drive-by id that comes back is a new tenant with its own queue, and
+  // every queued request is still dispatched once.
+  InferenceRequest again(2);
+  again.tenant_id = "drive-by-7";
+  ASSERT_TRUE(queue.Offer(std::move(again), 0).ok());
+  EXPECT_EQ(queue.FillFraction(), 3.0 / 8.0);
+  queue.Resume();
+  std::vector<NodeId> dispatched;
+  while (queue.PopDispatch(&popped, &cookie)) {
+    dispatched.push_back(popped.node);
+  }
+  std::sort(dispatched.begin(), dispatched.end());
+  EXPECT_EQ(dispatched, (std::vector<NodeId>{1, 1, 2}));
+  EXPECT_EQ(queue.FillFraction(), 0.0);
 }
 
 // A weight DWRR can never serve would leave admitted requests queued
@@ -410,20 +400,10 @@ TEST(AdmissionQueueDeathTest, WeightThatCanNeverDispatchIsRefused) {
 
 TEST(AdmissionQueueTest, CloseDrainsQueuedRequestsThenStops) {
   AdmissionQueue queue(AdmissionConfig{});
-  ASSERT_TRUE(queue
-                  .Offer(InferenceRequest(1), 11,
-                         common::CircuitBreaker::State::kClosed)
-                  .ok());
-  ASSERT_TRUE(queue
-                  .Offer(InferenceRequest(2), 22,
-                         common::CircuitBreaker::State::kClosed)
-                  .ok());
+  ASSERT_TRUE(queue.Offer(InferenceRequest(1), 11).ok());
+  ASSERT_TRUE(queue.Offer(InferenceRequest(2), 22).ok());
   queue.Close();
-  EXPECT_EQ(queue
-                .Offer(InferenceRequest(3), 33,
-                       common::CircuitBreaker::State::kClosed)
-                .status()
-                .code(),
+  EXPECT_EQ(queue.Offer(InferenceRequest(3), 33).code(),
             StatusCode::kFailedPrecondition);
   InferenceRequest request;
   uint64_t cookie = 0;
@@ -659,9 +639,8 @@ TEST(HttpFrontDoorTest, ShedTiersDegradeExactToStaleToReject) {
   ServeConfig serve_config = QuickServeConfig();
   serve_config.breaker.failure_threshold = 2;
   serve_config.embed_retry.max_attempts = 1;
-  serve_config.degraded_serving = false;  // Failures must trip, not degrade.
-  // Rows go stale after one batch, so a stale-tier serve of a cached row
-  // is observably degraded rather than a fresh hit.
+  // Rows go stale after one batch, so a serve of a cached row under the
+  // open breaker is observably degraded rather than a fresh hit.
   serve_config.max_staleness = 0;
   BatchingServer server(
       TestModel(),
@@ -674,7 +653,6 @@ TEST(HttpFrontDoorTest, ShedTiersDegradeExactToStaleToReject) {
 
   HttpFrontDoorConfig config;
   config.admission.per_tenant_capacity = 4;
-  config.admission.shed.reject_fill = 0.5;
   HttpFrontDoor door(&server, config);
   ASSERT_TRUE(door.Start().ok());
   HttpClient client = Dial(door.port());
@@ -686,7 +664,8 @@ TEST(HttpFrontDoorTest, ShedTiersDegradeExactToStaleToReject) {
   EXPECT_NE(exact.value().body.find("\"degraded\":false"), std::string::npos);
   EXPECT_TRUE(door.Healthy());
 
-  // Kill the embedder; two uncached nodes trip the breaker.
+  // Kill the embedder; two uncached nodes, with no row to degrade to,
+  // fail and trip the breaker.
   embedder_down.store(true);
   for (NodeId node : {NodeId{2}, NodeId{3}}) {
     auto failed = client.Post("/v1/infer", InferBody(node));
@@ -696,8 +675,8 @@ TEST(HttpFrontDoorTest, ShedTiersDegradeExactToStaleToReject) {
   }
   ASSERT_EQ(server.breaker_state(), common::CircuitBreaker::State::kOpen);
 
-  // Tier 2 — stale: the open breaker degrades admission to stale-only;
-  // node 1's cached row still serves, flagged degraded.
+  // Tier 2 — stale: the open breaker fast-fails node 1's miss without
+  // calling the embedder; its cached row still serves, flagged degraded.
   auto stale = client.Post("/v1/infer", InferBody(1));
   ASSERT_TRUE(stale.ok());
   EXPECT_EQ(stale.value().status_code, 200);
@@ -705,13 +684,13 @@ TEST(HttpFrontDoorTest, ShedTiersDegradeExactToStaleToReject) {
   auto health = client.Get("/healthz");
   ASSERT_TRUE(health.ok());
   EXPECT_EQ(health.value().status_code, 503);
-  EXPECT_NE(health.value().body.find("shed_tier=stale"), std::string::npos);
+  EXPECT_NE(health.value().body.find("breaker=open"), std::string::npos);
 
-  // Tier 3 — reject: open breaker + queues at reject_fill turn requests
-  // away at the door. Pause dispatch so the fill holds still. The probe
-  // uses its own connection: responses are written in request order per
-  // connection, so anything pipelined behind the two held requests would
-  // (correctly) wait for them.
+  // Tier 3 — reject: open breaker + admission at least half full turns
+  // requests away at the door. Pause dispatch so the fill holds still. The
+  // probe uses its own connection: responses are written in request order
+  // per connection, so anything pipelined behind the two held requests
+  // would (correctly) wait for them.
   door.admission().Pause();
   for (int i = 0; i < 2; ++i) {
     ASSERT_TRUE(client
@@ -728,7 +707,7 @@ TEST(HttpFrontDoorTest, ShedTiersDegradeExactToStaleToReject) {
   auto health_reject = probe.Get("/healthz");
   ASSERT_TRUE(health_reject.ok());
   EXPECT_EQ(health_reject.value().status_code, 503);
-  EXPECT_NE(health_reject.value().body.find("shed_tier=reject"),
+  EXPECT_NE(health_reject.value().body.find("breaker=open"),
             std::string::npos);
 
   // Draining the backlog de-escalates reject back to stale.
@@ -740,6 +719,174 @@ TEST(HttpFrontDoorTest, ShedTiersDegradeExactToStaleToReject) {
     EXPECT_NE(drained.value().body.find("\"degraded\":true"),
               std::string::npos);
   }
+}
+
+// Behind the door, a miss under an open breaker reaches the server's
+// breaker, so every `probe_interval`-th one probes the embedder: once the
+// embedder is healed, infers for uncached nodes alone close the breaker.
+TEST(HttpFrontDoorTest, BreakerClosesOnceTheEmbedderRecovers) {
+  constexpr int kProbeInterval = 4;
+  std::atomic<bool> embedder_down{true};
+  ServeConfig serve_config = QuickServeConfig();
+  serve_config.breaker.failure_threshold = 2;
+  serve_config.breaker.probe_interval = kProbeInterval;
+  serve_config.embed_retry.max_attempts = 1;
+  BatchingServer server(
+      TestModel(),
+      [&embedder_down](NodeId node, std::span<float> out) {
+        if (embedder_down.load()) return Status::Unavailable("embedder down");
+        FillEmbedding(node, out);
+        return Status::OK();
+      },
+      kNodes, serve_config);
+  HttpFrontDoor door(&server, HttpFrontDoorConfig{});
+  ASSERT_TRUE(door.Start().ok());
+  HttpClient client = Dial(door.port());
+
+  NodeId node = 0;
+  for (int i = 0; i < 2; ++i) {
+    auto failed = client.Post("/v1/infer", InferBody(node++));
+    ASSERT_TRUE(failed.ok());
+    EXPECT_EQ(failed.value().status_code, 503);
+  }
+  ASSERT_EQ(server.breaker_state(), common::CircuitBreaker::State::kOpen);
+
+  // Heal the embedder. Each miss before the probe fast-fails with no row
+  // to degrade to; the probe embeds, answers and closes the breaker.
+  embedder_down.store(false);
+  int misses = 0;
+  while (server.breaker_state() != common::CircuitBreaker::State::kClosed &&
+         misses < kProbeInterval) {
+    auto answer = client.Post("/v1/infer", InferBody(node++));
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    ++misses;
+    EXPECT_EQ(answer.value().status_code, misses < kProbeInterval ? 503 : 200)
+        << "miss " << misses;
+  }
+  EXPECT_EQ(server.breaker_state(), common::CircuitBreaker::State::kClosed)
+      << "still " << common::CircuitBreaker::StateName(server.breaker_state())
+      << " after " << misses << " misses";
+
+  auto fresh = client.Post("/v1/infer", InferBody(node));
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh.value().status_code, 200);
+  EXPECT_NE(fresh.value().body.find("\"degraded\":false"), std::string::npos)
+      << fresh.value().body;
+  auto health = client.Get("/healthz");
+  ASSERT_TRUE(health.ok());
+  EXPECT_EQ(health.value().status_code, 200);
+  EXPECT_EQ(health.value().body, "ok\n");
+}
+
+// A half-open breaker sheds nothing, even with admission half full: its
+// probe is out at the embedder, and what queues behind the probe is served
+// once the probe has closed the breaker.
+TEST(HttpFrontDoorTest, HalfOpenBreakerShedsNothing) {
+  std::atomic<bool> embedder_down{true};
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<int> held{0};
+  ServeConfig serve_config = QuickServeConfig();
+  serve_config.breaker.failure_threshold = 2;
+  serve_config.breaker.probe_interval = 1;  // The first miss probes.
+  serve_config.embed_retry.max_attempts = 1;
+  BatchingServer server(
+      TestModel(),
+      [&embedder_down, &held, opened](NodeId node, std::span<float> out) {
+        if (embedder_down.load()) return Status::Unavailable("embedder down");
+        held.fetch_add(1);
+        opened.wait();
+        FillEmbedding(node, out);
+        return Status::OK();
+      },
+      kNodes, serve_config);
+  HttpFrontDoorConfig config;
+  config.admission.per_tenant_capacity = 4;
+  HttpFrontDoor door(&server, config);
+  ASSERT_TRUE(door.Start().ok());
+
+  HttpClient probe = Dial(door.port());
+  for (NodeId node : {NodeId{0}, NodeId{1}}) {
+    auto failed = probe.Post("/v1/infer", InferBody(node));
+    ASSERT_TRUE(failed.ok());
+    EXPECT_EQ(failed.value().status_code, 503);
+  }
+  ASSERT_EQ(server.breaker_state(), common::CircuitBreaker::State::kOpen);
+
+  // The next miss is the probe; it waits in the embedder on the gate.
+  embedder_down.store(false);
+  ASSERT_TRUE(
+      probe.SendRequest("POST", "/v1/infer", InferBody(2), "application/json")
+          .ok());
+  ASSERT_TRUE(WaitFor([&] { return held.load() == 1; }));
+  ASSERT_EQ(server.breaker_state(), common::CircuitBreaker::State::kHalfOpen);
+
+  // Fill admission to half, then offer one more on another connection.
+  door.admission().Pause();
+  HttpClient queued = Dial(door.port());
+  for (NodeId node : {NodeId{3}, NodeId{4}}) {
+    ASSERT_TRUE(queued
+                    .SendRequest("POST", "/v1/infer", InferBody(node),
+                                 "application/json")
+                    .ok());
+  }
+  ASSERT_TRUE(WaitFor([&] { return door.admission().TotalQueued() == 2; }));
+  ASSERT_EQ(door.admission().FillFraction(), 0.5);
+  HttpClient late = Dial(door.port());
+  ASSERT_TRUE(
+      late.SendRequest("POST", "/v1/infer", InferBody(5), "application/json")
+          .ok());
+  EXPECT_TRUE(WaitFor([&] { return door.admission().TotalQueued() == 3; }))
+      << "the infer at half fill was not admitted";
+  auto health = Dial(door.port()).Get("/healthz");
+  ASSERT_TRUE(health.ok());
+  EXPECT_EQ(health.value().status_code, 503);
+  EXPECT_NE(health.value().body.find("breaker=half-open"), std::string::npos)
+      << health.value().body;
+
+  // The probe succeeds and closes the breaker. A closed breaker sheds
+  // nothing either, even with admission full; everything queued is served
+  // fresh.
+  gate.set_value();
+  auto probed = probe.ReadResponse();
+  ASSERT_TRUE(probed.ok()) << probed.status().ToString();
+  EXPECT_EQ(probed.value().status_code, 200);
+  EXPECT_EQ(server.breaker_state(), common::CircuitBreaker::State::kClosed);
+  ASSERT_TRUE(
+      late.SendRequest("POST", "/v1/infer", InferBody(6), "application/json")
+          .ok());
+  EXPECT_TRUE(WaitFor([&] { return door.admission().TotalQueued() == 4; }))
+      << "the infer at 3/4 fill was not admitted";
+  door.admission().Resume();
+  for (HttpClient* client : {&queued, &queued, &late, &late}) {
+    auto answer = client->ReadResponse();
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(answer.value().status_code, 200);
+    EXPECT_NE(answer.value().body.find("\"degraded\":false"),
+              std::string::npos)
+        << answer.value().body;
+  }
+}
+
+// `deadline_micros` may be any int64 >= 0. A budget past the clock's range
+// is no deadline, not an overflowed one that expired long ago.
+TEST(HttpFrontDoorTest, DeadlinePastTheClockRangeNeverExpires) {
+  BatchingServer server(
+      TestModel(),
+      [](NodeId node, std::span<float> out) {
+        FillEmbedding(node, out);
+        return Status::OK();
+      },
+      kNodes, QuickServeConfig());
+  HttpFrontDoor door(&server, HttpFrontDoorConfig{});
+  ASSERT_TRUE(door.Start().ok());
+  HttpClient client = Dial(door.port());
+
+  auto answer = client.Post(
+      "/v1/infer", "{\"node\":3,\"deadline_micros\":9223372036854775807}");
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer.value().status_code, 200) << answer.value().body;
+  EXPECT_NE(answer.value().body.find("\"status\":\"ok\""), std::string::npos);
 }
 
 TEST(HttpFrontDoorTest, TenantQuotaRejects429) {

@@ -648,7 +648,7 @@ TEST(ServeObsTest, ServeMetricsSnapshotIsViewOverRegistry) {
   metrics.RecordRequest(/*latency_ticks=*/20, /*cache_hit=*/false,
                         /*degraded=*/true);
   metrics.RecordBatch(/*batch_size=*/3, /*queue_depth=*/5);
-  metrics.RecordTerminalFailure(common::StatusCode::kDeadlineExceeded, false);
+  metrics.RecordTerminalFailure(common::StatusCode::kDeadlineExceeded);
 
   const serve::ServeMetricsSnapshot snap = metrics.Snapshot();
   EXPECT_EQ(snap.requests_served, 3u);
