@@ -70,7 +70,6 @@ void BM_ServeUnderFaults(benchmark::State& state) {
   config.queue_capacity = 1 << 14;
   config.num_workers = 4;
   config.max_staleness = 4;  // Recompute often: misses hit the embedder.
-  config.degraded_serving = true;
   config.embed_retry.max_attempts = 2;
   config.embed_retry.base_backoff_micros = 20;
 
@@ -128,8 +127,9 @@ void BM_DeadEmbedderBreaker(benchmark::State& state) {
   config.max_delay_micros = 200;
   config.queue_capacity = 1 << 14;
   config.num_workers = 4;
-  config.max_staleness = 0;  // Warm rows are stale: every serve is a miss.
-  config.degraded_serving = true;  // Requests still succeed (degraded).
+  // Warm rows are stale: every serve is a miss, and still succeeds
+  // (degraded).
+  config.max_staleness = 0;
   config.embed_retry.max_attempts = 3;
   config.embed_retry.base_backoff_micros = 50;
   config.breaker.failure_threshold = breaker_on ? 8 : (1 << 30);

@@ -1,4 +1,4 @@
-// E25 — SIMD microkernels + cache-blocked CSR (sgnn::simd): single-core
+// E25 — SIMD microkernels and the CSR SpMM row walk (sgnn::simd): single-core
 // throughput of the converted hot kernels with the AVX2 backend against
 // the bit-identical scalar fallback. The paper's scalability story prices
 // everything in data movement; this experiment grounds the conversion
@@ -161,7 +161,8 @@ void BM_KernelSpmm(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelSpmm)
     ->Args({0, 16})->Args({1, 16})->Args({0, 32})->Args({1, 32})
-    ->Args({0, 64})->Args({1, 64})->Args({0, 256})->Args({1, 256})
+    ->Args({0, 64})->Args({1, 64})->Args({0, 160})->Args({1, 160})
+    ->Args({0, 256})->Args({1, 256})->Args({0, 512})->Args({1, 512})
     ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------------- json driver
@@ -337,8 +338,9 @@ int RunJson(const std::string& path) {
     sgnn::graph::Propagator prop(g, sgnn::graph::Normalization::kSymmetric,
                                  /*add_self_loops=*/true);
     // 16 and 64 columns are the feature widths of sgnn-bench's
-    // precompute_scaleout and train_decoupled.
-    for (const int64_t cols : {16, 32, 64, 256}) {
+    // precompute_scaleout and train_decoupled. 160 (64 + 64 + 32) ends on
+    // a partial 64-float strip and 512 is eight full strips.
+    for (const int64_t cols : {16, 32, 64, 160, 256, 512}) {
       const tensor::Matrix x = RandomMatrix(g.num_nodes(), cols, 6);
       tensor::Matrix out;
       results.push_back(Compare(

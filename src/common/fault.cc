@@ -9,8 +9,10 @@
 
 namespace sgnn::common {
 
-namespace internal {
+namespace {
 
+/// SplitMix64-style mix used by the deterministic triggers and the retry
+/// jitter.
 uint64_t MixHash(uint64_t a, uint64_t b, uint64_t c) {
   uint64_t x = a ^ (b * 0x9E3779B97F4A7C15ULL) ^ (c * 0xBF58476D1CE4E5B9ULL);
   x ^= x >> 30;
@@ -21,14 +23,11 @@ uint64_t MixHash(uint64_t a, uint64_t b, uint64_t c) {
   return x;
 }
 
+/// Uniform double in [0, 1) from a hash value.
 double HashToUnit(uint64_t h) {
   // Top 53 bits -> [0, 1), the standard double-from-bits construction.
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
-
-}  // namespace internal
-
-namespace {
 
 uint64_t SiteHash(const std::string& site) {
   // FNV-1a over the site name: stable across runs and platforms.
@@ -42,53 +41,28 @@ uint64_t SiteHash(const std::string& site) {
 
 }  // namespace
 
-FaultInjector::Site& FaultInjector::SiteFor(const std::string& name) {
-  return sites_[name];
-}
-
 void FaultInjector::Arm(const std::string& site, double probability) {
   SGNN_CHECK(probability >= 0.0 && probability <= 1.0);
   MutexLock lock(mu_);
-  SiteFor(site).probability = probability;
+  sites_[site].probability = probability;
 }
 
-void FaultInjector::ArmAt(const std::string& site, int64_t op_index) {
-  SGNN_CHECK_GE(op_index, 0);
+void FaultInjector::ArmAt(const std::string& site, int64_t token) {
+  SGNN_CHECK_GE(token, 0);
   MutexLock lock(mu_);
-  SiteFor(site).fail_at = op_index;
-}
-
-void FaultInjector::Disarm(const std::string& site) {
-  MutexLock lock(mu_);
-  Site& s = SiteFor(site);
-  s.probability = 0.0;
-  s.fail_at = -1;
-}
-
-bool FaultInjector::ShouldFail(const std::string& site) {
-  MutexLock lock(mu_);
-  Site& s = SiteFor(site);
-  const int64_t op = s.ops++;
-  if (s.fail_at >= 0 && op == s.fail_at) {
-    s.fail_at = -1;  // One-shot.
-    return true;
-  }
-  if (s.probability <= 0.0) return false;
-  const uint64_t h = internal::MixHash(seed_, SiteHash(site),
-                                       static_cast<uint64_t>(op));
-  return internal::HashToUnit(h) < s.probability;
+  sites_[site].fail_at = token;
 }
 
 bool FaultInjector::ShouldFail(const std::string& site, uint64_t token) {
   MutexLock lock(mu_);
-  Site& s = SiteFor(site);
-  s.ops++;
+  const auto it = sites_.find(site);
+  if (it == sites_.end()) return false;
+  const Site& s = it->second;
   if (s.fail_at >= 0 && static_cast<uint64_t>(s.fail_at) == token) {
-    return true;  // Token triggers are replayable, so not one-shot.
+    return true;
   }
   if (s.probability <= 0.0) return false;
-  const uint64_t h = internal::MixHash(seed_, SiteHash(site), token);
-  return internal::HashToUnit(h) < s.probability;
+  return HashToUnit(MixHash(seed_, SiteHash(site), token)) < s.probability;
 }
 
 Status FaultInjector::MaybeFail(const std::string& site, uint64_t token) {
@@ -144,12 +118,6 @@ Status FaultInjector::ArmFromEnv() {
   return ArmFromSpec(spec);
 }
 
-int64_t FaultInjector::OpCount(const std::string& site) const {
-  MutexLock lock(mu_);
-  auto it = sites_.find(site);
-  return it == sites_.end() ? 0 : it->second.ops;
-}
-
 int64_t Deadline::remaining_micros() const {
   if (infinite_) return std::numeric_limits<int64_t>::max();
   return std::chrono::duration_cast<std::chrono::microseconds>(at_ -
@@ -163,10 +131,9 @@ int64_t RetryPolicy::BackoffMicros(int attempt, uint64_t token) const {
   for (int i = 1; i < attempt; ++i) backoff *= backoff_multiplier;
   backoff = std::min(backoff, static_cast<double>(max_backoff_micros));
   if (jitter > 0.0) {
-    const uint64_t h = internal::MixHash(
-        seed, static_cast<uint64_t>(attempt), token);
+    const uint64_t h = MixHash(seed, static_cast<uint64_t>(attempt), token);
     // Uniform in [1 - jitter, 1 + jitter).
-    backoff *= 1.0 + jitter * (2.0 * internal::HashToUnit(h) - 1.0);
+    backoff *= 1.0 + jitter * (2.0 * HashToUnit(h) - 1.0);
   }
   return static_cast<int64_t>(backoff);
 }

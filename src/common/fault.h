@@ -16,51 +16,35 @@ inline constexpr char kFaultsEnv[] = "SGNN_FAULTS";
 
 /// Deterministic, seed-driven fault injection for robustness tests and
 /// benchmarks. Faults are keyed by a string *site* name (e.g.
-/// `"serve.embed"`, `"io.write"`, `"pipeline.after_stage"`) so a test can
-/// target one failure point without touching the others. Two trigger
-/// styles:
+/// `"serve.admit"`, `"dist.frame.drop"`, `"pipeline.after_stage"`) so a
+/// test can target one failure point without touching the others. Each
+/// call names a *token*, an index of the operation that the call site
+/// derives itself (a node id, a stage index, a frame sequence number), and
+/// the verdict is a pure function of (seed, site, token): concurrent
+/// callers reproduce the exact same per-token outcomes regardless of thread
+/// interleaving, which is what makes multi-worker fault tests replayable.
 ///
-///  - `ShouldFail(site)` — sequential: a per-site operation counter plus a
-///    per-site random stream decide; deterministic given the call order
-///    (use from a single thread or when ordering is controlled).
-///  - `ShouldFail(site, token)` — order-independent: the decision is a pure
-///    hash of (seed, site, token), so concurrent callers reproduce the
-///    exact same per-token outcomes regardless of thread interleaving.
-///    This is what makes multi-worker fault tests replayable.
-///
-/// Thread-safe; a disarmed (or unknown) site never fails but still counts
-/// operations, so `ArmAt` can be calibrated against a dry run.
+/// Thread-safe; an unarmed site never fails.
 class FaultInjector {
  public:
   explicit FaultInjector(uint64_t seed = 0) : seed_(seed) {}
 
-  /// Arms `site` to fail each operation independently with probability `p`.
+  /// Arms `site` to fail each token independently with probability `p`.
   void Arm(const std::string& site, double probability) SGNN_EXCLUDES(mu_);
 
-  /// Arms `site` to fail exactly once, on 0-based operation `op_index`
-  /// (sequential trigger) or on `token == op_index` (token trigger).
-  void ArmAt(const std::string& site, int64_t op_index) SGNN_EXCLUDES(mu_);
+  /// Arms `site` to fail on `token`, every time it is asked.
+  void ArmAt(const std::string& site, int64_t token) SGNN_EXCLUDES(mu_);
 
-  void Disarm(const std::string& site) SGNN_EXCLUDES(mu_);
-
-  /// Sequential trigger; counts one operation at `site`.
-  bool ShouldFail(const std::string& site) SGNN_EXCLUDES(mu_);
-
-  /// Order-independent trigger; counts one operation at `site`. The same
-  /// (seed, site, token) always yields the same verdict.
+  /// The verdict for `token` at `site`. The same (seed, site, token)
+  /// always yields the same verdict.
   bool ShouldFail(const std::string& site, uint64_t token) SGNN_EXCLUDES(mu_);
 
   /// Convenience wrapper: `kUnavailable` ("injected fault at <site>") when
-  /// the token trigger fires, OK otherwise.
+  /// `ShouldFail` fires, OK otherwise.
   SGNN_NODISCARD Status MaybeFail(const std::string& site, uint64_t token) SGNN_EXCLUDES(mu_);
 
-  /// Operations observed at `site` (armed or not).
-  int64_t OpCount(const std::string& site) const SGNN_EXCLUDES(mu_);
-
-  uint64_t seed() const { return seed_; }
-
   /// Arms sites from a `;`- or `,`-separated spec string, one entry per
-  /// site: `site@token` arms a token/op-index trigger (`ArmAt`) and
+  /// site: `site@token` arms a token trigger (`ArmAt`) and
   /// `site=probability` an independent-probability trigger (`Arm`).
   /// Example: `"dist.worker.kill@65537;dist.frame.corrupt=0.01"`. Empty
   /// entries are skipped; a malformed entry yields `kInvalidArgument`
@@ -75,11 +59,8 @@ class FaultInjector {
  private:
   struct Site {
     double probability = 0.0;
-    int64_t fail_at = -1;  ///< 0-based op/token index; -1 = disabled.
-    int64_t ops = 0;
+    int64_t fail_at = -1;  ///< Token that always fails; -1 = none.
   };
-
-  Site& SiteFor(const std::string& name) SGNN_REQUIRES(mu_);
 
   const uint64_t seed_;
   mutable Mutex mu_;
@@ -191,14 +172,6 @@ class CircuitBreaker {
   int64_t trips_ SGNN_GUARDED_BY(mu_) = 0;
   int64_t fast_fails_ SGNN_GUARDED_BY(mu_) = 0;
 };
-
-namespace internal {
-/// SplitMix64-style mix used by the deterministic triggers; exposed for
-/// tests that want to predict verdicts.
-uint64_t MixHash(uint64_t a, uint64_t b, uint64_t c);
-/// Uniform double in [0, 1) from a hash value.
-double HashToUnit(uint64_t h);
-}  // namespace internal
 
 }  // namespace sgnn::common
 

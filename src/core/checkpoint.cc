@@ -12,7 +12,7 @@ using common::StatusOr;
 namespace {
 
 constexpr char kMagic[8] = {'S', 'G', 'N', 'N', 'C', 'K', 'P', 'T'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 
 std::string Serialize(const PipelineSnapshot& snap) {
   common::ByteWriter w;
@@ -27,6 +27,8 @@ std::string Serialize(const PipelineSnapshot& snap) {
     w.Pod<double>(stage.seconds);
     w.Pod<uint64_t>(stage.ops.edges_touched);
     w.Pod<uint64_t>(stage.ops.floats_moved);
+    w.Pod<uint64_t>(stage.ops.bytes_read);
+    w.Pod<uint64_t>(stage.ops.bytes_written);
     w.Pod<uint64_t>(stage.ops.peak_resident_floats);
     w.Pod<uint64_t>(stage.ops.resident_floats);
   }
@@ -110,6 +112,8 @@ StatusOr<PipelineSnapshot> LoadSnapshot(const std::string& path,
     stage.seconds = in.Pod<double>();
     stage.ops.edges_touched = in.Pod<uint64_t>();
     stage.ops.floats_moved = in.Pod<uint64_t>();
+    stage.ops.bytes_read = in.Pod<uint64_t>();
+    stage.ops.bytes_written = in.Pod<uint64_t>();
     stage.ops.peak_resident_floats = in.Pod<uint64_t>();
     stage.ops.resident_floats = in.Pod<uint64_t>();
     snap.stages.push_back(std::move(stage));

@@ -195,7 +195,7 @@ PipelineReport Pipeline::Run(const Dataset& dataset,
   const bool checkpointing = !ctx.checkpoint_path.empty();
   const uint64_t signature = checkpointing ? Signature() : 0;
   int start_stage = 0;
-  if (checkpointing && ctx.resume) {
+  if (checkpointing) {
     obs::TraceSpan restore_span =
         obs::StartSpan(ctx.tracer, "checkpoint.restore", "checkpoint");
     auto snapshot = LoadSnapshot(ctx.checkpoint_path, signature);

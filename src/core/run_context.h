@@ -53,12 +53,11 @@ struct RunContext {
   /// training; an expired deadline stops the run with `kDeadlineExceeded`.
   common::Deadline deadline = common::Deadline::Infinite();
   /// Snapshot file written after every completed stage; empty = no
-  /// checkpointing. See `core/checkpoint.h` for the format guarantees.
+  /// checkpointing. When it already holds a valid snapshot from this same
+  /// pipeline, completed stages are restored instead of recomputed; a
+  /// corrupted or foreign snapshot is ignored and every stage runs. See
+  /// `core/checkpoint.h` for the format guarantees.
   std::string checkpoint_path;
-  /// When true and `checkpoint_path` holds a valid snapshot from this same
-  /// pipeline, completed stages are restored instead of recomputed. A
-  /// corrupted or foreign snapshot is ignored (from-scratch run).
-  bool resume = true;
   /// Debug mode: validate the input dataset and every stage's output
   /// against the `sgnn::analysis` invariant suite. A violation stops the
   /// run with the validator's diagnostic instead of letting a corrupt

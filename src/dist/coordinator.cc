@@ -378,7 +378,7 @@ Status Coordinator::CheckpointEpoch(int epoch) {
 
 void Coordinator::TryResume(int* start_epoch) {
   const std::string& path = ctx_.checkpoint_path;
-  if (path.empty() || !ctx_.resume) return;
+  if (path.empty()) return;
   auto snap_or = core::LoadSnapshot(path, Signature());
   if (!snap_or.ok()) return;  // Missing/corrupt/foreign: from scratch.
   core::PipelineSnapshot snap = std::move(snap_or).value();

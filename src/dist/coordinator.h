@@ -66,8 +66,8 @@ struct DistReport {
 /// and re-run — completed workers are never recomputed. Exhausting a
 /// worker's respawn budget or tripping the breaker fails the run with
 /// `kUnavailable`. With `ctx.checkpoint_path` set, each completed epoch
-/// is persisted there via `core::SaveSnapshot`, and a fresh run
-/// (`ctx.resume`) restarts after the last completed epoch.
+/// is persisted there via `core::SaveSnapshot`, and a fresh run that
+/// finds a valid snapshot there restarts after its last completed epoch.
 ///
 /// `ctx` supplies the observability sinks (`sgnn_dist_*` metrics, `dist:`
 /// spans), the run deadline, the checkpoint path, and the fault injector.

@@ -98,23 +98,6 @@ struct CoefficientRows {
   }
 };
 
-/// Cache-blocked CSR schedule for wide-feature SpMM. Skewed degree
-/// distributions make the x-row gather the bottleneck: a hub neighbour's
-/// row is re-fetched from memory once per referencing output row when the
-/// full row (cols * 4 bytes) no longer fits alongside the working set. The
-/// blocked schedule walks output rows in panels of ~kSpmmPanelEdges edges
-/// and feature columns in blocks of kSpmmColBlock floats, so each gathered
-/// x-row *slice* is a few cache lines and the panel's hub slices stay
-/// resident across the rows that share them. This is loop blocking only —
-/// per output element the edge accumulation order is unchanged (ascending
-/// edge index, self-loop last), so the result is bit-identical to the
-/// unblocked walk. Engaged only above kSpmmColBlockEngage columns; narrow
-/// rows already fit and the re-scanned coefficient stream would be pure
-/// overhead.
-inline constexpr int64_t kSpmmColBlock = 64;  ///< Floats per column block.
-inline constexpr int64_t kSpmmColBlockEngage = 128;  ///< Engage above this.
-inline constexpr int64_t kSpmmPanelEdges = 4096;  ///< Edges per row panel.
-
 /// Edges per `spmm_row` call for views that compute their ids or
 /// coefficients per edge: `SpmmRows` gathers what they compute into a
 /// stack chunk of this many entries.
@@ -137,7 +120,7 @@ inline constexpr int64_t kSpmmChunkEdges = 64;
 /// either per edge has it gathered into a stack chunk of kSpmmChunkEdges
 /// entries, and makes one call per chunk. Zero coefficients are skipped
 /// and edges are added in view order, so equal coefficient bits give
-/// equal output bits on any view, backend, schedule or range split.
+/// equal output bits on any view, backend, width or range split.
 /// Accumulates into `out` (callers size and zero it; it must not be `x`)
 /// and bills `BillSpmm`. Touches no `par` state, so a forked process may
 /// call it.
@@ -154,13 +137,12 @@ void SpmmRows(const Rows& rows, par::Range range, const tensor::Matrix& x,
   // Applied rows (nonzero edge coefficients + engaged self-loops): the
   // data-movement term of the byte bill.
   uint64_t applied = 0;
-  auto row_block = [&](int64_t r, int64_t j0, int64_t bw) {
+  for (int64_t r = range.begin; r < range.end; ++r) {
     const auto nbrs = rows.Neighbors(r);
     const auto cs = rows.Coefficients(r);
     const int64_t o = rows.OutRow(r);
     const int64_t count = static_cast<int64_t>(nbrs.size());
-    const float* xb = x.data() + j0;
-    float* orow = out->data() + o * cols + j0;
+    float* orow = out->data() + o * cols;
     // A row read wholly in place is one call; otherwise one per chunk.
     const int64_t chunk =
         kStoredIds && kStoredCoefficients ? count : kSpmmChunkEdges;
@@ -180,37 +162,14 @@ void SpmmRows(const Rows& rows, par::Range range, const tensor::Matrix& x,
       } else {
         for (int64_t i = 0; i < m; ++i) coeffs[i] = cs[e0 + i];
       }
-      applied += kt.spmm_row(xb, cols, id, c, m, orow, bw);
+      applied += kt.spmm_row(x.data(), cols, id, c, m, orow, cols);
     }
     // The self loop is the row's last term.
     const float s = rows.SelfLoop(r);
     if (s != 0.0f) {
       ++applied;
-      kt.axpy(s, x.data() + o * cols + j0, orow, bw);
+      kt.axpy(s, x.data() + o * cols, orow, cols);
     }
-  };
-  if (cols > kSpmmColBlockEngage) {
-    for (int64_t p0 = range.begin; p0 < range.end;) {
-      // Grow the panel until its edge mass reaches the budget (always at
-      // least one row, so a hub row becomes its own panel).
-      int64_t p1 = p0;
-      const EdgeIndex panel_base = rows.EdgeBegin(p0);
-      while (p1 < range.end &&
-             (p1 == p0 || rows.EdgeBegin(p1) - panel_base < kSpmmPanelEdges)) {
-        ++p1;
-      }
-      for (int64_t j0 = 0; j0 < cols; j0 += kSpmmColBlock) {
-        const int64_t bw = std::min(kSpmmColBlock, cols - j0);
-        for (int64_t r = p0; r < p1; ++r) row_block(r, j0, bw);
-      }
-      p0 = p1;
-    }
-    // The column loop visits each (row, edge) pair once per block; the
-    // bill wants whole rows, so rescale.
-    applied /= static_cast<uint64_t>((cols + kSpmmColBlock - 1) /
-                                     kSpmmColBlock);
-  } else {
-    for (int64_t r = range.begin; r < range.end; ++r) row_block(r, 0, cols);
   }
   BillSpmm(static_cast<uint64_t>(rows.EdgeBegin(range.end) -
                                  rows.EdgeBegin(range.begin)),

@@ -28,9 +28,10 @@ constexpr uint64_t MakeCookie(uint64_t conn_id, uint64_t seq) {
 }
 
 /// epoll wait granularity. `Shutdown` and the first answer into an empty
-/// answer list wake the loop through its wake fd; a resumed admission queue
-/// (`Resume`, which only tests and `bench_net` call) still waits for the
-/// next pass when no socket is ready.
+/// answer list wake the loop through its wake fd, so room a worker frees
+/// in the server's queue is seen by the pass that places its answer; a
+/// resumed admission queue (`Resume`, which only tests and `bench_net`
+/// call) still waits for the next pass when no socket is ready.
 constexpr int kPollMillis = 20;
 
 /// A connection holding more answered-but-unsent bytes than this is closed,
@@ -181,9 +182,15 @@ void HttpFrontDoor::EventLoop() {
 }
 
 void HttpFrontDoor::Dispatch() {
+  // Pop no more than the server's queue has room for: the backlog stays in
+  // admission, where each tenant queues apart and is drained fairly.
+  const size_t capacity = server_->config().queue_capacity;
+  const size_t depth = server_->QueueDepth();
+  size_t room = depth < capacity ? capacity - depth : 0;
   serve::InferenceRequest request;
   uint64_t cookie = 0;
-  while (admission_.PopDispatch(&request, &cookie)) {
+  while (room > 0 && admission_.PopDispatch(&request, &cookie)) {
+    --room;
     obs::TraceSpan span = obs::StartSpan(tracer_, "net:dispatch", "net");
     dispatches_total_->Increment();
     common::Status submitted = server_->Submit(

@@ -65,15 +65,16 @@ struct HttpFrontDoorConfig {
 /// One event-loop thread is the tier's only I/O thread, and the only thread
 /// that touches connection state: it accepts, reads, parses, `Offer`s each
 /// infer to the `serve::AdmissionQueue` (token-bucket quota, per-tenant
-/// bound), and at the end of every iteration drains admission
-/// deficit-weighted-fair into `BatchingServer::Submit`. The serving worker
-/// that resolves a request renders its HTTP answer and appends it to one
-/// answer list; the loop takes the whole list each iteration, places every
-/// answer in its connection's response slot and writes the ready slots
-/// *in request order per connection* (HTTP/1.1 pipelining) with
-/// non-blocking sends, so a slow infer holds back only the slots behind it
-/// on its own connection, and a peer that stops reading is closed once
-/// 4 MiB of answers wait for it.
+/// bound), and at the end of every iteration moves deficit-weighted-fair
+/// from admission into `BatchingServer::Submit` as many requests as the
+/// server's queue has room for, so the backlog waits in admission, one
+/// bounded queue per tenant. The serving worker that resolves a request
+/// renders its HTTP answer and appends it to one answer list; the loop
+/// takes the whole list each iteration, places every answer in its
+/// connection's response slot and writes the ready slots *in request order
+/// per connection* (HTTP/1.1 pipelining) with non-blocking sends, so a slow
+/// infer holds back only the slots behind it on its own connection, and a
+/// peer that stops reading is closed once 4 MiB of answers wait for it.
 /// While the serving breaker is open and admission is at least half full,
 /// new infers are shed with a 503 (the backlog cannot drain through a dead
 /// embedder); every other infer is admitted, and the `BatchingServer`
@@ -154,7 +155,8 @@ class HttpFrontDoor {
   };
 
   void EventLoop();
-  /// Drains admission into `BatchingServer::Submit`, deficit-weighted-fair.
+  /// Moves admission's requests into `BatchingServer::Submit`,
+  /// deficit-weighted-fair, up to the free room in the server's queue.
   void Dispatch();
   /// Swaps the answer list into `*taken`, places every answer and sends
   /// what each connection can send.

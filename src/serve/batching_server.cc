@@ -205,9 +205,9 @@ common::Status BatchingServer::ResolveMiss(graph::NodeId node,
     }
   }
 
-  // Persistent failure: degrade to the stale cache row when allowed —
-  // a slightly old embedding beats an error page.
-  if (config_.degraded_serving) {
+  // Persistent failure: degrade to the node's cache row, even beyond
+  // `max_staleness` — a slightly old embedding beats an error page.
+  {
     common::ReaderMutexLock lock(cache_mu_);
     if (cache_.Has(node)) {
       auto row = cache_.Get(node);

@@ -50,10 +50,6 @@ struct ServeConfig {
   /// Transient embedder failures (`kUnavailable`/`kAborted`) are retried
   /// under this policy; the backoff never sleeps past the request deadline.
   common::RetryPolicy embed_retry;
-  /// On persistent embedder failure, serve the node's stale cache row —
-  /// even beyond `max_staleness` — flagged `degraded=true`, instead of
-  /// failing the request. Off: the request resolves with the error.
-  bool degraded_serving = true;
   /// Consecutive embedder failures trip this breaker; while open, misses
   /// fast-fail (`kUnavailable`, or a degraded serve when possible) without
   /// calling the embedder, so a dead embedder doesn't burn worker time.
@@ -180,6 +176,10 @@ class BatchingServer {
   /// registry-side `sgnn_serve_breaker_*` and `sgnn_serve_ops_*` gauges, so
   /// call it before scraping. Thread-safe.
   ServeMetricsSnapshot Metrics() const;
+
+  /// Requests admitted but not yet taken by a worker; at most
+  /// `config().queue_capacity`. Thread-safe.
+  size_t QueueDepth() const { return queue_.size(); }
 
   /// Current circuit-breaker state: what the HTTP front door's load-shed
   /// check and `/healthz` read, cheap enough for the admission hot path —

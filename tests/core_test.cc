@@ -337,7 +337,8 @@ TEST(CheckpointTest, SnapshotRoundTripIsBitIdentical) {
   PipelineSnapshot snap;
   snap.signature = PipelineSignature({"edit:a", "analytics:b"}, "sgc");
   snap.stages_done = 1;
-  snap.stages.push_back({"edit:a", 1.25, common::OpCounters{10, 20, 30, 5}});
+  snap.stages.push_back(
+      {"edit:a", 1.25, common::OpCounters{10, 20, 30, 5, 40, 7}});
   snap.edges_before = d.graph.num_edges();
   snap.feature_cols_before = d.features.cols();
   snap.graph = d.graph;
@@ -352,7 +353,13 @@ TEST(CheckpointTest, SnapshotRoundTripIsBitIdentical) {
   ASSERT_EQ(got.stages.size(), 1u);
   EXPECT_EQ(got.stages[0].name, "edit:a");
   EXPECT_DOUBLE_EQ(got.stages[0].seconds, 1.25);
-  EXPECT_EQ(got.stages[0].ops.edges_touched, 10u);
+  const common::OpCounters& ops = got.stages[0].ops;
+  EXPECT_EQ(ops.edges_touched, 10u);
+  EXPECT_EQ(ops.floats_moved, 20u);
+  EXPECT_EQ(ops.bytes_read, 30u);
+  EXPECT_EQ(ops.bytes_written, 5u);
+  EXPECT_EQ(ops.peak_resident_floats, 40u);
+  EXPECT_EQ(ops.resident_floats, 7u);
   EXPECT_EQ(got.edges_before, d.graph.num_edges());
   EXPECT_TRUE(got.features.Equals(d.features));  // Bitwise.
   EXPECT_EQ(got.graph.num_edges(), d.graph.num_edges());
@@ -539,41 +546,58 @@ TEST(CheckpointTest, ForeignPipelineSnapshotIsRejected) {
 TEST(PipelineTest, CrashAfterStageThenResumeIsBitwiseIdentical) {
   Dataset d = SmallDataset(47);
   const std::string path = ::testing::TempDir() + "/sgnn_pipeline_ckpt.bin";
-  std::filesystem::remove(path);
 
   // Ground truth: the uninterrupted run.
   PipelineReport full = MakeCheckpointedPipeline().Run(d, FastConfig());
   ASSERT_TRUE(full.status.ok());
 
-  // Crash after stage 0 (the edit), leaving its snapshot behind.
-  common::FaultInjector faults(123);
-  faults.ArmAt("pipeline.after_stage", 0);
-  RunContext ctx;
-  ctx.checkpoint_path = path;
-  ctx.faults = &faults;
-  PipelineReport crashed =
-      MakeCheckpointedPipeline().Run(d, FastConfig(), ctx);
-  EXPECT_EQ(crashed.status.code(), common::StatusCode::kAborted);
-  EXPECT_EQ(crashed.stages.size(), 1u);
-  ASSERT_TRUE(std::filesystem::exists(path));
+  // Crash after stage 0 (the edit) or stage 1 (the smoothing, whose SpMM
+  // bills kernel bytes), leaving its snapshot behind.
+  for (const int crash_after : {0, 1}) {
+    SCOPED_TRACE("crash after stage " + std::to_string(crash_after));
+    std::filesystem::remove(path);
+    common::FaultInjector faults(123);
+    faults.ArmAt("pipeline.after_stage", crash_after);
+    RunContext ctx;
+    ctx.checkpoint_path = path;
+    ctx.faults = &faults;
+    PipelineReport crashed =
+        MakeCheckpointedPipeline().Run(d, FastConfig(), ctx);
+    EXPECT_EQ(crashed.status.code(), common::StatusCode::kAborted);
+    EXPECT_EQ(crashed.stages.size(), static_cast<size_t>(crash_after) + 1);
+    ASSERT_TRUE(std::filesystem::exists(path));
 
-  // Resume: skips the edit, recomputes the rest, matches the full run.
-  ctx.faults = nullptr;
-  PipelineReport resumed =
-      MakeCheckpointedPipeline().Run(d, FastConfig(), ctx);
-  ASSERT_TRUE(resumed.status.ok());
-  EXPECT_EQ(resumed.resumed_stages, 1);
-  ASSERT_EQ(resumed.stages.size(), full.stages.size());
-  for (size_t i = 0; i < full.stages.size(); ++i) {
-    EXPECT_EQ(resumed.stages[i].name, full.stages[i].name);
+    // Resume: skips the restored stages, recomputes the rest, matches the
+    // full run.
+    ctx.faults = nullptr;
+    PipelineReport resumed =
+        MakeCheckpointedPipeline().Run(d, FastConfig(), ctx);
+    ASSERT_TRUE(resumed.status.ok());
+    EXPECT_EQ(resumed.resumed_stages, crash_after + 1);
+    ASSERT_EQ(resumed.stages.size(), full.stages.size());
+    for (size_t i = 0; i < full.stages.size(); ++i) {
+      EXPECT_EQ(resumed.stages[i].name, full.stages[i].name);
+    }
+    // Each restored row reports the work the crashed run did, counter for
+    // counter.
+    for (int i = 0; i <= crash_after; ++i) {
+      const common::OpCounters& got = resumed.stages[i].ops;
+      const common::OpCounters& want = full.stages[i].ops;
+      EXPECT_EQ(got.edges_touched, want.edges_touched) << i;
+      EXPECT_EQ(got.floats_moved, want.floats_moved) << i;
+      EXPECT_EQ(got.bytes_read, want.bytes_read) << i;
+      EXPECT_EQ(got.bytes_written, want.bytes_written) << i;
+      EXPECT_EQ(got.peak_resident_floats, want.peak_resident_floats) << i;
+      EXPECT_EQ(got.resident_floats, want.resident_floats) << i;
+    }
+    EXPECT_EQ(resumed.edges_after, full.edges_after);
+    EXPECT_EQ(resumed.feature_cols_after, full.feature_cols_after);
+    EXPECT_DOUBLE_EQ(resumed.model.report.best_val_accuracy,
+                     full.model.report.best_val_accuracy);
+    EXPECT_DOUBLE_EQ(resumed.model.report.test_accuracy,
+                     full.model.report.test_accuracy);
+    ExpectIdenticalHeads(resumed.model, full.model);
   }
-  EXPECT_EQ(resumed.edges_after, full.edges_after);
-  EXPECT_EQ(resumed.feature_cols_after, full.feature_cols_after);
-  EXPECT_DOUBLE_EQ(resumed.model.report.best_val_accuracy,
-                   full.model.report.best_val_accuracy);
-  EXPECT_DOUBLE_EQ(resumed.model.report.test_accuracy,
-                   full.model.report.test_accuracy);
-  ExpectIdenticalHeads(resumed.model, full.model);
   std::filesystem::remove(path);
 }
 

@@ -487,7 +487,7 @@ TEST(DistRunTest, BitIdenticalToSingleProcessAcrossWorkerCounts) {
   const CsrGraph g = TestGraph();
   DistOptions opts;
   opts.hops = 3;
-  // 160 columns engage the column-blocked SpMM schedule.
+  // A 160-column row is two full 64-float register strips and a half one.
   for (const int64_t cols : {8, 160}) {
     const Matrix x = TestFeatures(g, cols);
     const Matrix want = Reference(g, x, opts);

@@ -58,29 +58,12 @@ TEST(FaultInjectorTest, DifferentSeedsOrSitesGiveDifferentOutcomes) {
   EXPECT_GT(site_diff, 0);
 }
 
-TEST(FaultInjectorTest, SequentialArmAtFiresExactlyOnce) {
-  FaultInjector inj(7);
-  inj.ArmAt("io.write", 3);
-  int fired_at = -1, fires = 0;
-  for (int op = 0; op < 10; ++op) {
-    if (inj.ShouldFail("io.write")) {
-      fired_at = op;
-      ++fires;
-    }
-  }
-  EXPECT_EQ(fired_at, 3);
-  EXPECT_EQ(fires, 1);
-  EXPECT_EQ(inj.OpCount("io.write"), 10);
-}
-
 TEST(FaultInjectorTest, TokenArmAtIsReplayable) {
   FaultInjector inj(7);
   inj.ArmAt("pipeline.after_stage", 2);
   EXPECT_FALSE(inj.ShouldFail("pipeline.after_stage", uint64_t{0}));
   EXPECT_TRUE(inj.ShouldFail("pipeline.after_stage", uint64_t{2}));
   EXPECT_TRUE(inj.ShouldFail("pipeline.after_stage", uint64_t{2}));
-  inj.Disarm("pipeline.after_stage");
-  EXPECT_FALSE(inj.ShouldFail("pipeline.after_stage", uint64_t{2}));
 }
 
 TEST(FaultInjectorTest, MaybeFailReturnsUnavailable) {
@@ -88,8 +71,7 @@ TEST(FaultInjectorTest, MaybeFailReturnsUnavailable) {
   inj.Arm("svc", 1.0);
   const Status s = inj.MaybeFail("svc", 1);
   EXPECT_EQ(s.code(), StatusCode::kUnavailable);
-  inj.Disarm("svc");
-  EXPECT_TRUE(inj.MaybeFail("svc", 1).ok());
+  EXPECT_TRUE(inj.MaybeFail("other", 1).ok());
 }
 
 // ---------------------------------------------------------------- deadline
@@ -421,8 +403,7 @@ std::map<NodeId, StatusCode> ServeAllNodesOnce(uint64_t seed) {
   config.max_delay_micros = 100;
   config.queue_capacity = 1024;
   config.num_workers = 3;
-  config.update_cache = false;
-  config.degraded_serving = false;  // Failures must surface as failures.
+  config.update_cache = false;  // No cached row: failures surface as such.
   config.breaker.failure_threshold = 1 << 20;  // Order-dependent; keep out.
   config.embed_retry.max_attempts = 2;
   config.embed_retry.base_backoff_micros = 10;
@@ -481,7 +462,6 @@ TEST(FaultServingTest, DegradedModeServesStaleRowsWhenEmbedderDies) {
   config.max_batch = 4;
   config.max_delay_micros = 100;
   config.max_staleness = 0;  // Anything older than this batch is stale.
-  config.degraded_serving = true;
   config.breaker.failure_threshold = 1 << 20;
   config.embed_retry.max_attempts = 1;
 
@@ -522,13 +502,12 @@ TEST(FaultServingTest, DegradedModeServesStaleRowsWhenEmbedderDies) {
   server.Shutdown();
 }
 
-TEST(FaultServingTest, WithoutDegradedModeTheErrorSurfaces) {
+TEST(FaultServingTest, WithNoCachedRowTheErrorSurfaces) {
   constexpr NodeId kNodes = 8;
   ServeConfig config;
   config.max_batch = 2;
   config.max_delay_micros = 100;
   config.max_staleness = 0;
-  config.degraded_serving = false;
   config.breaker.failure_threshold = 1 << 20;
   config.embed_retry.max_attempts = 3;
   config.embed_retry.base_backoff_micros = 5;
@@ -558,7 +537,6 @@ TEST(FaultServingTest, WithoutDegradedModeTheErrorSurfaces) {
 TEST(FaultServingTest, PermanentErrorsAreNotRetried) {
   ServeConfig config;
   config.max_delay_micros = 100;
-  config.degraded_serving = false;
   std::atomic<int> embed_calls{0};
   BatchingServer server(
       TestModel(),
@@ -610,7 +588,6 @@ TEST(FaultServingTest, OpenBreakerFastFailsWithoutCallingEmbedder) {
   config.max_batch = 8;
   config.max_delay_micros = 100;
   config.num_workers = 1;  // Serialised batches: breaker order is stable.
-  config.degraded_serving = false;
   config.embed_retry.max_attempts = 1;
   config.breaker.failure_threshold = 3;
   config.breaker.probe_interval = 1 << 20;  // No probes within this test.
@@ -662,7 +639,6 @@ TEST(FaultServingTest, EveryAdmittedRequestIsTerminalUnderStress) {
   config.num_workers = 3;
   config.embed_retry.max_attempts = 2;
   config.embed_retry.base_backoff_micros = 10;
-  config.degraded_serving = true;
 
   BatchingServer server(
       TestModel(),

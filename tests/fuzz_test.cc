@@ -285,7 +285,7 @@ std::vector<Field> SnapshotFields(const core::PipelineSnapshot& snap) {
   for (const core::StageTiming& stage : snap.stages) {
     fields.push_back({at, 4});
     at += sizeof(uint32_t) + stage.name.size() + sizeof(double) +
-          4 * sizeof(uint64_t);
+          6 * sizeof(uint64_t);
   }
   at += 2 * sizeof(int64_t);  // edges_before, feature_cols_before
   fields.push_back({at, 4});

@@ -1089,6 +1089,73 @@ TEST(HttpFrontDoorTest, StalledBatchHoldsNoOtherConnection) {
   }
 }
 
+// The backlog waits in admission, where each tenant has its own queue,
+// not in the server's one shared queue: while tenant a's stalled batch
+// holds the only worker and a has more infers queued than the server's
+// queue holds, tenant b's one infer is still admitted and answered, and
+// none of a's is refused.
+TEST(HttpFrontDoorTest, FloodingTenantLeavesItsNeighbourAServerSlot) {
+  obs::MetricsRegistry registry;
+  core::RunContext ctx;
+  ctx.metrics = &registry;
+  std::promise<void> latch;
+  std::shared_future<void> opened = latch.get_future().share();
+  std::atomic<int> stalled{0};
+  ServeConfig serve_config = QuickServeConfig();  // One worker.
+  serve_config.queue_capacity = 2;
+  BatchingServer server(
+      TestModel(),
+      [opened, &stalled](NodeId node, std::span<float> out) {
+        if (node == 7) {
+          stalled.fetch_add(1);
+          opened.wait();
+        }
+        FillEmbedding(node, out);
+        return Status::OK();
+      },
+      kNodes, serve_config);
+  HttpFrontDoorConfig config;
+  config.admission.per_tenant_capacity = 256;
+  HttpFrontDoor door(&server, config, ctx);
+  ASSERT_TRUE(door.Start().ok());
+  const obs::Counter* admitted = registry.GetCounter(
+      "sgnn_net_infer_admitted_total", "", {}, obs::kVolatile);
+
+  // a's first infer holds the worker; two of the next five fill the
+  // server's queue and three are left over. (No ASSERT before the latch
+  // opens: the held worker would hang the server's shutdown.)
+  constexpr int kFlood = 6;
+  HttpClient a = Dial(door.port());
+  for (int i = 0; i < kFlood; ++i) {
+    EXPECT_TRUE(a.SendRequest("POST", "/v1/infer", InferBody(7, "a"),
+                              "application/json")
+                    .ok());
+    if (i == 0) {
+      EXPECT_TRUE(WaitFor([&] { return stalled.load() == 1; }));
+    }
+  }
+  EXPECT_TRUE(WaitFor([&] { return admitted->value() == uint64_t{kFlood}; }));
+  HttpClient b = Dial(door.port());
+  EXPECT_TRUE(
+      b.SendRequest("POST", "/v1/infer", InferBody(1, "b"), "application/json")
+          .ok());
+  EXPECT_TRUE(
+      WaitFor([&] { return admitted->value() == uint64_t{kFlood} + 1; }));
+  latch.set_value();
+
+  auto answer = b.ReadResponse();
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer.value().status_code, 200) << answer.value().body;
+  EXPECT_NE(answer.value().body.find("\"tenant\":\"b\""), std::string::npos);
+  for (int i = 0; i < kFlood; ++i) {
+    auto flooded = a.ReadResponse();
+    ASSERT_TRUE(flooded.ok()) << "#" << i << ": "
+                              << flooded.status().ToString();
+    EXPECT_EQ(flooded.value().status_code, 200)
+        << "#" << i << ": " << flooded.value().body;
+  }
+}
+
 // An answer is routed to its connection by id, never by socket: a peer
 // that closes while its infer stalls in the embedder must cost the next
 // connection nothing, even when that connection's accept reuses the

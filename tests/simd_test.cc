@@ -394,9 +394,9 @@ TEST_F(SimdTest, TiledTransposeMatchesNaive) {
   EXPECT_TRUE(BytesEqual(m, tensor::Transpose(t)));
 }
 
-// SpMM: a skewed graph with a feature width that engages the cache-blocked
-// row-panel schedule (cols > 128, and 160 is 2.5 column blocks), plus a
-// narrow width on the unblocked path, across backends and thread counts.
+// SpMM: a skewed graph at a width of several 64-float register strips
+// (160 is 2.5 strips) and at a narrow width, across backends and thread
+// counts.
 TEST_F(SimdTest, PropagatorApplyBitIdentical) {
   const CsrGraph g = graph::BarabasiAlbert(500, 6, 42);
   for (const int64_t cols : {17L, 160L}) {
@@ -426,7 +426,7 @@ TEST_F(SimdTest, PropagatorApplyBitIdentical) {
 
 // GraphSAGE's sampled step runs both shared kernels over the block views:
 // the forward aggregation through `SpmmRows` (layer 0 over the global-id
-// view, column-blocked at 160 input columns) and the backward through
+// view, 160 input columns wide) and the backward through
 // `SpmmTransposeRows`. The loss and every parameter gradient must not
 // depend on backend or thread count.
 TEST_F(SimdTest, SageTrainStepBitIdentical) {
@@ -471,7 +471,7 @@ TEST_F(SimdTest, SageTrainStepBitIdentical) {
 }
 
 // Over one view the two kernels are adjoint: with A a sampled block,
-// <y, A x> = <A^T y, x> to float tolerance, narrow and column-blocked.
+// <y, A x> = <A^T y, x> to float tolerance, narrow and wide.
 TEST_F(SimdTest, BlockViewKernelsAreAdjoint) {
   const CsrGraph g = graph::BarabasiAlbert(400, 5, 47);
   std::vector<NodeId> seeds;
@@ -624,8 +624,8 @@ CsrGraph ViewTestGraph() {
 }
 
 // `SpmmRows` over the in-memory operator's view against the naive loop on
-// both backends, narrow, at the register strip's width and through the
-// column-blocked panel schedule. The view carries per-edge coefficients
+// both backends, narrow, at the register strip's width and across several
+// strips. The view carries per-edge coefficients
 // of both zero signs and a self loop per row.
 TEST_F(SimdTest, SpmmRowsOverCoefficientRowsMatchesNaiveLoop) {
   const CsrGraph g = ViewTestGraph();
@@ -722,8 +722,8 @@ TEST_F(SimdTest, SpmmRowsOverBlockViewsMatchesNaiveLoop) {
 // The out-of-core shard view computes each coefficient from the per-node
 // factors and goes through the stack chunk; its S x must be the naive
 // loop over the same formula, byte for byte, on both backends, at 1 and 8
-// threads, with zero-weight edges, the hub split across chunks and the
-// column-blocked schedule.
+// threads, with zero-weight edges, the hub split across chunks and rows
+// of several register strips.
 TEST_F(SimdTest, OocShardViewMatchesNaiveLoop) {
   const CsrGraph g = ViewTestGraph();
   const int64_t n = g.num_nodes();
@@ -777,9 +777,9 @@ TEST_F(SimdTest, OocShardViewMatchesNaiveLoop) {
   std::filesystem::remove_all(dir);
 }
 
-// Empty rows (isolated nodes) and single-edge rows through the blocked
-// schedule: panels must handle zero-degree rows without skipping billing
-// or touching their output.
+// Empty rows (isolated nodes) and single-edge rows at a width of several
+// register strips: a zero-degree row must neither skip billing nor touch
+// its output.
 TEST_F(SimdTest, PropagatorHandlesIsolatedNodes) {
   std::vector<graph::Edge> edges;
   // Nodes 0..9; node 3 and 7 isolated; node 0 is a small hub.
@@ -789,7 +789,7 @@ TEST_F(SimdTest, PropagatorHandlesIsolatedNodes) {
   }
   edges.push_back({5, 6, 2.0f});
   const CsrGraph g = CsrGraph::FromEdges(10, edges);
-  const Matrix x = RandomMatrix(10, 200, 61);  // Engages the blocked path.
+  const Matrix x = RandomMatrix(10, 200, 61);  // Four strips, one partial.
   auto run = [&](bool simd_on) {
     simd::SetEnabled(simd_on);
     graph::Propagator prop(g, Normalization::kRow, /*add_self_loops=*/false);
@@ -808,8 +808,8 @@ TEST_F(SimdTest, PropagatorHandlesIsolatedNodes) {
 
 // The out-of-core SpMM must match the in-memory propagator byte for byte
 // on both backends, including under a budget that forces eviction: every
-// normalisation, self loops on and off, and a narrow and a wide (> 128
-// columns, column-blocked) matrix.
+// normalisation, self loops on and off, and a narrow and a wide (several
+// register strips) matrix.
 TEST_F(SimdTest, OocPropagatorBitIdenticalToInMemory) {
   const CsrGraph g = graph::ErdosRenyi(300, 2400, 77);
   const std::string dir = ::testing::TempDir() + "/sgnn_simd_ooc";

@@ -679,7 +679,7 @@ TEST(BitIdentityTest, PipelineMatchesInMemoryAtAnyBudgetAndThreads) {
   ASSERT_TRUE(WriteShardedGraph(g, ShardPlan::Contiguous(g, 5), dir).ok());
 
   // In-memory reference results: every normalisation, self loops on and
-  // off, and a narrow and a wide (> 128 columns, column-blocked) matrix.
+  // off, and a narrow and a wide (several register strips) matrix.
   struct PropCase {
     Normalization norm;
     bool self_loops;
